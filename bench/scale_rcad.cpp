@@ -141,13 +141,6 @@ int main(int argc, char** argv) {
                        {}, sim::RandomStream(opt.seed + 1));
   const double net_s = seconds_since(t_net);
 
-  const std::size_t graph_bytes =
-      topology.memory_bytes() + routing.memory_bytes();
-  const std::size_t network_bytes = network.memory_bytes();
-  const double bytes_per_node =
-      static_cast<double>(graph_bytes + network_bytes) /
-      static_cast<double>(opt.n);
-
   std::printf("{\n");
   std::printf("  \"nodes\": %zu,\n", opt.n);
   std::printf("  \"mode\": \"%s\",\n", opt.build_only ? "build" : "full");
@@ -159,10 +152,7 @@ int main(int argc, char** argv) {
   std::printf("  \"build_topology_s\": %.6f,\n", topo_s);
   std::printf("  \"build_csr_s\": %.6f,\n", csr_s);
   std::printf("  \"build_routing_s\": %.6f,\n", routing_s);
-  std::printf("  \"build_network_s\": %.6f,\n", net_s);
-  std::printf("  \"graph_bytes\": %zu,\n", graph_bytes);
-  std::printf("  \"network_bytes\": %zu,\n", network_bytes);
-  std::printf("  \"bytes_per_node\": %.1f", bytes_per_node);
+  std::printf("  \"build_network_s\": %.6f", net_s);
 
   if (!opt.build_only) {
     const crypto::PayloadCodec codec(crypto::Speck64_128::Key{
@@ -226,6 +216,17 @@ int main(int argc, char** argv) {
     std::printf("  \"adversary_estimates\": %llu",
                 static_cast<unsigned long long>(score.count()));
   }
+
+  // Measured last, so a full run counts the buffer slab at the size the
+  // traffic grew it to, not the empty slab of a fresh build.
+  const std::size_t graph_bytes =
+      topology.memory_bytes() + routing.memory_bytes();
+  const std::size_t network_bytes = network.memory_bytes();
+  std::printf(",\n  \"graph_bytes\": %zu,\n", graph_bytes);
+  std::printf("  \"network_bytes\": %zu,\n", network_bytes);
+  std::printf("  \"bytes_per_node\": %.1f",
+              static_cast<double>(graph_bytes + network_bytes) /
+                  static_cast<double>(opt.n));
   std::printf("\n}\n");
   return 0;
 }

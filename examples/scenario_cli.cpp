@@ -158,7 +158,11 @@ int main(int argc, char** argv) {
                           "mean latency", "max latency"});
     for (std::size_t i = 0; i < result.flows.size(); ++i) {
       const workload::FlowResult& flow = result.flows[i];
-      table.add_row({"S" + std::to_string(i + 1), std::to_string(flow.hops),
+      // Appended rather than "S" + std::to_string(...): GCC 12 at -O3 flags
+      // the inlined operator+ with a -Werror=restrict false positive.
+      std::string label = "S";
+      label += std::to_string(i + 1);
+      table.add_row({label, std::to_string(flow.hops),
                      std::to_string(flow.delivered),
                      metrics::format_number(flow.mse_baseline, 1),
                      metrics::format_number(flow.mse_adaptive, 1),

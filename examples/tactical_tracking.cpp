@@ -14,6 +14,7 @@
 
 #include <iostream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "adversary/estimator.h"
@@ -118,8 +119,12 @@ int main() {
                         "MSE (adaptive adv)", "mean latency", "max latency"});
   for (std::size_t i = 0; i < built.sources.size(); ++i) {
     const net::NodeId source = built.sources[i];
+    // Appended rather than "S" + std::to_string(...): GCC 12 at -O3 flags the
+    // inlined operator+ with a -Werror=restrict false positive.
+    std::string flow = "S";
+    flow += std::to_string(i + 1);
     table.add_row(
-        {"S" + std::to_string(i + 1),
+        {flow,
          std::to_string(routing.hops_to_sink(source)),
          metrics::format_number(truth.score_flow(baseline, source).mse(), 1),
          metrics::format_number(truth.score_flow(adaptive, source).mse(), 1),

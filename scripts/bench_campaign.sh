@@ -55,7 +55,8 @@ run_mode() {
 }
 
 echo "== campaign throughput ($JOBS jobs, $RUNS run(s) per mode) =="
-run_mode serial
+# Serial means one worker thread: without --jobs the CLI uses every core.
+run_mode serial --jobs 1
 run_mode auto2 --shard auto:2
 run_mode auto4 --shard auto:4
 

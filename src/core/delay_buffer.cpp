@@ -1,5 +1,6 @@
 #include "core/delay_buffer.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -7,131 +8,213 @@
 
 namespace tempriv::core {
 
-DelayBuffer::DelayBuffer(std::shared_ptr<const DelayDistribution> delay,
-                         VictimPolicy policy)
-    : delay_(std::move(delay)), policy_(policy) {
-  if (!delay_) throw std::invalid_argument("DelayBuffer: null delay distribution");
+namespace {
+
+/// Heap order: the policy's victim at the root, admission order (first
+/// admitted wins) breaking release-time ties — exactly the element a
+/// first-strict-win linear scan over admission order selects.
+template <typename Node>
+bool heap_precedes(const Node& a, const Node& b) noexcept {
+  if (a.key != b.key) return a.key < b.key;
+  return a.admit_seq < b.admit_seq;
 }
 
-std::vector<DelayBuffer::Held> DelayBuffer::snapshot() const {
+}  // namespace
+
+DelayBuffer::DelayBuffer(std::shared_ptr<const DelayDistribution> delay,
+                         VictimPolicy policy)
+    : DelayBuffer(QueueConfig{std::move(delay), policy, kUnbounded}) {}
+
+DelayBuffer::DelayBuffer(QueueConfig config) {
+  add_queue(add_config(std::move(config)));
+}
+
+std::uint32_t DelayBuffer::add_config(QueueConfig config) {
+  if (!config.delay) {
+    throw std::invalid_argument("DelayBuffer: null delay distribution");
+  }
+  if (config.capacity == 0) {
+    throw std::invalid_argument("DelayBuffer: capacity must be >= 1");
+  }
+  configs_.push_back(std::move(config));
+  return static_cast<std::uint32_t>(configs_.size() - 1);
+}
+
+DelayBuffer::QueueId DelayBuffer::add_queue(std::uint32_t config) {
+  if (config >= configs_.size()) {
+    throw std::out_of_range("DelayBuffer::add_queue: unknown config");
+  }
+  Queue queue;
+  queue.config = config;
+  queues_.push_back(queue);
+  return static_cast<QueueId>(queues_.size() - 1);
+}
+
+std::size_t DelayBuffer::memory_bytes() const noexcept {
+  return configs_.capacity() * sizeof(QueueConfig) +
+         queues_.capacity() * sizeof(Queue) +
+         slots_.capacity() * sizeof(Slot) +
+         blocks_.capacity() * sizeof(HeapNode);
+}
+
+std::vector<DelayBuffer::Held> DelayBuffer::snapshot(QueueId queue) const {
+  const Queue& q = queues_.at(queue);
   std::vector<Held> held;
-  held.reserve(live_count_);
-  for (std::uint32_t slot = head_; slot != kNilSlot; slot = slots_[slot].next) {
+  held.reserve(q.count);
+  for (std::uint32_t slot = q.head; slot != kNil; slot = slots_[slot].next) {
     held.push_back(slots_[slot].held);
   }
   return held;
 }
 
-void DelayBuffer::reserve(std::size_t capacity) {
-  slots_.reserve(capacity);
-  if (uses_heap()) heap_.reserve(capacity);
+void DelayBuffer::reserve(std::size_t packets) { slots_.reserve(packets); }
+
+bool DelayBuffer::indexed(const Queue& q) const noexcept {
+  const std::optional<VictimPolicy>& victim = configs_[q.config].victim;
+  return victim == VictimPolicy::kShortestRemaining ||
+         victim == VictimPolicy::kLongestRemaining;
 }
 
 std::uint32_t DelayBuffer::acquire_slot() {
-  if (free_head_ != kNilSlot) {
-    const std::uint32_t slot = free_head_;
-    free_head_ = slots_[slot].next_free;
-    slots_[slot].next_free = kNilSlot;
-    slots_[slot].live = true;
+  if (free_slot_ != kNil) {
+    const std::uint32_t slot = free_slot_;
+    free_slot_ = slots_[slot].next;
     return slot;
   }
+  if (slots_.size() >= kNil) {
+    throw std::length_error("DelayBuffer: slot slab full");
+  }
   slots_.emplace_back();
-  slots_.back().live = true;
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
-void DelayBuffer::link_back(std::uint32_t slot) noexcept {
+void DelayBuffer::link_back(Queue& q, std::uint32_t slot) noexcept {
   Slot& s = slots_[slot];
-  s.prev = tail_;
-  s.next = kNilSlot;
-  if (tail_ != kNilSlot) {
-    slots_[tail_].next = slot;
+  s.prev = q.tail;
+  s.next = kNil;
+  if (q.tail != kNil) {
+    slots_[q.tail].next = slot;
   } else {
-    head_ = slot;
+    q.head = slot;
   }
-  tail_ = slot;
+  q.tail = slot;
 }
 
-void DelayBuffer::unlink(std::uint32_t slot) noexcept {
+void DelayBuffer::unlink(Queue& q, std::uint32_t slot) noexcept {
   Slot& s = slots_[slot];
-  if (s.prev != kNilSlot) {
+  if (s.prev != kNil) {
     slots_[s.prev].next = s.next;
   } else {
-    head_ = s.next;
+    q.head = s.next;
   }
-  if (s.next != kNilSlot) {
+  if (s.next != kNil) {
     slots_[s.next].prev = s.prev;
   } else {
-    tail_ = s.prev;
+    q.tail = s.prev;
   }
-  s.prev = s.next = kNilSlot;
+  s.prev = s.next = kNil;
 }
 
-bool DelayBuffer::heap_precedes(const HeapNode& a,
-                                const HeapNode& b) const noexcept {
-  if (a.key != b.key) return a.key < b.key;
-  return a.admit_seq < b.admit_seq;
+std::uint32_t DelayBuffer::acquire_block(std::uint8_t block_class) {
+  std::uint32_t& free_head = free_block_[block_class];
+  if (free_head != kNil) {
+    const std::uint32_t block = free_head;
+    free_head = blocks_[block].slot;
+    return block;
+  }
+  const std::size_t nodes = std::size_t{1} << block_class;
+  if (blocks_.size() + nodes >= kNil) {
+    throw std::length_error("DelayBuffer: victim arena full");
+  }
+  const auto block = static_cast<std::uint32_t>(blocks_.size());
+  blocks_.resize(blocks_.size() + nodes);
+  return block;
 }
 
-void DelayBuffer::heap_push(std::uint32_t slot) {
-  const Slot& s = slots_[slot];
+void DelayBuffer::release_block(std::uint32_t block,
+                                std::uint8_t block_class) noexcept {
+  blocks_[block].slot = free_block_[block_class];
+  free_block_[block_class] = block;
+}
+
+void DelayBuffer::ensure_block_room(Queue& q) {
+  if (q.block == kNil) {
+    q.block_class = 0;
+    q.block = acquire_block(0);
+  } else if (q.count == (std::uint32_t{1} << q.block_class)) {
+    const auto bigger = static_cast<std::uint8_t>(q.block_class + 1);
+    if (bigger >= kClasses) {
+      throw std::length_error("DelayBuffer: victim block too large");
+    }
+    const std::uint32_t block = acquire_block(bigger);  // may move blocks_
+    std::copy_n(blocks_.data() + q.block, q.count, blocks_.data() + block);
+    release_block(q.block, q.block_class);
+    q.block = block;
+    q.block_class = bigger;
+  }
+}
+
+void DelayBuffer::heap_push(Queue& q, std::uint32_t slot,
+                            std::uint64_t admit_seq) {
+  ensure_block_room(q);
+  const double release_time = slots_[slot].held.release_time;
   HeapNode node;
-  node.key = policy_ == VictimPolicy::kLongestRemaining
-                 ? -s.held.release_time
-                 : s.held.release_time;
-  node.admit_seq = s.admit_seq;
+  node.key = configs_[q.config].victim == VictimPolicy::kLongestRemaining
+                 ? -release_time
+                 : release_time;
+  node.admit_seq = admit_seq;
   node.slot = slot;
-  heap_.push_back(node);
-  heap_sift(static_cast<std::uint32_t>(heap_.size() - 1), node);
+  heap_sift({blocks_.data() + q.block, q.count + 1}, q.count, node);
 }
 
-void DelayBuffer::heap_sift(std::uint32_t pos, HeapNode node) noexcept {
+void DelayBuffer::heap_sift(std::span<HeapNode> heap, std::uint32_t pos,
+                            HeapNode node) noexcept {
   // Up first: move parents down into the hole while they order after the
   // node (one node move per level, never a swap).
   while (pos > 0) {
     const std::uint32_t parent = (pos - 1) / 2;
-    if (!heap_precedes(node, heap_[parent])) break;
-    heap_[pos] = heap_[parent];
-    slots_[heap_[pos].slot].heap_pos = pos;
+    if (!heap_precedes(node, heap[parent])) break;
+    heap[pos] = heap[parent];
+    slots_[heap[pos].slot].heap_pos = pos;
     pos = parent;
   }
   // Then down: pull the smaller child up into the hole while it orders
   // before the node. At most one direction actually moves.
-  const std::uint32_t n = static_cast<std::uint32_t>(heap_.size());
+  const auto n = static_cast<std::uint32_t>(heap.size());
   while (true) {
     const std::uint32_t left = 2 * pos + 1;
     if (left >= n) break;
     const std::uint32_t right = left + 1;
     std::uint32_t best = left;
-    if (right < n && heap_precedes(heap_[right], heap_[left])) best = right;
-    if (!heap_precedes(heap_[best], node)) break;
-    heap_[pos] = heap_[best];
-    slots_[heap_[pos].slot].heap_pos = pos;
+    if (right < n && heap_precedes(heap[right], heap[left])) best = right;
+    if (!heap_precedes(heap[best], node)) break;
+    heap[pos] = heap[best];
+    slots_[heap[pos].slot].heap_pos = pos;
     pos = best;
   }
-  heap_[pos] = node;
+  heap[pos] = node;
   slots_[node.slot].heap_pos = pos;
 }
 
-void DelayBuffer::heap_remove(std::uint32_t slot) noexcept {
+void DelayBuffer::heap_remove(Queue& q, std::uint32_t slot) noexcept {
   const std::uint32_t pos = slots_[slot].heap_pos;
-  slots_[slot].heap_pos = kNilSlot;
-  const std::uint32_t last = static_cast<std::uint32_t>(heap_.size() - 1);
+  slots_[slot].heap_pos = kNil;
+  const std::uint32_t last = q.count - 1;
   if (pos != last) {
-    const HeapNode moved = heap_[last];
-    heap_.pop_back();
-    heap_sift(pos, moved);
-  } else {
-    heap_.pop_back();
+    HeapNode* heap = blocks_.data() + q.block;
+    heap_sift({heap, last}, pos, heap[last]);
   }
 }
 
-void DelayBuffer::admit(net::Packet&& packet, net::NodeContext& ctx) {
-  admit_with_delay(std::move(packet), ctx, delay_->sample(ctx.rng()));
+void DelayBuffer::admit(QueueId queue, net::Packet&& packet,
+                        net::NodeContext& ctx) {
+  const Queue& q = queues_[queue];
+  admit_with_delay(queue, std::move(packet), ctx,
+                   configs_[q.config].delay->sample(ctx.rng()));
 }
 
-void DelayBuffer::admit_with_delay(net::Packet&& packet, net::NodeContext& ctx,
-                                   double delay) {
+void DelayBuffer::admit_with_delay(QueueId queue, net::Packet&& packet,
+                                   net::NodeContext& ctx, double delay) {
   if (delay < 0.0) {
     throw std::invalid_argument("DelayBuffer::admit_with_delay: negative delay");
   }
@@ -142,28 +225,32 @@ void DelayBuffer::admit_with_delay(net::Packet&& packet, net::NodeContext& ctx,
   s.held.packet = std::move(packet);
   s.held.enqueue_time = now;
   s.held.release_time = now + delay;
-  s.admit_seq = next_admit_seq_++;
+  s.queue = queue;
   s.held.release_event = ctx.simulator().schedule_after(
       delay, [this, slot, uid, &ctx] { release(slot, uid, ctx); });
-  link_back(slot);
-  if (uses_heap()) heap_push(slot);
-  ++live_count_;
-  TEMPRIV_TLM_HIST(kBufOccupancy, live_count_);
-  TEMPRIV_TLM_GAUGE_MAX(kBufPeakOccupancy, live_count_);
+  Queue& q = queues_[queue];
+  link_back(q, slot);
+  const std::uint64_t admit_seq = next_admit_seq_++;
+  if (indexed(q)) heap_push(q, slot, admit_seq);
+  ++q.count;
+  ++live_;
+  TEMPRIV_TLM_HIST(kBufOccupancy, q.count);
+  TEMPRIV_TLM_GAUGE_MAX(kBufPeakOccupancy, q.count);
 }
 
-std::uint32_t DelayBuffer::victim_slot(sim::RandomStream& rng) const {
-  switch (policy_) {
+std::uint32_t DelayBuffer::victim_slot(const Queue& q,
+                                       sim::RandomStream& rng) const {
+  switch (*configs_[q.config].victim) {
     case VictimPolicy::kShortestRemaining:
     case VictimPolicy::kLongestRemaining:
-      return heap_.front().slot;
+      return blocks_[q.block].slot;
     case VictimPolicy::kOldest:
-      return head_;
+      return q.head;
     case VictimPolicy::kRandom: {
       // Same draw as the reference scan: a uniform index into the admission
       // order, then a walk to that position.
-      std::size_t index = static_cast<std::size_t>(rng.uniform_index(live_count_));
-      std::uint32_t slot = head_;
+      auto index = static_cast<std::size_t>(rng.uniform_index(q.count));
+      std::uint32_t slot = q.head;
       while (index-- > 0) slot = slots_[slot].next;
       return slot;
     }
@@ -173,32 +260,44 @@ std::uint32_t DelayBuffer::victim_slot(sim::RandomStream& rng) const {
 
 net::Packet DelayBuffer::extract(std::uint32_t slot, net::NodeContext& ctx) {
   Slot& s = slots_[slot];
+  Queue& q = queues_[s.queue];
   ctx.simulator().cancel(s.held.release_event);
   net::Packet packet = std::move(s.held.packet);
-  unlink(slot);
-  if (s.heap_pos != kNilSlot) heap_remove(slot);
-  s.live = false;
-  s.next_free = free_head_;
-  free_head_ = slot;
-  --live_count_;
+  unlink(q, slot);
+  if (s.heap_pos != kNil) heap_remove(q, slot);
+  s.queue = kNil;
+  s.next = free_slot_;
+  free_slot_ = slot;
+  --live_;
+  if (--q.count == 0 && q.block != kNil) {
+    release_block(q.block, q.block_class);
+    q.block = kNil;
+  }
   return packet;
 }
 
-net::Packet DelayBuffer::preempt(net::NodeContext& ctx) {
-  if (live_count_ == 0) {
+net::Packet DelayBuffer::preempt(QueueId queue, net::NodeContext& ctx) {
+  const Queue& q = queues_[queue];
+  if (q.count == 0) {
     throw std::logic_error("DelayBuffer::preempt: empty buffer");
   }
+  const std::optional<VictimPolicy>& victim = configs_[q.config].victim;
+  if (!victim) {
+    throw std::logic_error("DelayBuffer::preempt: queue never preempts");
+  }
   TEMPRIV_TLM_COUNT_AT(telemetry::preempt_counter(
-      static_cast<std::uint32_t>(policy_)));
-  return extract(victim_slot(ctx.rng()), ctx);
+      static_cast<std::uint32_t>(*victim)));
+  return extract(victim_slot(q, ctx.rng()), ctx);
 }
 
-net::Packet DelayBuffer::eject(std::size_t index, net::NodeContext& ctx) {
-  if (index >= live_count_) {
+net::Packet DelayBuffer::eject(QueueId queue, std::size_t index,
+                               net::NodeContext& ctx) {
+  const Queue& q = queues_[queue];
+  if (index >= q.count) {
     throw std::out_of_range("DelayBuffer::eject: bad index");
   }
   TEMPRIV_TLM_COUNT(kBufEjected);
-  std::uint32_t slot = head_;
+  std::uint32_t slot = q.head;
   while (index-- > 0) slot = slots_[slot].next;
   return extract(slot, ctx);
 }
@@ -208,13 +307,57 @@ void DelayBuffer::release(std::uint32_t slot, std::uint64_t uid,
   // Defensive: eject()/preempt() cancel the release event, so a fired event
   // whose slot was recycled (or freed) indicates a kernel bug — skip rather
   // than transmit the wrong packet.
-  if (slot >= slots_.size() || !slots_[slot].live ||
+  if (slot >= slots_.size() || slots_[slot].queue == kNil ||
       slots_[slot].held.packet.uid != uid) {
     return;
   }
   // extract() re-cancels the (already fired) release event; that cancel is a
   // cheap no-op returning false.
   ctx.transmit(extract(slot, ctx));
+}
+
+bool DelayBuffer::consistent() const {
+  std::vector<std::uint32_t> owned(queues_.size(), 0);
+  std::size_t live_slots = 0;
+  for (const Slot& s : slots_) {
+    if (s.queue == kNil) continue;
+    if (s.queue >= queues_.size()) return false;
+    ++owned[s.queue];
+    ++live_slots;
+  }
+  std::size_t free_slots = 0;
+  for (std::uint32_t slot = free_slot_; slot != kNil; slot = slots_[slot].next) {
+    if (slots_[slot].queue != kNil || ++free_slots > slots_.size()) return false;
+  }
+  std::size_t queued = 0;
+  for (QueueId id = 0; id < queues_.size(); ++id) {
+    const Queue& q = queues_[id];
+    queued += q.count;
+    if (owned[id] != q.count) return false;
+    std::uint32_t walked = 0;
+    std::uint32_t prev = kNil;
+    for (std::uint32_t slot = q.head; slot != kNil; slot = slots_[slot].next) {
+      const Slot& s = slots_[slot];
+      if (s.queue != id || s.prev != prev || ++walked > q.count) return false;
+      prev = slot;
+    }
+    if (walked != q.count || q.tail != prev) return false;
+    if (!indexed(q) || q.count == 0) {
+      if (q.block != kNil) return false;
+      continue;
+    }
+    if (q.block == kNil || q.count > (std::uint32_t{1} << q.block_class)) {
+      return false;
+    }
+    const HeapNode* heap = blocks_.data() + q.block;
+    for (std::uint32_t pos = 0; pos < q.count; ++pos) {
+      const Slot& s = slots_[heap[pos].slot];
+      if (s.queue != id || s.heap_pos != pos) return false;
+      if (pos > 0 && heap_precedes(heap[pos], heap[(pos - 1) / 2])) return false;
+    }
+  }
+  return live_slots == live_ && queued == live_ &&
+         free_slots == slots_.size() - live_;
 }
 
 std::size_t select_victim(const std::vector<DelayBuffer::Held>& held,

@@ -1,21 +1,17 @@
 #include "core/disciplines.h"
 
-#include <stdexcept>
+#include <optional>
 #include <utility>
 
 namespace tempriv::core {
 
 DropTailDelaying::DropTailDelaying(
     std::shared_ptr<const DelayDistribution> delay, std::size_t capacity)
-    : buffer_(std::move(delay)), capacity_(capacity) {
-  if (capacity == 0) {
-    throw std::invalid_argument("DropTailDelaying: capacity must be >= 1");
-  }
-  buffer_.reserve(capacity);
-}
+    : buffer_(DelayBuffer::QueueConfig{std::move(delay), std::nullopt,
+                                       capacity}) {}
 
 void DropTailDelaying::on_packet(net::Packet&& packet, net::NodeContext& ctx) {
-  if (buffer_.size() >= capacity_) {
+  if (buffer_.size() >= capacity()) {
     ++drops_;
     return;  // packet destroyed; the Erlang-loss event of Eq. (5)
   }
@@ -24,17 +20,11 @@ void DropTailDelaying::on_packet(net::Packet&& packet, net::NodeContext& ctx) {
 
 RcadDiscipline::RcadDiscipline(std::shared_ptr<const DelayDistribution> delay,
                                std::size_t capacity, VictimPolicy victim_policy)
-    : buffer_(std::move(delay), victim_policy),
-      capacity_(capacity),
-      victim_policy_(victim_policy) {
-  if (capacity == 0) {
-    throw std::invalid_argument("RcadDiscipline: capacity must be >= 1");
-  }
-  buffer_.reserve(capacity);
-}
+    : buffer_(DelayBuffer::QueueConfig{std::move(delay), victim_policy,
+                                       capacity}) {}
 
 void RcadDiscipline::on_packet(net::Packet&& packet, net::NodeContext& ctx) {
-  if (buffer_.size() >= capacity_) {
+  if (buffer_.size() >= capacity()) {
     net::Packet early = buffer_.preempt(ctx);
     ++preemptions_;
     ctx.transmit(std::move(early));

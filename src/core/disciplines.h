@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "core/delay_buffer.h"
@@ -29,7 +30,7 @@ class ImmediateForwarding final : public net::ForwardingDiscipline {
 class UnlimitedDelaying final : public net::ForwardingDiscipline {
  public:
   explicit UnlimitedDelaying(std::shared_ptr<const DelayDistribution> delay)
-      : buffer_(std::move(delay)) {}
+      : buffer_(DelayBuffer::QueueConfig{std::move(delay), std::nullopt}) {}
 
   void on_packet(net::Packet&& packet, net::NodeContext& ctx) override {
     buffer_.admit(std::move(packet), ctx);
@@ -38,9 +39,9 @@ class UnlimitedDelaying final : public net::ForwardingDiscipline {
   net::DisciplineKind kind() const noexcept override {
     return net::DisciplineKind::kUnlimitedDelay;
   }
-  /// Surrenders the (empty) buffer so Network can store it in its flat
-  /// per-node arrays; the discipline object is discarded afterwards.
-  DelayBuffer take_buffer() { return std::move(buffer_); }
+  /// The queue configuration Network copies into its buffer slab; the
+  /// discipline object is discarded afterwards.
+  const DelayBuffer::QueueConfig& queue_config() const { return buffer_.config(0); }
 
  private:
   DelayBuffer buffer_;
@@ -56,15 +57,14 @@ class DropTailDelaying final : public net::ForwardingDiscipline {
   void on_packet(net::Packet&& packet, net::NodeContext& ctx) override;
   std::size_t buffered() const noexcept override { return buffer_.size(); }
   std::uint64_t drops() const noexcept override { return drops_; }
-  std::size_t capacity() const noexcept { return capacity_; }
+  std::size_t capacity() const noexcept { return buffer_.config(0).capacity; }
   net::DisciplineKind kind() const noexcept override {
     return net::DisciplineKind::kDropTail;
   }
-  DelayBuffer take_buffer() { return std::move(buffer_); }
+  const DelayBuffer::QueueConfig& queue_config() const { return buffer_.config(0); }
 
  private:
   DelayBuffer buffer_;
-  std::size_t capacity_;
   std::uint64_t drops_ = 0;
 };
 
@@ -86,17 +86,15 @@ class RcadDiscipline final : public net::ForwardingDiscipline {
   void on_packet(net::Packet&& packet, net::NodeContext& ctx) override;
   std::size_t buffered() const noexcept override { return buffer_.size(); }
   std::uint64_t preemptions() const noexcept override { return preemptions_; }
-  std::size_t capacity() const noexcept { return capacity_; }
-  VictimPolicy victim_policy() const noexcept { return victim_policy_; }
+  std::size_t capacity() const noexcept { return buffer_.config(0).capacity; }
+  VictimPolicy victim_policy() const noexcept { return *buffer_.config(0).victim; }
   net::DisciplineKind kind() const noexcept override {
     return net::DisciplineKind::kRcad;
   }
-  DelayBuffer take_buffer() { return std::move(buffer_); }
+  const DelayBuffer::QueueConfig& queue_config() const { return buffer_.config(0); }
 
  private:
   DelayBuffer buffer_;
-  std::size_t capacity_;
-  VictimPolicy victim_policy_;
   std::uint64_t preemptions_ = 0;
 };
 

@@ -10,9 +10,10 @@ namespace tempriv::core {
 ErlangTunedRcad::ErlangTunedRcad(const Config& config)
     : config_(config),
       admissible_rho_(0.0),
-      buffer_(std::make_unique<ExponentialDelay>(
-                  std::max(config.max_mean_delay, 1e-9)),
-              config.victim),
+      buffer_(DelayBuffer::QueueConfig{
+          std::make_unique<ExponentialDelay>(
+              std::max(config.max_mean_delay, 1e-9)),
+          config.victim, config.capacity}),
       current_mean_(config.max_mean_delay) {
   if (config.capacity == 0) {
     throw std::invalid_argument("ErlangTunedRcad: capacity must be >= 1");

@@ -1,7 +1,7 @@
 #include "net/network.h"
 
 #include <algorithm>
-#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -9,10 +9,6 @@
 #include "telemetry/probes.h"
 
 namespace tempriv::net {
-
-namespace {
-constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
-}  // namespace
 
 Network::Network(sim::Simulator& simulator, Topology topology,
                  const DisciplineFactory& factory, NetworkConfig config,
@@ -68,16 +64,10 @@ void Network::init_node_arrays(const sim::RandomStream& root_rng) {
   for (NodeId sink : topology_.sinks()) role_[sink] = NodeRole::kSink;
 }
 
-core::DelayBuffer& Network::add_buffer_slot(NodeId id, NodeRole role,
-                                            core::DelayBuffer buffer,
-                                            std::size_t capacity) {
+void Network::add_queue(NodeId id, NodeRole role, std::uint32_t config) {
   role_[id] = role;
-  disc_slot_[id] = static_cast<std::uint32_t>(buffers_.size());
-  buffers_.push_back(std::move(buffer));
-  capacity_.push_back(capacity);
-  drops_.push_back(0);
-  preemptions_.push_back(0);
-  return buffers_.back();
+  disc_slot_[id] = slab_.add_queue(config);
+  losses_.push_back(0);
 }
 
 void Network::adopt_factory(const DisciplineFactory& factory) {
@@ -89,30 +79,30 @@ void Network::adopt_factory(const DisciplineFactory& factory) {
     if (!built) {
       throw std::invalid_argument("Network: factory returned a null discipline");
     }
-    // Built-ins are unwrapped into the flat arrays: their (still empty)
-    // DelayBuffer moves in, the wrapper object is discarded. kind() is the
-    // contract — only the src/core built-ins return a non-kCustom kind.
+    // Built-ins are unwrapped into the flat arrays: their queue
+    // configuration joins the slab's table (one entry per node, since a
+    // factory may configure every node differently) and the wrapper object
+    // is discarded. kind() is the contract — only the src/core built-ins
+    // return a non-kCustom kind.
     switch (built->kind()) {
       case DisciplineKind::kImmediate:
         role_[id] = NodeRole::kImmediate;
         break;
       case DisciplineKind::kUnlimitedDelay:
-        add_buffer_slot(id, NodeRole::kUnlimited,
-                        static_cast<core::UnlimitedDelaying&>(*built).take_buffer(),
-                        kUnbounded);
+        add_queue(id, NodeRole::kUnlimited,
+                  slab_.add_config(static_cast<core::UnlimitedDelaying&>(*built)
+                                       .queue_config()));
         break;
-      case DisciplineKind::kDropTail: {
-        auto& droptail = static_cast<core::DropTailDelaying&>(*built);
-        add_buffer_slot(id, NodeRole::kDropTail, droptail.take_buffer(),
-                        droptail.capacity());
+      case DisciplineKind::kDropTail:
+        add_queue(id, NodeRole::kDropTail,
+                  slab_.add_config(static_cast<core::DropTailDelaying&>(*built)
+                                       .queue_config()));
         break;
-      }
-      case DisciplineKind::kRcad: {
-        auto& rcad = static_cast<core::RcadDiscipline&>(*built);
-        add_buffer_slot(id, NodeRole::kRcad, rcad.take_buffer(),
-                        rcad.capacity());
+      case DisciplineKind::kRcad:
+        add_queue(id, NodeRole::kRcad,
+                  slab_.add_config(static_cast<core::RcadDiscipline&>(*built)
+                                       .queue_config()));
         break;
-      }
       case DisciplineKind::kCustom:
         role_[id] = NodeRole::kCustom;
         disc_slot_[id] = static_cast<std::uint32_t>(custom_.size());
@@ -138,40 +128,37 @@ void Network::adopt_spec(const core::DisciplineSpec& spec) {
     throw std::invalid_argument("Network: DisciplineSpec capacity must be >= 1");
   }
   const std::size_t n = topology_.node_count();
-  if (buffered) {
-    std::size_t forwarding = 0;
+  if (!buffered) {
     for (NodeId id = 0; id < n; ++id) {
-      if (role_[id] != NodeRole::kSink && routing_.reachable(id)) ++forwarding;
+      if (role_[id] != NodeRole::kSink && routing_.reachable(id)) {
+        role_[id] = NodeRole::kImmediate;
+      }
     }
-    buffers_.reserve(forwarding);
-    capacity_.reserve(forwarding);
-    drops_.reserve(forwarding);
-    preemptions_.reserve(forwarding);
+    return;
   }
+  // One configuration for the whole network; every forwarding node is an
+  // empty queue head until packets reach it.
+  core::DelayBuffer::QueueConfig config{spec.delay, std::nullopt,
+                                        core::DelayBuffer::kUnbounded};
+  NodeRole role = NodeRole::kUnlimited;
+  if (spec.kind == DisciplineKind::kDropTail) {
+    role = NodeRole::kDropTail;
+    config.capacity = spec.capacity;
+  } else if (spec.kind == DisciplineKind::kRcad) {
+    role = NodeRole::kRcad;
+    config.capacity = spec.capacity;
+    config.victim = spec.victim;
+  }
+  const std::uint32_t config_index = slab_.add_config(std::move(config));
+  std::size_t forwarding = 0;
+  for (NodeId id = 0; id < n; ++id) {
+    if (role_[id] != NodeRole::kSink && routing_.reachable(id)) ++forwarding;
+  }
+  slab_.reserve_queues(forwarding);
+  losses_.reserve(forwarding);
   for (NodeId id = 0; id < n; ++id) {
     if (role_[id] == NodeRole::kSink || !routing_.reachable(id)) continue;
-    switch (spec.kind) {
-      case DisciplineKind::kImmediate:
-        role_[id] = NodeRole::kImmediate;
-        break;
-      case DisciplineKind::kUnlimitedDelay:
-        add_buffer_slot(id, NodeRole::kUnlimited,
-                        core::DelayBuffer(spec.delay), kUnbounded);
-        break;
-      case DisciplineKind::kDropTail:
-        add_buffer_slot(id, NodeRole::kDropTail,
-                        core::DelayBuffer(spec.delay), spec.capacity)
-            .reserve(spec.capacity);
-        break;
-      case DisciplineKind::kRcad:
-        add_buffer_slot(id, NodeRole::kRcad,
-                        core::DelayBuffer(spec.delay, spec.victim),
-                        spec.capacity)
-            .reserve(spec.capacity);
-        break;
-      case DisciplineKind::kCustom:
-        break;  // rejected above
-    }
+    add_queue(id, role, config_index);
   }
 }
 
@@ -183,30 +170,28 @@ void Network::handle(NodeId node, Packet&& packet) {
       break;
     case NodeRole::kUnlimited:
       TEMPRIV_TLM_COUNT(kNetForwardUnlimited);
-      buffers_[disc_slot_[node]].admit(std::move(packet), ctx_[node]);
+      slab_.admit(disc_slot_[node], std::move(packet), ctx_[node]);
       break;
     case NodeRole::kDropTail: {
       TEMPRIV_TLM_COUNT(kNetForwardDropTail);
-      const std::uint32_t slot = disc_slot_[node];
-      core::DelayBuffer& buffer = buffers_[slot];
-      if (buffer.size() >= capacity_[slot]) {
-        ++drops_[slot];  // packet destroyed; the Erlang-loss event of Eq. (5)
+      const std::uint32_t queue = disc_slot_[node];
+      if (slab_.size(queue) >= slab_.config(queue).capacity) {
+        ++losses_[queue];  // packet destroyed; the Erlang-loss event of Eq. (5)
         TEMPRIV_TLM_COUNT(kNetDropTailDropped);
       } else {
-        buffer.admit(std::move(packet), ctx_[node]);
+        slab_.admit(queue, std::move(packet), ctx_[node]);
       }
       break;
     }
     case NodeRole::kRcad: {
       TEMPRIV_TLM_COUNT(kNetForwardRcad);
-      const std::uint32_t slot = disc_slot_[node];
-      core::DelayBuffer& buffer = buffers_[slot];
-      if (buffer.size() >= capacity_[slot]) {
-        Packet early = buffer.preempt(ctx_[node]);
-        ++preemptions_[slot];
+      const std::uint32_t queue = disc_slot_[node];
+      if (slab_.size(queue) >= slab_.config(queue).capacity) {
+        Packet early = slab_.preempt(queue, ctx_[node]);
+        ++losses_[queue];
         transmit_from(node, std::move(early));
       }
-      buffer.admit(std::move(packet), ctx_[node]);
+      slab_.admit(queue, std::move(packet), ctx_[node]);
       break;
     }
     case NodeRole::kCustom:
@@ -353,7 +338,7 @@ std::size_t Network::buffered_of(NodeId node) const {
     case NodeRole::kUnlimited:
     case NodeRole::kDropTail:
     case NodeRole::kRcad:
-      return buffers_[disc_slot_[node]].size();
+      return slab_.size(disc_slot_[node]);
     case NodeRole::kCustom:
       return custom_[disc_slot_[node]]->buffered();
     default:
@@ -368,7 +353,7 @@ std::size_t Network::node_buffered(NodeId id) const {
 
 std::uint64_t Network::node_preemptions(NodeId id) const {
   require_discipline(id);
-  if (role_[id] == NodeRole::kRcad) return preemptions_[disc_slot_[id]];
+  if (role_[id] == NodeRole::kRcad) return losses_[disc_slot_[id]];
   if (role_[id] == NodeRole::kCustom) {
     return custom_[disc_slot_[id]]->preemptions();
   }
@@ -377,7 +362,7 @@ std::uint64_t Network::node_preemptions(NodeId id) const {
 
 std::uint64_t Network::node_drops(NodeId id) const {
   require_discipline(id);
-  if (role_[id] == NodeRole::kDropTail) return drops_[disc_slot_[id]];
+  if (role_[id] == NodeRole::kDropTail) return losses_[disc_slot_[id]];
   if (role_[id] == NodeRole::kCustom) return custom_[disc_slot_[id]]->drops();
   return 0;
 }
@@ -411,42 +396,41 @@ void Network::probe(NodeId node) {
   }
 }
 
-std::uint64_t Network::total_preemptions() const {
+std::uint64_t Network::total_losses(NodeRole role) const {
   std::uint64_t total = 0;
-  for (std::uint64_t p : preemptions_) total += p;
+  for (NodeId id = 0; id < role_.size(); ++id) {
+    if (role_[id] == role) total += losses_[disc_slot_[id]];
+  }
+  return total;
+}
+
+std::uint64_t Network::total_preemptions() const {
+  std::uint64_t total = total_losses(NodeRole::kRcad);
   for (const auto& d : custom_) total += d->preemptions();
   return total;
 }
 
 std::uint64_t Network::total_drops() const {
-  std::uint64_t total = 0;
-  for (std::uint64_t d : drops_) total += d;
+  std::uint64_t total = total_losses(NodeRole::kDropTail);
   for (const auto& d : custom_) total += d->drops();
   return total;
 }
 
 std::size_t Network::total_buffered() const {
-  std::size_t total = 0;
-  for (const core::DelayBuffer& buffer : buffers_) total += buffer.size();
+  std::size_t total = slab_.size();
   for (const auto& d : custom_) total += d->buffered();
   return total;
 }
 
 std::size_t Network::memory_bytes() const noexcept {
-  std::size_t bytes = role_.capacity() * sizeof(NodeRole) +
-                      disc_slot_.capacity() * sizeof(std::uint32_t) +
-                      routing_seq_.capacity() * sizeof(std::uint16_t) +
-                      rng_.capacity() * sizeof(sim::RandomStream) +
-                      ctx_.capacity() * sizeof(NodeCtx) +
-                      buffers_.capacity() * sizeof(core::DelayBuffer) +
-                      capacity_.capacity() * sizeof(std::size_t) +
-                      drops_.capacity() * sizeof(std::uint64_t) +
-                      preemptions_.capacity() * sizeof(std::uint64_t) +
-                      custom_.capacity() * sizeof(custom_[0]);
-  for (const core::DelayBuffer& buffer : buffers_) {
-    bytes += buffer.memory_bytes();
-  }
-  return bytes;
+  return role_.capacity() * sizeof(NodeRole) +
+         disc_slot_.capacity() * sizeof(std::uint32_t) +
+         routing_seq_.capacity() * sizeof(std::uint16_t) +
+         rng_.capacity() * sizeof(sim::RandomStream) +
+         ctx_.capacity() * sizeof(NodeCtx) +
+         slab_.memory_bytes() +
+         losses_.capacity() * sizeof(std::uint64_t) +
+         custom_.capacity() * sizeof(custom_[0]);
 }
 
 }  // namespace tempriv::net

@@ -86,15 +86,17 @@ using HopSelector = sim::InlineFunction<NodeId(NodeId current,
 /// disciplines keep their objects and virtual dispatch. The per-packet path
 /// is allocation-free in steady state: packets are flat PODs, link
 /// traversals park them in a free-listed PacketPool and schedule a 16-byte
-/// {network, handle} closure (inline in the event kernel), and buffering
-/// holds them in per-node DelayBuffer slot pools stored contiguously here.
+/// {network, handle} closure (inline in the event kernel), and every
+/// buffering node is one queue of a single network-wide DelayBuffer slab,
+/// whose memory follows the packets held rather than nodes × k.
 class Network {
  public:
   /// Throws std::invalid_argument if the topology is missing a sink or if
   /// `config.hop_tx_delay` is not positive. The factory runs once per
   /// routable non-sink node in ascending id order; built-in disciplines it
-  /// returns are unwrapped into the flat arrays (their DelayBuffer moves in,
-  /// the wrapper object is discarded), custom ones are kept as objects.
+  /// returns are unwrapped into the flat arrays (their queue configuration
+  /// joins the buffer slab, the wrapper object is discarded), custom ones
+  /// are kept as objects.
   Network(sim::Simulator& simulator, Topology topology,
           const DisciplineFactory& factory, NetworkConfig config,
           const sim::RandomStream& root_rng);
@@ -172,9 +174,13 @@ class Network {
   /// arrival).
   std::size_t packets_in_flight() const noexcept { return pool_.in_flight(); }
 
-  /// Heap bytes held by the per-node arrays, discipline buffers and the
+  /// Heap bytes held by the per-node arrays, the buffer slab and the
   /// in-flight pool (excludes topology and routing, which report their own).
   std::size_t memory_bytes() const noexcept;
+
+  /// The network-wide buffer slab: one queue per buffering built-in node
+  /// (custom disciplines keep their own buffers). For diagnostics and tests.
+  const core::DelayBuffer& buffer_slab() const noexcept { return slab_; }
 
  private:
   /// What a packet arriving at the node meets — the switch key of the
@@ -189,8 +195,8 @@ class Network {
     kCustom,  ///< factory object kept; virtual on_packet dispatch
   };
 
-  /// The NodeContext the disciplines and DelayBuffers see. One per node in
-  /// a flat vector sized at construction and never resized afterwards —
+  /// The NodeContext the disciplines and the buffer slab see. One per node
+  /// in a flat vector sized at construction and never resized afterwards —
   /// buffer release events capture the context address.
   class NodeCtx final : public NodeContext {
    public:
@@ -217,10 +223,10 @@ class Network {
   void init_node_arrays(const sim::RandomStream& root_rng);
   void adopt_factory(const DisciplineFactory& factory);
   void adopt_spec(const core::DisciplineSpec& spec);
-  /// Registers a buffer slot for `id` and returns the new DelayBuffer.
-  core::DelayBuffer& add_buffer_slot(NodeId id, NodeRole role,
-                                     core::DelayBuffer buffer,
-                                     std::size_t capacity);
+  /// Gives `id` its own slab queue under slab configuration `config`.
+  void add_queue(NodeId id, NodeRole role, std::uint32_t config);
+  /// Sum of losses_ over the nodes playing `role`.
+  std::uint64_t total_losses(NodeRole role) const;
 
   /// A packet is at `node` now: run the node's discipline (switch on the
   /// role byte; the built-ins run inline with no virtual call), then fire
@@ -251,18 +257,17 @@ class Network {
 
   // Structure-of-arrays node state, all indexed by NodeId.
   std::vector<NodeRole> role_;
-  std::vector<std::uint32_t> disc_slot_;  // index into buffers_ or custom_
+  std::vector<std::uint32_t> disc_slot_;  // slab queue id or custom_ index
   std::vector<std::uint16_t> routing_seq_;
   std::vector<sim::RandomStream> rng_;
   std::vector<NodeCtx> ctx_;  // stable addresses after construction
 
-  // Dense per-discipline-slot state for the buffering built-ins. buffers_
-  // never grows after construction (release events capture buffer
-  // addresses).
-  std::vector<core::DelayBuffer> buffers_;
-  std::vector<std::size_t> capacity_;  // SIZE_MAX = unbounded
-  std::vector<std::uint64_t> drops_;
-  std::vector<std::uint64_t> preemptions_;
+  // The buffering built-ins: one slab queue each (release events capture
+  // the slab's address; Network never moves). A queue loses packets in at
+  // most one way — drop-tail drops arrivals, RCAD preempts held packets —
+  // so one counter per queue, indexed by queue id, serves both.
+  core::DelayBuffer slab_;
+  std::vector<std::uint64_t> losses_;
 
   // Custom (kind() == kCustom) disciplines keep their objects.
   std::vector<std::unique_ptr<ForwardingDiscipline>> custom_;

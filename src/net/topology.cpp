@@ -214,6 +214,9 @@ void Topology::connect_within_radius(double radius) {
       }
     }
   }
+  // The edge count is unknown up front, so appends grew the list by
+  // doubling; hand back the slack (up to half the list at 10⁶ nodes).
+  edges_.shrink_to_fit();
 }
 
 Topology Topology::random_geometric(std::size_t n, double side, double radius,

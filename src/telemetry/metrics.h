@@ -50,7 +50,7 @@ enum class Counter : std::uint32_t {
 
 enum class Gauge : std::uint32_t {
   kEqPeakDepth,        ///< max concurrent pending events in one EventQueue
-  kBufPeakOccupancy,   ///< max packets concurrently held by one DelayBuffer
+  kBufPeakOccupancy,   ///< max packets concurrently held by one buffer queue
   kMemNetworkBytes,    ///< net::Network::memory_bytes() at end of run
   kMemTopologyBytes,   ///< net::Topology::memory_bytes() at end of run
   kMemRoutingBytes,    ///< net::RoutingTable::memory_bytes() at end of run
@@ -58,7 +58,7 @@ enum class Gauge : std::uint32_t {
 };
 
 enum class Hist : std::uint32_t {
-  kBufOccupancy,      ///< DelayBuffer size after each admit
+  kBufOccupancy,      ///< buffer-queue size after each admit
   kNetBatchLaneFill,  ///< payloads per seal_batch lane group in originate_batch
   kCampaignJobWallUs, ///< per-job wall time, microseconds
   kCount,

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "adversary/estimator.h"
 #include "adversary/ground_truth.h"
@@ -210,6 +211,23 @@ ScenarioResult run_paper_scenario(const PaperScenario& scenario) {
   {
     TEMPRIV_TLM_SPAN("simulate");
     simulator.run();
+  }
+
+  // Packet conservation: every injected packet was delivered, dropped, is
+  // still buffered or is on a link. A miss is a simulator bug; throwing makes
+  // the campaign count the job as failed instead of scoring a leaky run.
+  const std::uint64_t accounted =
+      network.packets_delivered() + network.total_drops() +
+      network.total_buffered() + network.packets_in_flight();
+  if (network.packets_originated() != accounted) {
+    std::string what = "run_paper_scenario: packet conservation violated (seed ";
+    what += std::to_string(scenario.seed);
+    what += ": originated ";
+    what += std::to_string(network.packets_originated());
+    what += ", accounted ";
+    what += std::to_string(accounted);
+    what += ")";
+    throw std::logic_error(what);
   }
 
   TEMPRIV_TLM_GAUGE_MAX(kMemNetworkBytes, network.memory_bytes());

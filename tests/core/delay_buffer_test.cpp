@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "test_context.h"
 
@@ -259,6 +263,164 @@ TEST(DelayBufferPreempt, CancelsTheVictimsRelease) {
   // Only the survivor's release fires.
   ASSERT_EQ(ctx.transmitted().size(), 1u);
   EXPECT_EQ(ctx.transmitted()[0].second.uid, 1u);
+}
+
+// A NodeContext per slab queue, all on one simulator: records which queue
+// each released packet left from.
+class QueueContext final : public net::NodeContext {
+ public:
+  QueueContext(sim::Simulator& sim, std::uint64_t seed, DelayBuffer::QueueId queue,
+               std::vector<std::pair<DelayBuffer::QueueId, std::uint64_t>>& out)
+      : sim_(sim), rng_(seed), queue_(queue), out_(out) {}
+
+  sim::Simulator& simulator() noexcept override { return sim_; }
+  sim::RandomStream& rng() noexcept override { return rng_; }
+  net::NodeId id() const noexcept override { return queue_; }
+  std::uint16_t hops_to_sink() const noexcept override { return 1; }
+  void transmit(net::Packet&& packet) override { out_.emplace_back(queue_, packet.uid); }
+
+ private:
+  sim::Simulator& sim_;
+  sim::RandomStream rng_;
+  DelayBuffer::QueueId queue_;
+  std::vector<std::pair<DelayBuffer::QueueId, std::uint64_t>>& out_;
+};
+
+std::vector<std::uint64_t> uids_of(const std::vector<DelayBuffer::Held>& held) {
+  std::vector<std::uint64_t> uids;
+  for (const DelayBuffer::Held& h : held) uids.push_back(h.packet.uid);
+  return uids;
+}
+
+// Randomized churn over a many-queue slab — every victim policy plus queues
+// that never preempt — mixing admit, preempt, eject and fired releases.
+// Each queue must behave exactly like its own reference model: preempt()
+// picks what select_victim (the linear-scan oracle, fed the same RNG draw)
+// picks, eject() takes the indexed packet, releases leave from the queue
+// that admitted them, and admission order survives every removal.
+TEST(DelayBufferSlab, RandomizedChurnMatchesPerQueueReference) {
+  constexpr std::size_t kQueues = 30;
+  const std::optional<VictimPolicy> kVictims[] = {
+      VictimPolicy::kShortestRemaining, VictimPolicy::kLongestRemaining,
+      VictimPolicy::kRandom, VictimPolicy::kOldest, std::nullopt};
+  sim::Simulator sim;
+  DelayBuffer slab;
+  std::vector<std::uint32_t> configs;
+  for (const auto& victim : kVictims) {
+    configs.push_back(slab.add_config(
+        {std::make_shared<ExponentialDelay>(8.0), victim, DelayBuffer::kUnbounded}));
+  }
+  configs.push_back(slab.add_config(
+      {std::make_shared<ConstantDelay>(5.0), VictimPolicy::kShortestRemaining, 4}));
+  std::vector<std::pair<DelayBuffer::QueueId, std::uint64_t>> released;
+  std::vector<std::unique_ptr<QueueContext>> ctx;
+  std::vector<std::vector<std::uint64_t>> model(kQueues);  // admission order
+  for (std::size_t i = 0; i < kQueues; ++i) {
+    const DelayBuffer::QueueId q = slab.add_queue(configs[i % configs.size()]);
+    ASSERT_EQ(q, i);
+    ctx.push_back(std::make_unique<QueueContext>(sim, 100 + i, q, released));
+  }
+  auto forget = [&](DelayBuffer::QueueId q, std::uint64_t uid) {
+    auto& uids = model[q];
+    const auto it = std::find(uids.begin(), uids.end(), uid);
+    ASSERT_NE(it, uids.end()) << "queue " << q << " does not hold uid " << uid;
+    uids.erase(it);
+  };
+
+  sim::RandomStream ops(2024);
+  std::uint64_t next_uid = 0;
+  std::size_t preempts = 0, ejects = 0;
+  for (int step = 0; step < 6000; ++step) {
+    const auto q = static_cast<DelayBuffer::QueueId>(ops.uniform_index(kQueues));
+    QueueContext& c = *ctx[q];
+    const double op = ops.uniform(0.0, 1.0);
+    const bool preemptive = slab.config(q).victim.has_value();
+    if (op < 0.55 || slab.size(q) == 0) {
+      net::Packet packet;
+      packet.uid = next_uid++;
+      model[q].push_back(packet.uid);
+      slab.admit(q, std::move(packet), c);
+    } else if (op < 0.8 && preemptive) {
+      const auto held = slab.snapshot(q);
+      sim::RandomStream oracle_rng = c.rng();
+      const std::size_t expected = select_victim(held, *slab.config(q).victim,
+                                                 sim.now(), oracle_rng);
+      const net::Packet victim = slab.preempt(q, c);
+      ASSERT_EQ(victim.uid, held[expected].packet.uid) << "step " << step;
+      forget(q, victim.uid);
+      ++preempts;
+    } else if (op < 0.9) {
+      const std::size_t index = ops.uniform_index(slab.size(q));
+      const net::Packet ejected = slab.eject(q, index, c);
+      ASSERT_EQ(ejected.uid, model[q][index]) << "step " << step;
+      forget(q, ejected.uid);
+      ++ejects;
+    } else {
+      released.clear();
+      sim.run_until(sim.now() + ops.uniform(0.0, 3.0));
+      for (const auto& [from, uid] : released) forget(from, uid);
+    }
+    if (step % 50 == 0) {
+      ASSERT_TRUE(slab.consistent()) << "step " << step;
+      std::size_t total = 0;
+      for (DelayBuffer::QueueId i = 0; i < kQueues; ++i) {
+        ASSERT_EQ(uids_of(slab.snapshot(i)), model[i]) << "queue " << i;
+        total += slab.size(i);
+      }
+      ASSERT_EQ(slab.size(), total);
+    }
+  }
+  EXPECT_GT(preempts, 500u);
+  EXPECT_GT(ejects, 200u);
+  released.clear();
+  sim.run();
+  for (const auto& [from, uid] : released) forget(from, uid);
+  for (const auto& uids : model) EXPECT_TRUE(uids.empty());
+  EXPECT_EQ(slab.size(), 0u);
+  EXPECT_TRUE(slab.consistent());
+}
+
+TEST(DelayBufferSlab, QueuesThatNeverPreemptRejectPreempt) {
+  TestContext ctx;
+  DelayBuffer buffer(DelayBuffer::QueueConfig{
+      std::make_shared<ConstantDelay>(1.0), std::nullopt, 3});
+  buffer.admit(ctx.make_packet(0), ctx);
+  EXPECT_THROW(buffer.preempt(ctx), std::logic_error);
+  EXPECT_EQ(buffer.eject(0, ctx).uid, 0u);  // eject still works
+}
+
+TEST(DelayBufferSlab, ValidatesConfigsAndQueues) {
+  DelayBuffer slab;
+  EXPECT_THROW(slab.add_config({nullptr, std::nullopt, 1}), std::invalid_argument);
+  EXPECT_THROW(slab.add_config({std::make_shared<ConstantDelay>(1.0), std::nullopt, 0}),
+               std::invalid_argument);
+  EXPECT_THROW(slab.add_queue(0), std::out_of_range);
+  const std::uint32_t config =
+      slab.add_config({std::make_shared<ConstantDelay>(1.0), std::nullopt, 1});
+  EXPECT_EQ(slab.add_queue(config), 0u);
+  EXPECT_EQ(slab.add_queue(config), 1u);
+  EXPECT_EQ(slab.queue_count(), 2u);
+  EXPECT_EQ(slab.size(), 0u);
+}
+
+TEST(DelayBufferSlab, VictimBlocksAreRecycled) {
+  // A queue's victim block doubles as it fills and goes back to a free list
+  // when it empties, so a second fill of the same depth reuses memory
+  // instead of growing the arena.
+  TestContext ctx;
+  DelayBuffer buffer(std::make_unique<ExponentialDelay>(10.0));
+  auto fill_and_drain = [&] {
+    for (std::uint64_t uid = 0; uid < 100; ++uid) {
+      buffer.admit(ctx.make_packet(uid), ctx);
+    }
+    ASSERT_TRUE(buffer.consistent());
+    while (buffer.size() > 0) buffer.preempt(ctx);
+    ASSERT_TRUE(buffer.consistent());
+  };
+  fill_and_drain();
+  const std::size_t bytes = buffer.memory_bytes();
+  fill_and_drain();
+  EXPECT_EQ(buffer.memory_bytes(), bytes);
 }
 
 TEST(VictimPolicy, ToStringCoversAll) {

@@ -237,6 +237,45 @@ TEST(Network, SpecConstructorMatchesFactoryNetwork) {
   EXPECT_EQ(run(true), run(false));
 }
 
+TEST(Network, BufferSlabStaysConsistentMidRun) {
+  // Every buffering node is one queue of the network-wide slab: mid-run the
+  // slab's live slots must equal the per-node occupancies, and each queue's
+  // list and victim heap must hold exactly its own packets.
+  for (const bool use_spec : {true, false}) {
+    sim::Simulator sim;
+    const auto built = Topology::converging_paths({6, 5, 4}, 2);
+    std::optional<Network> net;
+    if (use_spec) {
+      net.emplace(sim, built.topology,
+                  core::DisciplineSpec::rcad_exponential(6.0, 3), NetworkConfig{},
+                  sim::RandomStream(5));
+    } else {
+      net.emplace(sim, built.topology, core::droptail_exponential_factory(6.0, 3),
+                  NetworkConfig{}, sim::RandomStream(5));
+    }
+    for (std::uint32_t i = 0; i < 60; ++i) {
+      const NodeId origin = built.sources[i % 3];
+      net->originate(origin, sealed_at(sim.now(), origin, i));
+      sim.run_until(sim.now() + 0.5);
+      const core::DelayBuffer& slab = net->buffer_slab();
+      ASSERT_TRUE(slab.consistent()) << "spec " << use_spec << " packet " << i;
+      std::size_t per_node = 0;
+      for (NodeId id = 0; id < net->topology().node_count(); ++id) {
+        if (id != net->topology().sink()) per_node += net->node_buffered(id);
+      }
+      ASSERT_EQ(slab.size(), per_node);
+      ASSERT_EQ(net->total_buffered(), per_node);
+    }
+    sim.run();
+    EXPECT_EQ(net->buffer_slab().size(), 0u);
+    EXPECT_TRUE(net->buffer_slab().consistent());
+    EXPECT_EQ(net->packets_originated(),
+              net->packets_delivered() + net->total_drops());
+    EXPECT_EQ(net->buffer_slab().queue_count(),
+              net->topology().node_count() - 1);
+  }
+}
+
 TEST(Network, MultiSinkDeliversToNearestSink) {
   // Line 0-1-2-3-4 with sinks at both ends: each node routes to its nearest
   // sink (node 1 → sink 0 at 1 hop, node 3 → sink 4 at 1 hop).

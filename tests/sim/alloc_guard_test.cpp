@@ -309,11 +309,12 @@ TEST(AllocGuard, TopologyAndRoutingAllocationsScaleWithArraysNotNodes) {
                              core::DisciplineSpec::rcad_exponential(30.0, 10),
                              {}, RandomStream(42));
   const std::size_t net_allocs = allocations() - before_net;
-  // Flat arrays plus one DelayBuffer slot-pool + heap reserve per
-  // forwarding node: ~2 allocations per node, never the 4+ the per-object
-  // NodeShell/discipline/distribution layout cost.
-  EXPECT_LT(net_allocs, 3 * kNodes)
-      << "network construction regressed to per-node object allocation";
+  // Flat arrays only — the topology/routing copies, the per-node arrays and
+  // the buffer slab's queue heads and one-entry config table. The slab
+  // allocates slots and victim blocks when packets arrive, never per node,
+  // so the count does not depend on the node count at all.
+  EXPECT_LT(net_allocs, 64u)
+      << "network construction allocates per node";
   EXPECT_GT(network.memory_bytes(), kNodes * sizeof(std::uint32_t));
 }
 
