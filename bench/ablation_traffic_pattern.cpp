@@ -18,7 +18,7 @@
 #include "bench_util.h"
 #include "adversary/estimator.h"
 #include "adversary/ground_truth.h"
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 #include "crypto/payload.h"
 #include "metrics/table.h"
 #include "net/network.h"
@@ -41,7 +41,7 @@ template <typename MakeSource>
 Outcome run_pattern(MakeSource&& make_source, std::uint64_t seed) {
   sim::Simulator sim;
   net::Network network(sim, net::Topology::line(16),  // 15 hops like S1
-                       core::rcad_exponential_factory(30.0, 10), {},
+                       core::DisciplineSpec::rcad_exponential(30.0, 10), {},
                        sim::RandomStream(seed));
   crypto::Speck64_128::Key key{};
   key.fill(0x21);

@@ -21,7 +21,7 @@
 #include "adversary/eavesdropper.h"
 #include "adversary/estimator.h"
 #include "adversary/ground_truth.h"
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 #include "crypto/payload.h"
 #include "metrics/table.h"
 #include "net/network.h"
@@ -39,8 +39,8 @@ int main() {
   sim::Simulator sim;
   auto built = net::Topology::paper_figure1();
   net::Network network(sim, std::move(built.topology),
-                       core::rcad_exponential_factory(kMeanDelay, kSlots), {},
-                       sim::RandomStream(0x9a));
+                       core::DisciplineSpec::rcad_exponential(kMeanDelay, kSlots),
+                       {}, sim::RandomStream(0x9a));
 
   crypto::Speck64_128::Key key{};
   key.fill(0x31);

@@ -20,8 +20,8 @@
 #include "bench_util.h"
 #include "adversary/estimator.h"
 #include "adversary/ground_truth.h"
+#include "core/discipline_spec.h"
 #include "core/erlang_tuned.h"
-#include "core/factories.h"
 #include "crypto/payload.h"
 #include "metrics/table.h"
 #include "net/network.h"
@@ -38,11 +38,11 @@ struct Outcome {
   double preemptions_per_packet = 0.0;
 };
 
-Outcome run(const net::DisciplineFactory& factory, double interarrival,
+Outcome run(const core::DisciplineSpec& spec, double interarrival,
             double adversary_mean, std::uint64_t seed) {
   sim::Simulator sim;
   auto built = net::Topology::paper_figure1();
-  net::Network network(sim, std::move(built.topology), factory, {},
+  net::Network network(sim, std::move(built.topology), spec, {},
                        sim::RandomStream(seed));
   crypto::Speck64_128::Key key{};
   key.fill(0x42);
@@ -86,13 +86,15 @@ int main() {
     // (Kerckhoff). For the tuned scheme the long-run mean at per-flow rate
     // λ is min(cap, ρ*/λ) on branches; use that as its knowledge.
     const Outcome static_outcome =
-        run(core::rcad_exponential_factory(30.0, 10), interarrival, 30.0,
-            seed += 10);
+        run(core::DisciplineSpec::rcad_exponential(30.0, 10), interarrival,
+            30.0, seed += 10);
     const double lambda = 1.0 / interarrival;
     const double rho_star = 7.5;  // E⁻¹(0.1, 10)
     const double tuned_mean = std::min(120.0, rho_star / lambda);
-    const Outcome tuned = run(core::erlang_tuned_rcad_factory(tuned_config),
-                              interarrival, tuned_mean, seed += 10);
+    const Outcome tuned =
+        run(core::DisciplineSpec::custom(
+                core::erlang_tuned_rcad_factory(tuned_config)),
+            interarrival, tuned_mean, seed += 10);
     table.add_numeric_row({interarrival, static_outcome.mse, tuned.mse,
                            static_outcome.latency, tuned.latency,
                            static_outcome.preemptions_per_packet,

@@ -10,10 +10,8 @@
 // trade-off made quantitative: doubling the mean privacy delay doubles the
 // buffer demand.
 
-#include <memory>
-
 #include "bench_util.h"
-#include "core/disciplines.h"
+#include "core/discipline_spec.h"
 #include "crypto/payload.h"
 #include "metrics/histogram.h"
 #include "metrics/table.h"
@@ -36,12 +34,9 @@ OccupancyRun run_single_node(double lambda, double mean_delay,
   sim::Simulator sim;
   net::Network network(
       sim, net::Topology::line(3),
-      [&](net::NodeId id, std::uint16_t) -> std::unique_ptr<net::ForwardingDiscipline> {
-        if (id == 1) {
-          return std::make_unique<core::UnlimitedDelaying>(
-              std::make_unique<core::ExponentialDelay>(mean_delay));
-        }
-        return std::make_unique<core::ImmediateForwarding>();
+      [&](net::NodeId id, std::uint16_t) {
+        return id == 1 ? core::DisciplineSpec::unlimited_exponential(mean_delay)
+                       : core::DisciplineSpec::immediate();
       },
       {}, sim::RandomStream(seed));
 

@@ -24,8 +24,7 @@
 #include "bench_util.h"
 #include "adversary/estimator.h"
 #include "adversary/ground_truth.h"
-#include "core/disciplines.h"
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 #include "crypto/payload.h"
 #include "infotheory/estimators.h"
 #include "metrics/stats.h"
@@ -64,7 +63,7 @@ AdversaryOutcome adversary_outcome(const core::DelayDistribution& delay,
   // delays from `delay`; the adversary knows the mean (Kerckhoff).
   sim::Simulator sim;
   net::Network network(sim, net::Topology::line(10),
-                       core::unlimited_factory(delay), {},
+                       core::DisciplineSpec::unlimited(delay.clone()), {},
                        sim::RandomStream(seed));
   crypto::Speck64_128::Key key{};
   key.fill(0x99);

@@ -9,10 +9,8 @@
 // to the sink carry more aggregated traffic and must therefore use shorter
 // mean privacy delays 1/µ — the §3.3/§4 observation made concrete.
 
-#include <memory>
-
 #include "bench_util.h"
-#include "core/disciplines.h"
+#include "core/discipline_spec.h"
 #include "crypto/payload.h"
 #include "metrics/table.h"
 #include "net/network.h"
@@ -33,12 +31,10 @@ double simulate_drop_rate(double rho, std::size_t slots, std::uint64_t seed) {
   sim::Simulator sim;
   net::Network network(
       sim, net::Topology::line(3),
-      [&](net::NodeId id, std::uint16_t) -> std::unique_ptr<net::ForwardingDiscipline> {
-        if (id == 1) {
-          return std::make_unique<core::DropTailDelaying>(
-              std::make_unique<core::ExponentialDelay>(mean_delay), slots);
-        }
-        return std::make_unique<core::ImmediateForwarding>();
+      [&](net::NodeId id, std::uint16_t) {
+        return id == 1 ? core::DisciplineSpec::droptail_exponential(
+                             mean_delay, slots)
+                       : core::DisciplineSpec::immediate();
       },
       {}, sim::RandomStream(seed));
   crypto::Speck64_128::Key key{};

@@ -9,7 +9,6 @@
 #include <memory>
 #include <new>
 
-#include "core/disciplines.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
 #include "sim/simulator.h"

@@ -16,7 +16,7 @@
 #include <optional>
 #include <string>
 
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 #include "crypto/ctr.h"
 #include "crypto/payload.h"
 #include "net/network.h"
@@ -143,8 +143,8 @@ void BM_ForwardPerHop(benchmark::State& state) {
   constexpr std::size_t kHops = 16;
   sim::Simulator sim;
   net::Network network(sim, net::Topology::line(kHops + 1),
-                       core::immediate_factory(), {.hop_tx_delay = 1.0},
-                       sim::RandomStream(1));
+                       core::DisciplineSpec::immediate(),
+                       {.hop_tx_delay = 1.0}, sim::RandomStream(1));
   CountingSink sink;
   network.add_sink_observer(&sink);
   const crypto::PayloadCodec codec(kKey);
@@ -177,8 +177,8 @@ void BM_OriginateBurstPerHop(benchmark::State& state) {
   constexpr std::size_t kBurst = 24;
   sim::Simulator sim;
   net::Network network(sim, net::Topology::line(kHops + 1),
-                       core::immediate_factory(), {.hop_tx_delay = 1.0},
-                       sim::RandomStream(1));
+                       core::DisciplineSpec::immediate(),
+                       {.hop_tx_delay = 1.0}, sim::RandomStream(1));
   network.reserve(kBurst + 8);
   sim.reserve(256);
   CountingSink sink;
@@ -217,8 +217,8 @@ void BM_ForwardJourney(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator sim;
     net::Network network(sim, net::Topology::line(kHops + 1),
-                         core::immediate_factory(), {.hop_tx_delay = 1.0},
-                         sim::RandomStream(1));
+                         core::DisciplineSpec::immediate(),
+                         {.hop_tx_delay = 1.0}, sim::RandomStream(1));
     CountingSink sink;
     network.add_sink_observer(&sink);
     std::optional<net::PacketTracer> tracer;

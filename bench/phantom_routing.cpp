@@ -16,7 +16,7 @@
 #include "bench_util.h"
 #include "adversary/estimator.h"
 #include "adversary/ground_truth.h"
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 #include "crypto/payload.h"
 #include "metrics/table.h"
 #include "net/network.h"
@@ -33,10 +33,10 @@ struct Outcome {
   double mean_latency = 0.0;
 };
 
-Outcome run(std::uint16_t walk, const net::DisciplineFactory& factory,
+Outcome run(std::uint16_t walk, const core::DisciplineSpec& spec,
             double jitter, double known_mean_delay, std::uint64_t seed) {
   sim::Simulator sim;
-  net::Network network(sim, net::Topology::grid(10, 10), factory,
+  net::Network network(sim, net::Topology::grid(10, 10), spec,
                        {.hop_tx_delay = 1.0, .hop_jitter = jitter},
                        sim::RandomStream(seed));
   if (walk > 0) {
@@ -67,11 +67,12 @@ int main() {
   for (const std::uint16_t walk : {std::uint16_t{0}, std::uint16_t{4},
                                    std::uint16_t{10}, std::uint16_t{20}}) {
     const Outcome plain =
-        run(walk, core::immediate_factory(), 0.0, 0.0, seed += 10);
+        run(walk, core::DisciplineSpec::immediate(), 0.0, 0.0, seed += 10);
     const Outcome jittered =
-        run(walk, core::immediate_factory(), 1.0, 0.0, seed += 10);
-    const Outcome rcad = run(walk, core::rcad_exponential_factory(30.0, 10),
-                             0.0, 30.0, seed += 10);
+        run(walk, core::DisciplineSpec::immediate(), 1.0, 0.0, seed += 10);
+    const Outcome rcad =
+        run(walk, core::DisciplineSpec::rcad_exponential(30.0, 10), 0.0, 30.0,
+            seed += 10);
     table.add_numeric_row({static_cast<double>(walk), plain.mse, jittered.mse,
                            rcad.mse, rcad.mean_latency},
                           2);

@@ -2,7 +2,7 @@
 // rebuilt as forwarding disciplines and compared on one 9-hop path:
 //
 //   * SG-Mix (Kesdogan; Danezis proved it optimal for a single node):
-//     independent Exp(µ) delay per packet = our UnlimitedDelaying.
+//     independent Exp(µ) delay per packet = our unlimited delaying.
 //   * Order-preserving FIFO (the §3.2 strawman): M/M/1 service — packets
 //     never reorder, so the adversary keeps creation order for free.
 //   * Timed pool mix (Chaum lineage): batch flushes with a retained pool.
@@ -22,7 +22,7 @@
 #include "bench_util.h"
 #include "adversary/ground_truth.h"
 #include "core/comparators.h"
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 #include "crypto/payload.h"
 #include "metrics/stats.h"
 #include "metrics/table.h"
@@ -41,10 +41,10 @@ struct Outcome {
   std::uint64_t undelivered = 0;
 };
 
-Outcome run_discipline(const net::DisciplineFactory& factory, double rate,
+Outcome run_discipline(const core::DisciplineSpec& spec, double rate,
                        std::uint64_t seed) {
   sim::Simulator sim;
-  net::Network network(sim, net::Topology::line(10), factory, {},
+  net::Network network(sim, net::Topology::line(10), spec, {},
                        sim::RandomStream(seed));
   crypto::Speck64_128::Key key{};
   key.fill(0x60);
@@ -99,20 +99,23 @@ int main() {
 
   struct Case {
     const char* name;
-    net::DisciplineFactory factory;
+    core::DisciplineSpec spec;
   };
   const Case cases[] = {
       {"SG-Mix / independent Exp(5)",
-       core::unlimited_exponential_factory(kMeanDelay)},
-      {"FIFO M/M/1 Exp(5) service", core::fifo_exponential_factory(kMeanDelay)},
-      {"timed pool mix (T=10, keep 3)", core::timed_pool_mix_factory(10.0, 3)},
-      {"RCAD Exp(5), k=10", core::rcad_exponential_factory(kMeanDelay, 10)},
+       core::DisciplineSpec::unlimited_exponential(kMeanDelay)},
+      {"FIFO M/M/1 Exp(5) service",
+       core::DisciplineSpec::custom(core::fifo_exponential_factory(kMeanDelay))},
+      {"timed pool mix (T=10, keep 3)",
+       core::DisciplineSpec::custom(core::timed_pool_mix_factory(10.0, 3))},
+      {"RCAD Exp(5), k=10",
+       core::DisciplineSpec::rcad_exponential(kMeanDelay, 10)},
   };
 
   std::uint64_t seed = 7000;
   for (const double rate : {0.05, 0.15}) {
     for (const Case& c : cases) {
-      const Outcome outcome = run_discipline(c.factory, rate, seed += 10);
+      const Outcome outcome = run_discipline(c.spec, rate, seed += 10);
       table.add_row({c.name, metrics::format_number(rate, 2),
                      metrics::format_number(outcome.mean_latency, 1),
                      metrics::format_number(outcome.latency_variance, 1),

@@ -18,7 +18,7 @@
 #include "adversary/estimator.h"
 #include "adversary/ground_truth.h"
 #include "adversary/sequence_leak.h"
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 #include "crypto/payload.h"
 #include "metrics/table.h"
 #include "net/network.h"
@@ -40,7 +40,7 @@ int main() {
     sim::Simulator sim;
     auto built = net::Topology::paper_figure1();
     net::Network network(sim, std::move(built.topology),
-                         core::rcad_exponential_factory(30.0, 10), {},
+                         core::DisciplineSpec::rcad_exponential(30.0, 10), {},
                          sim::RandomStream(0x5e9));
     adversary::BaselineAdversary sealed(1.0, 30.0);
     adversary::SequenceLeakAdversary leaky(

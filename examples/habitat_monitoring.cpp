@@ -23,7 +23,7 @@
 
 #include "adversary/estimator.h"
 #include "adversary/ground_truth.h"
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 #include "crypto/payload.h"
 #include "metrics/stats.h"
 #include "metrics/table.h"
@@ -55,10 +55,10 @@ struct HuntOutcome {
   double delivered = 0.0;
 };
 
-HuntOutcome run_hunt(const net::DisciplineFactory& factory,
+HuntOutcome run_hunt(const core::DisciplineSpec& spec,
                      double known_mean_delay) {
   sim::Simulator sim;
-  net::Network network(sim, net::Topology::grid(12, 12, 2.0), factory, {},
+  net::Network network(sim, net::Topology::grid(12, 12, 2.0), spec, {},
                        sim::RandomStream(2026));
 
   crypto::Speck64_128::Key key{};
@@ -112,18 +112,18 @@ int main() {
                         "packets"});
   struct Case {
     const char* name;
-    net::DisciplineFactory factory;
+    core::DisciplineSpec spec;
     double known_mean;
   };
   const Case cases[] = {
-      {"no-delay", core::immediate_factory(), 0.0},
-      {"unlimited Exp(30)", core::unlimited_exponential_factory(kMeanDelay),
-       kMeanDelay},
+      {"no-delay", core::DisciplineSpec::immediate(), 0.0},
+      {"unlimited Exp(30)",
+       core::DisciplineSpec::unlimited_exponential(kMeanDelay), kMeanDelay},
       {"RCAD Exp(30), k=10",
-       core::rcad_exponential_factory(kMeanDelay, kSlots), kMeanDelay},
+       core::DisciplineSpec::rcad_exponential(kMeanDelay, kSlots), kMeanDelay},
   };
   for (const Case& c : cases) {
-    const HuntOutcome outcome = run_hunt(c.factory, c.known_mean);
+    const HuntOutcome outcome = run_hunt(c.spec, c.known_mean);
     table.add_row({c.name, metrics::format_number(outcome.mean_time_error, 2),
                    metrics::format_number(outcome.mean_spatial_error, 2),
                    metrics::format_number(outcome.delivered, 0)});

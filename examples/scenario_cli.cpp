@@ -8,9 +8,12 @@
 //
 // Run with --help for the full flag list.
 
+#include <charconv>
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -68,17 +71,40 @@ core::VictimPolicy parse_victim(const std::string& name) {
   usage(2);
 }
 
+/// A whole unsigned decimal no larger than T's maximum. A sign, trailing
+/// text or an out-of-range value throws std::invalid_argument, where
+/// std::stoul would accept "5x", wrap "-1" or throw std::out_of_range.
+template <typename T>
+T parse_count(const std::string& text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end ||
+      value > std::numeric_limits<T>::max()) {
+    throw std::invalid_argument(text);
+  }
+  return static_cast<T>(value);
+}
+
+/// A whole decimal number; trailing text throws std::invalid_argument.
+double parse_real(const std::string& text) {
+  std::size_t stop = 0;
+  const double value = std::stod(text, &stop);
+  if (stop != text.size()) throw std::invalid_argument(text);
+  return value;
+}
+
 std::vector<std::uint16_t> parse_hops(const std::string& list) {
   std::vector<std::uint16_t> hops;
   std::stringstream ss(list);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    const int value = std::stoi(item);
-    if (value <= 0 || value > 0xFFFF) {
+    const std::uint16_t value = parse_count<std::uint16_t>(item);
+    if (value == 0) {
       std::cerr << "bad hop count: " << item << "\n";
       usage(2);
     }
-    hops.push_back(static_cast<std::uint16_t>(value));
+    hops.push_back(value);
   }
   if (hops.empty()) {
     std::cerr << "--hops needs at least one flow\n";
@@ -109,36 +135,36 @@ int main(int argc, char** argv) {
       } else if (flag == "--scheme") {
         scenario.scheme = parse_scheme(value());
       } else if (flag == "--interarrival") {
-        scenario.interarrival = std::stod(value());
+        scenario.interarrival = parse_real(value());
       } else if (flag == "--packets") {
-        scenario.packets_per_source = static_cast<std::uint32_t>(std::stoul(value()));
+        scenario.packets_per_source = parse_count<std::uint32_t>(value());
       } else if (flag == "--mean-delay") {
-        scenario.mean_delay = std::stod(value());
+        scenario.mean_delay = parse_real(value());
       } else if (flag == "--buffer") {
-        scenario.buffer_slots = std::stoul(value());
+        scenario.buffer_slots = parse_count<std::size_t>(value());
       } else if (flag == "--victim") {
         scenario.victim = parse_victim(value());
       } else if (flag == "--hops") {
         scenario.hop_counts = parse_hops(value());
       } else if (flag == "--shared-tail") {
-        scenario.shared_tail = static_cast<std::uint16_t>(std::stoul(value()));
+        scenario.shared_tail = parse_count<std::uint16_t>(value());
       } else if (flag == "--sink-weighting") {
-        scenario.sink_weighting = std::stod(value());
+        scenario.sink_weighting = parse_real(value());
       } else if (flag == "--source") {
         scenario.source = parse_source(value());
       } else if (flag == "--jitter") {
-        scenario.hop_jitter = std::stod(value());
+        scenario.hop_jitter = parse_real(value());
       } else if (flag == "--tx-delay") {
-        scenario.hop_tx_delay = std::stod(value());
+        scenario.hop_tx_delay = parse_real(value());
       } else if (flag == "--seed") {
-        scenario.seed = std::stoull(value());
+        scenario.seed = parse_count<std::uint64_t>(value());
       } else if (flag == "--csv") {
         csv_path = value();
       } else {
         std::cerr << "unknown flag: " << flag << "\n";
         usage(2);
       }
-    } catch (const std::invalid_argument&) {
+    } catch (const std::logic_error&) {  // invalid_argument, out_of_range
       std::cerr << "bad value for " << flag << "\n";
       usage(2);
     }

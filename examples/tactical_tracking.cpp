@@ -8,7 +8,7 @@
 // preemption probability at α — maximum temporal privacy per node within a
 // fixed buffer-pressure budget.
 //
-// The example wires the queueing module into a custom DisciplineFactory
+// The example wires the queueing module into per-node DisciplineSpecs
 // (per-node parameters, not just per-hop-count), runs both adversaries of
 // the paper, and reports per-flow privacy and latency.
 
@@ -19,7 +19,7 @@
 
 #include "adversary/estimator.h"
 #include "adversary/ground_truth.h"
-#include "core/disciplines.h"
+#include "core/discipline_spec.h"
 #include "crypto/payload.h"
 #include "metrics/table.h"
 #include "net/network.h"
@@ -73,16 +73,14 @@ int main() {
 
   // Per-node RCAD disciplines from the dimensioned µ values.
   sim::Simulator sim;
-  net::DisciplineFactory factory =
-      [&node_mus, kSlots](net::NodeId id, std::uint16_t)
-      -> std::unique_ptr<net::ForwardingDiscipline> {
-    if (node_mus[id] <= 0.0) {
-      return std::make_unique<core::ImmediateForwarding>();
-    }
-    return std::make_unique<core::RcadDiscipline>(
-        std::make_unique<core::ExponentialDelay>(1.0 / node_mus[id]), kSlots);
+  const net::NodeSpecs specs = [&node_mus, kSlots](net::NodeId id,
+                                                   std::uint16_t) {
+    return node_mus[id] <= 0.0
+               ? core::DisciplineSpec::immediate()
+               : core::DisciplineSpec::rcad_exponential(1.0 / node_mus[id],
+                                                        kSlots);
   };
-  net::Network network(sim, built.topology, factory, {},
+  net::Network network(sim, built.topology, specs, {},
                        sim::RandomStream(404));
 
   crypto::Speck64_128::Key key{};

@@ -67,8 +67,7 @@ void TimedPoolMix::flush(net::NodeContext& ctx) {
 }
 
 net::DisciplineFactory fifo_exponential_factory(double mean_service) {
-  return [mean_service](net::NodeId, std::uint16_t)
-             -> std::unique_ptr<net::ForwardingDiscipline> {
+  return [mean_service] {
     return std::make_unique<FifoDelaying>(
         std::make_unique<ExponentialDelay>(mean_service));
   };
@@ -76,8 +75,7 @@ net::DisciplineFactory fifo_exponential_factory(double mean_service) {
 
 net::DisciplineFactory timed_pool_mix_factory(double interval,
                                               std::size_t pool_keep) {
-  return [interval, pool_keep](net::NodeId, std::uint16_t)
-             -> std::unique_ptr<net::ForwardingDiscipline> {
+  return [interval, pool_keep] {
     return std::make_unique<TimedPoolMix>(interval, pool_keep);
   };
 }

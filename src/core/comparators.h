@@ -15,7 +15,7 @@ namespace tempriv::core {
 /// out all previous packets". Concretely an M/M/1-style FIFO: one packet
 /// in service at a time, service time drawn from the delay distribution;
 /// later packets queue behind it. Compared with independent per-packet
-/// delays (UnlimitedDelaying, the M/M/∞ model) it never reorders — which
+/// delays (unlimited delaying, the M/M/∞ model) it never reorders — which
 /// is exactly why it protects less: the adversary keeps the creation order
 /// for free, and queueing couples consecutive delays.
 ///
@@ -68,7 +68,7 @@ class TimedPoolMix final : public net::ForwardingDiscipline {
   std::uint64_t flushes_ = 0;
 };
 
-/// Factory helpers mirroring core/factories.h.
+/// One object per node; use with DisciplineSpec::custom().
 net::DisciplineFactory fifo_exponential_factory(double mean_service);
 net::DisciplineFactory timed_pool_mix_factory(double interval,
                                               std::size_t pool_keep);

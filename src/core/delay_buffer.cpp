@@ -238,6 +238,24 @@ void DelayBuffer::admit_with_delay(QueueId queue, net::Packet&& packet,
   TEMPRIV_TLM_GAUGE_MAX(kBufPeakOccupancy, q.count);
 }
 
+DelayBuffer::Admission DelayBuffer::offer(QueueId queue, net::Packet&& packet,
+                                          net::NodeContext& ctx,
+                                          const DelayDistribution* delay) {
+  const QueueConfig& config = configs_[queues_[queue].config];
+  Admission outcome = Admission::kAdmitted;
+  if (queues_[queue].count >= config.capacity) {
+    if (!config.victim) {
+      TEMPRIV_TLM_COUNT(kNetDropTailDropped);
+      return Admission::kDropped;  // the packet is destroyed
+    }
+    ctx.transmit(preempt(queue, ctx));
+    outcome = Admission::kPreempted;
+  }
+  if (delay == nullptr) delay = config.delay.get();
+  admit_with_delay(queue, std::move(packet), ctx, delay->sample(ctx.rng()));
+  return outcome;
+}
+
 std::uint32_t DelayBuffer::victim_slot(const Queue& q,
                                        sim::RandomStream& rng) const {
   switch (*configs_[q.config].victim) {

@@ -77,17 +77,20 @@ class DelayBuffer {
     /// Victim rule for preempt(); nullopt for queues that never preempt
     /// (unlimited and drop-tail buffering), which keep no victim index.
     std::optional<VictimPolicy> victim;
-    /// The owner's admission bound (k of M/M/k/k); the buffer itself does
-    /// not enforce it.
+    /// Admission bound (k of M/M/k/k), enforced by offer(); admit() does
+    /// not check it.
     std::size_t capacity = kUnbounded;
+
+    /// Same distribution object, victim rule and bound.
+    bool operator==(const QueueConfig&) const = default;
   };
 
   /// An empty slab with no queues; add them with add_queue().
   DelayBuffer() = default;
 
   /// A one-queue buffer (queue 0) that may preempt under `policy`, with
-  /// no capacity bound — the stand-alone form the core disciplines and
-  /// tests use. unique_ptr arguments convert implicitly.
+  /// no capacity bound — the stand-alone form custom disciplines and tests
+  /// use. unique_ptr arguments convert implicitly.
   explicit DelayBuffer(std::shared_ptr<const DelayDistribution> delay,
                        VictimPolicy policy = VictimPolicy::kShortestRemaining);
 
@@ -133,21 +136,30 @@ class DelayBuffer {
 
   /// Draws a delay Y from the queue's distribution and schedules the
   /// packet's transmission at now + Y. The packet leaves the buffer (and is
-  /// transmitted via `ctx`) when the event fires.
+  /// transmitted via `ctx`) when the event fires. Ignores the capacity;
+  /// offer() is the arrival rule.
   void admit(QueueId queue, net::Packet&& packet, net::NodeContext& ctx);
   void admit(net::Packet&& packet, net::NodeContext& ctx) {
     admit(0, std::move(packet), ctx);
   }
 
-  /// Like admit(), but with a caller-chosen delay (>= 0) instead of a draw
-  /// from the distribution — used by disciplines that retune their delay
-  /// parameters online (see ErlangTunedRcad).
-  void admit_with_delay(QueueId queue, net::Packet&& packet,
-                        net::NodeContext& ctx, double delay);
-  void admit_with_delay(net::Packet&& packet, net::NodeContext& ctx,
-                        double delay) {
-    admit_with_delay(0, std::move(packet), ctx, delay);
-  }
+  /// What offer() did with an arrival.
+  enum class Admission : std::uint8_t {
+    kAdmitted,   ///< the queue had room; the packet is held
+    kDropped,    ///< full, no victim rule: the arrival was destroyed
+    kPreempted,  ///< full: a held packet was transmitted early, then the
+                 ///< arrival was admitted
+  };
+
+  /// The arrival rule of every buffering scheme, written once. Below the
+  /// queue's capacity the packet is admitted (admit()). At capacity a queue
+  /// with no victim rule drops it — the M/M/k/k loss event of Eq. (5) — and
+  /// a preemptive queue ejects its victim (preempt()), transmits it through
+  /// `ctx`, then admits the arrival (RCAD, §5). The arrival's delay is
+  /// drawn after any victim draw, from `delay` if given, else from the
+  /// queue's own distribution.
+  Admission offer(QueueId queue, net::Packet&& packet, net::NodeContext& ctx,
+                  const DelayDistribution* delay = nullptr);
 
   /// Selects the victim under the queue's policy, cancels its scheduled
   /// release, and returns it to the caller (RCAD transmits it immediately).
@@ -224,6 +236,9 @@ class DelayBuffer {
   void heap_sift(std::span<HeapNode> heap, std::uint32_t pos,
                  HeapNode node) noexcept;
 
+  /// Holds the packet for `delay` (>= 0) and schedules its release.
+  void admit_with_delay(QueueId queue, net::Packet&& packet,
+                        net::NodeContext& ctx, double delay);
   std::uint32_t victim_slot(const Queue& q, sim::RandomStream& rng) const;
   /// Removes the packet in `slot` from every structure and returns it.
   net::Packet extract(std::uint32_t slot, net::NodeContext& ctx);

@@ -1,20 +1,36 @@
 #include "core/discipline_spec.h"
 
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 namespace tempriv::core {
 
-DisciplineSpec DisciplineSpec::immediate() {
-  return {net::DisciplineKind::kImmediate, nullptr, 0,
-          VictimPolicy::kShortestRemaining};
+namespace {
+
+DisciplineSpec buffering(DisciplineSpec::Kind kind,
+                         std::shared_ptr<const DelayDistribution> delay,
+                         std::size_t capacity, VictimPolicy victim) {
+  if (!delay) throw std::invalid_argument("DisciplineSpec: null distribution");
+  if (kind != DisciplineSpec::Kind::kUnlimited && capacity == 0) {
+    throw std::invalid_argument("DisciplineSpec: capacity must be >= 1");
+  }
+  DisciplineSpec spec;
+  spec.kind = kind;
+  spec.delay = std::move(delay);
+  spec.capacity = capacity;
+  spec.victim = victim;
+  return spec;
 }
+
+}  // namespace
+
+DisciplineSpec DisciplineSpec::immediate() { return {}; }
 
 DisciplineSpec DisciplineSpec::unlimited(
     std::shared_ptr<const DelayDistribution> delay) {
-  if (!delay) throw std::invalid_argument("DisciplineSpec: null distribution");
-  return {net::DisciplineKind::kUnlimitedDelay, std::move(delay), 0,
-          VictimPolicy::kShortestRemaining};
+  return buffering(Kind::kUnlimited, std::move(delay), 0,
+                   VictimPolicy::kShortestRemaining);
 }
 
 DisciplineSpec DisciplineSpec::unlimited_exponential(double mean_delay) {
@@ -23,12 +39,8 @@ DisciplineSpec DisciplineSpec::unlimited_exponential(double mean_delay) {
 
 DisciplineSpec DisciplineSpec::droptail(
     std::shared_ptr<const DelayDistribution> delay, std::size_t capacity) {
-  if (!delay) throw std::invalid_argument("DisciplineSpec: null distribution");
-  if (capacity == 0) {
-    throw std::invalid_argument("DisciplineSpec: capacity must be >= 1");
-  }
-  return {net::DisciplineKind::kDropTail, std::move(delay), capacity,
-          VictimPolicy::kShortestRemaining};
+  return buffering(Kind::kDropTail, std::move(delay), capacity,
+                   VictimPolicy::kShortestRemaining);
 }
 
 DisciplineSpec DisciplineSpec::droptail_exponential(double mean_delay,
@@ -40,11 +52,7 @@ DisciplineSpec DisciplineSpec::droptail_exponential(double mean_delay,
 DisciplineSpec DisciplineSpec::rcad(
     std::shared_ptr<const DelayDistribution> delay, std::size_t capacity,
     VictimPolicy victim) {
-  if (!delay) throw std::invalid_argument("DisciplineSpec: null distribution");
-  if (capacity == 0) {
-    throw std::invalid_argument("DisciplineSpec: capacity must be >= 1");
-  }
-  return {net::DisciplineKind::kRcad, std::move(delay), capacity, victim};
+  return buffering(Kind::kRcad, std::move(delay), capacity, victim);
 }
 
 DisciplineSpec DisciplineSpec::rcad_exponential(double mean_delay,
@@ -52,6 +60,24 @@ DisciplineSpec DisciplineSpec::rcad_exponential(double mean_delay,
                                                 VictimPolicy victim) {
   return rcad(std::make_shared<const ExponentialDelay>(mean_delay), capacity,
               victim);
+}
+
+DisciplineSpec DisciplineSpec::custom(net::DisciplineFactory factory) {
+  if (!factory) throw std::invalid_argument("DisciplineSpec: null factory");
+  DisciplineSpec spec;
+  spec.kind = Kind::kCustom;
+  spec.factory = std::move(factory);
+  return spec;
+}
+
+DelayBuffer::QueueConfig DisciplineSpec::queue_config() const {
+  if (!buffered()) {
+    throw std::logic_error("DisciplineSpec: kind holds no buffer queue");
+  }
+  return {delay,
+          kind == Kind::kRcad ? std::optional<VictimPolicy>(victim)
+                              : std::nullopt,
+          kind == Kind::kUnlimited ? DelayBuffer::kUnbounded : capacity};
 }
 
 }  // namespace tempriv::core

@@ -51,22 +51,18 @@ void ErlangTunedRcad::retune(double now) {
 
 void ErlangTunedRcad::on_packet(net::Packet&& packet, net::NodeContext& ctx) {
   retune(ctx.simulator().now());
-  if (buffer_.size() >= config_.capacity) {
-    // Safety net for bursts the EWMA lags behind: classic RCAD preemption.
-    net::Packet early = buffer_.preempt(ctx);
+  // A full buffer preempts — the safety net for bursts the EWMA lags
+  // behind; the arrival's delay comes from the retuned mean.
+  const ExponentialDelay delay(current_mean_);
+  if (buffer_.offer(0, std::move(packet), ctx, &delay) ==
+      DelayBuffer::Admission::kPreempted) {
     ++preemptions_;
-    ctx.transmit(std::move(early));
   }
-  buffer_.admit_with_delay(std::move(packet), ctx,
-                           ctx.rng().exponential_mean(current_mean_));
 }
 
 net::DisciplineFactory erlang_tuned_rcad_factory(
     const ErlangTunedRcad::Config& config) {
-  return [config](net::NodeId, std::uint16_t)
-             -> std::unique_ptr<net::ForwardingDiscipline> {
-    return std::make_unique<ErlangTunedRcad>(config);
-  };
+  return [config] { return std::make_unique<ErlangTunedRcad>(config); };
 }
 
 }  // namespace tempriv::core

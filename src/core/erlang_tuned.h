@@ -71,7 +71,7 @@ class ErlangTunedRcad final : public net::ForwardingDiscipline {
   std::uint64_t preemptions_ = 0;
 };
 
-/// Factory mirroring core/factories.h.
+/// Builds one ErlangTunedRcad per node; use with DisciplineSpec::custom().
 net::DisciplineFactory erlang_tuned_rcad_factory(
     const ErlangTunedRcad::Config& config);
 

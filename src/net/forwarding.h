@@ -29,21 +29,11 @@ class NodeContext {
   virtual void transmit(Packet&& packet) = 0;
 };
 
-/// Tells the network which built-in policy a factory-produced discipline
-/// implements, so Network can store its state in flat per-node arrays and
-/// dispatch without a virtual call on the forwarding hot path. kCustom (the
-/// default) keeps the discipline object and its virtual on_packet.
-enum class DisciplineKind : std::uint8_t {
-  kCustom = 0,
-  kImmediate,
-  kUnlimitedDelay,
-  kDropTail,
-  kRcad,
-};
-
-/// Per-node store-and-forward policy — the extension point the temporal-
-/// privacy schemes plug into (src/core implements immediate forwarding,
-/// unlimited exponential delaying, drop-tail delaying, and RCAD).
+/// Per-node store-and-forward policy object for custom disciplines, such as
+/// the comparators in src/core/comparators.h and src/core/erlang_tuned.h.
+/// The paper's built-in schemes — immediate forwarding, unlimited delaying,
+/// drop-tail and RCAD — are not objects: core::DisciplineSpec describes
+/// them and Network runs them from flat per-node arrays.
 ///
 /// Contract: for every on_packet() call the discipline eventually calls
 /// ctx.transmit() exactly once for that packet (immediately, from a later
@@ -55,25 +45,19 @@ class ForwardingDiscipline {
 
   virtual void on_packet(Packet&& packet, NodeContext& ctx) = 0;
 
-  /// Which built-in policy this object implements (see DisciplineKind).
-  /// Overridden by the src/core built-ins; custom disciplines keep the
-  /// default and run through virtual dispatch.
-  virtual DisciplineKind kind() const noexcept { return DisciplineKind::kCustom; }
-
   /// Packets currently held in this node's buffer.
   virtual std::size_t buffered() const noexcept = 0;
 
-  /// Packets transmitted early due to buffer preemption (RCAD).
+  /// Packets transmitted early due to buffer preemption.
   virtual std::uint64_t preemptions() const noexcept { return 0; }
 
-  /// Packets discarded because the buffer was full (drop-tail).
+  /// Packets discarded because the buffer was full.
   virtual std::uint64_t drops() const noexcept { return 0; }
 };
 
-/// Builds the discipline for node `id` (which is `hops_to_sink` hops from
-/// the sink) — lets a scenario give every node its own delay parameters,
-/// e.g. the §3.3 sink-weighted decomposition.
-using DisciplineFactory = std::function<std::unique_ptr<ForwardingDiscipline>(
-    NodeId id, std::uint16_t hops_to_sink)>;
+/// Builds one custom discipline object. core::DisciplineSpec::custom()
+/// carries it; Network calls it once per node the spec is given to.
+using DisciplineFactory =
+    std::function<std::unique_ptr<ForwardingDiscipline>()>;
 
 }  // namespace tempriv::net

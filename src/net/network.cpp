@@ -5,47 +5,35 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/disciplines.h"
 #include "telemetry/probes.h"
 
 namespace tempriv::net {
 
+namespace {
+
+/// The per-scheme net.forward.* counter for a packet reaching a slab queue.
+[[maybe_unused]] telemetry::Counter forward_counter(
+    const core::DelayBuffer::QueueConfig& config) noexcept {
+  if (config.victim) return telemetry::Counter::kNetForwardRcad;
+  return config.capacity == core::DelayBuffer::kUnbounded
+             ? telemetry::Counter::kNetForwardUnlimited
+             : telemetry::Counter::kNetForwardDropTail;
+}
+
+}  // namespace
+
 Network::Network(sim::Simulator& simulator, Topology topology,
-                 const DisciplineFactory& factory, NetworkConfig config,
-                 const sim::RandomStream& root_rng)
+                 NetworkConfig config, const sim::RandomStream& root_rng)
     : simulator_(simulator),
       topology_(std::move(topology)),
       routing_(topology_),
       config_(config) {
-  validate_config();
-  init_node_arrays(root_rng);
-  adopt_factory(factory);
-}
-
-Network::Network(sim::Simulator& simulator, Topology topology,
-                 const core::DisciplineSpec& spec, NetworkConfig config,
-                 const sim::RandomStream& root_rng)
-    : simulator_(simulator),
-      topology_(std::move(topology)),
-      routing_(topology_),
-      config_(config) {
-  validate_config();
-  init_node_arrays(root_rng);
-  adopt_spec(spec);
-}
-
-Network::~Network() = default;
-
-void Network::validate_config() const {
   if (config_.hop_tx_delay <= 0.0) {
     throw std::invalid_argument("Network: hop_tx_delay must be positive");
   }
   if (config_.hop_jitter < 0.0) {
     throw std::invalid_argument("Network: hop_jitter must be >= 0");
   }
-}
-
-void Network::init_node_arrays(const sim::RandomStream& root_rng) {
   const std::size_t n = topology_.node_count();
   role_.assign(n, NodeRole::kUnroutable);
   disc_slot_.assign(n, 0);
@@ -64,101 +52,69 @@ void Network::init_node_arrays(const sim::RandomStream& root_rng) {
   for (NodeId sink : topology_.sinks()) role_[sink] = NodeRole::kSink;
 }
 
-void Network::add_queue(NodeId id, NodeRole role, std::uint32_t config) {
-  role_[id] = role;
-  disc_slot_[id] = slab_.add_queue(config);
-  losses_.push_back(0);
-}
-
-void Network::adopt_factory(const DisciplineFactory& factory) {
-  const std::size_t n = topology_.node_count();
-  for (NodeId id = 0; id < n; ++id) {
-    if (role_[id] == NodeRole::kSink || !routing_.reachable(id)) continue;
-    std::unique_ptr<ForwardingDiscipline> built =
-        factory(id, routing_.hops_to_sink(id));
-    if (!built) {
-      throw std::invalid_argument("Network: factory returned a null discipline");
-    }
-    // Built-ins are unwrapped into the flat arrays: their queue
-    // configuration joins the slab's table (one entry per node, since a
-    // factory may configure every node differently) and the wrapper object
-    // is discarded. kind() is the contract — only the src/core built-ins
-    // return a non-kCustom kind.
-    switch (built->kind()) {
-      case DisciplineKind::kImmediate:
-        role_[id] = NodeRole::kImmediate;
-        break;
-      case DisciplineKind::kUnlimitedDelay:
-        add_queue(id, NodeRole::kUnlimited,
-                  slab_.add_config(static_cast<core::UnlimitedDelaying&>(*built)
-                                       .queue_config()));
-        break;
-      case DisciplineKind::kDropTail:
-        add_queue(id, NodeRole::kDropTail,
-                  slab_.add_config(static_cast<core::DropTailDelaying&>(*built)
-                                       .queue_config()));
-        break;
-      case DisciplineKind::kRcad:
-        add_queue(id, NodeRole::kRcad,
-                  slab_.add_config(static_cast<core::RcadDiscipline&>(*built)
-                                       .queue_config()));
-        break;
-      case DisciplineKind::kCustom:
-        role_[id] = NodeRole::kCustom;
-        disc_slot_[id] = static_cast<std::uint32_t>(custom_.size());
-        custom_.push_back(std::move(built));
-        break;
-    }
+Network::Network(sim::Simulator& simulator, Topology topology,
+                 const core::DisciplineSpec& spec, NetworkConfig config,
+                 const sim::RandomStream& root_rng)
+    : Network(simulator, std::move(topology), config, root_rng) {
+  std::uint32_t queue_config = 0;
+  if (spec.buffered()) {
+    // One slab configuration for the whole network; every forwarding node
+    // is an empty queue head until packets reach it.
+    queue_config = slab_.add_config(spec.queue_config());
+    std::size_t forwarding = 0;
+    for (NodeId id = 0; id < role_.size(); ++id) forwarding += forwards(id);
+    slab_.reserve_queues(forwarding);
+    losses_.reserve(forwarding);
+  }
+  for (NodeId id = 0; id < role_.size(); ++id) {
+    if (forwards(id)) adopt(id, spec, queue_config);
   }
 }
 
-void Network::adopt_spec(const core::DisciplineSpec& spec) {
-  if (spec.kind == DisciplineKind::kCustom) {
-    throw std::invalid_argument(
-        "Network: a DisciplineSpec cannot be kCustom — use a factory");
-  }
-  const bool buffered = spec.kind != DisciplineKind::kImmediate;
-  if (buffered && !spec.delay) {
-    throw std::invalid_argument(
-        "Network: DisciplineSpec needs a delay distribution");
-  }
-  if ((spec.kind == DisciplineKind::kDropTail ||
-       spec.kind == DisciplineKind::kRcad) &&
-      spec.capacity == 0) {
-    throw std::invalid_argument("Network: DisciplineSpec capacity must be >= 1");
-  }
-  const std::size_t n = topology_.node_count();
-  if (!buffered) {
-    for (NodeId id = 0; id < n; ++id) {
-      if (role_[id] != NodeRole::kSink && routing_.reachable(id)) {
-        role_[id] = NodeRole::kImmediate;
+Network::Network(sim::Simulator& simulator, Topology topology,
+                 const NodeSpecs& specs, NetworkConfig config,
+                 const sim::RandomStream& root_rng)
+    : Network(simulator, std::move(topology), config, root_rng) {
+  // Consecutive nodes with equal queue configs share one slab entry.
+  std::optional<core::DelayBuffer::QueueConfig> last;
+  std::uint32_t queue_config = 0;
+  for (NodeId id = 0; id < role_.size(); ++id) {
+    if (!forwards(id)) continue;
+    const core::DisciplineSpec spec = specs(id, routing_.hops_to_sink(id));
+    if (spec.buffered()) {
+      core::DelayBuffer::QueueConfig buffer = spec.queue_config();
+      if (buffer != last) {
+        last = buffer;
+        queue_config = slab_.add_config(std::move(buffer));
       }
     }
-    return;
+    adopt(id, spec, queue_config);
   }
-  // One configuration for the whole network; every forwarding node is an
-  // empty queue head until packets reach it.
-  core::DelayBuffer::QueueConfig config{spec.delay, std::nullopt,
-                                        core::DelayBuffer::kUnbounded};
-  NodeRole role = NodeRole::kUnlimited;
-  if (spec.kind == DisciplineKind::kDropTail) {
-    role = NodeRole::kDropTail;
-    config.capacity = spec.capacity;
-  } else if (spec.kind == DisciplineKind::kRcad) {
-    role = NodeRole::kRcad;
-    config.capacity = spec.capacity;
-    config.victim = spec.victim;
-  }
-  const std::uint32_t config_index = slab_.add_config(std::move(config));
-  std::size_t forwarding = 0;
-  for (NodeId id = 0; id < n; ++id) {
-    if (role_[id] != NodeRole::kSink && routing_.reachable(id)) ++forwarding;
-  }
-  slab_.reserve_queues(forwarding);
-  losses_.reserve(forwarding);
-  for (NodeId id = 0; id < n; ++id) {
-    if (role_[id] == NodeRole::kSink || !routing_.reachable(id)) continue;
-    add_queue(id, role, config_index);
+}
+
+Network::~Network() = default;
+
+void Network::adopt(NodeId id, const core::DisciplineSpec& spec,
+                    std::uint32_t queue_config) {
+  switch (spec.kind) {
+    case core::DisciplineSpec::Kind::kImmediate:
+      role_[id] = NodeRole::kImmediate;
+      return;
+    case core::DisciplineSpec::Kind::kCustom: {
+      std::unique_ptr<ForwardingDiscipline> built =
+          spec.factory ? spec.factory() : nullptr;
+      if (!built) {
+        throw std::invalid_argument("Network: custom spec built no discipline");
+      }
+      role_[id] = NodeRole::kCustom;
+      disc_slot_[id] = static_cast<std::uint32_t>(custom_.size());
+      custom_.push_back(std::move(built));
+      return;
+    }
+    default:
+      role_[id] = NodeRole::kBuffered;
+      disc_slot_[id] = slab_.add_queue(queue_config);
+      losses_.push_back(0);
   }
 }
 
@@ -168,30 +124,13 @@ void Network::handle(NodeId node, Packet&& packet) {
       TEMPRIV_TLM_COUNT(kNetForwardImmediate);
       transmit_from(node, std::move(packet));
       break;
-    case NodeRole::kUnlimited:
-      TEMPRIV_TLM_COUNT(kNetForwardUnlimited);
-      slab_.admit(disc_slot_[node], std::move(packet), ctx_[node]);
-      break;
-    case NodeRole::kDropTail: {
-      TEMPRIV_TLM_COUNT(kNetForwardDropTail);
+    case NodeRole::kBuffered: {
       const std::uint32_t queue = disc_slot_[node];
-      if (slab_.size(queue) >= slab_.config(queue).capacity) {
-        ++losses_[queue];  // packet destroyed; the Erlang-loss event of Eq. (5)
-        TEMPRIV_TLM_COUNT(kNetDropTailDropped);
-      } else {
-        slab_.admit(queue, std::move(packet), ctx_[node]);
-      }
-      break;
-    }
-    case NodeRole::kRcad: {
-      TEMPRIV_TLM_COUNT(kNetForwardRcad);
-      const std::uint32_t queue = disc_slot_[node];
-      if (slab_.size(queue) >= slab_.config(queue).capacity) {
-        Packet early = slab_.preempt(queue, ctx_[node]);
+      TEMPRIV_TLM_COUNT_AT(forward_counter(slab_.config(queue)));
+      if (slab_.offer(queue, std::move(packet), ctx_[node]) !=
+          core::DelayBuffer::Admission::kAdmitted) {
         ++losses_[queue];
-        transmit_from(node, std::move(early));
       }
-      slab_.admit(queue, std::move(packet), ctx_[node]);
       break;
     }
     case NodeRole::kCustom:
@@ -335,9 +274,7 @@ void Network::require_discipline(NodeId id) const {
 
 std::size_t Network::buffered_of(NodeId node) const {
   switch (role_[node]) {
-    case NodeRole::kUnlimited:
-    case NodeRole::kDropTail:
-    case NodeRole::kRcad:
+    case NodeRole::kBuffered:
       return slab_.size(disc_slot_[node]);
     case NodeRole::kCustom:
       return custom_[disc_slot_[node]]->buffered();
@@ -353,7 +290,10 @@ std::size_t Network::node_buffered(NodeId id) const {
 
 std::uint64_t Network::node_preemptions(NodeId id) const {
   require_discipline(id);
-  if (role_[id] == NodeRole::kRcad) return losses_[disc_slot_[id]];
+  if (role_[id] == NodeRole::kBuffered) {
+    const std::uint32_t queue = disc_slot_[id];
+    return slab_.config(queue).victim ? losses_[queue] : 0;
+  }
   if (role_[id] == NodeRole::kCustom) {
     return custom_[disc_slot_[id]]->preemptions();
   }
@@ -362,7 +302,10 @@ std::uint64_t Network::node_preemptions(NodeId id) const {
 
 std::uint64_t Network::node_drops(NodeId id) const {
   require_discipline(id);
-  if (role_[id] == NodeRole::kDropTail) return losses_[disc_slot_[id]];
+  if (role_[id] == NodeRole::kBuffered) {
+    const std::uint32_t queue = disc_slot_[id];
+    return slab_.config(queue).victim ? 0 : losses_[queue];
+  }
   if (role_[id] == NodeRole::kCustom) return custom_[disc_slot_[id]]->drops();
   return 0;
 }
@@ -396,22 +339,24 @@ void Network::probe(NodeId node) {
   }
 }
 
-std::uint64_t Network::total_losses(NodeRole role) const {
+std::uint64_t Network::total_losses(bool preemptive) const {
   std::uint64_t total = 0;
-  for (NodeId id = 0; id < role_.size(); ++id) {
-    if (role_[id] == role) total += losses_[disc_slot_[id]];
+  for (std::uint32_t queue = 0; queue < losses_.size(); ++queue) {
+    if (slab_.config(queue).victim.has_value() == preemptive) {
+      total += losses_[queue];
+    }
   }
   return total;
 }
 
 std::uint64_t Network::total_preemptions() const {
-  std::uint64_t total = total_losses(NodeRole::kRcad);
+  std::uint64_t total = total_losses(true);
   for (const auto& d : custom_) total += d->preemptions();
   return total;
 }
 
 std::uint64_t Network::total_drops() const {
-  std::uint64_t total = total_losses(NodeRole::kDropTail);
+  std::uint64_t total = total_losses(false);
   for (const auto& d : custom_) total += d->drops();
   return total;
 }

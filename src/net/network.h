@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -72,42 +73,49 @@ using HopSelector = sim::InlineFunction<NodeId(NodeId current,
                                                sim::RandomStream& rng),
                                         48>;
 
+/// Gives node `id` (which is `hops_to_sink` hops from the sink) its
+/// forwarding policy — per-node delay parameters (the §3.3 sink-weighted
+/// decomposition), mixed schemes, or custom disciplines.
+using NodeSpecs =
+    std::function<core::DisciplineSpec(NodeId id, std::uint16_t hops_to_sink)>;
+
 /// The store-and-forward sensor network: topology + BFS routing tree +
-/// a forwarding discipline per non-sink node, driven by the simulation
-/// kernel. Packets are injected at source nodes via originate() and
-/// surface at a sink via SinkObserver callbacks.
+/// a forwarding policy per non-sink node, driven by the simulation kernel.
+/// Packets are injected at source nodes via originate() and surface at a
+/// sink via SinkObserver callbacks.
 ///
 /// Node state is structure-of-arrays indexed by dense NodeId: per-node role,
 /// RNG stream, routing sequence counter and discipline slot live in parallel
-/// flat vectors, and the built-in disciplines (immediate / unlimited /
-/// drop-tail / RCAD, recognized via ForwardingDiscipline::kind()) are
-/// dispatched by a switch on the role byte — no per-node heap objects and no
-/// virtual call on the forwarding hot path. Factory-produced custom
-/// disciplines keep their objects and virtual dispatch. The per-packet path
-/// is allocation-free in steady state: packets are flat PODs, link
-/// traversals park them in a free-listed PacketPool and schedule a 16-byte
-/// {network, handle} closure (inline in the event kernel), and every
-/// buffering node is one queue of a single network-wide DelayBuffer slab,
-/// whose memory follows the packets held rather than nodes × k.
+/// flat vectors, built from core::DisciplineSpec descriptions and
+/// dispatched by a switch on the role byte — no per-node heap objects and
+/// no virtual call on the forwarding hot path. Every buffering node
+/// (unlimited, drop-tail, RCAD) is one queue of a single network-wide
+/// DelayBuffer slab, whose memory follows the packets held rather than
+/// nodes × k, and whose offer() applies the node's arrival rule. Only
+/// DisciplineSpec::custom nodes keep objects and virtual dispatch. The
+/// per-packet path is allocation-free in steady state: packets are flat
+/// PODs, and link traversals park them in a free-listed PacketPool and
+/// schedule a 16-byte {network, handle} closure (inline in the event
+/// kernel).
 class Network {
  public:
-  /// Throws std::invalid_argument if the topology is missing a sink or if
-  /// `config.hop_tx_delay` is not positive. The factory runs once per
-  /// routable non-sink node in ascending id order; built-in disciplines it
-  /// returns are unwrapped into the flat arrays (their queue configuration
-  /// joins the buffer slab, the wrapper object is discarded), custom ones
-  /// are kept as objects.
-  Network(sim::Simulator& simulator, Topology topology,
-          const DisciplineFactory& factory, NetworkConfig config,
-          const sim::RandomStream& root_rng);
-
-  /// Uniform built-in policy without any per-node factory objects: every
-  /// routable non-sink node gets `spec`'s discipline with one shared delay
-  /// distribution. This is the construction path for very large networks —
-  /// per-node cost is flat-array slots only.
+  /// Every routable non-sink node gets `spec`. Nodes given one spec share
+  /// its delay distribution and one slab configuration, so per-node cost
+  /// is flat-array slots only — the construction path for very large
+  /// networks. Throws std::invalid_argument if the topology is missing a
+  /// sink, if `config.hop_tx_delay` is not positive, or for an invalid
+  /// spec (a buffering kind without a distribution or with zero capacity,
+  /// a custom kind without a factory).
   Network(sim::Simulator& simulator, Topology topology,
           const core::DisciplineSpec& spec, NetworkConfig config,
           const sim::RandomStream& root_rng);
+
+  /// Per-node policies: `specs` runs once per routable non-sink node in
+  /// ascending id order (a kCustom spec's factory runs right after it).
+  /// Consecutive nodes whose specs share a delay object, capacity and
+  /// victim rule share a slab configuration. Throws as above.
+  Network(sim::Simulator& simulator, Topology topology, const NodeSpecs& specs,
+          NetworkConfig config, const sim::RandomStream& root_rng);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -178,21 +186,19 @@ class Network {
   /// in-flight pool (excludes topology and routing, which report their own).
   std::size_t memory_bytes() const noexcept;
 
-  /// The network-wide buffer slab: one queue per buffering built-in node
-  /// (custom disciplines keep their own buffers). For diagnostics and tests.
+  /// The network-wide buffer slab: one queue per buffering node (custom
+  /// disciplines keep their own buffers). For diagnostics and tests.
   const core::DelayBuffer& buffer_slab() const noexcept { return slab_; }
 
  private:
   /// What a packet arriving at the node meets — the switch key of the
-  /// virtual-free hot path. Values mirror DisciplineKind for the built-ins.
+  /// virtual-free hot path.
   enum class NodeRole : std::uint8_t {
     kSink,        ///< delivery point; packets surface to the observers
     kUnroutable,  ///< no path to any sink; arrivals are a logic error
-    kImmediate,
-    kUnlimited,
-    kDropTail,
-    kRcad,
-    kCustom,  ///< factory object kept; virtual on_packet dispatch
+    kImmediate,   ///< forward on arrival
+    kBuffered,    ///< one slab queue; DelayBuffer::offer() applies its rule
+    kCustom,      ///< discipline object kept; virtual on_packet dispatch
   };
 
   /// The NodeContext the disciplines and the buffer slab see. One per node
@@ -218,20 +224,25 @@ class Network {
     std::uint16_t hops_ = 0;
   };
 
-  void validate_config() const;
-  /// Sizes every per-node array (roles, RNG streams, contexts, counters).
-  void init_node_arrays(const sim::RandomStream& root_rng);
-  void adopt_factory(const DisciplineFactory& factory);
-  void adopt_spec(const core::DisciplineSpec& spec);
-  /// Gives `id` its own slab queue under slab configuration `config`.
-  void add_queue(NodeId id, NodeRole role, std::uint32_t config);
-  /// Sum of losses_ over the nodes playing `role`.
-  std::uint64_t total_losses(NodeRole role) const;
+  /// Validates the configuration and sizes every per-node array (roles,
+  /// RNG streams, contexts, counters); the public constructors then give
+  /// each routable non-sink node its spec.
+  Network(sim::Simulator& simulator, Topology topology, NetworkConfig config,
+          const sim::RandomStream& root_rng);
+  /// Gives forwarding node `id` its spec; a buffering spec becomes a queue
+  /// under slab configuration `queue_config`.
+  void adopt(NodeId id, const core::DisciplineSpec& spec,
+             std::uint32_t queue_config);
+  /// True if `id` forwards packets (a routable non-sink node).
+  bool forwards(NodeId id) const {
+    return role_[id] != NodeRole::kSink && routing_.reachable(id);
+  }
+  /// Sum of losses_ over the queues that preempt (`preemptive`) or drop.
+  std::uint64_t total_losses(bool preemptive) const;
 
-  /// A packet is at `node` now: run the node's discipline (switch on the
-  /// role byte; the built-ins run inline with no virtual call), then fire
-  /// the occupancy probe — the exact operation order of the historical
-  /// per-object disciplines.
+  /// A packet is at `node` now: run the node's policy (switch on the role
+  /// byte; immediate and buffered nodes run with no virtual call), then
+  /// fire the occupancy probe.
   void handle(NodeId node, Packet&& packet);
   /// Hands `packet` to the link layer from `node`: next-hop choice, header
   /// update, transmit probes, link-delay scheduling, occupancy probe.
@@ -262,14 +273,15 @@ class Network {
   std::vector<sim::RandomStream> rng_;
   std::vector<NodeCtx> ctx_;  // stable addresses after construction
 
-  // The buffering built-ins: one slab queue each (release events capture
-  // the slab's address; Network never moves). A queue loses packets in at
-  // most one way — drop-tail drops arrivals, RCAD preempts held packets —
-  // so one counter per queue, indexed by queue id, serves both.
+  // The buffering nodes: one slab queue each (release events capture the
+  // slab's address; Network never moves). A queue loses packets in at most
+  // one way — a queue without a victim rule drops arrivals, one with a
+  // rule preempts held packets — so one counter per queue, indexed by
+  // queue id, serves both.
   core::DelayBuffer slab_;
   std::vector<std::uint64_t> losses_;
 
-  // Custom (kind() == kCustom) disciplines keep their objects.
+  // DisciplineSpec::custom nodes keep their objects.
   std::vector<std::unique_ptr<ForwardingDiscipline>> custom_;
 
   std::vector<SinkObserver*> observers_;

@@ -9,7 +9,7 @@
 #include "adversary/estimator.h"
 #include "adversary/ground_truth.h"
 #include "adversary/path_aware.h"
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 #include "crypto/payload.h"
 #include "net/network.h"
 #include "net/topology.h"
@@ -68,46 +68,44 @@ SourceKind source_kind_from_string(const std::string& name) {
 
 namespace {
 
-net::DisciplineFactory make_factory(const PaperScenario& s) {
-  if (s.scheme == Scheme::kNoDelay) return core::immediate_factory();
-
-  if (s.sink_weighting > 0.0) {
-    // §3.3 ablation: scale a node's mean delay linearly with its distance
-    // from the sink. The reference path length is the mean configured hop
-    // count, so the end-to-end delay budget is approximately preserved.
-    const double h_ref =
-        std::accumulate(s.hop_counts.begin(), s.hop_counts.end(), 0.0) /
-        static_cast<double>(s.hop_counts.size());
-    const double weighting = s.sink_weighting;
-    const double base = s.mean_delay;
-    core::DelayProfile profile = [weighting, base, h_ref](std::uint16_t hops) {
-      const double ramp = 2.0 * static_cast<double>(hops) / (h_ref + 1.0);
-      return base * ((1.0 - weighting) + weighting * ramp);
-    };
-    switch (s.scheme) {
-      case Scheme::kUnlimitedDelay:
-        return core::unlimited_exponential_profile_factory(std::move(profile));
-      case Scheme::kRcad:
-        return core::rcad_exponential_profile_factory(std::move(profile),
-                                                      s.buffer_slots, s.victim);
-      default:
-        throw std::invalid_argument(
-            "run_paper_scenario: sink_weighting supports unlimited/RCAD only");
-    }
-  }
-
+core::DisciplineSpec scheme_spec(const PaperScenario& s, double mean_delay) {
   switch (s.scheme) {
-    case Scheme::kUnlimitedDelay:
-      return core::unlimited_exponential_factory(s.mean_delay);
-    case Scheme::kDropTail:
-      return core::droptail_exponential_factory(s.mean_delay, s.buffer_slots);
-    case Scheme::kRcad:
-      return core::rcad_exponential_factory(s.mean_delay, s.buffer_slots,
-                                            s.victim);
     case Scheme::kNoDelay:
-      break;  // handled above
+      return core::DisciplineSpec::immediate();
+    case Scheme::kUnlimitedDelay:
+      return core::DisciplineSpec::unlimited_exponential(mean_delay);
+    case Scheme::kDropTail:
+      return core::DisciplineSpec::droptail_exponential(mean_delay,
+                                                        s.buffer_slots);
+    case Scheme::kRcad:
+      return core::DisciplineSpec::rcad_exponential(mean_delay, s.buffer_slots,
+                                                    s.victim);
   }
   throw std::logic_error("run_paper_scenario: unknown scheme");
+}
+
+/// Each forwarding node's policy. With sink weighting (§3.3 ablation) a
+/// node's mean delay scales linearly with its distance from the sink; the
+/// reference path length is the mean configured hop count, so the
+/// end-to-end delay budget is approximately preserved.
+net::NodeSpecs node_specs(const PaperScenario& s) {
+  if (s.scheme == Scheme::kNoDelay || s.sink_weighting <= 0.0) {
+    return [spec = scheme_spec(s, s.mean_delay)](net::NodeId, std::uint16_t) {
+      return spec;
+    };
+  }
+  if (s.scheme == Scheme::kDropTail) {
+    throw std::invalid_argument(
+        "run_paper_scenario: sink_weighting supports unlimited/RCAD only");
+  }
+  const double h_ref =
+      std::accumulate(s.hop_counts.begin(), s.hop_counts.end(), 0.0) /
+      static_cast<double>(s.hop_counts.size());
+  return [s, h_ref](net::NodeId, std::uint16_t hops) {
+    const double ramp = 2.0 * static_cast<double>(hops) / (h_ref + 1.0);
+    return scheme_spec(
+        s, s.mean_delay * ((1.0 - s.sink_weighting) + s.sink_weighting * ramp));
+  };
 }
 
 }  // namespace
@@ -130,8 +128,8 @@ ScenarioResult run_paper_scenario(const PaperScenario& scenario) {
   net::NetworkConfig net_config;
   net_config.hop_tx_delay = scenario.hop_tx_delay;
   net_config.hop_jitter = scenario.hop_jitter;
-  net::Network network(simulator, std::move(built.topology), make_factory(scenario),
-                       net_config, root.split(0x6e65));
+  net::Network network(simulator, std::move(built.topology),
+                       node_specs(scenario), net_config, root.split(0x6e65));
   // Size the in-flight pool for the worst case of every routed node having
   // one packet on the wire at once, so steady state never grows it.
   network.reserve(network.topology().node_count());

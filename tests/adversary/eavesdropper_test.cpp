@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "adversary/ground_truth.h"
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 #include "crypto/payload.h"
 #include "sim/simulator.h"
 #include "workload/source.h"
@@ -21,7 +21,8 @@ crypto::PayloadCodec& codec() {
 
 TEST(InNetworkEavesdropper, ExactOnNoDelayNetwork) {
   sim::Simulator sim;
-  net::Network network(sim, net::Topology::line(6), core::immediate_factory(),
+  net::Network network(sim, net::Topology::line(6),
+                       core::DisciplineSpec::immediate(),
                        {}, sim::RandomStream(1));
   // Listening on node 2 (3 hops from source 0's origin? node 2 is mid-path).
   InNetworkEavesdropper eve({1.0, 0.0}, network, {2});
@@ -42,7 +43,8 @@ TEST(InNetworkEavesdropper, ExactOnNoDelayNetwork) {
 TEST(InNetworkEavesdropper, HearsOnlyFlowsInRange) {
   sim::Simulator sim;
   const auto built = net::Topology::converging_paths({6, 6}, 2);
-  net::Network network(sim, built.topology, core::immediate_factory(), {},
+  net::Network network(sim, built.topology, core::DisciplineSpec::immediate(),
+                       {},
                        sim::RandomStream(1));
   const auto path_a = network.routing().path_to_sink(built.sources[0]);
   // Listen on a branch node of flow A only (not the shared trunk).
@@ -61,7 +63,8 @@ TEST(InNetworkEavesdropper, HearsOnlyFlowsInRange) {
 TEST(InNetworkEavesdropper, SinkRangeHearsEverything) {
   sim::Simulator sim;
   const auto built = net::Topology::converging_paths({6, 6}, 2);
-  net::Network network(sim, built.topology, core::immediate_factory(), {},
+  net::Network network(sim, built.topology, core::DisciplineSpec::immediate(),
+                       {},
                        sim::RandomStream(1));
   // The node one hop from the sink transmits every packet in the network.
   const auto path = network.routing().path_to_sink(built.sources[0]);
@@ -83,7 +86,7 @@ TEST(InNetworkEavesdropper, EarlyPlacementBeatsSinkOnCoveredFlow) {
   // the sink adversary, so its MSE on the covered flow is smaller.
   sim::Simulator sim;
   net::Network network(sim, net::Topology::line(12),
-                       core::unlimited_exponential_factory(20.0), {},
+                       core::DisciplineSpec::unlimited_exponential(20.0), {},
                        sim::RandomStream(4));
   const auto path = network.routing().path_to_sink(0);
   InNetworkEavesdropper early({1.0, 20.0}, network, {path[2]});
@@ -103,7 +106,8 @@ TEST(InNetworkEavesdropper, EarlyPlacementBeatsSinkOnCoveredFlow) {
 
 TEST(InNetworkEavesdropper, DeduplicatesRetransmissionsOfSamePacket) {
   sim::Simulator sim;
-  net::Network network(sim, net::Topology::line(6), core::immediate_factory(),
+  net::Network network(sim, net::Topology::line(6),
+                       core::DisciplineSpec::immediate(),
                        {}, sim::RandomStream(1));
   // Range covers two consecutive nodes: each packet is heard twice but
   // estimated once (at the first, earlier, overhearing).
@@ -117,7 +121,8 @@ TEST(InNetworkEavesdropper, DeduplicatesRetransmissionsOfSamePacket) {
 
 TEST(InNetworkEavesdropper, ValidatesArguments) {
   sim::Simulator sim;
-  net::Network network(sim, net::Topology::line(3), core::immediate_factory(),
+  net::Network network(sim, net::Topology::line(3),
+                       core::DisciplineSpec::immediate(),
                        {}, sim::RandomStream(1));
   EXPECT_THROW(InNetworkEavesdropper({1.0, 0.0}, network, {}),
                std::invalid_argument);

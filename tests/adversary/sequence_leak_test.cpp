@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "adversary/ground_truth.h"
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 #include "crypto/payload.h"
 #include "sim/simulator.h"
 #include "workload/source.h"
@@ -28,7 +28,7 @@ SequenceLeakAdversary::SequenceLeak leak_oracle() {
 TEST(SequenceLeakAdversary, RecoversPeriodOfPeriodicSource) {
   sim::Simulator sim;
   net::Network network(sim, net::Topology::line(8),
-                       core::unlimited_exponential_factory(20.0), {},
+                       core::DisciplineSpec::unlimited_exponential(20.0), {},
                        sim::RandomStream(1));
   SequenceLeakAdversary adversary(1.0, 20.0, leak_oracle());
   network.add_sink_observer(&adversary);
@@ -44,7 +44,7 @@ TEST(SequenceLeakAdversary, DefeatsDelayingOnPeriodicTraffic) {
   // delaying leaves almost no temporal privacy for periodic sources.
   sim::Simulator sim;
   net::Network network(sim, net::Topology::line(8),
-                       core::unlimited_exponential_factory(30.0), {},
+                       core::DisciplineSpec::unlimited_exponential(30.0), {},
                        sim::RandomStream(3));
   SequenceLeakAdversary leaky(1.0, 30.0, leak_oracle());
   BaselineAdversary sealed(1.0, 30.0);  // the paper's design: seq encrypted
@@ -72,7 +72,8 @@ TEST(SequenceLeakAdversary, DefeatsDelayingOnPeriodicTraffic) {
 
 TEST(SequenceLeakAdversary, FallsBackBeforeTwoPackets) {
   sim::Simulator sim;
-  net::Network network(sim, net::Topology::line(4), core::immediate_factory(),
+  net::Network network(sim, net::Topology::line(4),
+                       core::DisciplineSpec::immediate(),
                        {}, sim::RandomStream(5));
   SequenceLeakAdversary adversary(1.0, 0.0, leak_oracle());
   network.add_sink_observer(&adversary);
@@ -90,7 +91,7 @@ TEST(SequenceLeakAdversary, TracksFlowsIndependently) {
   sim::Simulator sim;
   const auto built = net::Topology::converging_paths({5, 5}, 1);
   net::Network network(sim, built.topology,
-                       core::unlimited_exponential_factory(10.0), {},
+                       core::DisciplineSpec::unlimited_exponential(10.0), {},
                        sim::RandomStream(7));
   SequenceLeakAdversary adversary(1.0, 10.0, leak_oracle());
   network.add_sink_observer(&adversary);

@@ -1,0 +1,37 @@
+#!/usr/bin/env bash
+# scenario_cli usage errors: every malformed or out-of-range number prints
+# "bad value for <flag>" and exits 2, never an uncaught exception; a
+# well-formed run still exits 0.
+#
+# Usage: scenario_cli_test.sh <scenario_cli>
+
+set -u
+CLI=${1:?usage: scenario_cli_test.sh <scenario_cli>}
+ERR=$(mktemp)
+trap 'rm -f "$ERR"' EXIT
+FAILURES=0
+
+expect_bad_value() {  # expect_bad_value <flag> <value>
+  "$CLI" "$1" "$2" --packets 10 >/dev/null 2>"$ERR"
+  local got=$?
+  if [ "$got" -ne 2 ] || ! grep -qF "bad value for $1" "$ERR"; then
+    echo "FAIL: $1 '$2': want exit 2 and 'bad value for $1', got $got" >&2
+    cat "$ERR" >&2
+    FAILURES=$((FAILURES + 1))
+  fi
+}
+
+for args in "--seed 99999999999999999999999" "--hops 99999999999" \
+    "--hops 15,5x" "--packets 5x" "--packets 99999999999" "--buffer -1" \
+    "--shared-tail 70000" "--interarrival 2x" "--mean-delay 1e999"; do
+  expect_bad_value $args
+done
+
+if ! "$CLI" --packets 10 --hops 5,6 >/dev/null 2>"$ERR"; then
+  echo "FAIL: a well-formed run did not exit 0" >&2
+  cat "$ERR" >&2
+  FAILURES=$((FAILURES + 1))
+fi
+
+[ "$FAILURES" -eq 0 ] || { echo "$FAILURES check(s) failed" >&2; exit 1; }
+echo "scenario_cli usage errors: all checks passed"

@@ -161,9 +161,9 @@ TEST(TimedPoolMix, ValidatesInterval) {
 }
 
 TEST(ComparatorFactories, ProduceWorkingDisciplines) {
-  auto fifo = fifo_exponential_factory(10.0)(0, 1);
+  auto fifo = fifo_exponential_factory(10.0)();
   EXPECT_NE(dynamic_cast<FifoDelaying*>(fifo.get()), nullptr);
-  auto mix = timed_pool_mix_factory(5.0, 3)(0, 1);
+  auto mix = timed_pool_mix_factory(5.0, 3)();
   EXPECT_NE(dynamic_cast<TimedPoolMix*>(mix.get()), nullptr);
 }
 

@@ -1,70 +1,85 @@
-#include "core/disciplines.h"
+// The paper's buffering arrival rules as the network runs them: a
+// DisciplineSpec's queue configuration in a one-queue DelayBuffer, driven
+// through DelayBuffer::offer() — the entry point Network::handle and
+// ErlangTunedRcad call for every arrival.
+
+#include "core/delay_buffer.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 #include "test_context.h"
 
 namespace tempriv::core {
 namespace {
 
 using testing::TestContext;
+using Admission = DelayBuffer::Admission;
 
-TEST(ImmediateForwarding, TransmitsInstantly) {
-  TestContext ctx;
-  ImmediateForwarding discipline;
-  discipline.on_packet(ctx.make_packet(1), ctx);
-  ASSERT_EQ(ctx.transmitted().size(), 1u);
-  EXPECT_DOUBLE_EQ(ctx.transmitted()[0].first, 0.0);
-  EXPECT_EQ(discipline.buffered(), 0u);
-  EXPECT_EQ(discipline.preemptions(), 0u);
-  EXPECT_EQ(discipline.drops(), 0u);
+/// The queue a Network gives a node configured by `spec`.
+DelayBuffer queue_of(const DisciplineSpec& spec) {
+  return DelayBuffer(spec.queue_config());
 }
 
 TEST(UnlimitedDelaying, HoldsEveryPacketUntilItsDelayExpires) {
   TestContext ctx;
-  UnlimitedDelaying discipline(std::make_unique<ConstantDelay>(3.0));
+  DelayBuffer buffer =
+      queue_of(DisciplineSpec::unlimited(std::make_shared<ConstantDelay>(3.0)));
   for (std::uint64_t uid = 0; uid < 100; ++uid) {
-    discipline.on_packet(ctx.make_packet(uid), ctx);
+    EXPECT_EQ(buffer.offer(0, ctx.make_packet(uid), ctx), Admission::kAdmitted);
   }
-  EXPECT_EQ(discipline.buffered(), 100u);  // no capacity limit
+  EXPECT_EQ(buffer.size(), 100u);  // no capacity limit
   ctx.simulator().run();
   EXPECT_EQ(ctx.transmitted().size(), 100u);
-  EXPECT_EQ(discipline.buffered(), 0u);
+  EXPECT_EQ(buffer.size(), 0u);
   for (const auto& [at, packet] : ctx.transmitted()) EXPECT_DOUBLE_EQ(at, 3.0);
 }
 
 TEST(DropTailDelaying, DropsWhenFull) {
   TestContext ctx;
-  DropTailDelaying discipline(std::make_unique<ConstantDelay>(100.0), 10);
+  DelayBuffer buffer = queue_of(
+      DisciplineSpec::droptail(std::make_shared<ConstantDelay>(100.0), 10));
+  int admitted = 0;
+  int dropped = 0;
   for (std::uint64_t uid = 0; uid < 15; ++uid) {
-    discipline.on_packet(ctx.make_packet(uid), ctx);
+    const Admission outcome = buffer.offer(0, ctx.make_packet(uid), ctx);
+    ASSERT_NE(outcome, Admission::kPreempted);
+    (outcome == Admission::kAdmitted ? admitted : dropped) += 1;
   }
-  EXPECT_EQ(discipline.buffered(), 10u);
-  EXPECT_EQ(discipline.drops(), 5u);
-  EXPECT_EQ(discipline.preemptions(), 0u);
+  EXPECT_EQ(buffer.size(), 10u);
+  EXPECT_EQ(admitted, 10);
+  EXPECT_EQ(dropped, 5);
+  EXPECT_TRUE(ctx.transmitted().empty());  // a drop transmits nothing
   ctx.simulator().run();
   // Only the 10 admitted packets are ever transmitted.
   EXPECT_EQ(ctx.transmitted().size(), 10u);
 }
 
 TEST(DropTailDelaying, ValidatesCapacity) {
-  EXPECT_THROW(DropTailDelaying(std::make_unique<NoDelay>(), 0),
+  EXPECT_THROW(DisciplineSpec::droptail(std::make_shared<NoDelay>(), 0),
+               std::invalid_argument);
+  EXPECT_THROW(DelayBuffer(DelayBuffer::QueueConfig{
+                   std::make_shared<NoDelay>(), std::nullopt, 0}),
                std::invalid_argument);
 }
 
 TEST(RcadDiscipline, PreemptsInsteadOfDropping) {
   TestContext ctx;
-  RcadDiscipline discipline(std::make_unique<ConstantDelay>(100.0), 10);
+  DelayBuffer buffer =
+      queue_of(DisciplineSpec::rcad(std::make_shared<ConstantDelay>(100.0), 10));
+  int preempted = 0;
   for (std::uint64_t uid = 0; uid < 15; ++uid) {
-    discipline.on_packet(ctx.make_packet(uid), ctx);
+    const Admission outcome = buffer.offer(0, ctx.make_packet(uid), ctx);
+    ASSERT_NE(outcome, Admission::kDropped);
+    preempted += outcome == Admission::kPreempted;
   }
-  EXPECT_EQ(discipline.buffered(), 10u);  // never exceeds capacity
-  EXPECT_EQ(discipline.preemptions(), 5u);
-  EXPECT_EQ(discipline.drops(), 0u);
+  EXPECT_EQ(buffer.size(), 10u);  // never exceeds capacity
+  EXPECT_EQ(preempted, 5);
   // 5 victims were transmitted immediately (at t = 0).
   ASSERT_EQ(ctx.transmitted().size(), 5u);
   for (const auto& [at, packet] : ctx.transmitted()) EXPECT_DOUBLE_EQ(at, 0.0);
@@ -75,51 +90,74 @@ TEST(RcadDiscipline, PreemptsInsteadOfDropping) {
 
 TEST(RcadDiscipline, VictimIsShortestRemainingDelay) {
   TestContext ctx;
-  // Distinct deterministic delays so the victim is predictable: the packet
-  // admitted first has the earliest release and must be preempted.
-  RcadDiscipline discipline(std::make_unique<ExponentialDelay>(50.0), 3);
-  discipline.on_packet(ctx.make_packet(0), ctx);
-  discipline.on_packet(ctx.make_packet(1), ctx);
-  discipline.on_packet(ctx.make_packet(2), ctx);
-  // Find which buffered packet has the shortest remaining delay.
+  DelayBuffer buffer = queue_of(DisciplineSpec::rcad_exponential(50.0, 3));
+  for (std::uint64_t uid = 0; uid < 3; ++uid) {
+    buffer.offer(0, ctx.make_packet(uid), ctx);
+  }
+  // The held packet closest to its release is the one RCAD must eject.
   std::uint64_t expected_victim = 0;
-  double best = 1e300;
-  // (Reconstruct from the discipline's own counters via a second context is
-  // overkill: RCAD guarantees the preempted packet is transmitted first.)
-  (void)best;
-  discipline.on_packet(ctx.make_packet(3), ctx);
+  double earliest = 1e300;
+  for (const DelayBuffer::Held& held : buffer.snapshot()) {
+    if (held.release_time < earliest) {
+      earliest = held.release_time;
+      expected_victim = held.packet.uid;
+    }
+  }
+  EXPECT_EQ(buffer.offer(0, ctx.make_packet(3), ctx), Admission::kPreempted);
   ASSERT_EQ(ctx.transmitted().size(), 1u);
-  expected_victim = ctx.transmitted()[0].second.uid;
-  // The victim must be one of the originally-buffered packets, and the
-  // remaining buffer still holds 3 (capacity).
-  EXPECT_LT(expected_victim, 3u);
-  EXPECT_EQ(discipline.buffered(), 3u);
-  EXPECT_EQ(discipline.preemptions(), 1u);
+  EXPECT_EQ(ctx.transmitted()[0].second.uid, expected_victim);
+  EXPECT_EQ(buffer.size(), 3u);
+}
+
+TEST(RcadDiscipline, VictimIsDrawnAndSentBeforeTheArrivalsDelayDraw) {
+  // At a full buffer the RNG sees the victim draw (kRandom), then the
+  // victim's transmission (the link's jitter draw), then the arrival's
+  // delay draw — the order the golden outputs were recorded in.
+  TestContext ctx(11, /*link_draws=*/true);
+  const auto delay = std::make_shared<ExponentialDelay>(40.0);
+  DelayBuffer buffer =
+      queue_of(DisciplineSpec::rcad(delay, 4, VictimPolicy::kRandom));
+  for (std::uint64_t uid = 0; uid < 4; ++uid) {
+    buffer.offer(0, ctx.make_packet(uid), ctx);
+  }
+  const std::vector<DelayBuffer::Held> before = buffer.snapshot();
+  sim::RandomStream replay = ctx.rng();
+  const auto victim_index = static_cast<std::size_t>(replay.uniform_index(4));
+  replay.uniform(0.0, 1.0);  // the victim's link draw
+  const double arrival_delay = delay->sample(replay);
+
+  EXPECT_EQ(buffer.offer(0, ctx.make_packet(4), ctx), Admission::kPreempted);
+  ASSERT_EQ(ctx.transmitted().size(), 1u);
+  EXPECT_EQ(ctx.transmitted()[0].second.uid, before[victim_index].packet.uid);
+  EXPECT_EQ(buffer.snapshot().back().packet.uid, 4u);
+  EXPECT_EQ(buffer.snapshot().back().release_time, arrival_delay);
 }
 
 TEST(RcadDiscipline, NoPreemptionBelowCapacity) {
   TestContext ctx;
-  RcadDiscipline discipline(std::make_unique<ExponentialDelay>(5.0), 10);
+  DelayBuffer buffer = queue_of(DisciplineSpec::rcad_exponential(5.0, 10));
   for (std::uint64_t uid = 0; uid < 10; ++uid) {
-    discipline.on_packet(ctx.make_packet(uid), ctx);
+    EXPECT_EQ(buffer.offer(0, ctx.make_packet(uid), ctx), Admission::kAdmitted);
   }
-  EXPECT_EQ(discipline.preemptions(), 0u);
+  EXPECT_TRUE(ctx.transmitted().empty());
 }
 
 TEST(RcadDiscipline, EffectiveDelayShrinksUnderLoad) {
   // The adaptive-µ property: at overload the realized mean delay collapses
   // from 1/µ toward k/λ (here: 10 slots, deterministic 1-unit arrivals).
   TestContext ctx;
-  RcadDiscipline discipline(std::make_unique<ExponentialDelay>(100.0), 10);
+  DelayBuffer buffer = queue_of(DisciplineSpec::rcad_exponential(100.0, 10));
   constexpr int kPackets = 300;
+  int preempted = 0;
   for (int i = 0; i < kPackets; ++i) {
-    ctx.simulator().schedule_at(static_cast<double>(i), [&discipline, &ctx, i] {
-      discipline.on_packet(ctx.make_packet(static_cast<std::uint64_t>(i)), ctx);
+    ctx.simulator().schedule_at(static_cast<double>(i), [&, i] {
+      preempted += buffer.offer(0, ctx.make_packet(static_cast<std::uint64_t>(i)),
+                                ctx) == Admission::kPreempted;
     });
   }
   ctx.simulator().run();
   EXPECT_EQ(ctx.transmitted().size(), static_cast<std::size_t>(kPackets));
-  EXPECT_GT(discipline.preemptions(), 200u);  // heavy preemption
+  EXPECT_GT(preempted, 200);  // heavy preemption
   // Mean realized holding time ~ k/λ = 10, far below the configured 100.
   double total_delay = 0.0;
   for (const auto& [at, packet] : ctx.transmitted()) {
@@ -131,53 +169,12 @@ TEST(RcadDiscipline, EffectiveDelayShrinksUnderLoad) {
 }
 
 TEST(RcadDiscipline, ValidatesCapacity) {
-  EXPECT_THROW(RcadDiscipline(std::make_unique<NoDelay>(), 0),
+  EXPECT_THROW(DisciplineSpec::rcad(std::make_shared<NoDelay>(), 0),
                std::invalid_argument);
-}
-
-TEST(Factories, ProduceExpectedDisciplineTypes) {
-  auto immediate = immediate_factory()(0, 1);
-  EXPECT_NE(dynamic_cast<ImmediateForwarding*>(immediate.get()), nullptr);
-
-  auto unlimited = unlimited_exponential_factory(30.0)(0, 1);
-  EXPECT_NE(dynamic_cast<UnlimitedDelaying*>(unlimited.get()), nullptr);
-
-  auto droptail = droptail_exponential_factory(30.0, 10)(0, 1);
-  auto* dt = dynamic_cast<DropTailDelaying*>(droptail.get());
-  ASSERT_NE(dt, nullptr);
-  EXPECT_EQ(dt->capacity(), 10u);
-
-  auto rcad = rcad_exponential_factory(30.0, 10, VictimPolicy::kRandom)(0, 1);
-  auto* rc = dynamic_cast<RcadDiscipline*>(rcad.get());
-  ASSERT_NE(rc, nullptr);
-  EXPECT_EQ(rc->capacity(), 10u);
-  EXPECT_EQ(rc->victim_policy(), VictimPolicy::kRandom);
-}
-
-TEST(Factories, FactoriesAreReusableAcrossNodes) {
-  const auto factory = rcad_exponential_factory(30.0, 10);
-  auto a = factory(0, 1);
-  auto b = factory(1, 2);
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(a->buffered(), 0u);
-  EXPECT_EQ(b->buffered(), 0u);
-}
-
-TEST(Factories, ProfileFactoryScalesMeanWithHops) {
-  TestContext ctx;
-  // Profile: mean = 10 * hops. Node 5 hops out -> mean 50.
-  const auto factory = unlimited_exponential_profile_factory(
-      [](std::uint16_t hops) { return 10.0 * hops; });
-  auto node_far = factory(0, 5);
-  // Sample many delays through the discipline and check the realized mean.
-  double total = 0.0;
-  constexpr int kPackets = 2000;
-  for (int i = 0; i < kPackets; ++i) {
-    node_far->on_packet(ctx.make_packet(static_cast<std::uint64_t>(i)), ctx);
-  }
-  ctx.simulator().run();
-  for (const auto& [at, packet] : ctx.transmitted()) total += at;
-  EXPECT_NEAR(total / kPackets, 50.0, 3.0);
+  EXPECT_THROW(DelayBuffer(DelayBuffer::QueueConfig{
+                   std::make_shared<NoDelay>(),
+                   VictimPolicy::kShortestRemaining, 0}),
+               std::invalid_argument);
 }
 
 }  // namespace

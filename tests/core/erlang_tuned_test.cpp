@@ -4,7 +4,8 @@
 
 #include <stdexcept>
 
-#include "core/disciplines.h"
+#include "core/delay_buffer.h"
+#include "core/discipline_spec.h"
 #include "metrics/stats.h"
 #include "queueing/erlang.h"
 #include "test_context.h"
@@ -81,18 +82,21 @@ TEST(ErlangTunedRcad, PreemptionRateIsFlatAcrossLoads) {
   // Contrast: static RCAD dimensioned for λ = 0.25 (mean 30), offered
   // λ = 5 — nearly every arrival preempts.
   TestContext ctx(77);
-  RcadDiscipline static_node(std::make_unique<ExponentialDelay>(30.0), 10);
+  DelayBuffer static_node(
+      DisciplineSpec::rcad_exponential(30.0, 10).queue_config());
+  std::uint64_t static_preemptions = 0;
   sim::RandomStream traffic(5);
   double at = 0.0;
   for (int i = 0; i < 6000; ++i) {
     at += traffic.exponential_rate(5.0);
-    ctx.simulator().schedule_at(at, [&static_node, &ctx, i] {
-      static_node.on_packet(ctx.make_packet(static_cast<std::uint64_t>(i)),
-                            ctx);
+    ctx.simulator().schedule_at(at, [&static_node, &static_preemptions, &ctx, i] {
+      static_preemptions +=
+          static_node.offer(0, ctx.make_packet(static_cast<std::uint64_t>(i)),
+                            ctx) == DelayBuffer::Admission::kPreempted;
     });
   }
   ctx.simulator().run();
-  EXPECT_GT(static_cast<double>(static_node.preemptions()) / 6000.0, 0.6);
+  EXPECT_GT(static_cast<double>(static_preemptions) / 6000.0, 0.6);
 }
 
 TEST(ErlangTunedRcad, DeliversMoreDelayThanStaticRcadAtLowLoad) {
@@ -143,8 +147,8 @@ TEST(ErlangTunedRcad, ValidatesConfig) {
 
 TEST(ErlangTunedRcad, FactoryProducesIndependentNodes) {
   const auto factory = erlang_tuned_rcad_factory(default_config());
-  auto a = factory(0, 5);
-  auto b = factory(1, 3);
+  auto a = factory();
+  auto b = factory();
   EXPECT_NE(a.get(), b.get());
   EXPECT_EQ(a->buffered(), 0u);
 }

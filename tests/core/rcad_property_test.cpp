@@ -1,18 +1,21 @@
-// Property sweep: RCAD invariants under randomized traffic, across a grid
-// of (capacity, traffic intensity, delay mean) operating points.
+// Property sweep: RCAD and drop-tail invariants under randomized traffic,
+// across a grid of (capacity, traffic intensity, delay mean) operating
+// points, driven through DelayBuffer::offer() as the network drives it.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <tuple>
 
-#include "core/disciplines.h"
+#include "core/delay_buffer.h"
+#include "core/discipline_spec.h"
 #include "test_context.h"
 
 namespace tempriv::core {
 namespace {
 
 using testing::TestContext;
+using Admission = DelayBuffer::Admission;
 
 class RcadPropertyTest
     : public ::testing::TestWithParam<
@@ -23,7 +26,9 @@ TEST_P(RcadPropertyTest, InvariantsHoldUnderRandomTraffic) {
   const auto [capacity, interarrival, mean_delay] = GetParam();
   TestContext ctx(capacity * 1000 +
                   static_cast<std::uint64_t>(interarrival * 10));
-  RcadDiscipline rcad(std::make_unique<ExponentialDelay>(mean_delay), capacity);
+  DelayBuffer rcad(
+      DisciplineSpec::rcad_exponential(mean_delay, capacity).queue_config());
+  std::uint64_t drops = 0;
 
   constexpr int kPackets = 2000;
   sim::RandomStream traffic(99);
@@ -31,9 +36,10 @@ TEST_P(RcadPropertyTest, InvariantsHoldUnderRandomTraffic) {
   std::size_t max_buffered = 0;
   for (int i = 0; i < kPackets; ++i) {
     at += traffic.exponential_mean(interarrival);
-    ctx.simulator().schedule_at(at, [&rcad, &ctx, &max_buffered, i] {
-      rcad.on_packet(ctx.make_packet(static_cast<std::uint64_t>(i)), ctx);
-      max_buffered = std::max(max_buffered, rcad.buffered());
+    ctx.simulator().schedule_at(at, [&rcad, &ctx, &max_buffered, &drops, i] {
+      drops += rcad.offer(0, ctx.make_packet(static_cast<std::uint64_t>(i)),
+                          ctx) == Admission::kDropped;
+      max_buffered = std::max(max_buffered, rcad.size());
     });
   }
   ctx.simulator().run();
@@ -42,9 +48,9 @@ TEST_P(RcadPropertyTest, InvariantsHoldUnderRandomTraffic) {
   EXPECT_LE(max_buffered, capacity);
   // Invariant 2: conservation — every packet transmitted exactly once.
   EXPECT_EQ(ctx.transmitted().size(), static_cast<std::size_t>(kPackets));
-  EXPECT_EQ(rcad.buffered(), 0u);
+  EXPECT_EQ(rcad.size(), 0u);
   // Invariant 3: RCAD never drops.
-  EXPECT_EQ(rcad.drops(), 0u);
+  EXPECT_EQ(drops, 0u);
   // Invariant 4: each transmitted uid is unique.
   std::vector<bool> seen(kPackets, false);
   for (const auto& [time, packet] : ctx.transmitted()) {
@@ -75,21 +81,26 @@ class DropTailPropertyTest
 TEST_P(DropTailPropertyTest, ConservationWithDrops) {
   const auto [capacity, interarrival] = GetParam();
   TestContext ctx(7);
-  DropTailDelaying droptail(std::make_unique<ExponentialDelay>(20.0), capacity);
+  DelayBuffer droptail(
+      DisciplineSpec::droptail_exponential(20.0, capacity).queue_config());
+  std::uint64_t drops = 0;
   constexpr int kPackets = 2000;
   sim::RandomStream traffic(5);
   double at = 0.0;
   for (int i = 0; i < kPackets; ++i) {
     at += traffic.exponential_mean(interarrival);
-    ctx.simulator().schedule_at(at, [&droptail, &ctx, i] {
-      droptail.on_packet(ctx.make_packet(static_cast<std::uint64_t>(i)), ctx);
+    ctx.simulator().schedule_at(at, [&droptail, &ctx, &drops, i] {
+      const Admission outcome = droptail.offer(
+          0, ctx.make_packet(static_cast<std::uint64_t>(i)), ctx);
+      EXPECT_NE(outcome, Admission::kPreempted);
+      drops += outcome == Admission::kDropped;
     });
   }
   ctx.simulator().run();
   // transmitted + dropped = offered; buffer drains completely.
-  EXPECT_EQ(ctx.transmitted().size() + droptail.drops(),
+  EXPECT_EQ(ctx.transmitted().size() + drops,
             static_cast<std::size_t>(kPackets));
-  EXPECT_EQ(droptail.buffered(), 0u);
+  EXPECT_EQ(droptail.size(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

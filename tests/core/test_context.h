@@ -10,10 +10,14 @@
 namespace tempriv::core::testing {
 
 /// Minimal NodeContext for unit-testing disciplines without a Network:
-/// records every transmission with its simulation time.
+/// records every transmission with its simulation time. With `link_draws`
+/// each transmit() also takes one draw from rng(), as Network's link layer
+/// does for MAC jitter, so tests can see where a transmission falls among a
+/// discipline's own draws.
 class TestContext final : public net::NodeContext {
  public:
-  explicit TestContext(std::uint64_t seed = 42) : rng_(seed) {}
+  explicit TestContext(std::uint64_t seed = 42, bool link_draws = false)
+      : rng_(seed), link_draws_(link_draws) {}
 
   sim::Simulator& simulator() noexcept override { return sim_; }
   sim::RandomStream& rng() noexcept override { return rng_; }
@@ -21,6 +25,7 @@ class TestContext final : public net::NodeContext {
   std::uint16_t hops_to_sink() const noexcept override { return 5; }
 
   void transmit(net::Packet&& packet) override {
+    if (link_draws_) rng_.uniform(0.0, 1.0);
     transmitted_.emplace_back(sim_.now(), std::move(packet));
   }
 
@@ -38,6 +43,7 @@ class TestContext final : public net::NodeContext {
  private:
   sim::Simulator sim_;
   sim::RandomStream rng_;
+  bool link_draws_;
   std::vector<std::pair<double, net::Packet>> transmitted_;
 };
 

@@ -6,7 +6,7 @@
 
 #include "adversary/estimator.h"
 #include "adversary/ground_truth.h"
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 #include "crypto/payload.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -28,7 +28,7 @@ TEST(PrivacyPipeline, AdversaryEstimatesAreIndependentOfPayloadKey) {
     key.fill(key_byte);
     crypto::PayloadCodec codec(key);
     net::Network network(sim, net::Topology::line(8),
-                         core::rcad_exponential_factory(20.0, 5), {},
+                         core::DisciplineSpec::rcad_exponential(20.0, 5), {},
                          sim::RandomStream(51));
     adversary::BaselineAdversary adv(1.0, 20.0);
     network.add_sink_observer(&adv);
@@ -136,7 +136,8 @@ TEST(PrivacyPipeline, GroundTruthLatencyEqualsArrivalMinusCreation) {
   crypto::Speck64_128::Key key{};
   key.fill(0x42);
   crypto::PayloadCodec codec(key);
-  net::Network network(sim, net::Topology::line(5), core::immediate_factory(),
+  net::Network network(sim, net::Topology::line(5),
+                       core::DisciplineSpec::immediate(),
                        {}, sim::RandomStream(61));
   adversary::GroundTruthRecorder truth(codec);
   network.add_sink_observer(&truth);

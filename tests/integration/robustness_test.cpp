@@ -7,7 +7,7 @@
 #include <set>
 
 #include "adversary/ground_truth.h"
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 #include "crypto/payload.h"
 #include "net/network.h"
 #include "net/routing.h"
@@ -67,7 +67,7 @@ TEST(CryptoDomainSeparation, CtrAndMacSubkeysDiffer) {
 TEST(EndToEnd, StarTopologyAggregatesAllFlowsAtTheHubSink) {
   sim::Simulator sim;
   net::Network network(sim, net::Topology::star(8),
-                       core::rcad_exponential_factory(10.0, 4), {},
+                       core::DisciplineSpec::rcad_exponential(10.0, 4), {},
                        sim::RandomStream(3));
   crypto::Speck64_128::Key key{};
   key.fill(0x77);
@@ -88,7 +88,8 @@ TEST(EndToEnd, StarTopologyAggregatesAllFlowsAtTheHubSink) {
 TEST(EndToEnd, BinaryTreeLeavesAllReachTheRoot) {
   sim::Simulator sim;
   const net::Topology topo = net::Topology::binary_tree(4);  // 31 nodes
-  net::Network network(sim, topo, core::unlimited_exponential_factory(5.0),
+  net::Network network(sim, topo,
+                       core::DisciplineSpec::unlimited_exponential(5.0),
                        {}, sim::RandomStream(4));
   crypto::Speck64_128::Key key{};
   key.fill(0x12);
@@ -120,11 +121,13 @@ TEST(EndToEnd, InterleavedSchemesOnSameSimulatorDoNotInterfere) {
   key.fill(0x09);
   crypto::PayloadCodec codec(key);
 
-  net::Network fast_net(sim, net::Topology::line(4), core::immediate_factory(),
+  net::Network fast_net(sim, net::Topology::line(4),
+                        core::DisciplineSpec::immediate(),
                         {}, sim::RandomStream(5));
   net::Network slow_net(sim, net::Topology::line(4),
-                        core::unlimited_factory(core::ConstantDelay(50.0)), {},
-                        sim::RandomStream(6));
+                        core::DisciplineSpec::unlimited(
+                            std::make_shared<core::ConstantDelay>(50.0)),
+                        {}, sim::RandomStream(6));
   adversary::GroundTruthRecorder fast_truth(codec);
   adversary::GroundTruthRecorder slow_truth(codec);
   fast_net.add_sink_observer(&fast_truth);

@@ -2,12 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 #include "crypto/payload.h"
 
 namespace tempriv::net {
@@ -38,7 +39,8 @@ struct RecordingObserver final : SinkObserver {
 TEST(Network, ImmediateForwardingDeliversAtHopCountTimesTau) {
   sim::Simulator sim;
   const Topology topo = Topology::line(6);  // node 0 is 5 hops from the sink
-  Network net(sim, topo, core::immediate_factory(), {.hop_tx_delay = 1.0},
+  Network net(sim, topo, core::DisciplineSpec::immediate(),
+              {.hop_tx_delay = 1.0},
               sim::RandomStream(1));
   RecordingObserver observer;
   net.add_sink_observer(&observer);
@@ -54,7 +56,8 @@ TEST(Network, ImmediateForwardingDeliversAtHopCountTimesTau) {
 TEST(Network, CustomTauScalesLatency) {
   sim::Simulator sim;
   const Topology topo = Topology::line(4);
-  Network net(sim, topo, core::immediate_factory(), {.hop_tx_delay = 2.5},
+  Network net(sim, topo, core::DisciplineSpec::immediate(),
+              {.hop_tx_delay = 2.5},
               sim::RandomStream(1));
   RecordingObserver observer;
   net.add_sink_observer(&observer);
@@ -66,7 +69,8 @@ TEST(Network, CustomTauScalesLatency) {
 
 TEST(Network, RejectsNonPositiveTau) {
   sim::Simulator sim;
-  EXPECT_THROW(Network(sim, Topology::line(2), core::immediate_factory(),
+  EXPECT_THROW(Network(sim, Topology::line(2),
+                       core::DisciplineSpec::immediate(),
                        {.hop_tx_delay = 0.0}, sim::RandomStream(1)),
                std::invalid_argument);
 }
@@ -75,7 +79,8 @@ TEST(Network, RejectsBadOrigins) {
   sim::Simulator sim;
   Topology topo = Topology::line(3);
   const NodeId island = topo.add_node();
-  Network net(sim, topo, core::immediate_factory(), {}, sim::RandomStream(1));
+  Network net(sim, topo, core::DisciplineSpec::immediate(),
+              {}, sim::RandomStream(1));
   EXPECT_THROW(net.originate(topo.sink(), sealed_at(0.0, 2)),
                std::invalid_argument);
   EXPECT_THROW(net.originate(island, sealed_at(0.0, island)),
@@ -85,7 +90,7 @@ TEST(Network, RejectsBadOrigins) {
 
 TEST(Network, PayloadArrivesIntactAndDecryptable) {
   sim::Simulator sim;
-  Network net(sim, Topology::line(3), core::immediate_factory(), {},
+  Network net(sim, Topology::line(3), core::DisciplineSpec::immediate(), {},
               sim::RandomStream(1));
   RecordingObserver observer;
   net.add_sink_observer(&observer);
@@ -100,7 +105,7 @@ TEST(Network, PayloadArrivesIntactAndDecryptable) {
 
 TEST(Network, MultipleObserversAllSeeEveryDelivery) {
   sim::Simulator sim;
-  Network net(sim, Topology::line(3), core::immediate_factory(), {},
+  Network net(sim, Topology::line(3), core::DisciplineSpec::immediate(), {},
               sim::RandomStream(1));
   RecordingObserver a;
   RecordingObserver b;
@@ -116,7 +121,7 @@ TEST(Network, MultipleObserversAllSeeEveryDelivery) {
 
 TEST(Network, UidsAreUniqueAndCountersTrack) {
   sim::Simulator sim;
-  Network net(sim, Topology::line(4), core::immediate_factory(), {},
+  Network net(sim, Topology::line(4), core::DisciplineSpec::immediate(), {},
               sim::RandomStream(1));
   RecordingObserver observer;
   net.add_sink_observer(&observer);
@@ -136,7 +141,8 @@ TEST(Network, FailedOriginateDoesNotCountAsOriginated) {
   sim::Simulator sim;
   Topology topo = Topology::line(3);
   const NodeId island = topo.add_node();
-  Network net(sim, topo, core::immediate_factory(), {}, sim::RandomStream(1));
+  Network net(sim, topo, core::DisciplineSpec::immediate(),
+              {}, sim::RandomStream(1));
   EXPECT_THROW(net.originate(topo.sink(), sealed_at(0.0, 2)),
                std::invalid_argument);
   EXPECT_THROW(net.originate(island, sealed_at(0.0, island)),
@@ -151,7 +157,7 @@ TEST(Network, FailedOriginateDoesNotCountAsOriginated) {
 
 TEST(Network, InFlightCountTracksLinkTraversals) {
   sim::Simulator sim;
-  Network net(sim, Topology::line(4), core::immediate_factory(), {},
+  Network net(sim, Topology::line(4), core::DisciplineSpec::immediate(), {},
               sim::RandomStream(1));
   net.reserve(8);
   EXPECT_EQ(net.packets_in_flight(), 0u);
@@ -164,7 +170,7 @@ TEST(Network, InFlightCountTracksLinkTraversals) {
 TEST(Network, HopCountCountsActualPathNotTopologySize) {
   sim::Simulator sim;
   const auto built = Topology::converging_paths({7, 4}, 2);
-  Network net(sim, built.topology, core::immediate_factory(), {},
+  Network net(sim, built.topology, core::DisciplineSpec::immediate(), {},
               sim::RandomStream(1));
   RecordingObserver observer;
   net.add_sink_observer(&observer);
@@ -179,7 +185,7 @@ TEST(Network, HopCountCountsActualPathNotTopologySize) {
 
 TEST(Network, OccupancyProbeFiresOnArrivalsAndTransmissions) {
   sim::Simulator sim;
-  Network net(sim, Topology::line(3), core::immediate_factory(), {},
+  Network net(sim, Topology::line(3), core::DisciplineSpec::immediate(), {},
               sim::RandomStream(1));
   int probes = 0;
   std::size_t max_seen = 0;
@@ -195,7 +201,7 @@ TEST(Network, OccupancyProbeFiresOnArrivalsAndTransmissions) {
 
 TEST(Network, PerNodeStatAccessorsExposeStats) {
   sim::Simulator sim;
-  Network net(sim, Topology::line(3), core::immediate_factory(), {},
+  Network net(sim, Topology::line(3), core::DisciplineSpec::immediate(), {},
               sim::RandomStream(1));
   EXPECT_EQ(net.node_buffered(0), 0u);
   EXPECT_EQ(net.node_preemptions(0), 0u);
@@ -209,48 +215,175 @@ TEST(Network, PerNodeStatAccessorsExposeStats) {
   EXPECT_EQ(net.total_drops(), 0u);
 }
 
-TEST(Network, SpecConstructorMatchesFactoryNetwork) {
-  // The DisciplineSpec fast path must behave exactly like the equivalent
-  // factory: same deliveries at the same instants for the same root RNG.
-  const auto run = [](bool use_spec) {
-    sim::Simulator sim;
-    const auto built = Topology::converging_paths({6, 5}, 2);
-    std::optional<Network> net;
-    if (use_spec) {
-      net.emplace(sim, built.topology,
-                  core::DisciplineSpec::rcad_exponential(4.0, 2), NetworkConfig{},
-                  sim::RandomStream(9));
-    } else {
-      net.emplace(sim, built.topology, core::rcad_exponential_factory(4.0, 2),
-                  NetworkConfig{}, sim::RandomStream(9));
-    }
-    RecordingObserver observer;
-    net->add_sink_observer(&observer);
-    for (std::uint32_t i = 0; i < 4; ++i) {
-      net->originate(built.sources[i % 2], sealed_at(0.0, built.sources[i % 2], i));
-    }
-    sim.run();
-    std::vector<std::pair<std::uint64_t, double>> out;
-    for (const auto& d : observer.deliveries) out.emplace_back(d.packet.uid, d.arrival);
-    return out;
+TEST(Network, UniformSpecMatchesPerNodeSpecNetwork) {
+  // Both constructors must build the same network: same deliveries at the
+  // same instants and the same losses for the same root RNG, whether every
+  // node shares one spec or each node gets its own (fresh distribution
+  // objects, so one slab configuration per node).
+  const std::vector<core::DisciplineSpec> specs = {
+      core::DisciplineSpec::unlimited_exponential(4.0),
+      core::DisciplineSpec::droptail_exponential(4.0, 2),
+      core::DisciplineSpec::rcad_exponential(4.0, 2),
+      core::DisciplineSpec::rcad_exponential(4.0, 2, core::VictimPolicy::kRandom),
   };
-  EXPECT_EQ(run(true), run(false));
+  for (const core::DisciplineSpec& spec : specs) {
+    const NodeSpecs per_node = [&spec](NodeId, std::uint16_t) {
+      core::DisciplineSpec copy = spec;
+      copy.delay = std::make_shared<core::ExponentialDelay>(4.0);
+      return copy;
+    };
+    const auto run = [&](bool uniform) {
+      sim::Simulator sim;
+      const auto built = Topology::converging_paths({6, 5}, 2);
+      std::optional<Network> net;
+      const NetworkConfig config{.hop_jitter = 0.5};
+      if (uniform) {
+        net.emplace(sim, built.topology, spec, config, sim::RandomStream(9));
+      } else {
+        net.emplace(sim, built.topology, per_node, config, sim::RandomStream(9));
+      }
+      RecordingObserver observer;
+      net->add_sink_observer(&observer);
+      for (std::uint32_t i = 0; i < 12; ++i) {
+        const NodeId origin = built.sources[i % 2];
+        net->originate(origin, sealed_at(0.0, origin, i));
+      }
+      sim.run();
+      std::vector<std::pair<std::uint64_t, double>> out;
+      for (const auto& d : observer.deliveries) {
+        out.emplace_back(d.packet.uid, d.arrival);
+      }
+      out.emplace_back(net->total_drops(), net->total_preemptions());
+      return out;
+    };
+    EXPECT_EQ(run(true), run(false)) << static_cast<int>(spec.kind);
+  }
+}
+
+TEST(Network, PerNodeSpecsMixAllFourSchemes) {
+  // Line 0-1-2-3-4-5 (sink 5), all constant delays of 5 so every count is
+  // exact: node 0 forwards, node 1 holds all six packets (unlimited), node
+  // 2 keeps four and drops two (drop-tail, k = 4), node 3 admits two and
+  // preempts two (RCAD, k = 2), node 4 forwards to the sink.
+  sim::Simulator sim;
+  const auto hold = std::make_shared<core::ConstantDelay>(5.0);
+  Network net(sim, Topology::line(6),
+              NodeSpecs([&hold](NodeId id, std::uint16_t) {
+                switch (id) {
+                  case 1:
+                    return core::DisciplineSpec::unlimited(hold);
+                  case 2:
+                    return core::DisciplineSpec::droptail(hold, 4);
+                  case 3:
+                    return core::DisciplineSpec::rcad(hold, 2);
+                  default:
+                    return core::DisciplineSpec::immediate();
+                }
+              }),
+              {}, sim::RandomStream(3));
+  RecordingObserver observer;
+  net.add_sink_observer(&observer);
+  for (std::uint32_t i = 0; i < 6; ++i) net.originate(0, sealed_at(0.0, 0, i));
+
+  using Counts = std::vector<std::uint64_t>;
+  const auto per_node = [&net](auto stat) {
+    Counts counts;
+    for (NodeId id = 0; id < 5; ++id) counts.push_back((net.*stat)(id));
+    return counts;
+  };
+  sim.run_until(1.5);  // all six held at node 1
+  EXPECT_EQ(per_node(&Network::node_buffered), (Counts{0, 6, 0, 0, 0}));
+  sim.run_until(7.5);  // released at 6, four admitted at node 2 at 7
+  EXPECT_EQ(per_node(&Network::node_buffered), (Counts{0, 0, 4, 0, 0}));
+  sim.run_until(13.5);  // released at 12, node 3 holds k = 2 from 13
+  EXPECT_EQ(per_node(&Network::node_buffered), (Counts{0, 0, 0, 2, 0}));
+  sim.run();
+  EXPECT_EQ(per_node(&Network::node_drops), (Counts{0, 0, 2, 0, 0}));
+  EXPECT_EQ(per_node(&Network::node_preemptions), (Counts{0, 0, 0, 2, 0}));
+  EXPECT_EQ(net.total_drops(), 2u);
+  EXPECT_EQ(net.total_preemptions(), 2u);
+  // Conservation: originated = delivered + dropped + buffered + in flight.
+  EXPECT_EQ(net.packets_delivered(), 4u);
+  EXPECT_EQ(net.packets_originated(),
+            net.packets_delivered() + net.total_drops() + net.total_buffered() +
+                net.packets_in_flight());
+  // The two victims left node 3 at 13 (sink at 15); the two it kept were
+  // released at 18 (sink at 20).
+  std::vector<double> arrivals;
+  for (const auto& d : observer.deliveries) arrivals.push_back(d.arrival);
+  EXPECT_EQ(arrivals, (std::vector<double>{15.0, 15.0, 20.0, 20.0}));
+}
+
+TEST(Network, PerNodeSpecsKeepEachNodesRule) {
+  // Equal consecutive specs share a slab configuration; a change of rule
+  // and a change back must each get their own. Queues are created in
+  // ascending node id, so queue i belongs to node i here.
+  sim::Simulator sim;
+  const auto hold = std::make_shared<core::ConstantDelay>(5.0);
+  const core::DisciplineSpec droptail = core::DisciplineSpec::droptail(hold, 1);
+  const core::DisciplineSpec rcad = core::DisciplineSpec::rcad(hold, 1);
+  const std::vector<core::DisciplineSpec> by_node = {droptail, droptail, rcad,
+                                                     droptail};
+  Network net(sim, Topology::line(5),
+              NodeSpecs([&by_node](NodeId id, std::uint16_t) {
+                return by_node[id];
+              }),
+              {}, sim::RandomStream(1));
+  const core::DelayBuffer& slab = net.buffer_slab();
+  ASSERT_EQ(slab.queue_count(), 4u);
+  for (std::uint32_t queue = 0; queue < 4; ++queue) {
+    EXPECT_TRUE(slab.config(queue) == by_node[queue].queue_config()) << queue;
+  }
+}
+
+TEST(Network, RejectsCustomSpecWithoutADiscipline) {
+  sim::Simulator sim;
+  EXPECT_THROW(core::DisciplineSpec::custom(nullptr), std::invalid_argument);
+  core::DisciplineSpec custom;
+  custom.kind = core::DisciplineSpec::Kind::kCustom;  // no factory
+  EXPECT_THROW(Network(sim, Topology::line(3), custom, {}, sim::RandomStream(1)),
+               std::invalid_argument);
+  custom.factory = [] { return std::unique_ptr<ForwardingDiscipline>(); };
+  EXPECT_THROW(Network(sim, Topology::line(3), custom, {}, sim::RandomStream(1)),
+               std::invalid_argument);
+}
+
+TEST(ImmediateForwarding, TransmitsInstantly) {
+  sim::Simulator sim;
+  Network net(sim, Topology::line(3), core::DisciplineSpec::immediate(), {},
+              sim::RandomStream(1));
+  std::vector<std::pair<NodeId, sim::Time>> sent;
+  net.add_transmit_probe(
+      [&sent](NodeId from, NodeId, const Packet&, sim::Time now) {
+        sent.emplace_back(from, now);
+      });
+  net.originate(0, sealed_at(0.0, 0));
+  // Handed to the link inside originate(), at t = 0.
+  EXPECT_EQ(sent, (std::vector<std::pair<NodeId, sim::Time>>{{0, 0.0}}));
+  EXPECT_EQ(net.node_buffered(0), 0u);
+  sim.run();
+  EXPECT_EQ(net.node_preemptions(0), 0u);
+  EXPECT_EQ(net.node_drops(0), 0u);
+  EXPECT_EQ(net.packets_delivered(), 1u);
 }
 
 TEST(Network, BufferSlabStaysConsistentMidRun) {
   // Every buffering node is one queue of the network-wide slab: mid-run the
   // slab's live slots must equal the per-node occupancies, and each queue's
   // list and victim heap must hold exactly its own packets.
-  for (const bool use_spec : {true, false}) {
+  for (const bool uniform : {true, false}) {
     sim::Simulator sim;
     const auto built = Topology::converging_paths({6, 5, 4}, 2);
     std::optional<Network> net;
-    if (use_spec) {
+    if (uniform) {
       net.emplace(sim, built.topology,
                   core::DisciplineSpec::rcad_exponential(6.0, 3), NetworkConfig{},
                   sim::RandomStream(5));
     } else {
-      net.emplace(sim, built.topology, core::droptail_exponential_factory(6.0, 3),
+      net.emplace(sim, built.topology,
+                  NodeSpecs([](NodeId, std::uint16_t) {
+                    return core::DisciplineSpec::droptail_exponential(6.0, 3);
+                  }),
                   NetworkConfig{}, sim::RandomStream(5));
     }
     for (std::uint32_t i = 0; i < 60; ++i) {
@@ -258,7 +391,7 @@ TEST(Network, BufferSlabStaysConsistentMidRun) {
       net->originate(origin, sealed_at(sim.now(), origin, i));
       sim.run_until(sim.now() + 0.5);
       const core::DelayBuffer& slab = net->buffer_slab();
-      ASSERT_TRUE(slab.consistent()) << "spec " << use_spec << " packet " << i;
+      ASSERT_TRUE(slab.consistent()) << "uniform " << uniform << " packet " << i;
       std::size_t per_node = 0;
       for (NodeId id = 0; id < net->topology().node_count(); ++id) {
         if (id != net->topology().sink()) per_node += net->node_buffered(id);
@@ -285,7 +418,8 @@ TEST(Network, MultiSinkDeliversToNearestSink) {
   const RoutingTable routing(topo);
   EXPECT_EQ(routing.sink_of(1), 0u);
   EXPECT_EQ(routing.sink_of(3), 4u);
-  Network net(sim, topo, core::immediate_factory(), {}, sim::RandomStream(1));
+  Network net(sim, topo, core::DisciplineSpec::immediate(),
+              {}, sim::RandomStream(1));
   RecordingObserver observer;
   net.add_sink_observer(&observer);
   net.originate(1, sealed_at(0.0, 1));
@@ -302,7 +436,7 @@ TEST(Network, MultiSinkDeliversToNearestSink) {
 TEST(Network, PacketsFromDifferentFlowsInterleaveCorrectly) {
   sim::Simulator sim;
   const auto built = Topology::converging_paths({5, 5}, 1);
-  Network net(sim, built.topology, core::immediate_factory(), {},
+  Network net(sim, built.topology, core::DisciplineSpec::immediate(), {},
               sim::RandomStream(1));
   RecordingObserver observer;
   net.add_sink_observer(&observer);

@@ -7,7 +7,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 #include "crypto/payload.h"
 #include "net/network.h"
 #include "workload/source.h"
@@ -48,7 +48,7 @@ TEST(OriginateBatch, MatchesRepeatedOriginateExactly) {
     const auto payloads = burst_payloads(n);
 
     sim::Simulator sim_a;
-    Network one(sim_a, Topology::line(4), core::immediate_factory(),
+    Network one(sim_a, Topology::line(4), core::DisciplineSpec::immediate(),
                 {.hop_tx_delay = 1.0}, sim::RandomStream(1));
     RecordingObserver obs_a;
     one.add_sink_observer(&obs_a);
@@ -58,7 +58,7 @@ TEST(OriginateBatch, MatchesRepeatedOriginateExactly) {
     sim_a.run();
 
     sim::Simulator sim_b;
-    Network batched(sim_b, Topology::line(4), core::immediate_factory(),
+    Network batched(sim_b, Topology::line(4), core::DisciplineSpec::immediate(),
                     {.hop_tx_delay = 1.0}, sim::RandomStream(1));
     RecordingObserver obs_b;
     batched.add_sink_observer(&obs_b);
@@ -87,7 +87,7 @@ TEST(OriginateBatch, MatchesRepeatedOriginateExactly) {
 
 TEST(OriginateBatch, EmptyBurstIsANoOp) {
   sim::Simulator sim;
-  Network net(sim, Topology::line(3), core::immediate_factory(),
+  Network net(sim, Topology::line(3), core::DisciplineSpec::immediate(),
               {.hop_tx_delay = 1.0}, sim::RandomStream(1));
   EXPECT_EQ(net.originate_batch(0, test_codec(), {}), 0u);
   EXPECT_EQ(net.packets_originated(), 0u);
@@ -96,7 +96,7 @@ TEST(OriginateBatch, EmptyBurstIsANoOp) {
 
 TEST(OriginateBatch, RejectsBadOrigin) {
   sim::Simulator sim;
-  Network net(sim, Topology::line(3), core::immediate_factory(),
+  Network net(sim, Topology::line(3), core::DisciplineSpec::immediate(),
               {.hop_tx_delay = 1.0}, sim::RandomStream(1));
   const auto payloads = burst_payloads(2);
   EXPECT_THROW(net.originate_batch(net.topology().sink(), test_codec(),
@@ -120,7 +120,7 @@ TEST(EmitBurst, MatchesRepeatedEmitIncludingRngDraws) {
   const std::uint32_t n = 13;
 
   sim::Simulator sim_a;
-  Network net_a(sim_a, Topology::line(4), core::immediate_factory(),
+  Network net_a(sim_a, Topology::line(4), core::DisciplineSpec::immediate(),
                 {.hop_tx_delay = 1.0}, sim::RandomStream(1));
   RecordingObserver obs_a;
   net_a.add_sink_observer(&obs_a);
@@ -129,7 +129,7 @@ TEST(EmitBurst, MatchesRepeatedEmitIncludingRngDraws) {
   sim_a.run();
 
   sim::Simulator sim_b;
-  Network net_b(sim_b, Topology::line(4), core::immediate_factory(),
+  Network net_b(sim_b, Topology::line(4), core::DisciplineSpec::immediate(),
                 {.hop_tx_delay = 1.0}, sim::RandomStream(1));
   RecordingObserver obs_b;
   net_b.add_sink_observer(&obs_b);

@@ -4,7 +4,7 @@
 
 #include "adversary/estimator.h"
 #include "adversary/ground_truth.h"
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 #include "crypto/payload.h"
 #include "net/tracer.h"
 #include "workload/source.h"
@@ -20,7 +20,7 @@ crypto::PayloadCodec& codec() {
 
 TEST(HopJitter, AddsBoundedLinkDelay) {
   sim::Simulator sim;
-  Network network(sim, Topology::line(6), core::immediate_factory(),
+  Network network(sim, Topology::line(6), core::DisciplineSpec::immediate(),
                   {.hop_tx_delay = 1.0, .hop_jitter = 0.5},
                   sim::RandomStream(1));
   adversary::GroundTruthRecorder truth(codec());
@@ -39,7 +39,7 @@ TEST(HopJitter, MakesNoDelayMseSmallButNonzero) {
   // The paper's case-1 curve is "very small" rather than exactly zero;
   // MAC jitter reproduces that. Adversary knows the mean per-hop delay.
   sim::Simulator sim;
-  Network network(sim, Topology::line(6), core::immediate_factory(),
+  Network network(sim, Topology::line(6), core::DisciplineSpec::immediate(),
                   {.hop_tx_delay = 1.0, .hop_jitter = 0.5},
                   sim::RandomStream(3));
   adversary::BaselineAdversary adv(1.25, 0.0);  // tau + jitter/2
@@ -58,7 +58,8 @@ TEST(HopJitter, MakesNoDelayMseSmallButNonzero) {
 
 TEST(HopJitter, RejectsNegativeJitter) {
   sim::Simulator sim;
-  EXPECT_THROW(Network(sim, Topology::line(3), core::immediate_factory(),
+  EXPECT_THROW(Network(sim, Topology::line(3),
+                       core::DisciplineSpec::immediate(),
                        {.hop_tx_delay = 1.0, .hop_jitter = -0.1},
                        sim::RandomStream(1)),
                std::invalid_argument);
@@ -66,7 +67,8 @@ TEST(HopJitter, RejectsNegativeJitter) {
 
 TEST(PhantomRouting, DeliversEverythingDespiteRandomWalk) {
   sim::Simulator sim;
-  Network network(sim, Topology::grid(6, 6), core::immediate_factory(), {},
+  Network network(sim, Topology::grid(6, 6), core::DisciplineSpec::immediate(),
+                  {},
                   sim::RandomStream(5));
   network.set_hop_selector(
       phantom_routing_selector(network.topology(), network.routing(), 8));
@@ -81,7 +83,8 @@ TEST(PhantomRouting, DeliversEverythingDespiteRandomWalk) {
 
 TEST(PhantomRouting, WalkLengthensAndRandomizesPaths) {
   sim::Simulator sim;
-  Network network(sim, Topology::grid(6, 6), core::immediate_factory(), {},
+  Network network(sim, Topology::grid(6, 6), core::DisciplineSpec::immediate(),
+                  {},
                   sim::RandomStream(7));
   network.set_hop_selector(
       phantom_routing_selector(network.topology(), network.routing(), 6));
@@ -111,7 +114,8 @@ TEST(PhantomRouting, NoTemporalPrivacyAgainstHeaderReader) {
   // constant per-hop delay the adversary subtracts h*tau exactly — random
   // walk or not, MSE stays ~0.
   sim::Simulator sim;
-  Network network(sim, Topology::grid(6, 6), core::immediate_factory(), {},
+  Network network(sim, Topology::grid(6, 6), core::DisciplineSpec::immediate(),
+                  {},
                   sim::RandomStream(9));
   network.set_hop_selector(
       phantom_routing_selector(network.topology(), network.routing(), 6));
@@ -128,7 +132,8 @@ TEST(PhantomRouting, NoTemporalPrivacyAgainstHeaderReader) {
 
 TEST(PhantomRouting, ZeroWalkEqualsTreeRouting) {
   sim::Simulator sim;
-  Network network(sim, Topology::grid(5, 5), core::immediate_factory(), {},
+  Network network(sim, Topology::grid(5, 5), core::DisciplineSpec::immediate(),
+                  {},
                   sim::RandomStream(11));
   network.set_hop_selector(
       phantom_routing_selector(network.topology(), network.routing(), 0));
@@ -149,12 +154,12 @@ TEST(PhantomRouting, RejectsDisconnectedTopology) {
 
 TEST(HopSelector, NonNeighborSelectionThrows) {
   sim::Simulator sim;
-  Network network(sim, Topology::line(4), core::immediate_factory(), {},
+  Network network(sim, Topology::line(4), core::DisciplineSpec::immediate(), {},
                   sim::RandomStream(12));
   network.set_hop_selector(
       [](NodeId, const Packet&, sim::RandomStream&) -> NodeId { return 3; });
   // Node 0's only neighbor is 1; selecting the sink (3) directly is
-  // illegal. ImmediateForwarding transmits synchronously, so the violation
+  // illegal. Immediate forwarding transmits synchronously, so the violation
   // surfaces right at injection.
   EXPECT_THROW(network.originate(0, codec().seal({0, 0, 0.0}, 0)),
                std::logic_error);

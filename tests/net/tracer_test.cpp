@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 #include "crypto/payload.h"
 
 namespace tempriv::net {
@@ -16,7 +16,7 @@ crypto::PayloadCodec& codec() {
 
 TEST(PacketTracer, RecordsFullPathOnLineTopology) {
   sim::Simulator sim;
-  Network network(sim, Topology::line(5), core::immediate_factory(), {},
+  Network network(sim, Topology::line(5), core::DisciplineSpec::immediate(), {},
                   sim::RandomStream(1));
   PacketTracer tracer(network);
   const std::uint64_t uid =
@@ -29,7 +29,7 @@ TEST(PacketTracer, RecordsFullPathOnLineTopology) {
 
 TEST(PacketTracer, HopTimesReflectTransmissionDelay) {
   sim::Simulator sim;
-  Network network(sim, Topology::line(4), core::immediate_factory(),
+  Network network(sim, Topology::line(4), core::DisciplineSpec::immediate(),
                   {.hop_tx_delay = 2.0}, sim::RandomStream(1));
   PacketTracer tracer(network);
   const std::uint64_t uid =
@@ -45,8 +45,9 @@ TEST(PacketTracer, HopTimesReflectTransmissionDelay) {
 TEST(PacketTracer, HoldingTimesExposeDelaying) {
   sim::Simulator sim;
   Network network(sim, Topology::line(4),
-                  core::unlimited_factory(core::ConstantDelay(7.0)), {},
-                  sim::RandomStream(1));
+                  core::DisciplineSpec::unlimited(
+                      std::make_shared<core::ConstantDelay>(7.0)),
+                  {}, sim::RandomStream(1));
   PacketTracer tracer(network);
   const std::uint64_t uid =
       network.originate(0, codec().seal({0.0, 0, 0.0}, 0));
@@ -60,7 +61,7 @@ TEST(PacketTracer, HoldingTimesExposeDelaying) {
 
 TEST(PacketTracer, UnknownUidYieldsEmpty) {
   sim::Simulator sim;
-  Network network(sim, Topology::line(3), core::immediate_factory(), {},
+  Network network(sim, Topology::line(3), core::DisciplineSpec::immediate(), {},
                   sim::RandomStream(1));
   PacketTracer tracer(network);
   EXPECT_TRUE(tracer.hops(42).empty());
@@ -73,7 +74,7 @@ TEST(PacketTracer, UnknownUidResultsAreIndependentValues) {
   // vector for every unknown uid, so results for different uids aliased
   // each other. By-value results must be independently owned.
   sim::Simulator sim;
-  Network network(sim, Topology::line(3), core::immediate_factory(), {},
+  Network network(sim, Topology::line(3), core::DisciplineSpec::immediate(), {},
                   sim::RandomStream(1));
   PacketTracer tracer(network);
   auto a = tracer.hops(41);
@@ -87,7 +88,7 @@ TEST(PacketTracer, HopsSnapshotSurvivesLaterTracing) {
   // Regression companion: a hops() result taken mid-run must stay valid and
   // unchanged while the tracer's internal arena grows under later packets.
   sim::Simulator sim;
-  Network network(sim, Topology::line(6), core::immediate_factory(), {},
+  Network network(sim, Topology::line(6), core::DisciplineSpec::immediate(), {},
                   sim::RandomStream(1));
   PacketTracer tracer(network);
   const std::uint64_t first =
@@ -106,7 +107,7 @@ TEST(PacketTracer, HopsSnapshotSurvivesLaterTracing) {
 TEST(PacketTracer, TracksManyPacketsIndependently) {
   sim::Simulator sim;
   const auto built = Topology::converging_paths({4, 6}, 1);
-  Network network(sim, built.topology, core::immediate_factory(), {},
+  Network network(sim, built.topology, core::DisciplineSpec::immediate(), {},
                   sim::RandomStream(1));
   PacketTracer tracer(network);
   const std::uint64_t a =

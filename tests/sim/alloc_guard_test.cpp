@@ -15,7 +15,6 @@
 
 #include "core/delay_buffer.h"
 #include "core/discipline_spec.h"
-#include "core/factories.h"
 #include "crypto/payload.h"
 #include "net/network.h"
 #include "net/packet_pool.h"
@@ -140,7 +139,7 @@ TEST(AllocGuard, WarmForwardedPacketAllocatesNothing) {
   Simulator simulator;
   constexpr std::size_t kHops = 16;
   net::Network network(simulator, net::Topology::line(kHops + 1),
-                       core::immediate_factory(), {}, RandomStream(21));
+                       core::DisciplineSpec::immediate(), {}, RandomStream(21));
   network.reserve(8);
   simulator.reserve(64);
   const crypto::PayloadCodec codec(
@@ -167,7 +166,7 @@ TEST(AllocGuard, WarmDelayedForwardingAllocatesNothing) {
   // and preempt inside their slot-pooled buffers on the way to the sink.
   Simulator simulator;
   net::Network network(simulator, net::Topology::line(6),
-                       core::rcad_exponential_factory(
+                       core::DisciplineSpec::rcad_exponential(
                            5.0, 8, core::VictimPolicy::kShortestRemaining),
                        {}, RandomStream(22));
   network.reserve(16);
@@ -253,7 +252,7 @@ TEST(AllocGuard, WarmBatchSealAndOriginateAllocatesNothing) {
   Simulator simulator;
   constexpr std::size_t kBurst = 24;
   net::Network network(simulator, net::Topology::line(9),
-                       core::immediate_factory(), {}, RandomStream(31));
+                       core::DisciplineSpec::immediate(), {}, RandomStream(31));
   network.reserve(kBurst + 8);
   simulator.reserve(256);
   const crypto::PayloadCodec codec(

@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 #include "metrics/stats.h"
 
 namespace tempriv::workload {
@@ -15,7 +15,8 @@ struct Fixture {
   sim::Simulator sim;
   crypto::PayloadCodec codec{crypto::Speck64_128::Key{
       6, 6, 6, 2, 2, 2, 9, 9, 9, 4, 4, 4, 8, 8, 8, 1}};
-  net::Network net{sim, net::Topology::line(3), core::immediate_factory(),
+  net::Network net{sim, net::Topology::line(3),
+                   core::DisciplineSpec::immediate(),
                    {}, sim::RandomStream(77)};
 
   struct Recorder final : net::SinkObserver {

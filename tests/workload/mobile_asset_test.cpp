@@ -5,7 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 
 namespace tempriv::workload {
 namespace {
@@ -16,7 +16,7 @@ struct Fixture {
       3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3}};
   // 5x5 grid with spacing 2.5 covers a 10x10 field; sink at (0,0).
   net::Network net{sim, net::Topology::grid(5, 5, 2.5),
-                   core::immediate_factory(), {}, sim::RandomStream(21)};
+                   core::DisciplineSpec::immediate(), {}, sim::RandomStream(21)};
 
   struct Recorder final : net::SinkObserver {
     std::size_t count = 0;

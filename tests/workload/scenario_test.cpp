@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 namespace tempriv::workload {
@@ -124,6 +125,58 @@ TEST(PaperScenario, SinkWeightedDecompositionRuns) {
   const auto result = run_paper_scenario(scenario);
   EXPECT_EQ(result.delivered, result.originated);
   EXPECT_GT(result.flows[0].mean_latency, 15.0);
+}
+
+// Pins the §3.3 sink-weighted runs bit for bit (recorded with %.17g): no
+// golden CSV sets sink_weighting, so these are the only guard on how the
+// per-node mean profile reaches the network.
+TEST(PaperScenario, SinkWeightedResultsArePinned) {
+  struct Flow {
+    double mse_baseline, mse_adaptive, mean_latency;
+  };
+  struct Pinned {
+    Scheme scheme;
+    double weighting;
+    std::uint64_t preemptions, events;
+    Flow flows[4];
+  };
+  const Pinned pinned[] = {
+      {Scheme::kUnlimitedDelay, 0.5, 0, 17700,
+       {{13943.866075006123, 13943.866075006123, 470.55668382407504},
+        {56222.430618915329, 56222.430618915329, 829.70917107108403},
+        {7596.1347071189202, 7275.7508592337326, 242.65396540177781},
+        {7764.6676071636266, 7525.3980295708579, 292.049085052213}}},
+      {Scheme::kUnlimitedDelay, 1.0, 0, 17700,
+       {{15966.099571284974, 15966.099571284974, 477.83636914880162},
+        {151164.90893580465, 151164.90893580465, 995.14867247292318},
+        {12265.20970419794, 11602.968453635012, 192.86341693936876},
+        {13234.544716107124, 13131.60777603426, 254.32699433329404}}},
+      {Scheme::kRcad, 0.5, 3661, 14039,
+       {{21397.733930636925, 21397.733930636925, 405.1641675889968},
+        {41953.80592748573, 41953.80592748573, 712.43972800308006},
+        {9590.6969093603911, 8677.5261761009151, 211.73989489741635},
+        {13858.240429529969, 13006.773936291338, 255.06316060307628}}},
+      {Scheme::kRcad, 1.0, 2751, 14949,
+       {{23216.941897310855, 23216.941897310855, 394.24708913045322},
+        {85524.19692446808, 85089.893282283898, 772.21029265467746},
+        {14881.408939091612, 14631.916232925918, 177.91368167611623},
+        {17108.975644960337, 16641.466846707015, 236.14990345174527}}},
+  };
+  for (const Pinned& pin : pinned) {
+    SCOPED_TRACE(testing::Message() << to_string(pin.scheme) << " weighting "
+                                    << pin.weighting);
+    auto scenario = fast_scenario(pin.scheme, 3.0);
+    scenario.sink_weighting = pin.weighting;
+    const auto result = run_paper_scenario(scenario);
+    EXPECT_EQ(result.preemptions, pin.preemptions);
+    EXPECT_EQ(result.events_executed, pin.events);
+    ASSERT_EQ(result.flows.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(result.flows[i].mse_baseline, pin.flows[i].mse_baseline);
+      EXPECT_EQ(result.flows[i].mse_adaptive, pin.flows[i].mse_adaptive);
+      EXPECT_EQ(result.flows[i].mean_latency, pin.flows[i].mean_latency);
+    }
+  }
 }
 
 TEST(PaperScenario, SinkWeightingRejectsDropTail) {

@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 #include "metrics/stats.h"
 
 namespace tempriv::workload {
@@ -15,7 +15,8 @@ struct Fixture {
   sim::Simulator sim;
   crypto::PayloadCodec codec{crypto::Speck64_128::Key{
       1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 121, 98, 76}};
-  net::Network net{sim, net::Topology::line(4), core::immediate_factory(),
+  net::Network net{sim, net::Topology::line(4),
+                   core::DisciplineSpec::immediate(),
                    {}, sim::RandomStream(11)};
 
   struct Recorder final : net::SinkObserver {

@@ -5,7 +5,7 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "core/factories.h"
+#include "core/discipline_spec.h"
 
 namespace tempriv::workload {
 namespace {
@@ -14,7 +14,8 @@ struct Fixture {
   sim::Simulator sim;
   crypto::PayloadCodec codec{crypto::Speck64_128::Key{
       7, 1, 8, 2, 8, 1, 8, 2, 8, 4, 5, 9, 0, 4, 5, 2}};
-  net::Network net{sim, net::Topology::line(4), core::immediate_factory(),
+  net::Network net{sim, net::Topology::line(4),
+                   core::DisciplineSpec::immediate(),
                    {}, sim::RandomStream(13)};
 
   struct Recorder final : net::SinkObserver {
