@@ -1,6 +1,8 @@
 #include "net/routing.h"
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace tempriv::net {
 
@@ -24,10 +26,17 @@ RoutingTable::RoutingTable(const Topology& topo) {
   }
   // Topology::neighbors is CSR-backed and sorted ascending, which is exactly
   // the deterministic visit order the historical sort-per-visit BFS used.
+  constexpr std::uint16_t kMaxHops = std::numeric_limits<std::uint16_t>::max();
   for (std::size_t head = 0; head < frontier.size(); ++head) {
     const NodeId current = frontier[head];
     for (NodeId nbr : topo.neighbors(current)) {
       if (sink_of_[nbr] != kInvalidNode) continue;
+      if (hops_[current] == kMaxHops) {
+        std::string message = "RoutingTable: a route is longer than ";
+        message += std::to_string(kMaxHops);
+        message += " hops, the limit of the 16-bit hop count";
+        throw std::length_error(message);
+      }
       sink_of_[nbr] = sink_of_[current];
       next_hop_[nbr] = current;
       hops_[nbr] = static_cast<std::uint16_t>(hops_[current] + 1);

@@ -19,8 +19,9 @@ namespace tempriv::net {
 /// constant number of heap allocations.
 class RoutingTable {
  public:
-  /// Builds the tree for `topo` (throws std::invalid_argument if the
-  /// topology has no sink set).
+  /// Builds the tree for `topo`. Throws std::invalid_argument if the
+  /// topology has no sink set, and std::length_error if some node is more
+  /// than 65535 hops from its sink (hop counts are 16-bit).
   explicit RoutingTable(const Topology& topo);
 
   /// Next hop of `id` toward its nearest sink; kInvalidNode for sinks and

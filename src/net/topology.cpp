@@ -19,29 +19,35 @@ void Topology::add_edge(NodeId a, NodeId b) {
     throw std::out_of_range("Topology::add_edge: unknown node id");
   }
   if (a == b) return;
-  edges_.emplace_back(a, b);
+  pending_.emplace_back(a, b);
   csr_dirty_ = true;
 }
 
 void Topology::reserve(std::size_t nodes, std::size_t edges) {
   positions_.reserve(nodes);
-  edges_.reserve(edges);
+  pending_.reserve(edges);
 }
 
 void Topology::ensure_csr() const {
   if (!csr_dirty_) return;
   const std::size_t n = node_count();
-  assert(positions_.size() == n);
+  // Edges already in the index rejoin the pending list, so the first build
+  // and a rebuild after mutation take the same path.
+  for (std::size_t a = 0; a + 1 < offsets_.size(); ++a) {
+    for (std::uint32_t k = offsets_[a]; k < offsets_[a + 1]; ++k) {
+      if (a < nbrs_[k]) pending_.emplace_back(static_cast<NodeId>(a), nbrs_[k]);
+    }
+  }
   offsets_.assign(n + 1, 0);
-  for (const auto& [a, b] : edges_) {
+  for (const auto& [a, b] : pending_) {
     assert(a < n && b < n && a != b && "edge endpoints must be dense node ids");
     ++offsets_[a + 1];
     ++offsets_[b + 1];
   }
   for (std::size_t i = 0; i < n; ++i) offsets_[i + 1] += offsets_[i];
-  nbrs_.resize(edges_.size() * 2);
+  nbrs_.resize(pending_.size() * 2);
   std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (const auto& [a, b] : edges_) {
+  for (const auto& [a, b] : pending_) {
     nbrs_[cursor[a]++] = b;
     nbrs_[cursor[b]++] = a;
   }
@@ -62,6 +68,8 @@ void Topology::ensure_csr() const {
   }
   offsets_[n] = write;
   nbrs_.resize(write);
+  // The index now holds every edge: free the pair list.
+  std::vector<std::pair<NodeId, NodeId>>().swap(pending_);
   csr_dirty_ = false;
 }
 
@@ -105,7 +113,7 @@ bool Topology::is_sink(NodeId id) const noexcept {
 
 std::size_t Topology::memory_bytes() const noexcept {
   return positions_.capacity() * sizeof(Position) +
-         edges_.capacity() * sizeof(edges_[0]) +
+         pending_.capacity() * sizeof(pending_[0]) +
          sinks_.capacity() * sizeof(NodeId) +
          offsets_.capacity() * sizeof(std::uint32_t) +
          nbrs_.capacity() * sizeof(NodeId);
@@ -171,52 +179,60 @@ void Topology::connect_within_radius(double radius) {
                                 std::numeric_limits<double>::min()});
   const std::size_t cols = static_cast<std::size_t>((max_x - min_x) / cell) + 1;
   const std::size_t rows = static_cast<std::size_t>((max_y - min_y) / cell) + 1;
-  auto cell_x = [&](NodeId i) {
-    return std::min(static_cast<std::size_t>((positions_[i].x - min_x) / cell),
-                    cols - 1);
+  auto cell_of = [&](const Position& p) {
+    const std::size_t cx =
+        std::min(static_cast<std::size_t>((p.x - min_x) / cell), cols - 1);
+    const std::size_t cy =
+        std::min(static_cast<std::size_t>((p.y - min_y) / cell), rows - 1);
+    return cy * cols + cx;
   };
-  auto cell_y = [&](NodeId i) {
-    return std::min(static_cast<std::size_t>((positions_[i].y - min_y) / cell),
-                    rows - 1);
-  };
-  // Counting-sort the nodes into their cells.
+  // Counting-sort the nodes into their cells, and gather the positions into
+  // the same cell order so the scan below reads them sequentially instead of
+  // chasing random node ids.
   std::vector<std::uint32_t> start(rows * cols + 1, 0);
-  for (NodeId i = 0; i < n; ++i) ++start[cell_y(i) * cols + cell_x(i) + 1];
+  for (const Position& p : positions_) ++start[cell_of(p) + 1];
   for (std::size_t c = 0; c + 1 < start.size(); ++c) start[c + 1] += start[c];
   std::vector<NodeId> bucket(n);
-  std::vector<std::uint32_t> cursor(start.begin(), start.end() - 1);
-  for (NodeId i = 0; i < n; ++i) {
-    bucket[cursor[cell_y(i) * cols + cell_x(i)]++] = i;
+  std::vector<Position> sorted(n);
+  {
+    std::vector<std::uint32_t> cursor(start.begin(), start.end() - 1);
+    for (NodeId i = 0; i < n; ++i) {
+      const std::uint32_t k = cursor[cell_of(positions_[i])]++;
+      bucket[k] = i;
+      sorted[k] = positions_[i];
+    }
   }
-  // Each node scans its 3×3 cell neighborhood; b > a keeps every pair once.
-  // The distance test is the same expression (and operand order) as the
-  // pairwise-scan reference, so the edge set is bit-identical.
+  // Cell by cell, each node scans its 3×3 cell neighborhood; b > a keeps
+  // every pair once. The distance test is the same expression (and operand
+  // order) as the pairwise-scan reference, so the edge set is bit-identical;
+  // only the order of the appended pairs differs, which the CSR build erases.
   const double r2 = radius * radius;
-  for (NodeId a = 0; a < n; ++a) {
-    const std::size_t acx = cell_x(a);
-    const std::size_t acy = cell_y(a);
-    const Position& pa = positions_[a];
+  for (std::size_t acy = 0; acy < rows; ++acy) {
     const std::size_t cy_lo = acy == 0 ? 0 : acy - 1;
     const std::size_t cy_hi = std::min(acy + 1, rows - 1);
-    const std::size_t cx_lo = acx == 0 ? 0 : acx - 1;
-    const std::size_t cx_hi = std::min(acx + 1, cols - 1);
-    for (std::size_t cy = cy_lo; cy <= cy_hi; ++cy) {
-      for (std::size_t cx = cx_lo; cx <= cx_hi; ++cx) {
-        const std::size_t c = cy * cols + cx;
-        for (std::uint32_t k = start[c]; k < start[c + 1]; ++k) {
-          const NodeId b = bucket[k];
-          if (b <= a) continue;
-          const Position& pb = positions_[b];
-          const double dx = pa.x - pb.x;
-          const double dy = pa.y - pb.y;
-          if (dx * dx + dy * dy <= r2) add_edge(a, b);
+    for (std::size_t acx = 0; acx < cols; ++acx) {
+      const std::size_t cx_lo = acx == 0 ? 0 : acx - 1;
+      const std::size_t cx_hi = std::min(acx + 1, cols - 1);
+      const std::size_t ac = acy * cols + acx;
+      for (std::uint32_t ka = start[ac]; ka < start[ac + 1]; ++ka) {
+        const NodeId a = bucket[ka];
+        const Position pa = sorted[ka];
+        for (std::size_t cy = cy_lo; cy <= cy_hi; ++cy) {
+          // The three cells of one neighborhood row are adjacent in cell
+          // order, so they form one contiguous run of `sorted`.
+          const std::uint32_t run_end = start[cy * cols + cx_hi + 1];
+          for (std::uint32_t kb = start[cy * cols + cx_lo]; kb < run_end; ++kb) {
+            const NodeId b = bucket[kb];
+            if (b <= a) continue;
+            const Position& pb = sorted[kb];
+            const double dx = pa.x - pb.x;
+            const double dy = pa.y - pb.y;
+            if (dx * dx + dy * dy <= r2) add_edge(a, b);
+          }
         }
       }
     }
   }
-  // The edge count is unknown up front, so appends grew the list by
-  // doubling; hand back the slack (up to half the list at 10⁶ nodes).
-  edges_.shrink_to_fit();
 }
 
 Topology Topology::random_geometric(std::size_t n, double side, double radius,

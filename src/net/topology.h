@@ -30,13 +30,13 @@ struct Position {
 /// multi-sink) and the paper's Figure-1 topology of four source paths
 /// converging on a common sink.
 ///
-/// Storage is builder + CSR: add_edge appends to a flat edge list in O(1)
-/// (duplicates and ordering are tolerated), and the first adjacency query
-/// compacts everything into a CSR index — an (n+1)-entry offset array over
-/// one packed, per-row-sorted, deduplicated neighbor array. Queries after a
-/// mutation rebuild the index lazily; a fully built 10⁶-node geometric graph
-/// costs two flat arrays, not a million heap-allocated vectors. The CSR
-/// cache is mutable state: finish mutating (or issue one query) before
+/// Storage is CSR-only: add_edge appends to a pending edge list in O(1)
+/// (duplicates and ordering are tolerated), and the next adjacency query
+/// merges the pending edges into the CSR index — an (n+1)-entry offset array
+/// over one packed, per-row-sorted, deduplicated neighbor array — and frees
+/// the pending list. Once built, a 10⁶-node geometric graph costs its
+/// positions and two flat arrays: no pair list, no per-node vectors. The
+/// CSR cache is mutable state: finish mutating (or issue one query) before
 /// sharing a const Topology across threads.
 class Topology {
  public:
@@ -48,8 +48,8 @@ class Topology {
   /// Throws std::out_of_range for unknown node ids.
   void add_edge(NodeId a, NodeId b);
 
-  /// Pre-sizes the builder arrays so bulk construction never reallocates
-  /// mid-loop.
+  /// Pre-sizes the node array and the pending edge list so bulk
+  /// construction never reallocates mid-loop.
   void reserve(std::size_t nodes, std::size_t edges = 0);
 
   std::size_t node_count() const noexcept { return positions_.size(); }
@@ -78,7 +78,8 @@ class Topology {
   std::span<const NodeId> sinks() const noexcept { return sinks_; }
   bool is_sink(NodeId id) const noexcept;
 
-  /// Heap bytes held by the builder arrays plus the CSR index.
+  /// Heap bytes held by the positions, the sinks, the CSR index and any
+  /// edges still pending (none once the index is built).
   std::size_t memory_bytes() const noexcept;
 
   /// Line S = node0 — node1 — ... — node(n-1) = sink. Requires n >= 2.
@@ -92,10 +93,10 @@ class Topology {
   /// n nodes placed uniformly at random in [0, side]² and connected when
   /// within `radius`. Node 0 is the sink. Connectivity is not guaranteed;
   /// callers should check routing coverage (see routing.h). Edge discovery
-  /// uses a uniform-grid spatial hash (cell side >= radius, 3×3 neighborhood
-  /// scan), so construction is O(n + edges) instead of O(n²); placements and
-  /// the edge set are identical to the pairwise-scan reference for the same
-  /// RNG state.
+  /// uses a uniform-grid spatial hash (cell side >= radius, nodes scanned
+  /// cell by cell over their 3×3 neighborhood), so construction is
+  /// O(n + edges) instead of O(n²); placements and the edge set are
+  /// identical to the pairwise-scan reference for the same RNG state.
   static Topology random_geometric(std::size_t n, double side, double radius,
                                    sim::RandomStream& rng);
 
@@ -136,9 +137,11 @@ class Topology {
   void connect_within_radius(double radius);
 
   std::vector<Position> positions_;
-  std::vector<std::pair<NodeId, NodeId>> edges_;  // raw; dups collapse in CSR
   std::vector<NodeId> sinks_;
 
+  // Edges added since the last CSR build; dups collapse in the CSR. Mutable
+  // because the build, run from const queries, empties and frees it.
+  mutable std::vector<std::pair<NodeId, NodeId>> pending_;
   // Lazily (re)built CSR adjacency: row i = nbrs_[offsets_[i]..offsets_[i+1]).
   mutable std::vector<std::uint32_t> offsets_;
   mutable std::vector<NodeId> nbrs_;

@@ -39,6 +39,13 @@ class Xoshiro256pp {
   /// recommendation (avoids the all-zero state for any seed).
   explicit Xoshiro256pp(std::uint64_t seed) noexcept;
 
+  /// A generator positioned at `state` exactly (no seeding). The all-zero
+  /// state is a fixed point of the generator.
+  static Xoshiro256pp from_state(const std::array<std::uint64_t, 4>& state) noexcept;
+
+  /// The current 256-bit state.
+  const std::array<std::uint64_t, 4>& state() const noexcept { return s_; }
+
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~0ULL; }
 
@@ -52,6 +59,9 @@ class Xoshiro256pp {
   Xoshiro256pp split(std::uint64_t stream_id) const noexcept;
 
   /// 2^128 steps of the generator; used by split() to decorrelate streams.
+  /// The jump is linear over GF(2) in the state, so it runs as 64 lookups
+  /// into a once-per-process table (one per state nibble) instead of the
+  /// authors' 256-step walk; the result is the same state bit for bit.
   void long_jump() noexcept;
 
  private:

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace tempriv::net {
 namespace {
@@ -74,6 +75,28 @@ TEST(RoutingTable, DeterministicParentSelection) {
   EXPECT_EQ(a.next_hop(2), 0u);
   EXPECT_EQ(a.next_hop(2), b.next_hop(2));
   EXPECT_EQ(a.hops_to_sink(2), 2);
+}
+
+TEST(RoutingTable, LongestRepresentableRouteIsExact) {
+  // 65536 nodes: node 0 sits 65535 hops out, the 16-bit maximum.
+  const Topology topo = Topology::line(65536);
+  const RoutingTable routing(topo);
+  EXPECT_EQ(routing.hops_to_sink(0), 65535);
+  EXPECT_EQ(routing.path_to_sink(0).size(), 65536u);
+}
+
+TEST(RoutingTable, RouteLongerThanHopCountThrows) {
+  // One hop past the limit used to wrap silently (line(70000) reported
+  // 4463 hops for a 69999-hop path).
+  for (std::size_t n : {65537u, 70000u}) {
+    const Topology topo = Topology::line(n);
+    try {
+      const RoutingTable routing(topo);
+      ADD_FAILURE() << "line(" << n << ") built a routing table";
+    } catch (const std::length_error& e) {
+      EXPECT_NE(std::string(e.what()).find("65535"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(RoutingTable, ValidatesIds) {

@@ -114,33 +114,91 @@ TEST(TopologyCsr, RebuildsAfterMutation) {
   EXPECT_TRUE(topo.has_edge(0, 2));
   const NodeId added = topo.add_node();
   EXPECT_EQ(topo.neighbors(added).size(), 0u);
+  // More edges after the index is built: two new ones, a duplicate of an
+  // indexed edge and a self-loop. The rebuild merges them into the rows.
+  topo.add_edge(3, added);
+  topo.add_edge(1, 0);
+  topo.add_edge(2, 2);
+  topo.add_edge(added, 1);
+
+  Topology upfront;
+  for (int i = 0; i < 5; ++i) upfront.add_node();
+  for (const auto& [a, b] : std::vector<std::pair<NodeId, NodeId>>{
+           {0, 1}, {0, 2}, {3, 4}, {1, 0}, {2, 2}, {4, 1}}) {
+    upfront.add_edge(a, b);
+  }
+  EXPECT_EQ(topo.edge_count(), 4u);
+  EXPECT_EQ(topo.edge_count(), upfront.edge_count());
+  for (NodeId id = 0; id < upfront.node_count(); ++id) {
+    EXPECT_TRUE(std::ranges::equal(topo.neighbors(id), upfront.neighbors(id)))
+        << "node " << id;
+  }
+  expect_csr_well_formed(topo);
+  // Same arrays either way: no pair list left over from the mutations.
+  EXPECT_EQ(topo.memory_bytes(), upfront.memory_bytes());
+
+  // line() sizes every array exactly, so the accounting is exact: the
+  // pending pairs count until the index is built, which frees them.
+  Topology line = Topology::line(100);
+  const std::size_t nodes_and_sink = 100 * sizeof(Position) + sizeof(NodeId);
+  EXPECT_EQ(line.memory_bytes(),
+            nodes_and_sink + 99 * sizeof(std::pair<NodeId, NodeId>));
+  EXPECT_EQ(line.edge_count(), 99u);
+  EXPECT_EQ(line.memory_bytes(), nodes_and_sink + 101 * sizeof(std::uint32_t) +
+                                     2 * 99 * sizeof(NodeId));
+}
+
+/// Draws `n` placements exactly as random_geometric does and returns the
+/// grid-hash cell floor, extent / ceil(√n). A radius equal to it makes the
+/// connection radius and the cell side the same double.
+double cell_floor_for(std::size_t n, double side, std::uint64_t seed) {
+  sim::RandomStream rng(seed);
+  double min_x = side, max_x = 0.0, min_y = side, max_y = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = rng.uniform(0.0, side);
+    const double y = rng.uniform(0.0, side);
+    min_x = std::min(min_x, x);
+    max_x = std::max(max_x, x);
+    min_y = std::min(min_y, y);
+    max_y = std::max(max_y, y);
+  }
+  const double extent = std::max(max_x - min_x, max_y - min_y);
+  return extent / std::ceil(std::sqrt(static_cast<double>(n)));
 }
 
 TEST(TopologyCsr, GridHashGeometricMatchesBruteForceReference) {
   // Same RNG seed through both builders: placements must be bit-identical
   // (identical draw order) and the edge sets must match exactly, across
-  // sparse, dense and degenerate-radius regimes.
+  // sparse, dense and degenerate-radius regimes, and on fields large enough
+  // for a real cell grid (hundreds of cells, most pairs across cell edges).
   struct Case {
     std::size_t n;
     double side;
     double radius;
+    std::uint64_t seed;
   };
+  const double unit_side_3000 = std::sqrt(3000.0);
+  const double floor_2000 = cell_floor_for(2000, 40.0, 2001);
   const Case cases[] = {
-      {40, 10.0, 2.0},   // sparse
-      {80, 8.0, 3.0},    // dense neighborhoods
-      {25, 5.0, 20.0},   // radius > extent: complete graph
-      {30, 10.0, 0.05},  // radius << spacing: mostly isolated
-      {1, 4.0, 1.0},     // single node
+      {40, 10.0, 2.0, 1001},                 // sparse
+      {80, 8.0, 3.0, 1002},                  // dense neighborhoods
+      {25, 5.0, 20.0, 1003},                 // radius > extent: complete graph
+      {30, 10.0, 0.05, 1004},                // radius << spacing: mostly isolated
+      {1, 4.0, 1.0, 1005},                   // single node
+      {3000, unit_side_3000, 1.8, 1006},     // field_1m density: ~900 cells
+      {1500, 20.0, 1.0, 1007},               // 400 cells, ~4 nodes each
+      {2000, 40.0, floor_2000, 2001},        // radius == cell side exactly
+      {2000, 40.0, 0.5 * floor_2000, 2001},  // cell side set by the √n floor
   };
-  std::uint64_t seed = 1000;
   for (const Case& c : cases) {
-    sim::RandomStream rng_fast(++seed);
-    sim::RandomStream rng_ref(seed);
+    sim::RandomStream rng_fast(c.seed);
+    sim::RandomStream rng_ref(c.seed);
     const Topology fast = Topology::random_geometric(c.n, c.side, c.radius, rng_fast);
     const Topology ref = brute_force_geometric(c.n, c.side, c.radius, rng_ref);
     ASSERT_EQ(fast.node_count(), ref.node_count());
     // Both streams must have advanced identically (2n draws each).
     EXPECT_EQ(rng_fast.uniform(0.0, 1.0), rng_ref.uniform(0.0, 1.0));
+    EXPECT_EQ(fast.edge_count(), ref.edge_count()) << "n=" << c.n;
     for (NodeId id = 0; id < c.n; ++id) {
       ASSERT_EQ(fast.position(id).x, ref.position(id).x) << "node " << id;
       ASSERT_EQ(fast.position(id).y, ref.position(id).y) << "node " << id;
