@@ -22,11 +22,14 @@ namespace {
 
 }  // namespace
 
-Network::Network(sim::Simulator& simulator, Topology topology,
+Network::Network(sim::Simulator& simulator, const Topology& topology,
                  NetworkConfig config, const sim::RandomStream& root_rng)
     : simulator_(simulator),
-      topology_(std::move(topology)),
+      topology_(topology),
       routing_(topology_),
+      next_hop_(routing_.next_hops()),
+      row_offsets_(topology_.row_offsets()),
+      adjacency_(topology_.adjacency()),
       config_(config) {
   if (config_.hop_tx_delay <= 0.0) {
     throw std::invalid_argument("Network: hop_tx_delay must be positive");
@@ -44,18 +47,14 @@ Network::Network(sim::Simulator& simulator, Topology topology,
   rng_.reserve(n);
   for (NodeId id = 0; id < n; ++id) rng_.push_back(root_rng.split(id));
   ctx_.reserve(n);
-  for (NodeId id = 0; id < n; ++id) {
-    const std::uint16_t hops =
-        routing_.reachable(id) ? routing_.hops_to_sink(id) : 0;
-    ctx_.emplace_back(this, id, hops);
-  }
+  for (NodeId id = 0; id < n; ++id) ctx_.emplace_back(this, id);
   for (NodeId sink : topology_.sinks()) role_[sink] = NodeRole::kSink;
 }
 
-Network::Network(sim::Simulator& simulator, Topology topology,
+Network::Network(sim::Simulator& simulator, const Topology& topology,
                  const core::DisciplineSpec& spec, NetworkConfig config,
                  const sim::RandomStream& root_rng)
-    : Network(simulator, std::move(topology), config, root_rng) {
+    : Network(simulator, topology, config, root_rng) {
   std::uint32_t queue_config = 0;
   if (spec.buffered()) {
     // One slab configuration for the whole network; every forwarding node
@@ -71,10 +70,10 @@ Network::Network(sim::Simulator& simulator, Topology topology,
   }
 }
 
-Network::Network(sim::Simulator& simulator, Topology topology,
+Network::Network(sim::Simulator& simulator, const Topology& topology,
                  const NodeSpecs& specs, NetworkConfig config,
                  const sim::RandomStream& root_rng)
-    : Network(simulator, std::move(topology), config, root_rng) {
+    : Network(simulator, topology, config, root_rng) {
   // Consecutive nodes with equal queue configs share one slab entry.
   std::optional<core::DelayBuffer::QueueConfig> last;
   std::uint32_t queue_config = 0;
@@ -249,9 +248,11 @@ void Network::reserve(std::size_t in_flight) { pool_.reserve(in_flight); }
 
 NodeId Network::pick_next_hop(NodeId current, const Packet& packet,
                               sim::RandomStream& rng) {
-  if (!hop_selector_) return routing_.next_hop(current);
+  if (!hop_selector_) return next_hop_[current];
   const NodeId next = hop_selector_(current, packet, rng);
-  if (!topology_.has_edge(current, next)) {
+  const NodeId* row = adjacency_.data();
+  if (!std::binary_search(row + row_offsets_[current],
+                          row + row_offsets_[current + 1], next)) {
     throw std::logic_error("Network: hop selector returned a non-neighbor");
   }
   return next;
@@ -375,7 +376,8 @@ std::size_t Network::memory_bytes() const noexcept {
          ctx_.capacity() * sizeof(NodeCtx) +
          slab_.memory_bytes() +
          losses_.capacity() * sizeof(std::uint64_t) +
-         custom_.capacity() * sizeof(custom_[0]);
+         custom_.capacity() * sizeof(custom_[0]) +
+         pool_.memory_bytes();
 }
 
 }  // namespace tempriv::net

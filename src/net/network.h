@@ -81,6 +81,8 @@ using NodeSpecs =
 
 /// The store-and-forward sensor network: topology + BFS routing tree +
 /// a forwarding policy per non-sink node, driven by the simulation kernel.
+/// The topology and its routing tree are shared through the Topology
+/// handle, never copied, so many networks may run over one field at once.
 /// Packets are injected at source nodes via originate() and surface at a
 /// sink via SinkObserver callbacks.
 ///
@@ -106,7 +108,7 @@ class Network {
   /// sink, if `config.hop_tx_delay` is not positive, or for an invalid
   /// spec (a buffering kind without a distribution or with zero capacity,
   /// a custom kind without a factory).
-  Network(sim::Simulator& simulator, Topology topology,
+  Network(sim::Simulator& simulator, const Topology& topology,
           const core::DisciplineSpec& spec, NetworkConfig config,
           const sim::RandomStream& root_rng);
 
@@ -114,8 +116,9 @@ class Network {
   /// ascending id order (a kCustom spec's factory runs right after it).
   /// Consecutive nodes whose specs share a delay object, capacity and
   /// victim rule share a slab configuration. Throws as above.
-  Network(sim::Simulator& simulator, Topology topology, const NodeSpecs& specs,
-          NetworkConfig config, const sim::RandomStream& root_rng);
+  Network(sim::Simulator& simulator, const Topology& topology,
+          const NodeSpecs& specs, NetworkConfig config,
+          const sim::RandomStream& root_rng);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -207,13 +210,14 @@ class Network {
   class NodeCtx final : public NodeContext {
    public:
     NodeCtx() = default;
-    NodeCtx(Network* net, NodeId id, std::uint16_t hops)
-        : net_(net), id_(id), hops_(hops) {}
+    NodeCtx(Network* net, NodeId id) : net_(net), id_(id) {}
 
     sim::Simulator& simulator() noexcept override { return net_->simulator_; }
     sim::RandomStream& rng() noexcept override { return net_->rng_[id_]; }
     NodeId id() const noexcept override { return id_; }
-    std::uint16_t hops_to_sink() const noexcept override { return hops_; }
+    std::uint16_t hops_to_sink() const noexcept override {
+      return net_->routing_.reachable(id_) ? net_->routing_.hops_to_sink(id_) : 0;
+    }
     void transmit(Packet&& packet) override {
       net_->transmit_from(id_, std::move(packet));
     }
@@ -221,14 +225,13 @@ class Network {
    private:
     Network* net_ = nullptr;
     NodeId id_ = kInvalidNode;
-    std::uint16_t hops_ = 0;
   };
 
   /// Validates the configuration and sizes every per-node array (roles,
   /// RNG streams, contexts, counters); the public constructors then give
   /// each routable non-sink node its spec.
-  Network(sim::Simulator& simulator, Topology topology, NetworkConfig config,
-          const sim::RandomStream& root_rng);
+  Network(sim::Simulator& simulator, const Topology& topology,
+          NetworkConfig config, const sim::RandomStream& root_rng);
   /// Gives forwarding node `id` its spec; a buffering spec becomes a queue
   /// under slab configuration `queue_config`.
   void adopt(NodeId id, const core::DisciplineSpec& spec,
@@ -262,8 +265,12 @@ class Network {
   void dispatch_transmit_probes(NodeId from, NodeId to, const Packet& packet);
 
   sim::Simulator& simulator_;
+  // Handles on the caller's field, and its arrays cached for per-hop reads.
   Topology topology_;
   RoutingTable routing_;
+  std::span<const NodeId> next_hop_;
+  std::span<const std::uint32_t> row_offsets_;
+  std::span<const NodeId> adjacency_;
   NetworkConfig config_;
 
   // Structure-of-arrays node state, all indexed by NodeId.

@@ -76,6 +76,11 @@ class PacketPool {
   /// steady state never reallocates.
   void reserve(std::size_t capacity) { slots_.reserve(capacity); }
 
+  /// Heap bytes held by the slot array (reserved capacity included).
+  std::size_t memory_bytes() const noexcept {
+    return slots_.capacity() * sizeof(Slot);
+  }
+
  private:
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
   static constexpr std::uint32_t kSlotBits = 24;

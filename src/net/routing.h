@@ -1,25 +1,26 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "net/topology.h"
 
 namespace tempriv::net {
 
-/// Shortest-path routing tree toward the nearest sink, built with a single
-/// multi-source breadth-first search (hop-count metric, the metric of the
-/// MultiHop protocol the paper references). Deterministic: sinks seed the
-/// frontier in registration order and among equal-distance parents the
-/// first-dequeued (smallest-id at each level) wins, so single-sink trees
-/// are identical to the historical single-source BFS.
+/// Shortest-path routing tree toward the nearest sink (hop-count metric,
+/// the metric of the MultiHop protocol the paper references), read from the
+/// one tree TopologyBuilder::build() computes per field with a single
+/// multi-source BFS. Deterministic: sinks seed the frontier in registration
+/// order and among equal-distance parents the first-dequeued (smallest-id at
+/// each level) wins, so single-sink trees are identical to the historical
+/// single-source BFS.
 ///
-/// Construction is allocation-linear: four flat arrays sized once plus a
-/// reserved vector frontier — no per-visit neighbor copies, no deque
-/// chunks — so building the tree for a 10⁶-node topology performs a
-/// constant number of heap allocations.
+/// A RoutingTable is a handle: construction is O(1) and shares the
+/// topology's tree arrays, so every table over one field (the caller's, the
+/// Network's) reads the same memory.
 class RoutingTable {
  public:
-  /// Builds the tree for `topo`. Throws std::invalid_argument if the
+  /// Shares the tree of `topo`. Throws std::invalid_argument if the
   /// topology has no sink set, and std::length_error if some node is more
   /// than 65535 hops from its sink (hop counts are 16-bit).
   explicit RoutingTable(const Topology& topo);
@@ -40,24 +41,28 @@ class RoutingTable {
 
   /// Nodes with no route to any sink (coverage diagnostic for disconnected
   /// random-geometric deployments).
-  std::size_t unreachable_count() const noexcept { return unreachable_; }
+  std::size_t unreachable_count() const noexcept { return field().unreachable; }
 
   /// True when every node can reach a sink.
-  bool fully_connected() const noexcept { return unreachable_ == 0; }
+  bool fully_connected() const noexcept { return unreachable_count() == 0; }
 
   /// The full path from `id` to its sink, inclusive of both endpoints.
   std::vector<NodeId> path_to_sink(NodeId id) const;
 
-  std::size_t node_count() const noexcept { return next_hop_.size(); }
+  std::size_t node_count() const noexcept { return field().next_hop.size(); }
 
-  /// Heap bytes held by the routing arrays.
+  /// next_hop() for every node, indexed by id: the shared tree array, for
+  /// consumers that cache it once instead of going through the handle.
+  std::span<const NodeId> next_hops() const noexcept { return field().next_hop; }
+
+  /// Heap bytes held by the routing arrays (shared by every table over the
+  /// same topology).
   std::size_t memory_bytes() const noexcept;
 
  private:
-  std::vector<NodeId> next_hop_;
-  std::vector<std::uint16_t> hops_;
-  std::vector<NodeId> sink_of_;  // doubles as the reachability mark
-  std::size_t unreachable_ = 0;
+  const Topology::Field& field() const noexcept { return *topology_.field_; }
+
+  Topology topology_;
 };
 
 }  // namespace tempriv::net

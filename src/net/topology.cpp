@@ -5,123 +5,154 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace tempriv::net {
 
-NodeId Topology::add_node(Position pos) {
+NodeId TopologyBuilder::add_node(Position pos) {
   positions_.push_back(pos);
-  csr_dirty_ = true;
   return static_cast<NodeId>(positions_.size() - 1);
 }
 
-void Topology::add_edge(NodeId a, NodeId b) {
+void TopologyBuilder::add_edge(NodeId a, NodeId b) {
   if (a >= node_count() || b >= node_count()) {
-    throw std::out_of_range("Topology::add_edge: unknown node id");
+    throw std::out_of_range("TopologyBuilder::add_edge: unknown node id");
   }
   if (a == b) return;
-  pending_.emplace_back(a, b);
-  csr_dirty_ = true;
+  edges_.emplace_back(a, b);
 }
 
-void Topology::reserve(std::size_t nodes, std::size_t edges) {
+void TopologyBuilder::set_sink(NodeId id) {
+  if (id >= node_count()) throw std::out_of_range("TopologyBuilder::set_sink: bad id");
+  sinks_.assign(1, id);
+}
+
+void TopologyBuilder::add_sink(NodeId id) {
+  if (id >= node_count()) throw std::out_of_range("TopologyBuilder::add_sink: bad id");
+  if (std::find(sinks_.begin(), sinks_.end(), id) == sinks_.end()) {
+    sinks_.push_back(id);
+  }
+}
+
+void TopologyBuilder::reserve(std::size_t nodes, std::size_t edges) {
   positions_.reserve(nodes);
-  pending_.reserve(edges);
+  edges_.reserve(edges);
 }
 
-void Topology::ensure_csr() const {
-  if (!csr_dirty_) return;
-  const std::size_t n = node_count();
-  // Edges already in the index rejoin the pending list, so the first build
-  // and a rebuild after mutation take the same path.
-  for (std::size_t a = 0; a + 1 < offsets_.size(); ++a) {
-    for (std::uint32_t k = offsets_[a]; k < offsets_[a + 1]; ++k) {
-      if (a < nbrs_[k]) pending_.emplace_back(static_cast<NodeId>(a), nbrs_[k]);
+Topology TopologyBuilder::build() {
+  auto field = std::make_shared<Topology::Field>();
+  Topology::Field& f = *field;
+  f.positions = std::move(positions_);
+  f.sinks = std::move(sinks_);
+  positions_.clear();
+  sinks_.clear();
+  const std::size_t n = f.positions.size();
+
+  // CSR: counting-sort scatter of both directions of every edge, then
+  // per-row sort and dedup.
+  f.offsets.assign(n + 1, 0);
+  for (const auto& [a, b] : edges_) {
+    assert(a < n && b < n && a != b && "edge endpoints must be dense node ids");
+    ++f.offsets[a + 1];
+    ++f.offsets[b + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) f.offsets[i + 1] += f.offsets[i];
+  f.nbrs.resize(edges_.size() * 2);
+  {
+    std::vector<std::uint32_t> cursor(f.offsets.begin(), f.offsets.end() - 1);
+    for (const auto& [a, b] : edges_) {
+      f.nbrs[cursor[a]++] = b;
+      f.nbrs[cursor[b]++] = a;
     }
   }
-  offsets_.assign(n + 1, 0);
-  for (const auto& [a, b] : pending_) {
-    assert(a < n && b < n && a != b && "edge endpoints must be dense node ids");
-    ++offsets_[a + 1];
-    ++offsets_[b + 1];
-  }
-  for (std::size_t i = 0; i < n; ++i) offsets_[i + 1] += offsets_[i];
-  nbrs_.resize(pending_.size() * 2);
-  std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (const auto& [a, b] : pending_) {
-    nbrs_[cursor[a]++] = b;
-    nbrs_[cursor[b]++] = a;
-  }
+  // The index now holds every edge: free the pair list.
+  std::vector<std::pair<NodeId, NodeId>>().swap(edges_);
   // Sort each row ascending and drop duplicate edges, compacting in place.
   // The write cursor never overtakes the read cursor (dedup only shrinks),
-  // and offsets_[i] is rewritten only after its row has been consumed.
+  // and offsets[i] is rewritten only after its row has been consumed.
   std::uint32_t write = 0;
   std::uint32_t read_begin = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t read_end = offsets_[i + 1];
-    std::sort(nbrs_.begin() + read_begin, nbrs_.begin() + read_end);
+    const std::uint32_t read_end = f.offsets[i + 1];
+    std::sort(f.nbrs.begin() + read_begin, f.nbrs.begin() + read_end);
     const std::uint32_t row_begin = write;
     for (std::uint32_t j = read_begin; j < read_end; ++j) {
-      if (j == read_begin || nbrs_[j] != nbrs_[j - 1]) nbrs_[write++] = nbrs_[j];
+      if (j == read_begin || f.nbrs[j] != f.nbrs[j - 1]) f.nbrs[write++] = f.nbrs[j];
     }
-    offsets_[i] = row_begin;
+    f.offsets[i] = row_begin;
     read_begin = read_end;
   }
-  offsets_[n] = write;
-  nbrs_.resize(write);
-  // The index now holds every edge: free the pair list.
-  std::vector<std::pair<NodeId, NodeId>>().swap(pending_);
-  csr_dirty_ = false;
-}
+  f.offsets[n] = write;
+  f.nbrs.resize(write);
 
-std::size_t Topology::edge_count() const {
-  ensure_csr();
-  return nbrs_.size() / 2;
+  // Routing tree: one multi-source BFS. Sinks seed a flat FIFO frontier
+  // (head index instead of pop_front; every node enters at most once) in
+  // registration order, and rows are sorted ascending, so among
+  // equal-distance parents the first-dequeued, smallest-id one wins.
+  constexpr std::uint16_t kMaxHops = std::numeric_limits<std::uint16_t>::max();
+  f.next_hop.assign(n, kInvalidNode);
+  f.hops.assign(n, 0);
+  f.sink_of.assign(n, kInvalidNode);
+  std::vector<NodeId> frontier;
+  frontier.reserve(n);
+  for (NodeId sink : f.sinks) {
+    f.sink_of[sink] = sink;
+    frontier.push_back(sink);
+  }
+  for (std::size_t head = 0; head < frontier.size() && !f.route_overflow; ++head) {
+    const NodeId current = frontier[head];
+    for (std::uint32_t k = f.offsets[current]; k < f.offsets[current + 1]; ++k) {
+      const NodeId nbr = f.nbrs[k];
+      if (f.sink_of[nbr] != kInvalidNode) continue;
+      if (f.hops[current] == kMaxHops) {
+        f.route_overflow = true;
+        break;
+      }
+      f.sink_of[nbr] = f.sink_of[current];
+      f.next_hop[nbr] = current;
+      f.hops[nbr] = static_cast<std::uint16_t>(f.hops[current] + 1);
+      frontier.push_back(nbr);
+    }
+  }
+  f.unreachable = n - frontier.size();
+  return Topology(std::move(field));
 }
 
 std::span<const NodeId> Topology::neighbors(NodeId id) const {
   if (id >= node_count()) throw std::out_of_range("Topology::neighbors: bad id");
-  ensure_csr();
-  return {nbrs_.data() + offsets_[id], offsets_[id + 1] - offsets_[id]};
+  const Field& f = *field_;
+  return {f.nbrs.data() + f.offsets[id], f.offsets[id + 1] - f.offsets[id]};
 }
 
 const Position& Topology::position(NodeId id) const {
   if (id >= node_count()) throw std::out_of_range("Topology::position: bad id");
-  return positions_[id];
+  return field_->positions[id];
 }
 
-bool Topology::has_edge(NodeId a, NodeId b) const {
+bool Topology::has_edge(NodeId a, NodeId b) const noexcept {
   if (a >= node_count() || b >= node_count()) return false;
-  ensure_csr();
-  const auto begin = nbrs_.begin() + offsets_[a];
-  const auto end = nbrs_.begin() + offsets_[a + 1];
+  const Field& f = *field_;
+  const auto begin = f.nbrs.begin() + f.offsets[a];
+  const auto end = f.nbrs.begin() + f.offsets[a + 1];
   return std::binary_search(begin, end, b);
 }
 
-void Topology::set_sink(NodeId id) {
-  if (id >= node_count()) throw std::out_of_range("Topology::set_sink: bad id");
-  sinks_.assign(1, id);
-}
-
-void Topology::add_sink(NodeId id) {
-  if (id >= node_count()) throw std::out_of_range("Topology::add_sink: bad id");
-  if (!is_sink(id)) sinks_.push_back(id);
-}
-
 bool Topology::is_sink(NodeId id) const noexcept {
-  return std::find(sinks_.begin(), sinks_.end(), id) != sinks_.end();
+  return std::find(field_->sinks.begin(), field_->sinks.end(), id) !=
+         field_->sinks.end();
 }
 
 std::size_t Topology::memory_bytes() const noexcept {
-  return positions_.capacity() * sizeof(Position) +
-         pending_.capacity() * sizeof(pending_[0]) +
-         sinks_.capacity() * sizeof(NodeId) +
-         offsets_.capacity() * sizeof(std::uint32_t) +
-         nbrs_.capacity() * sizeof(NodeId);
+  const Field& f = *field_;
+  return f.positions.capacity() * sizeof(Position) +
+         f.sinks.capacity() * sizeof(NodeId) +
+         f.offsets.capacity() * sizeof(std::uint32_t) +
+         f.nbrs.capacity() * sizeof(NodeId);
 }
 
 Topology Topology::line(std::size_t n) {
   if (n < 2) throw std::invalid_argument("Topology::line: needs >= 2 nodes");
-  Topology topo;
+  TopologyBuilder topo;
   topo.reserve(n, n - 1);
   for (std::size_t i = 0; i < n; ++i) {
     topo.add_node({static_cast<double>(i), 0.0});
@@ -130,14 +161,14 @@ Topology Topology::line(std::size_t n) {
     topo.add_edge(static_cast<NodeId>(i), static_cast<NodeId>(i + 1));
   }
   topo.set_sink(static_cast<NodeId>(n - 1));
-  return topo;
+  return topo.build();
 }
 
 Topology Topology::grid(std::size_t width, std::size_t height, double spacing) {
   if (width == 0 || height == 0) {
     throw std::invalid_argument("Topology::grid: empty dimension");
   }
-  Topology topo;
+  TopologyBuilder topo;
   topo.reserve(width * height, 2 * width * height);
   for (std::size_t iy = 0; iy < height; ++iy) {
     for (std::size_t ix = 0; ix < width; ++ix) {
@@ -155,10 +186,10 @@ Topology Topology::grid(std::size_t width, std::size_t height, double spacing) {
     }
   }
   topo.set_sink(id(0, 0));
-  return topo;
+  return topo.build();
 }
 
-void Topology::connect_within_radius(double radius) {
+void TopologyBuilder::connect_within_radius(double radius) {
   const std::size_t n = node_count();
   if (n < 2) return;
   double min_x = positions_[0].x, max_x = min_x;
@@ -238,14 +269,7 @@ void Topology::connect_within_radius(double radius) {
 Topology Topology::random_geometric(std::size_t n, double side, double radius,
                                     sim::RandomStream& rng) {
   if (n == 0) throw std::invalid_argument("Topology::random_geometric: n == 0");
-  Topology topo;
-  topo.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    topo.add_node({rng.uniform(0.0, side), rng.uniform(0.0, side)});
-  }
-  topo.connect_within_radius(radius);
-  topo.set_sink(0);
-  return topo;
+  return random_geometric_multi_sink(n, side, radius, 1, rng);
 }
 
 Topology Topology::random_geometric_multi_sink(std::size_t n, double side,
@@ -256,16 +280,22 @@ Topology Topology::random_geometric_multi_sink(std::size_t n, double side,
     throw std::invalid_argument(
         "Topology::random_geometric_multi_sink: need 1 <= sink_count <= n");
   }
-  Topology topo = random_geometric(n, side, radius, rng);
+  TopologyBuilder topo;
+  topo.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    topo.add_node({rng.uniform(0.0, side), rng.uniform(0.0, side)});
+  }
+  topo.connect_within_radius(radius);
+  topo.set_sink(0);
   for (std::size_t s = 1; s < sink_count; ++s) {
     topo.add_sink(static_cast<NodeId>(s));
   }
-  return topo;
+  return topo.build();
 }
 
 Topology Topology::star(std::size_t leaves) {
   if (leaves == 0) throw std::invalid_argument("Topology::star: no leaves");
-  Topology topo;
+  TopologyBuilder topo;
   topo.reserve(leaves + 1, leaves);
   const NodeId hub = topo.add_node({0.0, 0.0});
   topo.set_sink(hub);
@@ -275,11 +305,11 @@ Topology Topology::star(std::size_t leaves) {
     const NodeId leaf = topo.add_node({std::cos(angle), std::sin(angle)});
     topo.add_edge(hub, leaf);
   }
-  return topo;
+  return topo.build();
 }
 
 Topology Topology::binary_tree(std::size_t depth) {
-  Topology topo;
+  TopologyBuilder topo;
   const std::size_t nodes = (std::size_t{1} << (depth + 1)) - 1;
   topo.reserve(nodes, nodes);
   for (std::size_t i = 0; i < nodes; ++i) {
@@ -293,7 +323,7 @@ Topology Topology::binary_tree(std::size_t depth) {
     topo.add_edge(static_cast<NodeId>(i), static_cast<NodeId>((i - 1) / 2));
   }
   topo.set_sink(0);
-  return topo;
+  return topo.build();
 }
 
 ConvergingPaths Topology::converging_paths(
@@ -307,8 +337,8 @@ ConvergingPaths Topology::converging_paths(
           "converging_paths: each hop count must exceed the shared tail");
     }
   }
-  ConvergingPaths result;
-  Topology& topo = result.topology;
+  TopologyBuilder topo;
+  std::vector<NodeId> sources;
 
   // Shared trunk: junction -> t1 -> ... -> sink, i.e. shared_tail hops from
   // the junction to the sink. With shared_tail == 0 branches join the sink
@@ -337,9 +367,9 @@ ConvergingPaths Topology::converging_paths(
       topo.add_edge(prev, next);
       prev = next;
     }
-    result.sources.push_back(prev);
+    sources.push_back(prev);
   }
-  return result;
+  return {topo.build(), std::move(sources)};
 }
 
 ConvergingPaths Topology::paper_figure1() {

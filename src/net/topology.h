@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -9,8 +10,6 @@
 #include "sim/random.h"
 
 namespace tempriv::net {
-
-class Topology;
 
 /// A built multi-branch topology plus the source node id of each branch
 /// (see Topology::converging_paths / Topology::paper_figure1).
@@ -23,63 +22,54 @@ struct Position {
   double y = 0.0;
 };
 
-/// An undirected connectivity graph of sensor nodes plus one or more
-/// designated sinks. Construction helpers cover the topologies used across
-/// the evaluation: lines (the paper's §3.3 path model), grids (habitat
-/// monitoring), random-geometric graphs (generic deployments, single- and
-/// multi-sink) and the paper's Figure-1 topology of four source paths
-/// converging on a common sink.
+/// An undirected connectivity graph of sensor nodes, one or more designated
+/// sinks and the BFS routing tree toward them. Construction helpers cover the
+/// topologies used across the evaluation: lines (the paper's §3.3 path
+/// model), grids (habitat monitoring), random-geometric graphs (generic
+/// deployments, single- and multi-sink) and the paper's Figure-1 topology of
+/// four source paths converging on a common sink.
 ///
-/// Storage is CSR-only: add_edge appends to a pending edge list in O(1)
-/// (duplicates and ordering are tolerated), and the next adjacency query
-/// merges the pending edges into the CSR index — an (n+1)-entry offset array
-/// over one packed, per-row-sorted, deduplicated neighbor array — and frees
-/// the pending list. Once built, a 10⁶-node geometric graph costs its
-/// positions and two flat arrays: no pair list, no per-node vectors. The
-/// CSR cache is mutable state: finish mutating (or issue one query) before
-/// sharing a const Topology across threads.
+/// A Topology is an immutable, cheap-to-copy handle over one built field:
+/// positions, sinks, a CSR index (an (n+1)-entry offset array over one
+/// packed, per-row-sorted, deduplicated neighbor array) and the routing tree
+/// from the field's one BFS. Copies, RoutingTables and Networks share the
+/// field instead of copying it, and any number of threads may read it.
 class Topology {
  public:
-  /// Adds a node at `pos`; returns its id (dense, starting at 0).
-  NodeId add_node(Position pos = {});
+  // Copy-only, so no moved-from handle is ever left null.
+  Topology(const Topology&) = default;
+  Topology& operator=(const Topology&) = default;
 
-  /// Adds an undirected edge in O(1); self-loops are ignored and duplicates
-  /// are tolerated (collapsed when the CSR index is built).
-  /// Throws std::out_of_range for unknown node ids.
-  void add_edge(NodeId a, NodeId b);
+  std::size_t node_count() const noexcept { return field_->positions.size(); }
 
-  /// Pre-sizes the node array and the pending edge list so bulk
-  /// construction never reallocates mid-loop.
-  void reserve(std::size_t nodes, std::size_t edges = 0);
+  /// Unique undirected edges.
+  std::size_t edge_count() const noexcept { return field_->nbrs.size() / 2; }
 
-  std::size_t node_count() const noexcept { return positions_.size(); }
-
-  /// Unique undirected edges (builds the CSR index if stale).
-  std::size_t edge_count() const;
-
-  /// Neighbors of `id`, sorted ascending, valid until the next mutation.
-  /// Throws std::out_of_range for unknown node ids.
+  /// Neighbors of `id`, sorted ascending; valid while any copy of this
+  /// handle lives. Throws std::out_of_range for unknown node ids.
   std::span<const NodeId> neighbors(NodeId id) const;
 
   const Position& position(NodeId id) const;
 
   /// O(log deg) binary search over the CSR row; false for unknown ids.
-  bool has_edge(NodeId a, NodeId b) const;
+  bool has_edge(NodeId a, NodeId b) const noexcept;
+
+  /// The CSR index itself, for consumers that cache it: row i of
+  /// adjacency() spans [row_offsets()[i], row_offsets()[i + 1]).
+  std::span<const std::uint32_t> row_offsets() const noexcept {
+    return field_->offsets;
+  }
+  std::span<const NodeId> adjacency() const noexcept { return field_->nbrs; }
 
   /// The primary sink (first registered); kInvalidNode when none is set.
   NodeId sink() const noexcept {
-    return sinks_.empty() ? kInvalidNode : sinks_.front();
+    return field_->sinks.empty() ? kInvalidNode : field_->sinks.front();
   }
-  /// Makes `id` the sole sink (replaces any previously registered sinks).
-  void set_sink(NodeId id);
-  /// Registers an additional sink (ignored if already registered). Routing
-  /// built over a multi-sink topology sends each node to its nearest sink.
-  void add_sink(NodeId id);
-  std::span<const NodeId> sinks() const noexcept { return sinks_; }
+  std::span<const NodeId> sinks() const noexcept { return field_->sinks; }
   bool is_sink(NodeId id) const noexcept;
 
-  /// Heap bytes held by the positions, the sinks, the CSR index and any
-  /// edges still pending (none once the index is built).
+  /// Heap bytes held by the positions, the sinks and the CSR index. The
+  /// routing tree reports through RoutingTable::memory_bytes().
   std::size_t memory_bytes() const noexcept;
 
   /// Line S = node0 — node1 — ... — node(n-1) = sink. Requires n >= 2.
@@ -131,21 +121,70 @@ class Topology {
   static ConvergingPaths paper_figure1();
 
  private:
-  void ensure_csr() const;
+  friend class TopologyBuilder;
+  friend class RoutingTable;
+
+  /// One built field. Never written after TopologyBuilder::build().
+  struct Field {
+    std::vector<Position> positions;
+    std::vector<NodeId> sinks;
+    // CSR adjacency: row i = nbrs[offsets[i]..offsets[i+1]).
+    std::vector<std::uint32_t> offsets;
+    std::vector<NodeId> nbrs;
+    // Shortest-path tree toward the nearest sink (see RoutingTable).
+    std::vector<NodeId> next_hop;
+    std::vector<std::uint16_t> hops;
+    std::vector<NodeId> sink_of;  // doubles as the reachability mark
+    std::size_t unreachable = 0;
+    bool route_overflow = false;  // a route > 65535 hops; tree incomplete
+  };
+
+  explicit Topology(std::shared_ptr<const Field> field) noexcept
+      : field_(std::move(field)) {}
+
+  std::shared_ptr<const Field> field_;  // never null
+};
+
+/// Collects nodes, edges and sinks, then build()s the immutable Topology —
+/// the only way to make one (the Topology factories use it too).
+class TopologyBuilder {
+ public:
+  /// Adds a node at `pos`; returns its id (dense, starting at 0).
+  NodeId add_node(Position pos = {});
+
+  /// Adds an undirected edge in O(1); self-loops are ignored and duplicates
+  /// are tolerated (collapsed by build()).
+  /// Throws std::out_of_range for unknown node ids.
+  void add_edge(NodeId a, NodeId b);
+
+  /// Makes `id` the sole sink (replaces any previously registered sinks).
+  /// Throws std::out_of_range for unknown node ids.
+  void set_sink(NodeId id);
+  /// Registers an additional sink (ignored if already registered). Routing
+  /// over a multi-sink topology sends each node to its nearest sink.
+  void add_sink(NodeId id);
+
+  /// Pre-sizes the node array and the edge list so bulk construction never
+  /// reallocates mid-loop.
+  void reserve(std::size_t nodes, std::size_t edges = 0);
+
+  std::size_t node_count() const noexcept { return positions_.size(); }
+
+  /// Packs the edges into the CSR index, frees the edge list and builds the
+  /// routing tree (one multi-source BFS). A route longer than 65535 hops is
+  /// recorded, not thrown: RoutingTable throws when given such a topology.
+  /// Leaves the builder empty.
+  Topology build();
+
+ private:
+  friend class Topology;
   /// Spatial-hash edge discovery over the current positions (see
-  /// random_geometric).
+  /// Topology::random_geometric).
   void connect_within_radius(double radius);
 
   std::vector<Position> positions_;
   std::vector<NodeId> sinks_;
-
-  // Edges added since the last CSR build; dups collapse in the CSR. Mutable
-  // because the build, run from const queries, empties and frees it.
-  mutable std::vector<std::pair<NodeId, NodeId>> pending_;
-  // Lazily (re)built CSR adjacency: row i = nbrs_[offsets_[i]..offsets_[i+1]).
-  mutable std::vector<std::uint32_t> offsets_;
-  mutable std::vector<NodeId> nbrs_;
-  mutable bool csr_dirty_ = true;
+  std::vector<std::pair<NodeId, NodeId>> edges_;  // dups collapse in build()
 };
 
 struct ConvergingPaths {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -23,6 +24,18 @@ crypto::PayloadCodec& test_codec() {
 crypto::SealedPayload sealed_at(double creation, NodeId origin,
                                 std::uint32_t seq = 0) {
   return test_codec().seal({1.0, seq, creation}, origin);
+}
+
+/// Line 0 - 1 - ... - (n-1) with the sink at n-1, as Topology::line builds
+/// it, plus `extra_sinks` registered after it and one unconnected node n.
+Topology line_with_island(std::size_t n,
+                          std::initializer_list<NodeId> extra_sinks = {}) {
+  TopologyBuilder builder;
+  for (std::size_t i = 0; i <= n; ++i) builder.add_node();
+  for (NodeId i = 0; i + 1 < n; ++i) builder.add_edge(i, i + 1);
+  builder.set_sink(static_cast<NodeId>(n - 1));
+  for (NodeId sink : extra_sinks) builder.add_sink(sink);
+  return builder.build();
 }
 
 struct RecordingObserver final : SinkObserver {
@@ -77,8 +90,8 @@ TEST(Network, RejectsNonPositiveTau) {
 
 TEST(Network, RejectsBadOrigins) {
   sim::Simulator sim;
-  Topology topo = Topology::line(3);
-  const NodeId island = topo.add_node();
+  const Topology topo = line_with_island(3);
+  const NodeId island = 3;
   Network net(sim, topo, core::DisciplineSpec::immediate(),
               {}, sim::RandomStream(1));
   EXPECT_THROW(net.originate(topo.sink(), sealed_at(0.0, 2)),
@@ -139,8 +152,8 @@ TEST(Network, FailedOriginateDoesNotCountAsOriginated) {
   // only moved on success — but a rejected originate must leave the tally
   // alone and must not burn a uid either.
   sim::Simulator sim;
-  Topology topo = Topology::line(3);
-  const NodeId island = topo.add_node();
+  const Topology topo = line_with_island(3);
+  const NodeId island = 3;
   Network net(sim, topo, core::DisciplineSpec::immediate(),
               {}, sim::RandomStream(1));
   EXPECT_THROW(net.originate(topo.sink(), sealed_at(0.0, 2)),
@@ -165,6 +178,41 @@ TEST(Network, InFlightCountTracksLinkTraversals) {
   EXPECT_EQ(net.packets_in_flight(), 1u);  // parked for the first hop
   sim.run();
   EXPECT_EQ(net.packets_in_flight(), 0u);  // pool drains by run end
+}
+
+TEST(Network, MemoryBytesCountsTheInFlightPool) {
+  sim::Simulator sim;
+  Network net(sim, Topology::line(4), core::DisciplineSpec::immediate(), {},
+              sim::RandomStream(1));
+  const std::size_t before = net.memory_bytes();
+  net.reserve(1000);
+  EXPECT_GE(net.memory_bytes() - before, 1000 * sizeof(Packet));
+}
+
+TEST(Network, NodeContextReportsHopsFromTheRoutingTree) {
+  // A custom discipline that records what its context reports, then
+  // forwards at once.
+  struct HopRecorder final : ForwardingDiscipline {
+    std::vector<std::pair<NodeId, std::uint16_t>>* seen;
+    explicit HopRecorder(std::vector<std::pair<NodeId, std::uint16_t>>* s)
+        : seen(s) {}
+    void on_packet(Packet&& packet, NodeContext& ctx) override {
+      seen->emplace_back(ctx.id(), ctx.hops_to_sink());
+      ctx.transmit(std::move(packet));
+    }
+    std::size_t buffered() const noexcept override { return 0; }
+  };
+  std::vector<std::pair<NodeId, std::uint16_t>> seen;
+  sim::Simulator sim;
+  Network net(sim, Topology::line(4),
+              core::DisciplineSpec::custom(
+                  [&seen] { return std::make_unique<HopRecorder>(&seen); }),
+              {}, sim::RandomStream(1));
+  net.originate(0, sealed_at(0.0, 0));
+  sim.run();
+  const std::vector<std::pair<NodeId, std::uint16_t>> expected = {
+      {0, 3}, {1, 2}, {2, 1}};
+  EXPECT_EQ(seen, expected);
 }
 
 TEST(Network, HopCountCountsActualPathNotTopologySize) {
@@ -413,8 +461,7 @@ TEST(Network, MultiSinkDeliversToNearestSink) {
   // Line 0-1-2-3-4 with sinks at both ends: each node routes to its nearest
   // sink (node 1 → sink 0 at 1 hop, node 3 → sink 4 at 1 hop).
   sim::Simulator sim;
-  Topology topo = Topology::line(5);  // sink at 4
-  topo.add_sink(0);
+  const Topology topo = line_with_island(5, {0});  // sinks 4 and 0
   const RoutingTable routing(topo);
   EXPECT_EQ(routing.sink_of(1), 0u);
   EXPECT_EQ(routing.sink_of(3), 4u);

@@ -145,8 +145,12 @@ TEST(PhantomRouting, ZeroWalkEqualsTreeRouting) {
 }
 
 TEST(PhantomRouting, RejectsDisconnectedTopology) {
-  Topology topo = Topology::line(3);
-  topo.add_node();  // island
+  TopologyBuilder builder;
+  for (int i = 0; i < 4; ++i) builder.add_node();  // node 3 is an island
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);
+  builder.set_sink(2);
+  const Topology topo = builder.build();
   const RoutingTable routing(topo);
   EXPECT_THROW(phantom_routing_selector(topo, routing, 3),
                std::invalid_argument);

@@ -9,8 +9,9 @@ namespace tempriv::net {
 namespace {
 
 TEST(RoutingTable, RequiresSink) {
-  Topology topo;
-  topo.add_node();
+  TopologyBuilder builder;
+  builder.add_node();
+  const Topology topo = builder.build();
   EXPECT_THROW(RoutingTable{topo}, std::invalid_argument);
 }
 
@@ -50,9 +51,14 @@ TEST(RoutingTable, PathToSinkIsConsistent) {
 }
 
 TEST(RoutingTable, DisconnectedNodesAreUnreachable) {
-  Topology topo = Topology::line(3);
-  const NodeId island = topo.add_node();
-  const RoutingTable routing(topo);
+  // Line 0 - 1 - 2 = sink, plus an unconnected node 3.
+  TopologyBuilder builder;
+  for (int i = 0; i < 4; ++i) builder.add_node();
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);
+  builder.set_sink(2);
+  const NodeId island = 3;
+  const RoutingTable routing(builder.build());
   EXPECT_FALSE(routing.reachable(island));
   EXPECT_FALSE(routing.fully_connected());
   EXPECT_THROW(routing.hops_to_sink(island), std::out_of_range);
@@ -63,13 +69,14 @@ TEST(RoutingTable, DisconnectedNodesAreUnreachable) {
 TEST(RoutingTable, DeterministicParentSelection) {
   // Diamond: 0 and 1 both one hop from sink 3; node 2 connects to both.
   // BFS with sorted neighbor order must always pick the smaller parent.
-  Topology topo;
-  for (int i = 0; i < 4; ++i) topo.add_node();
-  topo.set_sink(3);
-  topo.add_edge(3, 0);
-  topo.add_edge(3, 1);
-  topo.add_edge(0, 2);
-  topo.add_edge(1, 2);
+  TopologyBuilder builder;
+  for (int i = 0; i < 4; ++i) builder.add_node();
+  builder.set_sink(3);
+  builder.add_edge(3, 0);
+  builder.add_edge(3, 1);
+  builder.add_edge(0, 2);
+  builder.add_edge(1, 2);
+  const Topology topo = builder.build();
   const RoutingTable a(topo);
   const RoutingTable b(topo);
   EXPECT_EQ(a.next_hop(2), 0u);
@@ -97,6 +104,18 @@ TEST(RoutingTable, RouteLongerThanHopCountThrows) {
       EXPECT_NE(std::string(e.what()).find("65535"), std::string::npos) << e.what();
     }
   }
+}
+
+TEST(RoutingTable, SharesTheTopologysTree) {
+  // Construction copies no array: two tables over one field read the same
+  // tree memory, and each reports that tree's exact size.
+  const Topology topo = Topology::grid(8, 8);
+  const RoutingTable a(topo);
+  const RoutingTable b(topo);
+  EXPECT_EQ(a.next_hops().data(), b.next_hops().data());
+  EXPECT_EQ(a.next_hops().size(), topo.node_count());
+  EXPECT_EQ(a.memory_bytes(), b.memory_bytes());
+  EXPECT_EQ(a.memory_bytes(), 64 * (2 * sizeof(NodeId) + sizeof(std::uint16_t)));
 }
 
 TEST(RoutingTable, ValidatesIds) {

@@ -25,22 +25,24 @@ namespace {
 /// expressions the production builder must match bit-for-bit.
 Topology brute_force_geometric(std::size_t n, double side, double radius,
                                sim::RandomStream& rng) {
-  Topology topo;
+  std::vector<Position> positions;
   for (std::size_t i = 0; i < n; ++i) {
-    topo.add_node({rng.uniform(0.0, side), rng.uniform(0.0, side)});
+    positions.push_back({rng.uniform(0.0, side), rng.uniform(0.0, side)});
   }
+  TopologyBuilder topo;
+  for (const Position& p : positions) topo.add_node(p);
   const double r2 = radius * radius;
   for (NodeId a = 0; a < n; ++a) {
     for (NodeId b = a + 1; b < n; ++b) {
-      const Position& pa = topo.position(a);
-      const Position& pb = topo.position(b);
+      const Position& pa = positions[a];
+      const Position& pb = positions[b];
       const double dx = pa.x - pb.x;
       const double dy = pa.y - pb.y;
       if (dx * dx + dy * dy <= r2) topo.add_edge(a, b);
     }
   }
   topo.set_sink(0);
-  return topo;
+  return topo.build();
 }
 
 /// Checks the CSR invariants and cross-checks every row against has_edge.
@@ -81,15 +83,16 @@ TEST(TopologyCsr, AllFactoriesProduceWellFormedAdjacency) {
 TEST(TopologyCsr, MatchesIncrementalEdgeInsertion) {
   // Hand-built graph with duplicate and reversed insertions: the CSR rows
   // must collapse them and agree with the de-duplicated edge set.
-  Topology topo;
-  for (int i = 0; i < 6; ++i) topo.add_node();
+  TopologyBuilder builder;
+  for (int i = 0; i < 6; ++i) builder.add_node();
   const std::vector<std::pair<NodeId, NodeId>> inserted = {
       {0, 1}, {1, 0}, {0, 1}, {2, 5}, {4, 3}, {3, 4}, {1, 5}, {0, 5}};
   std::set<std::pair<NodeId, NodeId>> unique;
   for (const auto& [a, b] : inserted) {
-    topo.add_edge(a, b);
+    builder.add_edge(a, b);
     unique.emplace(std::min(a, b), std::max(a, b));
   }
+  const Topology topo = builder.build();
   EXPECT_EQ(topo.edge_count(), unique.size());
   for (NodeId id = 0; id < topo.node_count(); ++id) {
     std::vector<NodeId> expected;
@@ -104,45 +107,42 @@ TEST(TopologyCsr, MatchesIncrementalEdgeInsertion) {
   expect_csr_well_formed(topo);
 }
 
-TEST(TopologyCsr, RebuildsAfterMutation) {
-  Topology topo;
-  for (int i = 0; i < 4; ++i) topo.add_node();
-  topo.add_edge(0, 1);
-  EXPECT_EQ(topo.neighbors(0).size(), 1u);  // builds the CSR index
-  topo.add_edge(0, 2);                      // invalidates it
-  EXPECT_EQ(topo.neighbors(0).size(), 2u);  // rebuilt lazily
-  EXPECT_TRUE(topo.has_edge(0, 2));
-  const NodeId added = topo.add_node();
-  EXPECT_EQ(topo.neighbors(added).size(), 0u);
-  // More edges after the index is built: two new ones, a duplicate of an
-  // indexed edge and a self-loop. The rebuild merges them into the rows.
-  topo.add_edge(3, added);
-  topo.add_edge(1, 0);
-  topo.add_edge(2, 2);
-  topo.add_edge(added, 1);
+TEST(TopologyCsr, BuilderDuplicatesAndSelfLoopsMatchUpfrontBuild) {
+  // A builder fed duplicates (both orientations) and self-loops, interleaved
+  // with add_node, must build the same rows as one given each edge once.
+  TopologyBuilder messy;
+  for (int i = 0; i < 4; ++i) messy.add_node();
+  messy.add_edge(0, 1);
+  messy.add_edge(0, 2);
+  messy.add_edge(2, 2);
+  const NodeId added = messy.add_node();
+  messy.add_edge(3, added);
+  messy.add_edge(1, 0);
+  messy.add_edge(0, 1);
+  messy.add_edge(added, added);
+  messy.add_edge(added, 1);
+  const Topology topo = messy.build();
 
-  Topology upfront;
-  for (int i = 0; i < 5; ++i) upfront.add_node();
+  TopologyBuilder clean;
+  for (int i = 0; i < 5; ++i) clean.add_node();
   for (const auto& [a, b] : std::vector<std::pair<NodeId, NodeId>>{
-           {0, 1}, {0, 2}, {3, 4}, {1, 0}, {2, 2}, {4, 1}}) {
-    upfront.add_edge(a, b);
+           {0, 1}, {0, 2}, {3, 4}, {4, 1}}) {
+    clean.add_edge(a, b);
   }
+  const Topology upfront = clean.build();
   EXPECT_EQ(topo.edge_count(), 4u);
   EXPECT_EQ(topo.edge_count(), upfront.edge_count());
+  EXPECT_TRUE(std::ranges::equal(topo.row_offsets(), upfront.row_offsets()));
   for (NodeId id = 0; id < upfront.node_count(); ++id) {
     EXPECT_TRUE(std::ranges::equal(topo.neighbors(id), upfront.neighbors(id)))
         << "node " << id;
   }
   expect_csr_well_formed(topo);
-  // Same arrays either way: no pair list left over from the mutations.
-  EXPECT_EQ(topo.memory_bytes(), upfront.memory_bytes());
 
-  // line() sizes every array exactly, so the accounting is exact: the
-  // pending pairs count until the index is built, which frees them.
-  Topology line = Topology::line(100);
+  // line() sizes every array exactly, so the accounting is exact: a built
+  // topology holds positions, the sink and the CSR index, no edge list.
+  const Topology line = Topology::line(100);
   const std::size_t nodes_and_sink = 100 * sizeof(Position) + sizeof(NodeId);
-  EXPECT_EQ(line.memory_bytes(),
-            nodes_and_sink + 99 * sizeof(std::pair<NodeId, NodeId>));
   EXPECT_EQ(line.edge_count(), 99u);
   EXPECT_EQ(line.memory_bytes(), nodes_and_sink + 101 * sizeof(std::uint32_t) +
                                      2 * 99 * sizeof(NodeId));
@@ -237,14 +237,17 @@ TEST(TopologyCsr, MultiSinkGeometricPlacementsMatchSingleSink) {
 TEST(TopologyCsr, NearestSinkRoutingAndCoverageDiagnostics) {
   // Two 3-node islands, one sink each, plus one disconnected node: routing
   // must assign each island to its own sink and count the stray.
-  Topology topo;
-  for (int i = 0; i < 7; ++i) topo.add_node();
-  topo.add_edge(0, 1);
-  topo.add_edge(1, 2);
-  topo.add_edge(3, 4);
-  topo.add_edge(4, 5);
-  topo.set_sink(0);
-  topo.add_sink(3);
+  TopologyBuilder builder;
+  for (int i = 0; i < 7; ++i) builder.add_node();
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);
+  builder.add_edge(3, 4);
+  builder.add_edge(4, 5);
+  builder.set_sink(0);
+  builder.add_sink(3);
+  builder.add_sink(3);  // already registered: ignored
+  const Topology topo = builder.build();
+  EXPECT_EQ(topo.sinks().size(), 2u);
   const RoutingTable routing(topo);
   EXPECT_EQ(routing.sink_of(2), 0u);
   EXPECT_EQ(routing.sink_of(5), 3u);
@@ -257,9 +260,12 @@ TEST(TopologyCsr, NearestSinkRoutingAndCoverageDiagnostics) {
   EXPECT_FALSE(routing.reachable(6));
 
   // Fully covered multi-sink graph reports zero unreachable.
-  Topology line = Topology::line(6);
+  TopologyBuilder line;
+  for (int i = 0; i < 6; ++i) line.add_node();
+  for (NodeId i = 0; i + 1 < 6; ++i) line.add_edge(i, i + 1);
+  line.set_sink(5);
   line.add_sink(0);
-  const RoutingTable covered(line);
+  const RoutingTable covered(line.build());
   EXPECT_EQ(covered.unreachable_count(), 0u);
   EXPECT_TRUE(covered.fully_connected());
 }
@@ -267,14 +273,14 @@ TEST(TopologyCsr, NearestSinkRoutingAndCoverageDiagnostics) {
 TEST(TopologyCsr, SingleSinkRoutingUnchangedByRewrite) {
   // The historical deterministic-parent contract: among equal-distance
   // parents the smaller id wins (diamond 0-{1,2}-3, sink 0).
-  Topology topo;
-  for (int i = 0; i < 4; ++i) topo.add_node();
-  topo.add_edge(0, 1);
-  topo.add_edge(0, 2);
-  topo.add_edge(1, 3);
-  topo.add_edge(2, 3);
-  topo.set_sink(0);
-  const RoutingTable routing(topo);
+  TopologyBuilder builder;
+  for (int i = 0; i < 4; ++i) builder.add_node();
+  builder.add_edge(0, 1);
+  builder.add_edge(0, 2);
+  builder.add_edge(1, 3);
+  builder.add_edge(2, 3);
+  builder.set_sink(0);
+  const RoutingTable routing(builder.build());
   EXPECT_EQ(routing.next_hop(3), 1u);
   EXPECT_EQ(routing.sink_of(3), 0u);
   EXPECT_EQ(routing.unreachable_count(), 0u);
@@ -283,7 +289,6 @@ TEST(TopologyCsr, SingleSinkRoutingUnchangedByRewrite) {
 TEST(TopologyCsr, MemoryAccountingScalesWithGraphNotObjects) {
   sim::RandomStream rng(7);
   const Topology topo = Topology::random_geometric(2000, 44.7, 1.8, rng);
-  topo.edge_count();  // force the CSR build
   const RoutingTable routing(topo);
   // Flat arrays only: a few dozen bytes per node + 8 per directed edge.
   EXPECT_GT(topo.memory_bytes(), 2000 * sizeof(Position));

@@ -11,12 +11,16 @@ namespace tempriv::net {
 namespace {
 
 TEST(Topology, AddNodesAndEdges) {
-  Topology topo;
-  const NodeId a = topo.add_node({1.0, 2.0});
-  const NodeId b = topo.add_node();
-  EXPECT_EQ(topo.node_count(), 2u);
-  EXPECT_FALSE(topo.has_edge(a, b));
-  topo.add_edge(a, b);
+  TopologyBuilder builder;
+  const NodeId a = builder.add_node({1.0, 2.0});
+  const NodeId b = builder.add_node();
+  EXPECT_EQ(builder.node_count(), 2u);
+  const Topology isolated = TopologyBuilder(builder).build();
+  EXPECT_EQ(isolated.node_count(), 2u);
+  EXPECT_FALSE(isolated.has_edge(a, b));
+  builder.add_edge(a, b);
+  const Topology topo = builder.build();
+  EXPECT_EQ(builder.node_count(), 0u);  // build() empties the builder
   EXPECT_TRUE(topo.has_edge(a, b));
   EXPECT_TRUE(topo.has_edge(b, a));
   EXPECT_DOUBLE_EQ(topo.position(a).x, 1.0);
@@ -24,23 +28,28 @@ TEST(Topology, AddNodesAndEdges) {
 }
 
 TEST(Topology, IgnoresSelfLoopsAndDuplicates) {
-  Topology topo;
-  const NodeId a = topo.add_node();
-  const NodeId b = topo.add_node();
-  topo.add_edge(a, a);
+  TopologyBuilder builder;
+  const NodeId a = builder.add_node();
+  const NodeId b = builder.add_node();
+  builder.add_edge(a, a);
+  builder.add_edge(a, b);
+  builder.add_edge(a, b);
+  const Topology topo = builder.build();
   EXPECT_FALSE(topo.has_edge(a, a));
-  topo.add_edge(a, b);
-  topo.add_edge(a, b);
   EXPECT_EQ(topo.neighbors(a).size(), 1u);
+  EXPECT_EQ(topo.edge_count(), 1u);
 }
 
 TEST(Topology, ValidatesIds) {
-  Topology topo;
-  topo.add_node();
-  EXPECT_THROW(topo.add_edge(0, 5), std::out_of_range);
+  TopologyBuilder builder;
+  builder.add_node();
+  EXPECT_THROW(builder.add_edge(0, 5), std::out_of_range);
+  EXPECT_THROW(builder.set_sink(9), std::out_of_range);
+  EXPECT_THROW(builder.add_sink(9), std::out_of_range);
+  const Topology topo = builder.build();
   EXPECT_THROW(topo.neighbors(9), std::out_of_range);
   EXPECT_THROW(topo.position(9), std::out_of_range);
-  EXPECT_THROW(topo.set_sink(9), std::out_of_range);
+  EXPECT_FALSE(topo.has_edge(0, 9));
   EXPECT_EQ(topo.sink(), kInvalidNode);
 }
 

@@ -283,10 +283,11 @@ TEST(AllocGuard, WarmBatchSealAndOriginateAllocatesNothing) {
 }
 
 TEST(AllocGuard, TopologyAndRoutingAllocationsScaleWithArraysNotNodes) {
-  // The million-node contract: building a geometric topology, its CSR
-  // index, the routing table, and a spec-constructed network must cost a
-  // bounded number of allocations (one per flat array plus geometric
-  // vector growth), never one-or-more per node. With per-node objects this
+  // The million-node contract: building a geometric topology (positions,
+  // CSR index and routing tree in one build), the routing table handle and
+  // a spec-constructed network must cost a bounded number of allocations
+  // (one per flat array plus geometric vector growth), never one-or-more
+  // per node. With per-node objects this
   // count was >= n; the bound below leaves two orders of magnitude of
   // headroom at n = 20000.
   constexpr std::size_t kNodes = 20000;
@@ -294,7 +295,6 @@ TEST(AllocGuard, TopologyAndRoutingAllocationsScaleWithArraysNotNodes) {
   const std::size_t before_build = allocations();
   const net::Topology topo = net::Topology::random_geometric_multi_sink(
       kNodes, 141.4, 1.8, 8, rng);  // unit density, mean degree ~10
-  topo.edge_count();                // force the CSR build
   const net::RoutingTable routing(topo);
   const std::size_t graph_allocs = allocations() - before_build;
   EXPECT_LT(graph_allocs, 200u)
@@ -308,8 +308,8 @@ TEST(AllocGuard, TopologyAndRoutingAllocationsScaleWithArraysNotNodes) {
                              core::DisciplineSpec::rcad_exponential(30.0, 10),
                              {}, RandomStream(42));
   const std::size_t net_allocs = allocations() - before_net;
-  // Flat arrays only — the topology/routing copies, the per-node arrays and
-  // the buffer slab's queue heads and one-entry config table. The slab
+  // Flat arrays only — the per-node arrays and the buffer slab's queue heads
+  // and one-entry config table; the topology and routing tree are shared. The slab
   // allocates slots and victim blocks when packets arrive, never per node,
   // so the count does not depend on the node count at all.
   EXPECT_LT(net_allocs, 64u)
