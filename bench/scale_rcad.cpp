@@ -1,4 +1,4 @@
-// Scale benchmark for the structure-of-arrays network: builds a uniform-
+// Scale benchmark for the million-node network: builds a uniform-
 // density random-geometric sensor field with multiple sinks, constructs the
 // CSR adjacency, nearest-sink routing and a spec-configured RCAD network,
 // then (in --mode full) drives Poisson traffic from a sample of sources

@@ -29,8 +29,9 @@ const char* to_string(VictimPolicy policy) noexcept;
 /// cancelling a scheduled release so a packet can be ejected early (the
 /// RCAD preemption primitive).
 ///
-/// One DelayBuffer is a slab serving any number of queues — one per sensor
-/// node in a Network, a single queue inside a stand-alone discipline. Its
+/// One DelayBuffer is a slab serving any number of queues — one per
+/// buffering node in a Network (made when a packet first reaches the node,
+/// under a single spec), a single queue inside a stand-alone discipline. Its
 /// memory is sized by the packets held, not by queues × capacity:
 ///
 ///  - **Slots.** One free-listed slot vector shared by every queue. A slot
@@ -108,8 +109,6 @@ class DelayBuffer {
   /// Adds an empty queue using configuration `config` and returns its id
   /// (ids are dense, in creation order).
   QueueId add_queue(std::uint32_t config);
-  /// Pre-sizes the queue-head table for `queues` queues.
-  void reserve_queues(std::size_t queues) { queues_.reserve(queues); }
 
   std::size_t queue_count() const noexcept { return queues_.size(); }
   const QueueConfig& config(QueueId queue) const noexcept {

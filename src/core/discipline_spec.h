@@ -11,8 +11,8 @@
 namespace tempriv::core {
 
 /// Value-type description of one node's forwarding policy — the only way to
-/// configure a node. Network lays node state out in its flat per-node arrays
-/// directly from it: a buffering built-in becomes one queue of the
+/// configure a node. Network lays node state out in its flat per-node
+/// records directly from it: a buffering built-in becomes one queue of the
 /// network-wide DelayBuffer slab, immediate forwarding is a role byte, and
 /// only kCustom keeps a discipline object (built by `factory`). Give one spec
 /// to every node, or one per node (§3.3 sink weighting, mixed networks).

@@ -21,7 +21,6 @@ class NodeContext {
   /// Node-private deterministic random stream (split from the network root).
   virtual sim::RandomStream& rng() noexcept = 0;
   virtual NodeId id() const noexcept = 0;
-  virtual std::uint16_t hops_to_sink() const noexcept = 0;
 
   /// Hands the packet to the link layer *now*: it will arrive at the next
   /// hop after the configured transmission delay. Each buffered packet must
@@ -33,7 +32,7 @@ class NodeContext {
 /// the comparators in src/core/comparators.h and src/core/erlang_tuned.h.
 /// The paper's built-in schemes — immediate forwarding, unlimited delaying,
 /// drop-tail and RCAD — are not objects: core::DisciplineSpec describes
-/// them and Network runs them from flat per-node arrays.
+/// them and Network runs them from its flat per-node records.
 ///
 /// Contract: for every on_packet() call the discipline eventually calls
 /// ctx.transmit() exactly once for that packet (immediately, from a later

@@ -30,43 +30,35 @@ Network::Network(sim::Simulator& simulator, const Topology& topology,
       next_hop_(routing_.next_hops()),
       row_offsets_(topology_.row_offsets()),
       adjacency_(topology_.adjacency()),
-      config_(config) {
+      config_(config),
+      root_rng_(root_rng) {
   if (config_.hop_tx_delay <= 0.0) {
     throw std::invalid_argument("Network: hop_tx_delay must be positive");
   }
   if (config_.hop_jitter < 0.0) {
     throw std::invalid_argument("Network: hop_jitter must be >= 0");
   }
-  const std::size_t n = topology_.node_count();
-  role_.assign(n, NodeRole::kUnroutable);
-  disc_slot_.assign(n, 0);
-  routing_seq_.assign(n, 0);
-  // Every node gets its private stream, split(id) from the root exactly as
-  // the per-object shells did (split is a pure function of root + id, so
-  // draw sequences are unchanged; sink/unroutable streams are simply idle).
-  rng_.reserve(n);
-  for (NodeId id = 0; id < n; ++id) rng_.push_back(root_rng.split(id));
-  ctx_.reserve(n);
-  for (NodeId id = 0; id < n; ++id) ctx_.emplace_back(this, id);
-  for (NodeId sink : topology_.sinks()) role_[sink] = NodeRole::kSink;
+  index_.assign(topology_.node_count(), kNoRecord);
+  for (NodeId sink : topology_.sinks()) add_record(sink, NodeRole::kSink, 0);
 }
 
 Network::Network(sim::Simulator& simulator, const Topology& topology,
                  const core::DisciplineSpec& spec, NetworkConfig config,
                  const sim::RandomStream& root_rng)
     : Network(simulator, topology, config, root_rng) {
-  std::uint32_t queue_config = 0;
-  if (spec.buffered()) {
-    // One slab configuration for the whole network; every forwarding node
-    // is an empty queue head until packets reach it.
-    queue_config = slab_.add_config(spec.queue_config());
-    std::size_t forwarding = 0;
-    for (NodeId id = 0; id < role_.size(); ++id) forwarding += forwards(id);
-    slab_.reserve_queues(forwarding);
-    losses_.reserve(forwarding);
+  if (spec.kind == core::DisciplineSpec::Kind::kCustom) {
+    // Factories run at construction, so a null one throws here.
+    for (NodeId id = 0; id < index_.size(); ++id) {
+      if (forwards(id)) adopt(id, spec, 0);
+    }
+    return;
   }
-  for (NodeId id = 0; id < role_.size(); ++id) {
-    if (forwards(id)) adopt(id, spec, queue_config);
+  // Built-in specs are adopted on first touch: one slab configuration for
+  // the whole network, and a node's record and queue when a packet first
+  // reaches it.
+  if (spec.buffered()) {
+    touch_role_ = NodeRole::kBuffered;
+    touch_config_ = slab_.add_config(spec.queue_config());
   }
 }
 
@@ -77,7 +69,7 @@ Network::Network(sim::Simulator& simulator, const Topology& topology,
   // Consecutive nodes with equal queue configs share one slab entry.
   std::optional<core::DelayBuffer::QueueConfig> last;
   std::uint32_t queue_config = 0;
-  for (NodeId id = 0; id < role_.size(); ++id) {
+  for (NodeId id = 0; id < index_.size(); ++id) {
     if (!forwards(id)) continue;
     const core::DisciplineSpec spec = specs(id, routing_.hops_to_sink(id));
     if (spec.buffered()) {
@@ -97,7 +89,7 @@ void Network::adopt(NodeId id, const core::DisciplineSpec& spec,
                     std::uint32_t queue_config) {
   switch (spec.kind) {
     case core::DisciplineSpec::Kind::kImmediate:
-      role_[id] = NodeRole::kImmediate;
+      add_record(id, NodeRole::kImmediate, 0);
       return;
     case core::DisciplineSpec::Kind::kCustom: {
       std::unique_ptr<ForwardingDiscipline> built =
@@ -105,28 +97,58 @@ void Network::adopt(NodeId id, const core::DisciplineSpec& spec,
       if (!built) {
         throw std::invalid_argument("Network: custom spec built no discipline");
       }
-      role_[id] = NodeRole::kCustom;
-      disc_slot_[id] = static_cast<std::uint32_t>(custom_.size());
+      add_record(id, NodeRole::kCustom,
+                 static_cast<std::uint32_t>(custom_.size()));
       custom_.push_back(std::move(built));
       return;
     }
     default:
-      role_[id] = NodeRole::kBuffered;
-      disc_slot_[id] = slab_.add_queue(queue_config);
-      losses_.push_back(0);
+      add_record(id, NodeRole::kBuffered, add_queue(queue_config));
   }
 }
 
-void Network::handle(NodeId node, Packet&& packet) {
-  switch (role_[node]) {
+Network::NodeRecord& Network::add_record(NodeId id, NodeRole role,
+                                         std::uint32_t slot) {
+  if (blocks_.empty() || blocks_.back().size() == kRecordsPerBlock) {
+    blocks_.emplace_back().reserve(kRecordsPerBlock);
+  }
+  std::vector<NodeRecord>& block = blocks_.back();
+  index_[id] = static_cast<std::uint32_t>((blocks_.size() - 1) * kRecordsPerBlock +
+                                          block.size());
+  return block.emplace_back(this, id, role, slot);
+}
+
+std::uint32_t Network::add_queue(std::uint32_t queue_config) {
+  losses_.push_back(0);
+  return slab_.add_queue(queue_config);
+}
+
+Network::NodeRecord& Network::first_touch(NodeId id) {
+  if (!forwards(id)) {
+    throw std::logic_error(
+        "Network: packet routed to a node with no route to the sink");
+  }
+  return touch_role_ == NodeRole::kBuffered
+             ? add_record(id, NodeRole::kBuffered, add_queue(touch_config_))
+             : add_record(id, NodeRole::kImmediate, 0);
+}
+
+const Network::NodeRecord* Network::find(NodeId id) const {
+  const std::uint32_t r = index_[id];
+  return r == kNoRecord ? nullptr
+                        : &blocks_[r / kRecordsPerBlock][r % kRecordsPerBlock];
+}
+
+void Network::handle(NodeRecord& node, Packet&& packet) {
+  switch (node.role) {
     case NodeRole::kImmediate:
       TEMPRIV_TLM_COUNT(kNetForwardImmediate);
       transmit_from(node, std::move(packet));
       break;
     case NodeRole::kBuffered: {
-      const std::uint32_t queue = disc_slot_[node];
+      const std::uint32_t queue = node.slot;
       TEMPRIV_TLM_COUNT_AT(forward_counter(slab_.config(queue)));
-      if (slab_.offer(queue, std::move(packet), ctx_[node]) !=
+      if (slab_.offer(queue, std::move(packet), node) !=
           core::DelayBuffer::Admission::kAdmitted) {
         ++losses_[queue];
       }
@@ -134,31 +156,29 @@ void Network::handle(NodeId node, Packet&& packet) {
     }
     case NodeRole::kCustom:
       TEMPRIV_TLM_COUNT(kNetForwardCustom);
-      custom_[disc_slot_[node]]->on_packet(std::move(packet), ctx_[node]);
+      custom_[node.slot]->on_packet(std::move(packet), node);
       break;
     case NodeRole::kSink:
-    case NodeRole::kUnroutable:
       throw std::logic_error("Network: handle() on a node with no discipline");
   }
   probe(node);
 }
 
-void Network::transmit_from(NodeId node, Packet&& packet) {
+void Network::transmit_from(NodeRecord& node, Packet&& packet) {
   // Pick the next hop while the header still shows where the packet came
   // from (selectors use prev_hop to avoid immediate backtracking), then
   // update the cleartext header the way MultiHop does on each forward.
-  sim::RandomStream& rng = rng_[node];
-  const NodeId next = pick_next_hop(node, packet, rng);
-  packet.header.prev_hop = node;
+  const NodeId next = pick_next_hop(node, packet);
+  packet.header.prev_hop = node.node;
   packet.header.hop_count =
       static_cast<std::uint16_t>(packet.header.hop_count + 1);
-  packet.header.routing_seq = routing_seq_[node]++;
+  packet.header.routing_seq = node.routing_seq++;
   if (!transmit_probes_.empty()) [[unlikely]] {
-    dispatch_transmit_probes(node, next, packet);
+    dispatch_transmit_probes(node.node, next, packet);
   }
   double link_delay = config_.hop_tx_delay;
   if (config_.hop_jitter > 0.0) {
-    link_delay += rng.uniform(0.0, config_.hop_jitter);
+    link_delay += node.stream.uniform(0.0, config_.hop_jitter);
   }
   // Park the packet in the pool so the link-delay closure carries only a
   // 16-byte {network, handle} pair — inside the event kernel's inline
@@ -175,8 +195,7 @@ void Network::transmit_from(NodeId node, Packet&& packet) {
 }
 
 std::uint64_t Network::originate(NodeId origin, crypto::SealedPayload payload) {
-  if (origin >= role_.size() || role_[origin] == NodeRole::kSink ||
-      role_[origin] == NodeRole::kUnroutable) {
+  if (!forwards(origin)) {
     throw std::invalid_argument("Network::originate: bad origin node");
   }
   Packet packet;
@@ -188,7 +207,7 @@ std::uint64_t Network::originate(NodeId origin, crypto::SealedPayload payload) {
   packet.uid = uid;
   // The source's own discipline runs first: the source may buffer the packet
   // before its first transmission (the paper's Y0 term, §3.3).
-  handle(origin, std::move(packet));
+  handle(record(origin), std::move(packet));
   // Counted only after the discipline accepted the packet, so a handler that
   // throws does not inflate the originated tally.
   ++originated_;
@@ -198,10 +217,10 @@ std::uint64_t Network::originate(NodeId origin, crypto::SealedPayload payload) {
 std::uint64_t Network::originate_batch(
     NodeId origin, const crypto::PayloadCodec& codec,
     std::span<const crypto::SensorPayload> payloads) {
-  if (origin >= role_.size() || role_[origin] == NodeRole::kSink ||
-      role_[origin] == NodeRole::kUnroutable) {
+  if (!forwards(origin)) {
     throw std::invalid_argument("Network::originate_batch: bad origin node");
   }
+  NodeRecord& source = record(origin);
   const std::uint64_t first_uid = next_uid_;
   // Seal lane-group by lane-group into stack scratch: one key-schedule pass
   // per group, no heap, and a burst of any size stays a flat loop.
@@ -218,7 +237,7 @@ std::uint64_t Network::originate_batch(
       packet.header.hop_count = 0;
       packet.payload = sealed[j];
       packet.uid = next_uid_++;
-      handle(origin, std::move(packet));
+      handle(source, std::move(packet));
       ++originated_;
     }
   }
@@ -246,10 +265,10 @@ void Network::set_hop_selector(HopSelector selector) {
 
 void Network::reserve(std::size_t in_flight) { pool_.reserve(in_flight); }
 
-NodeId Network::pick_next_hop(NodeId current, const Packet& packet,
-                              sim::RandomStream& rng) {
-  if (!hop_selector_) return next_hop_[current];
-  const NodeId next = hop_selector_(current, packet, rng);
+NodeId Network::pick_next_hop(NodeRecord& node, const Packet& packet) {
+  if (!hop_selector_) return node.tree_next;
+  const NodeId current = node.node;
+  const NodeId next = hop_selector_(current, packet, node.stream);
   const NodeId* row = adjacency_.data();
   if (!std::binary_search(row + row_offsets_[current],
                           row + row_offsets_[current + 1], next)) {
@@ -267,18 +286,17 @@ void Network::dispatch_transmit_probes(NodeId from, NodeId to,
 }
 
 void Network::require_discipline(NodeId id) const {
-  if (id >= role_.size() || role_[id] == NodeRole::kSink ||
-      role_[id] == NodeRole::kUnroutable) {
+  if (!forwards(id)) {
     throw std::out_of_range("Network: node has no discipline");
   }
 }
 
-std::size_t Network::buffered_of(NodeId node) const {
-  switch (role_[node]) {
+std::size_t Network::buffered_of(const NodeRecord& node) const {
+  switch (node.role) {
     case NodeRole::kBuffered:
-      return slab_.size(disc_slot_[node]);
+      return slab_.size(node.slot);
     case NodeRole::kCustom:
-      return custom_[disc_slot_[node]]->buffered();
+      return custom_[node.slot]->buffered();
     default:
       return 0;
   }
@@ -286,45 +304,41 @@ std::size_t Network::buffered_of(NodeId node) const {
 
 std::size_t Network::node_buffered(NodeId id) const {
   require_discipline(id);
-  return buffered_of(id);
+  const NodeRecord* node = find(id);
+  return node ? buffered_of(*node) : 0;
 }
 
 std::uint64_t Network::node_preemptions(NodeId id) const {
   require_discipline(id);
-  if (role_[id] == NodeRole::kBuffered) {
-    const std::uint32_t queue = disc_slot_[id];
-    return slab_.config(queue).victim ? losses_[queue] : 0;
+  const NodeRecord* node = find(id);
+  if (node == nullptr) return 0;
+  if (node->role == NodeRole::kBuffered) {
+    return slab_.config(node->slot).victim ? losses_[node->slot] : 0;
   }
-  if (role_[id] == NodeRole::kCustom) {
-    return custom_[disc_slot_[id]]->preemptions();
+  if (node->role == NodeRole::kCustom) {
+    return custom_[node->slot]->preemptions();
   }
   return 0;
 }
 
 std::uint64_t Network::node_drops(NodeId id) const {
   require_discipline(id);
-  if (role_[id] == NodeRole::kBuffered) {
-    const std::uint32_t queue = disc_slot_[id];
-    return slab_.config(queue).victim ? 0 : losses_[queue];
+  const NodeRecord* node = find(id);
+  if (node == nullptr) return 0;
+  if (node->role == NodeRole::kBuffered) {
+    return slab_.config(node->slot).victim ? 0 : losses_[node->slot];
   }
-  if (role_[id] == NodeRole::kCustom) return custom_[disc_slot_[id]]->drops();
+  if (node->role == NodeRole::kCustom) return custom_[node->slot]->drops();
   return 0;
 }
 
-void Network::arrive(NodeId node, Packet&& packet) {
-  if (role_[node] == NodeRole::kSink) {
-    deliver(packet);
+void Network::arrive_from_link(NodeId node, PacketPool::Handle parked) {
+  NodeRecord& arrived = record(node);
+  if (arrived.role == NodeRole::kSink) {
+    deliver(pool_.take(parked));
     return;
   }
-  if (role_[node] == NodeRole::kUnroutable) {
-    throw std::logic_error(
-        "Network: packet routed to a node with no route to the sink");
-  }
-  handle(node, std::move(packet));
-}
-
-void Network::arrive_from_link(NodeId node, PacketPool::Handle handle) {
-  arrive(node, pool_.take(handle));
+  handle(arrived, pool_.take(parked));
 }
 
 void Network::deliver(const Packet& packet) {
@@ -334,9 +348,9 @@ void Network::deliver(const Packet& packet) {
   }
 }
 
-void Network::probe(NodeId node) {
+void Network::probe(const NodeRecord& node) {
   if (occupancy_probe_) {
-    occupancy_probe_(node, simulator_.now(), buffered_of(node));
+    occupancy_probe_(node.node, simulator_.now(), buffered_of(node));
   }
 }
 
@@ -369,11 +383,9 @@ std::size_t Network::total_buffered() const {
 }
 
 std::size_t Network::memory_bytes() const noexcept {
-  return role_.capacity() * sizeof(NodeRole) +
-         disc_slot_.capacity() * sizeof(std::uint32_t) +
-         routing_seq_.capacity() * sizeof(std::uint16_t) +
-         rng_.capacity() * sizeof(sim::RandomStream) +
-         ctx_.capacity() * sizeof(NodeCtx) +
+  return index_.capacity() * sizeof(std::uint32_t) +
+         blocks_.capacity() * sizeof(blocks_[0]) +
+         blocks_.size() * kRecordBlockBytes +
          slab_.memory_bytes() +
          losses_.capacity() * sizeof(std::uint64_t) +
          custom_.capacity() * sizeof(custom_[0]) +

@@ -86,13 +86,19 @@ using NodeSpecs =
 /// Packets are injected at source nodes via originate() and surface at a
 /// sink via SinkObserver callbacks.
 ///
-/// Node state is structure-of-arrays indexed by dense NodeId: per-node role,
-/// RNG stream, routing sequence counter and discipline slot live in parallel
-/// flat vectors, built from core::DisciplineSpec descriptions and
-/// dispatched by a switch on the role byte — no per-node heap objects and
-/// no virtual call on the forwarding hot path. Every buffering node
-/// (unlimited, drop-tail, RCAD) is one queue of a single network-wide
-/// DelayBuffer slab, whose memory follows the packets held rather than
+/// Node state is sized by traffic, not by node count: each node costs one
+/// u32 index into a table of 64-byte records, and a node gets a record —
+/// its role, RNG stream, routing sequence counter, discipline slot and
+/// tree next hop, in one cache line — only when it first needs one. Sinks
+/// and the nodes of a per-node (NodeSpecs) or custom configuration get
+/// theirs at construction; under one built-in spec, a forwarding node gets
+/// its record on its first packet, so a 10⁶-node field whose paths cross a
+/// few percent of the nodes holds records for those only. Records live in
+/// fixed-size blocks and never move, and dispatch is a switch on the
+/// record's role byte — no per-node heap objects and no virtual call on
+/// the forwarding hot path. Every buffering node (unlimited, drop-tail,
+/// RCAD) is one queue of a single network-wide DelayBuffer slab, made with
+/// its record, whose memory follows the packets held rather than
 /// nodes × k, and whose offer() applies the node's arrival rule. Only
 /// DisciplineSpec::custom nodes keep objects and virtual dispatch. The
 /// per-packet path is allocation-free in steady state: packets are flat
@@ -102,9 +108,13 @@ using NodeSpecs =
 class Network {
  public:
   /// Every routable non-sink node gets `spec`. Nodes given one spec share
-  /// its delay distribution and one slab configuration, so per-node cost
-  /// is flat-array slots only — the construction path for very large
-  /// networks. Throws std::invalid_argument if the topology is missing a
+  /// its delay distribution and one slab configuration. A built-in spec is
+  /// adopted on first touch: a node's record (and, for a buffering spec,
+  /// its slab queue) is made when it originates or receives its first
+  /// packet, so construction cost does not grow with the node count — the
+  /// construction path for very large networks. A kCustom spec's factory
+  /// runs at construction, once per routable non-sink node in ascending id
+  /// order. Throws std::invalid_argument if the topology is missing a
   /// sink, if `config.hop_tx_delay` is not positive, or for an invalid
   /// spec (a buffering kind without a distribution or with zero capacity,
   /// a custom kind without a factory).
@@ -167,8 +177,9 @@ class Network {
   sim::Simulator& simulator() noexcept { return simulator_; }
   double hop_tx_delay() const noexcept { return config_.hop_tx_delay; }
 
-  /// Per-node discipline statistics. Throw std::out_of_range for sinks,
-  /// unroutable nodes and unknown ids (those have no discipline).
+  /// Per-node discipline statistics; 0 for a node no packet has reached.
+  /// Throw std::out_of_range for sinks, unroutable nodes and unknown ids
+  /// (those have no discipline).
   std::size_t node_buffered(NodeId id) const;
   std::uint64_t node_preemptions(NodeId id) const;
   std::uint64_t node_drops(NodeId id) const;
@@ -185,60 +196,94 @@ class Network {
   /// arrival).
   std::size_t packets_in_flight() const noexcept { return pool_.in_flight(); }
 
-  /// Heap bytes held by the per-node arrays, the buffer slab and the
-  /// in-flight pool (excludes topology and routing, which report their own).
+  /// Heap bytes held by the per-node index, the node-record blocks, the
+  /// buffer slab and the in-flight pool (excludes topology and routing,
+  /// which report their own).
   std::size_t memory_bytes() const noexcept;
 
-  /// The network-wide buffer slab: one queue per buffering node (custom
-  /// disciplines keep their own buffers). For diagnostics and tests.
+  /// Bytes of one block of node records: records are allocated this many
+  /// bytes at a time.
+  static constexpr std::size_t kRecordBlockBytes = 16 * 1024;
+
+  /// The network-wide buffer slab: one queue per buffering node that has a
+  /// record, in record-creation order (custom disciplines keep their own
+  /// buffers). For diagnostics and tests.
   const core::DelayBuffer& buffer_slab() const noexcept { return slab_; }
 
  private:
   /// What a packet arriving at the node meets — the switch key of the
   /// virtual-free hot path.
   enum class NodeRole : std::uint8_t {
-    kSink,        ///< delivery point; packets surface to the observers
-    kUnroutable,  ///< no path to any sink; arrivals are a logic error
-    kImmediate,   ///< forward on arrival
-    kBuffered,    ///< one slab queue; DelayBuffer::offer() applies its rule
-    kCustom,      ///< discipline object kept; virtual on_packet dispatch
+    kSink,       ///< delivery point; packets surface to the observers
+    kImmediate,  ///< forward on arrival
+    kBuffered,   ///< one slab queue; DelayBuffer::offer() applies its rule
+    kCustom,     ///< discipline object kept; virtual on_packet dispatch
   };
 
-  /// The NodeContext the disciplines and the buffer slab see. One per node
-  /// in a flat vector sized at construction and never resized afterwards —
-  /// buffer release events capture the context address.
-  class NodeCtx final : public NodeContext {
+  /// Everything the forwarding path reads for one node, in one cache line;
+  /// also the NodeContext the disciplines and the buffer slab see. Records
+  /// never move once made — buffer release events capture their address.
+  class alignas(64) NodeRecord final : public NodeContext {
    public:
-    NodeCtx() = default;
-    NodeCtx(Network* net, NodeId id) : net_(net), id_(id) {}
+    NodeRecord(Network* owner, NodeId id, NodeRole node_role,
+               std::uint32_t node_slot)
+        : net(owner),
+          stream(owner->root_rng_.split(id)),
+          node(id),
+          tree_next(owner->next_hop_[id]),
+          slot(node_slot),
+          role(node_role) {}
 
-    sim::Simulator& simulator() noexcept override { return net_->simulator_; }
-    sim::RandomStream& rng() noexcept override { return net_->rng_[id_]; }
-    NodeId id() const noexcept override { return id_; }
-    std::uint16_t hops_to_sink() const noexcept override {
-      return net_->routing_.reachable(id_) ? net_->routing_.hops_to_sink(id_) : 0;
-    }
+    sim::Simulator& simulator() noexcept override { return net->simulator_; }
+    sim::RandomStream& rng() noexcept override { return stream; }
+    NodeId id() const noexcept override { return node; }
     void transmit(Packet&& packet) override {
-      net_->transmit_from(id_, std::move(packet));
+      net->transmit_from(*this, std::move(packet));
     }
 
-   private:
-    Network* net_ = nullptr;
-    NodeId id_ = kInvalidNode;
+    Network* net;
+    /// root.split(id), whatever order records are made in.
+    sim::RandomStream stream;
+    NodeId node;
+    NodeId tree_next;  // routing-tree next hop; kInvalidNode for sinks
+    std::uint32_t slot;  // slab queue id or custom_ index
+    std::uint16_t routing_seq = 0;
+    NodeRole role;
   };
+  static_assert(sizeof(NodeRecord) == 64);
 
-  /// Validates the configuration and sizes every per-node array (roles,
-  /// RNG streams, contexts, counters); the public constructors then give
-  /// each routable non-sink node its spec.
+  static constexpr std::uint32_t kNoRecord = 0xffffffffu;
+  static constexpr std::size_t kRecordsPerBlock =
+      kRecordBlockBytes / sizeof(NodeRecord);
+
+  /// Validates the configuration, sizes the per-node index and makes the
+  /// sinks' records; the public constructors then configure the
+  /// forwarding nodes.
   Network(sim::Simulator& simulator, const Topology& topology,
           NetworkConfig config, const sim::RandomStream& root_rng);
-  /// Gives forwarding node `id` its spec; a buffering spec becomes a queue
-  /// under slab configuration `queue_config`.
+  /// Gives forwarding node `id` its record under `spec`; a buffering spec
+  /// becomes a queue under slab configuration `queue_config`.
   void adopt(NodeId id, const core::DisciplineSpec& spec,
              std::uint32_t queue_config);
-  /// True if `id` forwards packets (a routable non-sink node).
+  /// Makes node `id`'s record (the next one in the current block).
+  NodeRecord& add_record(NodeId id, NodeRole role, std::uint32_t slot);
+  /// Adds a slab queue and its loss counter; returns the queue id.
+  std::uint32_t add_queue(std::uint32_t queue_config);
+  /// The record of a node packets have reached; makes it on first touch.
+  NodeRecord& record(NodeId id) {
+    const std::uint32_t r = index_[id];
+    return r != kNoRecord ? blocks_[r / kRecordsPerBlock][r % kRecordsPerBlock]
+                          : first_touch(id);
+  }
+  /// The record of `id`, or nullptr if it has none yet.
+  const NodeRecord* find(NodeId id) const;
+  /// Makes the record of a forwarding node on its first packet, under the
+  /// single spec; throws std::logic_error for an unroutable node.
+  NodeRecord& first_touch(NodeId id);
+  /// True if `id` forwards packets (a routable non-sink node): read from
+  /// the routing tree, where exactly those nodes have a next hop.
   bool forwards(NodeId id) const {
-    return role_[id] != NodeRole::kSink && routing_.reachable(id);
+    return id < next_hop_.size() && next_hop_[id] != kInvalidNode;
   }
   /// Sum of losses_ over the queues that preempt (`preemptive`) or drop.
   std::uint64_t total_losses(bool preemptive) const;
@@ -246,45 +291,47 @@ class Network {
   /// A packet is at `node` now: run the node's policy (switch on the role
   /// byte; immediate and buffered nodes run with no virtual call), then
   /// fire the occupancy probe.
-  void handle(NodeId node, Packet&& packet);
+  void handle(NodeRecord& node, Packet&& packet);
   /// Hands `packet` to the link layer from `node`: next-hop choice, header
   /// update, transmit probes, link-delay scheduling, occupancy probe.
-  void transmit_from(NodeId node, Packet&& packet);
+  void transmit_from(NodeRecord& node, Packet&& packet);
 
-  void arrive(NodeId node, Packet&& packet);
-  void arrive_from_link(NodeId node, PacketPool::Handle handle);
+  void arrive_from_link(NodeId node, PacketPool::Handle parked);
   void deliver(const Packet& packet);
-  void probe(NodeId node);
-  std::size_t buffered_of(NodeId node) const;
+  void probe(const NodeRecord& node);
+  std::size_t buffered_of(const NodeRecord& node) const;
   /// Throws std::out_of_range unless `id` is a routable non-sink node.
   void require_discipline(NodeId id) const;
-  NodeId pick_next_hop(NodeId current, const Packet& packet,
-                       sim::RandomStream& rng);
+  NodeId pick_next_hop(NodeRecord& node, const Packet& packet);
   /// Out of line so the common no-probe transmit path stays branch + fall
   /// through; only instrumented runs pay the dispatch loop.
   void dispatch_transmit_probes(NodeId from, NodeId to, const Packet& packet);
 
   sim::Simulator& simulator_;
-  // Handles on the caller's field, and its arrays cached for per-hop reads.
+  // Handles on the caller's field, and its arrays cached for direct reads.
   Topology topology_;
   RoutingTable routing_;
   std::span<const NodeId> next_hop_;
   std::span<const std::uint32_t> row_offsets_;
   std::span<const NodeId> adjacency_;
   NetworkConfig config_;
+  sim::RandomStream root_rng_;  // every record's stream is split(id) of it
 
-  // Structure-of-arrays node state, all indexed by NodeId.
-  std::vector<NodeRole> role_;
-  std::vector<std::uint32_t> disc_slot_;  // slab queue id or custom_ index
-  std::vector<std::uint16_t> routing_seq_;
-  std::vector<sim::RandomStream> rng_;
-  std::vector<NodeCtx> ctx_;  // stable addresses after construction
+  // Node state: one index per node into records allocated in fixed-size
+  // blocks, kNoRecord until the node needs one. Records are numbered in
+  // creation order. Under a single built-in spec, first_touch() adopts a
+  // node with `touch_role_` and, if buffered, slab configuration
+  // `touch_config_`.
+  std::vector<std::uint32_t> index_;
+  std::vector<std::vector<NodeRecord>> blocks_;  // each reserved once, full size
+  NodeRole touch_role_ = NodeRole::kImmediate;
+  std::uint32_t touch_config_ = 0;
 
-  // The buffering nodes: one slab queue each (release events capture the
-  // slab's address; Network never moves). A queue loses packets in at most
-  // one way — a queue without a victim rule drops arrivals, one with a
-  // rule preempts held packets — so one counter per queue, indexed by
-  // queue id, serves both.
+  // The buffering nodes with records: one slab queue each (release events
+  // capture the slab's address; Network never moves). A queue loses
+  // packets in at most one way — a queue without a victim rule drops
+  // arrivals, one with a rule preempts held packets — so one counter per
+  // queue, indexed by queue id, serves both.
   core::DelayBuffer slab_;
   std::vector<std::uint64_t> losses_;
 

@@ -24,9 +24,11 @@ std::map<std::string, SpanStat>& span_table() {
 #if defined(TEMPRIV_TELEMETRY_ENABLED)
 
 std::mutex g_block_mutex;
+// Never destroyed, like the blocks it lists: a static vector would be
+// torn down at exit and leave every block unreachable to leak checkers.
 std::vector<MetricBlock*>& block_list() {
-  static std::vector<MetricBlock*> blocks;
-  return blocks;
+  static auto* blocks = new std::vector<MetricBlock*>();
+  return *blocks;
 }
 
 // Per-thread slash-joined path of the open spans ("job/simulate" while the

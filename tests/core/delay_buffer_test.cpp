@@ -276,7 +276,6 @@ class QueueContext final : public net::NodeContext {
   sim::Simulator& simulator() noexcept override { return sim_; }
   sim::RandomStream& rng() noexcept override { return rng_; }
   net::NodeId id() const noexcept override { return queue_; }
-  std::uint16_t hops_to_sink() const noexcept override { return 1; }
   void transmit(net::Packet&& packet) override { out_.emplace_back(queue_, packet.uid); }
 
  private:

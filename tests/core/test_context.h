@@ -22,7 +22,6 @@ class TestContext final : public net::NodeContext {
   sim::Simulator& simulator() noexcept override { return sim_; }
   sim::RandomStream& rng() noexcept override { return rng_; }
   net::NodeId id() const noexcept override { return 3; }
-  std::uint16_t hops_to_sink() const noexcept override { return 5; }
 
   void transmit(net::Packet&& packet) override {
     if (link_draws_) rng_.uniform(0.0, 1.0);

@@ -5,6 +5,7 @@
 #include <initializer_list>
 #include <memory>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -189,27 +190,18 @@ TEST(Network, MemoryBytesCountsTheInFlightPool) {
   EXPECT_GE(net.memory_bytes() - before, 1000 * sizeof(Packet));
 }
 
-TEST(Network, NodeContextReportsHopsFromTheRoutingTree) {
-  // A custom discipline that records what its context reports, then
-  // forwards at once.
-  struct HopRecorder final : ForwardingDiscipline {
-    std::vector<std::pair<NodeId, std::uint16_t>>* seen;
-    explicit HopRecorder(std::vector<std::pair<NodeId, std::uint16_t>>* s)
-        : seen(s) {}
-    void on_packet(Packet&& packet, NodeContext& ctx) override {
-      seen->emplace_back(ctx.id(), ctx.hops_to_sink());
-      ctx.transmit(std::move(packet));
-    }
-    std::size_t buffered() const noexcept override { return 0; }
-  };
+TEST(Network, NodeSpecsReceiveHopsFromTheRoutingTree) {
+  // The hop count a node's policy is chosen by (the §3.3 sink-weighted
+  // decomposition) comes from the shared routing tree, once per forwarding
+  // node in ascending id order; sinks and unroutable nodes get no spec.
   std::vector<std::pair<NodeId, std::uint16_t>> seen;
   sim::Simulator sim;
-  Network net(sim, Topology::line(4),
-              core::DisciplineSpec::custom(
-                  [&seen] { return std::make_unique<HopRecorder>(&seen); }),
+  Network net(sim, line_with_island(4),
+              NodeSpecs([&seen](NodeId id, std::uint16_t hops) {
+                seen.emplace_back(id, hops);
+                return core::DisciplineSpec::immediate();
+              }),
               {}, sim::RandomStream(1));
-  net.originate(0, sealed_at(0.0, 0));
-  sim.run();
   const std::vector<std::pair<NodeId, std::uint16_t>> expected = {
       {0, 3}, {1, 2}, {2, 1}};
   EXPECT_EQ(seen, expected);
@@ -433,7 +425,14 @@ TEST(Network, BufferSlabStaysConsistentMidRun) {
                     return core::DisciplineSpec::droptail_exponential(6.0, 3);
                   }),
                   NetworkConfig{}, sim::RandomStream(5));
+      // Per-node specs are adopted eagerly: every forwarding node has its
+      // queue before the first packet.
+      EXPECT_EQ(net->buffer_slab().queue_count(),
+                net->topology().node_count() - 1);
     }
+    std::set<NodeId> carried;  // nodes that transmitted a packet
+    net->add_transmit_probe([&carried](NodeId from, NodeId, const Packet&,
+                                       sim::Time) { carried.insert(from); });
     for (std::uint32_t i = 0; i < 60; ++i) {
       const NodeId origin = built.sources[i % 3];
       net->originate(origin, sealed_at(sim.now(), origin, i));
@@ -452,8 +451,11 @@ TEST(Network, BufferSlabStaysConsistentMidRun) {
     EXPECT_TRUE(net->buffer_slab().consistent());
     EXPECT_EQ(net->packets_originated(),
               net->packets_delivered() + net->total_drops());
-    EXPECT_EQ(net->buffer_slab().queue_count(),
-              net->topology().node_count() - 1);
+    if (uniform) {
+      // One spec is adopted on first touch: a queue for exactly the nodes
+      // a packet reached (RCAD transmits everything it admits).
+      EXPECT_EQ(net->buffer_slab().queue_count(), carried.size());
+    }
   }
 }
 

@@ -308,10 +308,11 @@ TEST(AllocGuard, TopologyAndRoutingAllocationsScaleWithArraysNotNodes) {
                              core::DisciplineSpec::rcad_exponential(30.0, 10),
                              {}, RandomStream(42));
   const std::size_t net_allocs = allocations() - before_net;
-  // Flat arrays only — the per-node arrays and the buffer slab's queue heads
-  // and one-entry config table; the topology and routing tree are shared. The slab
-  // allocates slots and victim blocks when packets arrive, never per node,
-  // so the count does not depend on the node count at all.
+  // Flat arrays only — the per-node record index, one block of records for
+  // the sink and the buffer slab's one-entry config table; the topology and
+  // routing tree are shared. Records, queue heads, slots and victim blocks
+  // are made when packets arrive, never per node, so the count does not
+  // depend on the node count at all.
   EXPECT_LT(net_allocs, 64u)
       << "network construction allocates per node";
   EXPECT_GT(network.memory_bytes(), kNodes * sizeof(std::uint32_t));
@@ -329,7 +330,6 @@ TEST(AllocGuard, WarmDelayBufferChurnAllocatesNothing) {
     Simulator& simulator() noexcept override { return sim_; }
     RandomStream& rng() noexcept override { return rng_; }
     net::NodeId id() const noexcept override { return 0; }
-    std::uint16_t hops_to_sink() const noexcept override { return 1; }
     void transmit(net::Packet&&) override {}
 
    private:
