@@ -9,12 +9,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
 #include <optional>
-#include <string>
 
 #include "core/discipline_spec.h"
 #include "crypto/ctr.h"
@@ -90,52 +88,6 @@ void BM_SealOpenRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_SealOpenRoundTrip);
 
-/// Batched sealing: one full lane group per call. Items = packets, so the
-/// per-item time is the amortized per-packet seal cost with the keystream
-/// and MAC lanes full (the number the CBC-MAC's serial chain makes
-/// unreachable one packet at a time).
-void BM_SealBatch(benchmark::State& state) {
-  constexpr std::size_t kLanes = crypto::PayloadCodec::kBatchLanes;
-  const crypto::PayloadCodec codec(kKey);
-  std::array<crypto::SensorPayload, kLanes> burst{};
-  std::array<crypto::SealedPayload, kLanes> sealed{};
-  std::uint32_t seq = 0;
-  for (auto _ : state) {
-    for (auto& p : burst) p = {20.5, seq++, 123.0};
-    codec.seal_batch(burst, 7, sealed);
-    benchmark::DoNotOptimize(sealed);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kLanes));
-}
-BENCHMARK(BM_SealBatch);
-
-/// Batched seal + open round trip, per packet: the gate metric for the
-/// PR-8 acceptance bar (seal+open < 150 ns amortized per packet).
-void BM_SealOpenBatchRoundTrip(benchmark::State& state) {
-  constexpr std::size_t kLanes = crypto::PayloadCodec::kBatchLanes;
-  const crypto::PayloadCodec codec(kKey);
-  std::array<crypto::SensorPayload, kLanes> burst{};
-  std::array<crypto::SealedPayload, kLanes> sealed{};
-  std::array<std::optional<crypto::SensorPayload>, kLanes> opened{};
-  std::uint32_t seq = 0;
-  const std::int64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
-  for (auto _ : state) {
-    for (auto& p : burst) p = {20.5, seq++, 123.0};
-    codec.seal_batch(burst, 7, sealed);
-    const std::size_t ok = codec.open_batch(sealed, opened);
-    benchmark::DoNotOptimize(ok);
-    benchmark::DoNotOptimize(opened);
-  }
-  const std::int64_t allocs =
-      g_allocs.load(std::memory_order_relaxed) - allocs_before;
-  state.counters["allocs_per_op"] = benchmark::Counter(
-      static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kLanes));
-}
-BENCHMARK(BM_SealOpenBatchRoundTrip);
-
 /// Steady-state per-hop forwarding cost on a warm network: one packet at a
 /// time down a 16-hop line with immediate forwarding (no privacy delays), so
 /// the only work measured is originate -> 16 x (transmit + arrive) -> sink.
@@ -166,43 +118,6 @@ void BM_ForwardPerHop(benchmark::State& state) {
   benchmark::DoNotOptimize(sink.count);
 }
 BENCHMARK(BM_ForwardPerHop);
-
-/// Burst origination: a 24-packet same-origin burst batch-sealed and
-/// injected through Network::originate_batch, then forwarded to the sink on
-/// a warm line. Items = packets x hops, directly comparable to
-/// BM_ForwardPerHop's per-hop cost but with the seal amortized across lane
-/// groups and the equal-time event cohorts drained batch-wise.
-void BM_OriginateBurstPerHop(benchmark::State& state) {
-  constexpr std::size_t kHops = 16;
-  constexpr std::size_t kBurst = 24;
-  sim::Simulator sim;
-  net::Network network(sim, net::Topology::line(kHops + 1),
-                       core::DisciplineSpec::immediate(),
-                       {.hop_tx_delay = 1.0}, sim::RandomStream(1));
-  network.reserve(kBurst + 8);
-  sim.reserve(256);
-  CountingSink sink;
-  network.add_sink_observer(&sink);
-  const crypto::PayloadCodec codec(kKey);
-  std::array<crypto::SensorPayload, kBurst> burst{};
-  std::uint32_t seq = 0;
-  auto send_burst = [&] {
-    for (auto& p : burst) p = {20.5, seq++, sim.now()};
-    network.originate_batch(0, codec, burst);
-    sim.run();
-  };
-  send_burst();  // warm-up
-  const std::int64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
-  for (auto _ : state) send_burst();
-  const std::int64_t allocs =
-      g_allocs.load(std::memory_order_relaxed) - allocs_before;
-  state.counters["allocs_per_op"] = benchmark::Counter(
-      static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kBurst * kHops));
-  benchmark::DoNotOptimize(sink.count);
-}
-BENCHMARK(BM_OriginateBurstPerHop);
 
 /// A pipelined journey: `range(0)` packets in flight at once down a 16-hop
 /// line, with (arg 1) and without (arg 0) a PacketTracer recording every
@@ -260,16 +175,9 @@ BENCHMARK(BM_ScenarioRcadPoint)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   // Surfaced in the report's context block so BENCH_network.json records
-  // which crypto implementation and vector ISA produced the numbers.
-  benchmark::AddCustomContext(
-      "tempriv_scalar_crypto",
-      tempriv::crypto::scalar_crypto_build() ? "on" : "off");
+  // which vector ISA produced the numbers.
   benchmark::AddCustomContext("tempriv_simd_isa",
                               tempriv::crypto::keystream_isa());
-  benchmark::AddCustomContext(
-      "tempriv_keystream_lanes",
-      std::to_string(tempriv::crypto::CtrCipher::kWideLanes) + "/" +
-          std::to_string(tempriv::crypto::CtrCipher::kNarrowLanes));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

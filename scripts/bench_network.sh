@@ -151,8 +151,8 @@ if pr4_e2e:
                 before["median_wall_seconds"] / entry["median_wall_seconds"], 2)
 
 # PR-8 acceptance gates, evaluated against the per-item rates (items =
-# packets x hops for the forwarding benchmarks, packets for the batch
-# crypto ones) and the PR-4 end-to-end medians.
+# packets x hops for the forwarding benchmarks) and the PR-4 end-to-end
+# medians.
 def per_item_ns(name):
     ips = current.get(name, {}).get("items_per_second")
     return round(1e9 / ips, 1) if ips else None
@@ -161,10 +161,6 @@ targets = {
     "forward_per_hop_ns": {
         "target": "< 100",
         "measured": per_item_ns("BM_ForwardPerHop"),
-    },
-    "seal_open_batched_ns_per_item": {
-        "target": "< 150",
-        "measured": per_item_ns("BM_SealOpenBatchRoundTrip"),
     },
 }
 for sweep in ("fig2a", "fig2b"):

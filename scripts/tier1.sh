@@ -26,8 +26,8 @@ if [[ -n "${TEMPRIV_SANITIZE:-}" ]]; then
     "${TELEMETRY_FLAGS[@]}"
   cmake --build "$SAN_DIR" -j
   # The campaign determinism tests (threaded engine + golden CSV bytes),
-  # the shard/merge/supervisor tests (fork + pipe progress aggregation),
-  # and the kernel/buffer tests are the ones the sanitizers are really for,
-  # but the whole suite is cheap enough to run instrumented.
+  # the shard/merge tests and the kernel/buffer tests are the ones the
+  # sanitizers are really for, but the whole suite is cheap enough to run
+  # instrumented.
   (cd "$SAN_DIR" && ctest --output-on-failure -j)
 fi

@@ -39,27 +39,9 @@ void ProgressReporter::finish() {
   print_line(true);
 }
 
-void ProgressReporter::shard_heartbeat(std::uint32_t shard,
-                                       std::uint64_t events) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ShardHeartbeat& beat = heartbeats_[shard];
-  beat.at = std::chrono::steady_clock::now();
-  // Heartbeats are cumulative; a job line racing an idle heartbeat may
-  // deliver counts out of order, so keep the high-water mark.
-  if (events > beat.events) beat.events = events;
-}
-
 std::size_t ProgressReporter::done() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return done_;
-}
-
-std::optional<ShardHeartbeat> ProgressReporter::last_heartbeat(
-    std::uint32_t shard) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = heartbeats_.find(shard);
-  if (it == heartbeats_.end()) return std::nullopt;
-  return it->second;
 }
 
 void ProgressReporter::print_line(bool final_line) {

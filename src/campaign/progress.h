@@ -4,17 +4,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <mutex>
-#include <optional>
 
 namespace tempriv::campaign {
-
-/// One shard's most recent sign of life, as seen by the supervisor.
-struct ShardHeartbeat {
-  std::chrono::steady_clock::time_point at;
-  std::uint64_t events = 0;  ///< cumulative sim events the shard reported
-};
 
 /// Where the runner reports job completions. Implementations must be
 /// thread-safe: workers call job_done() concurrently, outside any lock.
@@ -26,12 +18,6 @@ class ProgressListener {
 
   /// Record one finished job that executed `sim_events` simulator events.
   virtual void job_done(std::uint64_t sim_events) = 0;
-
-  /// A shard signalled liveness (job record or idle heartbeat); `events` is
-  /// its cumulative executed-event count. Only the fleet supervisor calls
-  /// this, so single-process listeners can ignore it.
-  virtual void shard_heartbeat(std::uint32_t /*shard*/,
-                               std::uint64_t /*events*/) {}
 };
 
 /// Thread-safe campaign progress meter: prints "jobs done/total, simulated
@@ -46,15 +32,10 @@ class ProgressReporter : public ProgressListener {
 
   void job_done(std::uint64_t sim_events) override;
 
-  void shard_heartbeat(std::uint32_t shard, std::uint64_t events) override;
-
   /// Prints the closing summary line (total wall time, events/sec).
   void finish();
 
   std::size_t done() const;
-
-  /// Last heartbeat seen from `shard`; nullopt if the shard never reported.
-  std::optional<ShardHeartbeat> last_heartbeat(std::uint32_t shard) const;
 
  private:
   void print_line(bool final_line);
@@ -67,7 +48,6 @@ class ProgressReporter : public ProgressListener {
   std::size_t done_ = 0;
   std::uint64_t events_ = 0;
   std::chrono::steady_clock::time_point last_print_;
-  std::map<std::uint32_t, ShardHeartbeat> heartbeats_;
 };
 
 }  // namespace tempriv::campaign

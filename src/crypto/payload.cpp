@@ -1,6 +1,5 @@
 #include "crypto/payload.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -75,109 +74,6 @@ std::optional<SensorPayload> PayloadCodec::open(
   std::uint8_t plain[SensorPayload::kWireBytes];
   ctr_.xor_keystream(sealed.nonce, sealed.ciphertext.bytes(), plain);
   return deserialize(plain);
-}
-
-void PayloadCodec::seal_batch(std::span<const SensorPayload> payloads,
-                              std::uint32_t origin_id,
-                              std::span<SealedPayload> out) const noexcept {
-  std::size_t i = 0;
-#if !defined(TEMPRIV_SCALAR_CRYPTO)
-  constexpr std::size_t kWire = SensorPayload::kWireBytes;
-  constexpr std::size_t kBlock = Speck64_128::kBlockBytes;
-  constexpr std::size_t kBlocks = (kWire + kBlock - 1) / kBlock;
-  for (; i + kBatchLanes <= payloads.size(); i += kBatchLanes) {
-    std::uint8_t plain[kBatchLanes][kWire];
-    std::uint64_t nonces[kBatchLanes];
-    for (std::size_t l = 0; l < kBatchLanes; ++l) {
-      const SensorPayload& p = payloads[i + l];
-      serialize(p, plain[l]);
-      nonces[l] = nonce_for(origin_id, p.app_seq);
-      out[i + l].nonce = nonces[l];
-      out[i + l].ciphertext.resize_for_overwrite(kWire);
-    }
-    // Keystream waves: lane l is packet l, successive waves walk the shared
-    // block index — per lane exactly the bytes seal()'s CTR walk produces.
-    std::uint64_t words[kBatchLanes];
-    for (std::size_t c = 0; c < kBlocks; ++c) {
-      ctr_.keystream_wave8(nonces, c, words);
-      const std::size_t off = c * kBlock;
-      const std::size_t chunk = std::min(kBlock, kWire - off);
-      for (std::size_t l = 0; l < kBatchLanes; ++l) {
-        store_le(out[i + l].ciphertext.data() + off,
-                 load_le(plain[l] + off, chunk) ^ words[l], chunk);
-      }
-    }
-    const std::uint8_t* ciphertexts[kBatchLanes];
-    for (std::size_t l = 0; l < kBatchLanes; ++l) {
-      ciphertexts[l] = out[i + l].ciphertext.data();
-    }
-    std::uint64_t tags[kBatchLanes];
-    mac_.tag8(ciphertexts, kWire, tags);
-    for (std::size_t l = 0; l < kBatchLanes; ++l) out[i + l].tag = tags[l];
-  }
-#endif
-  for (; i < payloads.size(); ++i) out[i] = seal(payloads[i], origin_id);
-}
-
-std::size_t PayloadCodec::open_batch(
-    std::span<const SealedPayload> sealed,
-    std::span<std::optional<SensorPayload>> out) const noexcept {
-  std::size_t opened = 0;
-  std::size_t i = 0;
-#if !defined(TEMPRIV_SCALAR_CRYPTO)
-  constexpr std::size_t kWire = SensorPayload::kWireBytes;
-  constexpr std::size_t kBlock = Speck64_128::kBlockBytes;
-  constexpr std::size_t kBlocks = (kWire + kBlock - 1) / kBlock;
-  for (; i + kBatchLanes <= sealed.size(); i += kBatchLanes) {
-    bool sizes_ok = true;
-    for (std::size_t l = 0; l < kBatchLanes; ++l) {
-      sizes_ok &= sealed[i + l].ciphertext.size() == kWire;
-    }
-    if (!sizes_ok) {
-      // A malformed length in the group: fall back element-wise so the
-      // rejects land exactly where open() would put them.
-      for (std::size_t l = 0; l < kBatchLanes; ++l) {
-        out[i + l] = open(sealed[i + l]);
-        opened += out[i + l].has_value();
-      }
-      continue;
-    }
-    const std::uint8_t* ciphertexts[kBatchLanes];
-    std::uint64_t nonces[kBatchLanes];
-    for (std::size_t l = 0; l < kBatchLanes; ++l) {
-      ciphertexts[l] = sealed[i + l].ciphertext.data();
-      nonces[l] = sealed[i + l].nonce;
-    }
-    std::uint64_t tags[kBatchLanes];
-    mac_.tag8(ciphertexts, kWire, tags);
-    // Decrypt all lanes unconditionally (three waves), then select by tag:
-    // cheaper than re-batching the survivors of the MAC check.
-    std::uint8_t plain[kBatchLanes][kWire];
-    std::uint64_t words[kBatchLanes];
-    for (std::size_t c = 0; c < kBlocks; ++c) {
-      ctr_.keystream_wave8(nonces, c, words);
-      const std::size_t off = c * kBlock;
-      const std::size_t chunk = std::min(kBlock, kWire - off);
-      for (std::size_t l = 0; l < kBatchLanes; ++l) {
-        store_le(plain[l] + off,
-                 load_le(ciphertexts[l] + off, chunk) ^ words[l], chunk);
-      }
-    }
-    for (std::size_t l = 0; l < kBatchLanes; ++l) {
-      if (tags[l] == sealed[i + l].tag) {
-        out[i + l] = deserialize(plain[l]);
-        ++opened;
-      } else {
-        out[i + l] = std::nullopt;
-      }
-    }
-  }
-#endif
-  for (; i < sealed.size(); ++i) {
-    out[i] = open(sealed[i]);
-    opened += out[i].has_value();
-  }
-  return opened;
 }
 
 }  // namespace tempriv::crypto

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <type_traits>
 
 #include "crypto/ctr.h"
@@ -65,29 +64,6 @@ class PayloadCodec {
   /// Returns nullopt if the ciphertext length is wrong or the MAC does not
   /// verify (tampering / truncation / wrong key).
   std::optional<SensorPayload> open(const SealedPayload& sealed) const noexcept;
-
-  /// Number of packets a full batch lane group carries.
-  static constexpr std::size_t kBatchLanes = 8;
-
-  /// Seals a burst of same-origin payloads, bit-identical to calling seal()
-  /// on each element. Groups of kBatchLanes packets share one pass through
-  /// the key schedules: lane l of each keystream wave carries packet l's
-  /// counter block (CtrCipher::keystream_wave8) and lane l of each MAC wave
-  /// carries packet l's CBC chain (CbcMac::tag8), so the per-packet block
-  /// chains that are serial in isolation run eight abreast. The remainder
-  /// (< kBatchLanes packets) falls back to seal(). `out.size()` must be at
-  /// least `payloads.size()`.
-  void seal_batch(std::span<const SensorPayload> payloads,
-                  std::uint32_t origin_id,
-                  std::span<SealedPayload> out) const noexcept;
-
-  /// Opens a burst, element-wise identical to open(): out[i] is nullopt
-  /// exactly when open(sealed[i]) would reject. Returns the number of
-  /// successfully opened payloads. `out.size()` must be at least
-  /// `sealed.size()`.
-  std::size_t open_batch(std::span<const SealedPayload> sealed,
-                         std::span<std::optional<SensorPayload>> out)
-      const noexcept;
 
  private:
   CtrCipher ctr_;

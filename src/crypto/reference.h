@@ -8,15 +8,12 @@
 namespace tempriv::crypto {
 
 /// Executable specification of the CTR keystream and CBC-MAC, one block at a
-/// time — the code the vectorized lane kernels must match bit for bit.
+/// time — the code the 4-lane keystream wave must match bit for bit.
 ///
 /// Mirrors the src/infotheory/reference.* discipline: the scalar
-/// block-at-a-time implementations are kept compiled forever, the property
-/// tests compare the production (lane-batched) entry points against them on
-/// randomized key/nonce/length corpora, and `-DTEMPRIV_SCALAR_CRYPTO=ON`
-/// routes the production entry points through these functions outright so a
-/// miscompiled or misported lane kernel can always be bisected against the
-/// spec.
+/// block-at-a-time implementations stay compiled as the test oracle, and
+/// the property tests compare the production entry points against them on
+/// randomized key/nonce/length corpora (and against the NSA test vector).
 namespace reference {
 
 /// Keystream block i as a little-endian 64-bit word: E_K(nonce ^ i).

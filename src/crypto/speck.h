@@ -14,7 +14,7 @@ namespace tempriv::crypto {
 /// The word-level round functions live in the header: every sealed/opened
 /// payload costs 14 block operations (CTR keystream + CBC-MAC on both
 /// sides), so the round loop is the single hottest function in a full
-/// scenario run and must inline into the modes' batch loops.
+/// scenario run and must inline into the modes' lane loops.
 class Speck64_128 {
  public:
   static constexpr std::size_t kBlockBytes = 8;
@@ -53,9 +53,8 @@ class Speck64_128 {
   /// loop has a compile-time trip count, so it unrolls into straight-line
   /// `uint32xN` arithmetic the vectorizer maps onto SIMD registers (and an
   /// out-of-order scalar core still overlaps the independent lane chains).
-  /// This is the primitive behind every batched CTR/CBC-MAC entry point:
-  /// lane l carries counter block l of one keystream, or the CBC chain of
-  /// packet l in a batch — the caller owns the lane layout.
+  /// This is the primitive behind CtrCipher's keystream wave: lane l
+  /// carries counter block l of one keystream.
   template <int Lanes>
   void encrypt_words_lanes(std::uint32_t* x, std::uint32_t* y) const noexcept {
     static_assert(Lanes >= 2 && Lanes <= 16, "lane count out of range");

@@ -11,7 +11,7 @@ namespace tempriv::crypto {
 /// their scalar reference, and the payload codec. Loads and stores of up to
 /// 8 bytes are the only memory traffic on the crypto path; everything in
 /// between is register arithmetic. Full 8-byte accesses — every block of
-/// every batched lane — take a single fixed-width memcpy (one mov on
+/// every keystream lane — take a single fixed-width memcpy (one mov on
 /// little-endian targets) instead of the byte loop the sub-block tails use.
 inline std::uint64_t load_le(const std::uint8_t* p, std::size_t n) noexcept {
   if (n == 8 && std::endian::native == std::endian::little) {

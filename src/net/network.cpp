@@ -1,6 +1,5 @@
 #include "net/network.h"
 
-#include <algorithm>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -212,36 +211,6 @@ std::uint64_t Network::originate(NodeId origin, crypto::SealedPayload payload) {
   // throws does not inflate the originated tally.
   ++originated_;
   return uid;
-}
-
-std::uint64_t Network::originate_batch(
-    NodeId origin, const crypto::PayloadCodec& codec,
-    std::span<const crypto::SensorPayload> payloads) {
-  if (!forwards(origin)) {
-    throw std::invalid_argument("Network::originate_batch: bad origin node");
-  }
-  NodeRecord& source = record(origin);
-  const std::uint64_t first_uid = next_uid_;
-  // Seal lane-group by lane-group into stack scratch: one key-schedule pass
-  // per group, no heap, and a burst of any size stays a flat loop.
-  constexpr std::size_t kGroup = crypto::PayloadCodec::kBatchLanes;
-  crypto::SealedPayload sealed[kGroup];
-  for (std::size_t i = 0; i < payloads.size(); i += kGroup) {
-    const std::size_t n = std::min(kGroup, payloads.size() - i);
-    TEMPRIV_TLM_HIST(kNetBatchLaneFill, n);
-    codec.seal_batch(payloads.subspan(i, n), origin, {sealed, n});
-    for (std::size_t j = 0; j < n; ++j) {
-      Packet packet;
-      packet.header.origin = origin;
-      packet.header.prev_hop = origin;
-      packet.header.hop_count = 0;
-      packet.payload = sealed[j];
-      packet.uid = next_uid_++;
-      handle(source, std::move(packet));
-      ++originated_;
-    }
-  }
-  return first_uid;
 }
 
 void Network::add_sink_observer(SinkObserver* observer) {

@@ -140,19 +140,6 @@ class Network {
   /// Throws std::invalid_argument if origin is a sink or unroutable.
   std::uint64_t originate(NodeId origin, crypto::SealedPayload payload);
 
-  /// Injects a burst of same-origin packets created at the current instant,
-  /// sealing them in batched groups: each group of PayloadCodec::kBatchLanes
-  /// payloads shares one pass through the codec's key schedules
-  /// (PayloadCodec::seal_batch), and origin validation happens once for the
-  /// whole burst. Packets are handed to the origin's discipline in payload
-  /// order, exactly as repeated originate() calls would, with consecutive
-  /// uids starting at the returned value. Sealed bytes are bit-identical to
-  /// the one-packet path. Returns the first packet's uid (or the value the
-  /// next originate() will return if `payloads` is empty).
-  std::uint64_t originate_batch(NodeId origin,
-                                const crypto::PayloadCodec& codec,
-                                std::span<const crypto::SensorPayload> payloads);
-
   /// Registers a sink observer (non-owning; must outlive the run).
   void add_sink_observer(SinkObserver* observer);
 

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -70,6 +69,12 @@ class EventQueue {
     Callback action;
   };
 
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+  /// Adds tombstones_swept() to the eq.tombstone_skipped telemetry counter.
+  ~EventQueue() { TEMPRIV_TLM_COUNT_N(kEqTombstoneSkipped, tombstones_swept_); }
+
   /// Inserts `action` to fire at time `at`. Returns a handle for cancel().
   /// Throws std::length_error if the queue would exceed 2^24 concurrent
   /// events or 2^40 total events (far beyond any simulated workload).
@@ -97,8 +102,8 @@ class EventQueue {
   /// every simulation result — is bit-identical to scheduling through the
   /// heap. Monotonicity is checked, not trusted: a time below the ring's
   /// tail simply routes through the heap lane, keeping correctness
-  /// unconditional. cancel()/pop_batch()/restore() work on these events
-  /// exactly as on heap-scheduled ones.
+  /// unconditional. cancel() works on these events exactly as on
+  /// heap-scheduled ones.
   template <class F>
   EventId schedule_monotone(Time at, F&& action) {
     const std::uint64_t key = time_to_key(at);
@@ -125,80 +130,30 @@ class EventQueue {
   /// or the id is invalid.
   bool cancel(EventId id);
 
-  /// Removes and returns the earliest pending event, or nullopt if empty.
-  std::optional<Event> pop();
-
-  /// Drains every pending record sharing the earliest time-key into `out`
-  /// (cleared first), in insertion order, and returns the shared time
-  /// (kTimeInfinity with an empty batch if the queue is empty). One call
-  /// replaces a pop() per event: the head sweep, key comparison, and
-  /// key→time conversion happen once per *batch* of equal-time events
-  /// instead of once per event.
-  ///
-  /// The drained events' slots are NOT released yet: claim each id with
-  /// take() to run it, or hand unrun ids back with restore(). In between,
-  /// cancel() on a drained id still works (take() then returns nullopt), and
-  /// size() still counts unclaimed events.
-  Time pop_batch(std::vector<EventId>& out);
-
-  /// Fast path for the dominant continuous-time case: when the head cohort
-  /// is exactly one event, pops it into `event` (exactly as pop() would)
-  /// and returns true. Returns false — touching nothing — when the queue is
-  /// empty or the head time-key is shared, in which case pop_batch() drains
-  /// the cohort. The singleton check inspects only the root's direct
-  /// children: heap order forces any entry sharing the head's key to have
-  /// an equal-key ancestor there. This spares singleton cohorts — the vast
-  /// majority under continuous random delays — the drained-slot
-  /// bookkeeping, batch vector traffic, and per-id take() revalidation.
-  bool pop_if_single(Event& event);
-
-  /// pop_if_single() without moving the callback out of its pool slot: when
-  /// the head cohort is exactly one event, invokes
+  /// Runs the earliest pending event — (time, seq) order across both lanes —
+  /// in place in its pool slot: invokes
   /// `dispatch(Time at, EventId id, Callback& action)` with the stored
-  /// callback in place, releases the slot afterwards (even if `dispatch`
-  /// throws), and returns true. The event's handle dies before `dispatch`
-  /// runs, exactly as with pop(); the callback may freely schedule or
-  /// cancel other events while executing — pool chunks never move, and the
-  /// dispatched slot rejoins the free list only after `dispatch` returns.
-  /// This spares the dominant dispatch path one callback move plus a
-  /// destructor call per event.
+  /// callback, releases the slot afterwards (even if `dispatch` throws), and
+  /// returns true; returns false, touching nothing, if the queue is empty.
+  /// The event's handle dies before `dispatch` runs. The callback may freely
+  /// schedule or cancel other events while executing — pool chunks never
+  /// move, and the dispatched slot rejoins the free list only after
+  /// `dispatch` returns. Equal-time events run one call each, in insertion
+  /// order; an event scheduled from a callback at the current time takes a
+  /// later sequence number, so it runs after every event already pending
+  /// at that time.
   template <class Dispatch>
-  bool dispatch_if_single(Dispatch&& dispatch) {
-    drop_leading_tombstones();
+  bool dispatch_head(Dispatch&& dispatch) {
+    // Both lane heads are live here: every cancel and every dispatch ends
+    // by sweeping leading tombstones.
     const bool heap_has = !heap_.empty();
     if (!heap_has && fifo_size_ == 0) return false;
-    bool from_fifo;
-    if (heap_has && fifo_size_ != 0) {
-      // The cohort spans both lanes when the lane heads share a key.
-      if (fifo_front().key == heap_.front().key) return false;
-      from_fifo = fifo_front().precedes(heap_.front());
-    } else {
-      from_fifo = !heap_has;
-    }
-    HeapEntry top;
-    if (from_fifo) {
-      top = fifo_front();
-      // The ring is sorted, so only the head's immediate successor can
-      // share its key.
-      if (fifo_size_ >= 2 &&
-          fifo_[(fifo_head_ + 1) & (fifo_.size() - 1)].key == top.key) {
-        return false;
-      }
-    } else {
-      top = heap_.front();
-      // An entry sharing the head's key must have an equal-key ancestor
-      // among the root's direct children (its whole ancestor path carries
-      // keys both <= its own and >= the minimum), so these four
-      // comparisons decide singleton-ness. An equal-key *tombstone* child
-      // sends us down the batch path, where it is merely skipped — rare
-      // and still correct.
-      const std::size_t n = heap_.size();
-      const std::size_t end = n < 5 ? n : 5;
-      for (std::size_t c = 1; c < end; ++c) {
-        if (heap_[c].key == top.key) return false;
-      }
-    }
+    const bool from_fifo =
+        fifo_size_ != 0 && (!heap_has || fifo_front().precedes(heap_.front()));
+    const HeapEntry top = from_fifo ? fifo_front() : heap_.front();
     const std::uint32_t slot = aux_slot(top.aux);
+    // Start pulling the slot (a random-access line) into cache while the
+    // sift-down below walks the heap; the two latencies overlap.
 #if defined(__GNUC__) || defined(__clang__)
     __builtin_prefetch(&slot_at(slot), 1);
 #endif
@@ -208,26 +163,16 @@ class EventQueue {
       heap_pop_front();
     }
     Slot& s = slot_at(slot);
-    s.aux = 0;  // the handle dies before the callback runs, as with pop()
+    s.aux = 0;  // the handle dies before the callback runs
     --live_count_;
-    TEMPRIV_TLM_COUNT(kEqDispatchSingle);
     FinishDispatch finisher{*this, slot};
     dispatch(key_to_time(top.key), EventId(top.aux), s.action);
     return true;
   }
 
-  /// Claims an event drained by pop_batch: moves its callback out and frees
-  /// its slot. Returns nullopt if the event was cancelled (or already taken)
-  /// after the drain. Calling this on an id still in the heap is equivalent
-  /// to cancel() plus returning the callback — the heap record tombstones.
-  std::optional<Callback> take(EventId id);
-
-  /// Re-queues drained-but-unclaimed events (stop mid-batch, exception
-  /// unwind) at time `at` — the time pop_batch returned. Ids that were
-  /// cancelled or taken in the meantime are skipped. Relative order among
-  /// restored and later-scheduled events is preserved: the heap orders equal
-  /// times by the original sequence numbers, which the ids carry.
-  void restore(Time at, std::span<const EventId> ids);
+  /// Removes and returns the earliest pending event, or nullopt if empty
+  /// (dispatch_head() with the callback moved out instead of run).
+  std::optional<Event> pop();
 
   /// Time of the earliest pending event, or kTimeInfinity if empty.
   Time next_time() const noexcept {
@@ -264,6 +209,11 @@ class EventQueue {
   /// Slots currently allocated in the pool (capacity diagnostics).
   std::size_t slot_count() const noexcept { return slot_count_; }
 
+  /// Dead records (left behind by cancel()) swept from the lane heads over
+  /// the queue's lifetime; clear() discards records without counting them.
+  /// A queue run to empty has swept one record per cancelled event.
+  std::uint64_t tombstones_swept() const noexcept { return tombstones_swept_; }
+
   /// Monotone bijection from double event times to unsigned keys:
   /// a < b  <=>  time_to_key(a) < time_to_key(b) for all ordered (non-NaN)
   /// doubles. Positive values map above the sign-bit midpoint unchanged;
@@ -281,11 +231,6 @@ class EventQueue {
  private:
   static constexpr std::uint64_t kSignBit = 0x8000000000000000ull;
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
-  // Marks an occupied slot whose heap record was drained by pop_batch but
-  // not yet claimed/restored. Stored in Slot::next_free (unused while a slot
-  // is occupied), so cancel()/take() can tell a drained event from an
-  // in-heap one and keep the outstanding_ tombstone accounting exact.
-  static constexpr std::uint32_t kDrainedSlot = 0xfffffffeu;
   static constexpr std::uint32_t kSlotBits = 24;
   static constexpr std::uint32_t kMaxSlots = 1u << kSlotBits;
   // The pool is stored in fixed 1024-slot chunks: growing it allocates a new
@@ -342,7 +287,7 @@ class EventQueue {
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot) noexcept;
 
-  // Scope guard for dispatch_if_single: frees the dispatched slot when the
+  // Scope guard for dispatch_head: frees the dispatched slot when the
   // callback returns or throws (its aux is already 0, so only the action
   // reset and the free-list push remain), then sweeps any tombstone the
   // callback's cancels left at a lane head.
@@ -395,9 +340,8 @@ class EventQueue {
   std::uint32_t free_head_ = kNilSlot;
   std::uint64_t next_seq_ = 1;
   std::size_t live_count_ = 0;
-  // Live events drained by pop_batch whose slots are still claimed.
-  std::size_t outstanding_ = 0;
-  // Dead (cancelled/taken) records still physically present per lane.
+  std::uint64_t tombstones_swept_ = 0;
+  // Dead (cancelled) records still physically present per lane.
   // Zero means pops can skip that lane's head-liveness probe outright —
   // the common case for the fifo lane, whose link-arrival events are never
   // cancelled in practice.

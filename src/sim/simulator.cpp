@@ -3,49 +3,18 @@
 namespace tempriv::sim {
 
 bool Simulator::step() {
-  auto event = queue_.pop();
-  if (!event) return false;
-  now_ = event->at;
-  ++executed_;
-  event->action();
-  return true;
+  return queue_.dispatch_head(
+      [this](Time at, EventId, EventQueue::Callback& action) {
+        now_ = at;
+        ++executed_;
+        action();
+      });
 }
 
-std::size_t Simulator::run_batch() {
-  std::size_t ran = 0;
-  for (std::size_t i = 0; i < batch_.size(); ++i) {
-    if (stopped_) {
-      // Give back everything not yet run so pending_events() matches the
-      // unbatched kernel's view after a stop().
-      queue_.restore(now_, {batch_.data() + i, batch_.size() - i});
-      break;
-    }
-    auto action = queue_.take(batch_[i]);
-    // nullopt: an earlier callback in this batch cancelled the event — the
-    // one-pop()-per-event loop would never have surfaced it either.
-    if (!action) continue;
-    ++executed_;
-    ++ran;
-    try {
-      (*action)();
-    } catch (...) {
-      queue_.restore(now_, {batch_.data() + i + 1, batch_.size() - i - 1});
-      batch_.clear();
-      throw;
-    }
-  }
-  batch_.clear();
-  return ran;
-}
-
-std::size_t Simulator::run() {
+template <class More>
+std::size_t Simulator::dispatch_while(More more) {
   stopped_ = false;
   std::size_t count = 0;
-  // Singleton cohorts — the vast majority under continuous random
-  // delays — execute straight out of their pool slot (no callback move,
-  // no drained-slot bookkeeping); only genuine equal-time runs (batched
-  // originate bursts, degenerate grids) pay for the pop_batch/take
-  // machinery.
   const auto dispatch = [this, &count](Time at, EventId,
                                        EventQueue::Callback& action) {
     now_ = at;
@@ -53,33 +22,18 @@ std::size_t Simulator::run() {
     ++count;
     action();
   };
-  while (!stopped_) {
-    if (queue_.dispatch_if_single(dispatch)) continue;
-    const Time at = queue_.pop_batch(batch_);
-    if (batch_.empty()) break;
-    now_ = at;
-    count += run_batch();
+  while (!stopped_ && more() && queue_.dispatch_head(dispatch)) {
   }
   return count;
 }
 
+std::size_t Simulator::run() {
+  return dispatch_while([] { return true; });
+}
+
 std::size_t Simulator::run_until(Time deadline) {
-  stopped_ = false;
-  std::size_t count = 0;
-  const auto dispatch = [this, &count](Time at, EventId,
-                                       EventQueue::Callback& action) {
-    now_ = at;
-    ++executed_;
-    ++count;
-    action();
-  };
-  while (!stopped_ && queue_.next_time() <= deadline) {
-    if (queue_.dispatch_if_single(dispatch)) continue;
-    const Time at = queue_.pop_batch(batch_);
-    if (batch_.empty()) break;
-    now_ = at;
-    count += run_batch();
-  }
+  const std::size_t count =
+      dispatch_while([&] { return queue_.next_time() <= deadline; });
   if (!stopped_ && now_ < deadline && std::isfinite(deadline)) now_ = deadline;
   return count;
 }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/time.h"
@@ -72,13 +71,8 @@ class Simulator {
   }
 
   /// Pre-sizes the event queue for `events` concurrent pending events so the
-  /// steady state never reallocates (see EventQueue::reserve). The drain
-  /// buffer run() batches into is pre-sized too: an equal-time cohort can
-  /// never exceed the pending-event count.
-  void reserve(std::size_t events) {
-    queue_.reserve(events);
-    batch_.reserve(events);
-  }
+  /// steady state never reallocates (see EventQueue::reserve).
+  void reserve(std::size_t events) { queue_.reserve(events); }
 
   /// Cancels a pending event; see EventQueue::cancel.
   bool cancel(EventId id) { return queue_.cancel(id); }
@@ -86,21 +80,15 @@ class Simulator {
   /// Runs until the event queue is empty or stop() is called.
   /// Returns the number of events executed.
   ///
-  /// Hybrid dispatch kernel: a head event with a unique timestamp — the
-  /// vast majority under continuous random delays — pops directly
-  /// (EventQueue::pop_if_single), while equal-time events run as one
-  /// drained batch (EventQueue::pop_batch), consulting the queue once per
-  /// distinct timestamp instead of once per event. Either way the
-  /// execution order — (time, insertion order) — is exactly the
-  /// one-pop()-per-event order, including events scheduled or cancelled by
-  /// callbacks inside a batch. stop() mid-batch re-queues the not-yet-run
-  /// remainder, so pending_events() afterwards matches the unbatched
-  /// kernel's.
+  /// One loop over EventQueue::dispatch_head: each event runs in place in
+  /// its pool slot, in (time, insertion order). Equal-time events are no
+  /// special case — an event scheduled or cancelled by a callback at the
+  /// current time is ordered by its sequence number like any other, and
+  /// stop() or an exception leaves every event not yet run pending.
   std::size_t run();
 
   /// Runs all events with timestamp <= deadline (or until stop()); the clock
   /// then rests at min(deadline, time of last work). Returns events executed.
-  /// Batched like run().
   std::size_t run_until(Time deadline);
 
   /// Executes exactly one event if any is pending. Returns whether one ran.
@@ -118,19 +106,23 @@ class Simulator {
   /// Total events executed since construction.
   std::uint64_t events_executed() const noexcept { return executed_; }
 
+  /// Cancelled events' records swept from the queue so far (see
+  /// EventQueue::tombstones_swept). Once the queue has run empty this
+  /// equals the number of successful cancel() calls.
+  std::uint64_t tombstones_swept() const noexcept {
+    return queue_.tombstones_swept();
+  }
+
  private:
-  /// Executes the drained ids in batch_ at now_; re-queues the remainder on
-  /// stop() or an exception unwinding out of a callback. Returns the number
-  /// of events that actually ran. Clears batch_.
-  std::size_t run_batch();
+  /// Dispatches head events while `more()` holds and stop() was not
+  /// called; returns the number run.
+  template <class More>
+  std::size_t dispatch_while(More more);
 
   EventQueue queue_;
   Time now_ = kTimeZero;
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
-  // Reused drain buffer for run()/run_until(): grows to the largest
-  // equal-time cohort once, then the batch loop is allocation-free.
-  std::vector<EventId> batch_;
 };
 
 }  // namespace tempriv::sim

@@ -27,9 +27,7 @@ enum class Counter : std::uint32_t {
   kEqScheduleHeap,      ///< schedule() insertions into the 4-ary heap lane
   kEqScheduleFifo,      ///< schedule_monotone() appends to the FIFO ring
   kEqFifoDiverted,      ///< monotone calls below the ring tail, rerouted to the heap
-  kEqTombstoneSkipped,  ///< dead (cancelled/taken) records dropped by pops
-  kEqDispatchSingle,    ///< dispatch_if_single() fast-path hits
-  kEqPopBatch,          ///< pop_batch() calls that drained a non-empty cohort
+  kEqTombstoneSkipped,  ///< cancelled records swept from the lane heads
   // core::DelayBuffer preemption/ejection, per victim policy
   kBufPreemptShortest,  ///< preempt() under kShortestRemaining
   kBufPreemptLongest,   ///< preempt() under kLongestRemaining
@@ -59,7 +57,6 @@ enum class Gauge : std::uint32_t {
 
 enum class Hist : std::uint32_t {
   kBufOccupancy,      ///< buffer-queue size after each admit
-  kNetBatchLaneFill,  ///< payloads per seal_batch lane group in originate_batch
   kCampaignJobWallUs, ///< per-job wall time, microseconds
   kCount,
 };

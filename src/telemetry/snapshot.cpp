@@ -15,10 +15,6 @@ const char* name(Counter counter) noexcept {
       return "eq.fifo_diverted";
     case Counter::kEqTombstoneSkipped:
       return "eq.tombstone_skipped";
-    case Counter::kEqDispatchSingle:
-      return "eq.dispatch_single";
-    case Counter::kEqPopBatch:
-      return "eq.pop_batch";
     case Counter::kBufPreemptShortest:
       return "buf.preempt.shortest_remaining";
     case Counter::kBufPreemptLongest:
@@ -71,8 +67,6 @@ const char* name(Hist hist) noexcept {
   switch (hist) {
     case Hist::kBufOccupancy:
       return "buf.occupancy";
-    case Hist::kNetBatchLaneFill:
-      return "net.batch_lane_fill";
     case Hist::kCampaignJobWallUs:
       return "campaign.job_wall_us";
     case Hist::kCount:

@@ -227,6 +227,20 @@ ScenarioResult run_paper_scenario(const PaperScenario& scenario) {
     what += ")";
     throw std::logic_error(what);
   }
+  // Every RCAD preemption cancels the victim's release event, and a queue
+  // run to empty sweeps each cancelled record exactly once, so the two
+  // counts must agree; a miss means a lost or doubly-run event.
+  if (network.total_preemptions() != simulator.tombstones_swept()) {
+    std::string what = "run_paper_scenario: preemptions != tombstones swept";
+    what += " (seed ";
+    what += std::to_string(scenario.seed);
+    what += ": preemptions ";
+    what += std::to_string(network.total_preemptions());
+    what += ", tombstones swept ";
+    what += std::to_string(simulator.tombstones_swept());
+    what += ")";
+    throw std::logic_error(what);
+  }
 
   TEMPRIV_TLM_GAUGE_MAX(kMemNetworkBytes, network.memory_bytes());
   TEMPRIV_TLM_GAUGE_MAX(kMemTopologyBytes, network.topology().memory_bytes());

@@ -1,6 +1,5 @@
 #include "workload/source.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace tempriv::workload {
@@ -15,31 +14,6 @@ std::uint64_t Source::emit() {
   payload.app_seq = app_seq_++;
   payload.creation_time = network_.simulator().now();
   return network_.originate(origin_, codec_.seal(payload, origin_));
-}
-
-std::uint64_t Source::emit_burst(std::uint32_t n) {
-  constexpr std::size_t kGroup = crypto::PayloadCodec::kBatchLanes;
-  crypto::SensorPayload group[kGroup];
-  const double now = network_.simulator().now();
-  std::uint64_t first_uid = 0;
-  bool have_first = false;
-  for (std::uint32_t done = 0; done < n;) {
-    const std::size_t k =
-        std::min<std::size_t>(kGroup, static_cast<std::size_t>(n - done));
-    for (std::size_t j = 0; j < k; ++j) {
-      group[j].reading = rng_.normal(20.0, 2.0);
-      group[j].app_seq = app_seq_++;
-      group[j].creation_time = now;
-    }
-    const std::uint64_t uid =
-        network_.originate_batch(origin_, codec_, {group, k});
-    if (!have_first) {
-      first_uid = uid;
-      have_first = true;
-    }
-    done += static_cast<std::uint32_t>(k);
-  }
-  return first_uid;
 }
 
 PeriodicSource::PeriodicSource(net::Network& network,

@@ -34,14 +34,6 @@ class Source {
   /// (reading, app_seq, now) and originates it. Returns the packet uid.
   std::uint64_t emit();
 
-  /// Creates `n` packets *now* as one burst: readings are sampled in the
-  /// same RNG order n emit() calls would use, all share this instant as
-  /// creation time, and the burst is sealed in batched lane groups through
-  /// Network::originate_batch (one key-schedule pass per group of
-  /// PayloadCodec::kBatchLanes packets). Returns the first packet's uid
-  /// (0 with no effect when n == 0).
-  std::uint64_t emit_burst(std::uint32_t n);
-
   net::Network& network() noexcept { return network_; }
   sim::RandomStream& rng() noexcept { return rng_; }
 

@@ -73,26 +73,5 @@ TEST(ProgressReporterTest, CountsDoneJobs) {
   EXPECT_EQ(progress.done(), 2u);
 }
 
-TEST(ProgressReporterTest, TracksLastHeartbeatPerShard) {
-  std::ostringstream os;
-  ProgressReporter progress(os, 4, milliseconds(1000000));
-  EXPECT_FALSE(progress.last_heartbeat(0).has_value());
-
-  progress.shard_heartbeat(0, 100);
-  progress.shard_heartbeat(1, 250);
-  ASSERT_TRUE(progress.last_heartbeat(0).has_value());
-  EXPECT_EQ(progress.last_heartbeat(0)->events, 100u);
-  EXPECT_EQ(progress.last_heartbeat(1)->events, 250u);
-  EXPECT_FALSE(progress.last_heartbeat(2).has_value());
-
-  // Cumulative counts only move forward, even if records race out of order.
-  const auto before = progress.last_heartbeat(0)->at;
-  progress.shard_heartbeat(0, 50);
-  EXPECT_EQ(progress.last_heartbeat(0)->events, 100u);
-  EXPECT_GE(progress.last_heartbeat(0)->at, before);
-  progress.shard_heartbeat(0, 300);
-  EXPECT_EQ(progress.last_heartbeat(0)->events, 300u);
-}
-
 }  // namespace
 }  // namespace tempriv::campaign

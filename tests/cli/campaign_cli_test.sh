@@ -6,7 +6,8 @@
 #      JSONL / stats / CSV byte for byte;
 #   3. tempriv-merge --check passes a clean shard set and reports a
 #      corrupted one (tampered header, missing shard) with exit 1;
-#   4. --shard auto:2 (fork supervisor + auto-merge) matches serial too;
+#   4. the retired fork-fleet shard mode is a usage error (exit 2) that
+#      points at --jobs N and --shard i/N;
 #   5. --telemetry writes a snapshot in every mode without perturbing any
 #      result byte (works in OFF builds too: all-zero snapshot), and
 #      tempriv-merge --telemetry combines shard snapshots / fails when a
@@ -58,7 +59,6 @@ expect_exit 2 "empty --jobs" "$CAMPAIGN" fig2a --jobs '' --quiet
 expect_exit 2 "overflowing --seed" "$CAMPAIGN" fig2a --seed 99999999999999999999 --quiet
 expect_exit 2 "bad shard index" "$CAMPAIGN" fig2a --shard 3/2 --quiet
 expect_exit 2 "bad shard syntax" "$CAMPAIGN" fig2a --shard 1:2 --quiet
-expect_exit 2 "zero auto shards" "$CAMPAIGN" fig2a --shard auto:0 --quiet
 expect_exit 2 "unknown sweep" "$CAMPAIGN" nosuchsweep --quiet
 expect_exit 2 "unknown option" "$CAMPAIGN" fig2a --frobnicate --quiet
 expect_exit 2 "missing value" "$CAMPAIGN" fig2a --jobs
@@ -117,13 +117,20 @@ expect_exit 1 "merge --check (duplicate shard)" \
 [ ! -e "$WORK/shards/campaign_grid.jsonl" ] ||
   note_failure "--check wrote an output file"
 
-# --- 4. --shard auto:2 supervisor matches serial -------------------------
+# --- 4. the fork-fleet shard mode is gone ---------------------------------
 
-expect_exit 0 "auto:2 supervised run" \
-  "$CAMPAIGN" "${GRID_ARGS[@]}" --out "$WORK/auto" --shard auto:2
-for f in campaign_grid.jsonl campaign_grid.stats.json campaign_grid.csv; do
-  expect_same "auto:2 vs serial ($f)" "$WORK/serial/$f" "$WORK/auto/$f"
+# One host runs a campaign on --jobs N threads; --shard i/N spreads it over
+# hosts. The old "auto" shard counts must fail as usage errors that say so,
+# and must write no result.
+FLEET=auto
+for n in 0 2; do
+  expect_exit 2 "--shard $FLEET:$n" \
+    "$CAMPAIGN" "${GRID_ARGS[@]}" --out "$WORK/auto" --shard "$FLEET:$n"
+  { grep -q -- "--jobs N" "$WORK/err.log" &&
+    grep -q -- "--shard i/N" "$WORK/err.log"; } ||
+    note_failure "--shard $FLEET:$n: message does not name --jobs N and --shard i/N"
 done
+[ ! -e "$WORK/auto" ] || note_failure "--shard $FLEET:2 wrote results"
 
 # --- 5. --telemetry snapshots: present, well-formed, result-neutral ------
 
@@ -165,21 +172,13 @@ expect_exit 1 "merge --telemetry without siblings" \
   "$MERGE" --out "$WORK/tfail" --telemetry "$WORK/tfail/grid.telemetry.json" \
   "${SHARDS[@]}"
 
-# auto:2 fork supervisor: merged snapshot at PATH, per-shard siblings next
-# to the shard JSONLs, results still byte-identical to serial.
-expect_exit 0 "auto:2 run with --telemetry" \
-  "$CAMPAIGN" "${GRID_ARGS[@]}" --out "$WORK/tauto" --shard auto:2 \
+# The fork-fleet mode stays a usage error with --telemetry too, and writes
+# no snapshot.
+expect_exit 2 "--shard $FLEET:2 with --telemetry" \
+  "$CAMPAIGN" "${GRID_ARGS[@]}" --out "$WORK/tauto" --shard "$FLEET:2" \
   --telemetry "$WORK/tauto/grid.telemetry.json"
-for f in campaign_grid.jsonl campaign_grid.stats.json campaign_grid.csv; do
-  expect_same "auto:2 --telemetry vs serial ($f)" \
-    "$WORK/serial/$f" "$WORK/tauto/$f"
-done
-grep -q '"eq.schedule_heap"' "$WORK/tauto/grid.telemetry.json" ||
-  note_failure "auto:2 merged telemetry snapshot lacks event-queue counters"
-for i in 0 1; do
-  [ -f "$WORK/tauto/campaign_grid.shard-$i-of-2.telemetry.json" ] ||
-    note_failure "auto:2 shard $i telemetry sibling missing"
-done
+[ ! -e "$WORK/tauto/grid.telemetry.json" ] ||
+  note_failure "--shard $FLEET:2 wrote a telemetry snapshot"
 
 if [ "$FAILURES" -ne 0 ]; then
   echo "$FAILURES failure(s)" >&2

@@ -505,5 +505,32 @@ TEST(Network, PacketsFromDifferentFlowsInterleaveCorrectly) {
   }
 }
 
+TEST(Network, PreemptionsEqualTombstonesSwept) {
+  // Each RCAD preemption cancels the victim's pending release; once the
+  // queue runs empty it has swept exactly that many dead records. Mid-run
+  // some records may still be buried, never more than were cancelled.
+  for (const core::VictimPolicy victim :
+       {core::VictimPolicy::kShortestRemaining,
+        core::VictimPolicy::kLongestRemaining, core::VictimPolicy::kRandom,
+        core::VictimPolicy::kOldest}) {
+    sim::Simulator sim;
+    const auto built = Topology::converging_paths({6, 5, 4}, 2);
+    Network net(sim, built.topology,
+                core::DisciplineSpec::rcad_exponential(20.0, 2, victim),
+                NetworkConfig{.hop_tx_delay = 1.0, .hop_jitter = 0.5},
+                sim::RandomStream(9));
+    for (std::uint32_t i = 0; i < 300; ++i) {
+      const NodeId origin = built.sources[i % 3];
+      net.originate(origin, sealed_at(sim.now(), origin, i));
+      sim.run_until(sim.now() + 0.25);
+      ASSERT_LE(sim.tombstones_swept(), net.total_preemptions());
+    }
+    sim.run();
+    EXPECT_GT(net.total_preemptions(), 100u) << to_string(victim);
+    EXPECT_EQ(sim.tombstones_swept(), net.total_preemptions())
+        << to_string(victim);
+  }
+}
+
 }  // namespace
 }  // namespace tempriv::net

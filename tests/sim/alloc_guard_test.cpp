@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -196,90 +195,61 @@ TEST(AllocGuard, WarmDelayedForwardingAllocatesNothing) {
   EXPECT_EQ(network.packets_delivered(), network.packets_originated());
 }
 
-TEST(AllocGuard, WarmPopBatchAllocatesNothing) {
-  // The batch drain path — pop_batch into a warm vector, take() per id,
-  // restore() of an unclaimed suffix — must match pop()'s zero-allocation
-  // contract once the heap, slot pool, and batch vector are warm.
+TEST(AllocGuard, WarmEqualTimeDispatchAllocatesNothing) {
+  // The dispatch loop on equal-time cohorts, with callbacks that schedule
+  // at the current time and cancel a pending sibling, must match the
+  // queue's zero-allocation contract once the slot pool is warm.
   RandomStream rng(14);
-  EventQueue queue;
-  queue.reserve(512);
-  std::vector<EventId> batch;
-  batch.reserve(512);
-  // Warm-up: populate slots and the batch vector with equal-time cohorts.
-  for (int i = 0; i < 512; ++i) {
-    queue.schedule(std::floor(rng.uniform(0.0, 32.0)), [] {});
-  }
-  while (queue.pop_batch(batch) != kTimeInfinity) {
-    for (const EventId id : batch) {
-      auto action = queue.take(id);
-      if (action) (*action)();
+  Simulator simulator;
+  simulator.reserve(512);
+  double sink = 0.0;
+  bool doomed_ran = false;
+  EventId doomed;
+  auto fill = [&] {
+    // Ties on an integer grid put many events in every cohort.
+    for (int j = 0; j < 16; ++j) {
+      const double at = simulator.now() + std::floor(rng.uniform(0.0, 8.0));
+      simulator.schedule_at(at, [&sink, &simulator] {
+        sink += simulator.now();
+        simulator.schedule_at(simulator.now(), [&sink] { sink += 1.0; });
+      });
     }
+    // A cohort member cancelling the one scheduled right after it.
+    simulator.schedule_at(simulator.now() + 4.0,
+                          [&simulator, &doomed] { simulator.cancel(doomed); });
+    doomed = simulator.schedule_at(simulator.now() + 4.0,
+                                   [&doomed_ran] { doomed_ran = true; });
+  };
+  // Warm-up: populate the slot pool.
+  for (int i = 0; i < 32; ++i) {
+    fill();
+    simulator.run();
   }
 
-  double sink = 0.0;
   const std::size_t before = allocations();
   for (int round = 0; round < 2000; ++round) {
-    // Ties on an integer grid force multi-event batches every drain.
-    for (int j = 0; j < 16; ++j) {
-      const double at = std::floor(rng.uniform(0.0, 8.0));
-      queue.schedule(at, [&sink, at] { sink += at; });
-    }
-    const Time at = queue.pop_batch(batch);
-    ASSERT_NE(at, kTimeInfinity);
-    // Claim the first half, hand the rest back, then drain everything.
-    const std::size_t half = batch.size() / 2;
-    for (std::size_t i = 0; i < half; ++i) {
-      auto action = queue.take(batch[i]);
-      if (action) (*action)();
-    }
-    queue.restore(at, {batch.data() + half, batch.size() - half});
-    while (queue.pop_batch(batch) != kTimeInfinity) {
-      for (const EventId id : batch) {
-        auto action = queue.take(id);
-        if (action) (*action)();
-      }
-    }
+    fill();
+    simulator.run();
   }
-  EXPECT_EQ(allocations() - before, 0u) << "pop_batch allocated when warm";
+  EXPECT_EQ(allocations() - before, 0u)
+      << "equal-time dispatch allocated when warm";
+  EXPECT_FALSE(doomed_ran);
   EXPECT_GT(sink, 0.0);
 }
 
-TEST(AllocGuard, WarmBatchSealAndOriginateAllocatesNothing) {
-  // The batched crypto path end to end: sampling a burst, batch-sealing it
-  // in lane groups, injecting it with originate_batch, forwarding every
-  // packet to the sink — plus a direct seal_batch/open_batch round trip —
-  // on a warm network must never touch the heap.
-  Simulator simulator;
-  constexpr std::size_t kBurst = 24;
-  net::Network network(simulator, net::Topology::line(9),
-                       core::DisciplineSpec::immediate(), {}, RandomStream(31));
-  network.reserve(kBurst + 8);
-  simulator.reserve(256);
+TEST(AllocGuard, WarmSealOpenAllocatesNothing) {
+  // The crypto round trip a packet pays once, at its source and its sink.
   const crypto::PayloadCodec codec(
       crypto::Speck64_128::Key{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
                                15, 16});
-  std::array<crypto::SensorPayload, kBurst> burst{};
-  std::array<crypto::SealedPayload, kBurst> sealed{};
-  std::array<std::optional<crypto::SensorPayload>, kBurst> opened{};
-  std::uint32_t seq = 0;
-  auto send_burst = [&] {
-    for (auto& p : burst) p = {1.0, seq++, simulator.now()};
-    network.originate_batch(0, codec, burst);
-    simulator.run();
-  };
-  // Warm-up: populate pool slots, event-queue slots, and the sink path.
-  for (int i = 0; i < 8; ++i) send_burst();
-
+  std::size_t opened = 0;
   const std::size_t before = allocations();
-  for (int round = 0; round < 500; ++round) {
-    send_burst();
-    codec.seal_batch(burst, 0, sealed);
-    codec.open_batch(sealed, opened);
+  for (std::uint32_t seq = 0; seq < 4000; ++seq) {
+    const crypto::SealedPayload sealed = codec.seal({1.0, seq, 2.0}, 7);
+    opened += codec.open(sealed).has_value();
   }
-  EXPECT_EQ(allocations() - before, 0u)
-      << "batched seal/originate allocated on the warm path";
-  EXPECT_EQ(network.packets_delivered(), 508u * kBurst);
-  for (const auto& payload : opened) ASSERT_TRUE(payload.has_value());
+  EXPECT_EQ(allocations() - before, 0u) << "seal/open allocated";
+  EXPECT_EQ(opened, 4000u);
 }
 
 TEST(AllocGuard, TopologyAndRoutingAllocationsScaleWithArraysNotNodes) {

@@ -1,6 +1,6 @@
 // The monotone FIFO lane (schedule_monotone): ordering against heap-lane
-// events, cancellation, the non-monotone fallback, cross-lane batch drains,
-// and cross-lane singleton detection.
+// events, cancellation, the non-monotone fallback, and dispatch_head's
+// merge of the two lanes, equal-time cohorts included.
 
 #include <gtest/gtest.h>
 
@@ -89,93 +89,86 @@ TEST(EventQueueFifo, FallbackEventIsCancellable) {
   EXPECT_FALSE(fired);
 }
 
-TEST(EventQueueFifo, PopBatchMergesEqualTimeCohortAcrossLanes) {
-  // An equal-time cohort spanning both lanes drains in insertion order.
-  EventQueue q;
-  q.schedule(4.0, [] {});           // seq 1, heap
-  q.schedule_monotone(4.0, [] {});  // seq 2, fifo
-  q.schedule(4.0, [] {});           // seq 3, heap
-  q.schedule_monotone(4.0, [] {});  // seq 4, fifo
-  q.schedule_monotone(6.0, [] {});  // later; must stay behind
-  std::vector<EventId> batch;
-  const Time at = q.pop_batch(batch);
-  EXPECT_DOUBLE_EQ(at, 4.0);
-  ASSERT_EQ(batch.size(), 4u);
-  for (std::size_t i = 1; i < batch.size(); ++i) {
-    // aux words carry the global sequence number in their high bits.
-    EXPECT_LT(batch[i - 1].value(), batch[i].value());
+// Runs every pending event through dispatch_head, returning the ids in
+// dispatch order.
+std::vector<EventId> drain_ids(EventQueue& q) {
+  std::vector<EventId> ids;
+  while (q.dispatch_head([&](Time, EventId id, EventQueue::Callback& action) {
+    ids.push_back(id);
+    action();
+  })) {
   }
-  for (const EventId id : batch) EXPECT_TRUE(q.take(id).has_value());
-  EXPECT_DOUBLE_EQ(q.next_time(), 6.0);
+  return ids;
 }
 
-TEST(EventQueueFifo, PopBatchSkipsFifoTombstonesInsideCohort) {
+TEST(EventQueueFifo, DispatchHeadMergesEqualTimeCohortAcrossLanes) {
+  // An equal-time cohort spanning both lanes runs in insertion order.
   EventQueue q;
-  q.schedule_monotone(4.0, [] {});
+  const EventId a = q.schedule(4.0, [] {});           // seq 1, heap
+  const EventId b = q.schedule_monotone(4.0, [] {});  // seq 2, fifo
+  const EventId c = q.schedule(4.0, [] {});           // seq 3, heap
+  const EventId d = q.schedule_monotone(4.0, [] {});  // seq 4, fifo
+  const EventId e = q.schedule_monotone(6.0, [] {});  // later; stays behind
+  EXPECT_EQ(drain_ids(q), (std::vector<EventId>{a, b, c, d, e}));
+}
+
+TEST(EventQueueFifo, DispatchHeadSkipsFifoTombstonesInsideCohort) {
+  EventQueue q;
+  const EventId a = q.schedule_monotone(4.0, [] {});
   const EventId doomed = q.schedule_monotone(4.0, [] {});
-  q.schedule(4.0, [] {});
+  const EventId c = q.schedule(4.0, [] {});
   EXPECT_TRUE(q.cancel(doomed));
-  std::vector<EventId> batch;
-  const Time at = q.pop_batch(batch);
-  EXPECT_DOUBLE_EQ(at, 4.0);
-  EXPECT_EQ(batch.size(), 2u);
+  EXPECT_EQ(drain_ids(q), (std::vector<EventId>{a, c}));
+  EXPECT_EQ(q.tombstones_swept(), 1u);
 }
 
-TEST(EventQueueFifo, PopIfSingleRejectsCrossLaneTie) {
+TEST(EventQueueFifo, DispatchHeadBreaksCrossLaneTieByInsertion) {
   EventQueue q;
-  q.schedule(3.0, [] {});
-  q.schedule_monotone(3.0, [] {});
-  EventQueue::Event event;
-  // The head cohort spans both lanes: the fast path must decline so the
-  // batch path can merge the tie in insertion order.
-  EXPECT_FALSE(q.pop_if_single(event));
-  std::vector<EventId> batch;
-  q.pop_batch(batch);
-  EXPECT_EQ(batch.size(), 2u);
+  const EventId fifo_first = q.schedule_monotone(3.0, [] {});
+  const EventId heap_second = q.schedule(3.0, [] {});
+  EXPECT_EQ(drain_ids(q), (std::vector<EventId>{fifo_first, heap_second}));
 }
 
-TEST(EventQueueFifo, PopIfSingleRejectsFifoInternalTie) {
+TEST(EventQueueFifo, DispatchHeadRunsFifoInternalTieInOrder) {
   EventQueue q;
-  q.schedule_monotone(3.0, [] {});
-  q.schedule_monotone(3.0, [] {});
-  EventQueue::Event event;
-  EXPECT_FALSE(q.pop_if_single(event));
-  std::vector<EventId> batch;
-  q.pop_batch(batch);
-  EXPECT_EQ(batch.size(), 2u);
+  const EventId a = q.schedule_monotone(3.0, [] {});
+  const EventId b = q.schedule_monotone(3.0, [] {});
+  EXPECT_EQ(drain_ids(q), (std::vector<EventId>{a, b}));
 }
 
-TEST(EventQueueFifo, PopIfSingleTakesEarlierLaneHead) {
+TEST(EventQueueFifo, DispatchHeadTakesEarlierLaneHead) {
   EventQueue q;
   q.schedule(2.0, [] {});
   q.schedule_monotone(1.0, [] {});
-  EventQueue::Event event;
-  ASSERT_TRUE(q.pop_if_single(event));
-  EXPECT_DOUBLE_EQ(event.at, 1.0);  // fifo head precedes heap head
-  ASSERT_TRUE(q.pop_if_single(event));
-  EXPECT_DOUBLE_EQ(event.at, 2.0);
-  EXPECT_FALSE(q.pop_if_single(event));
+  std::vector<Time> times;
+  const auto record = [&](Time at, EventId, EventQueue::Callback&) {
+    times.push_back(at);
+  };
+  EXPECT_TRUE(q.dispatch_head(record));
+  EXPECT_TRUE(q.dispatch_head(record));
+  EXPECT_FALSE(q.dispatch_head(record));
+  EXPECT_EQ(times, (std::vector<Time>{1.0, 2.0}));  // fifo head first
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueueFifo, DispatchIfSingleRunsCallbackInPlace) {
+TEST(EventQueueFifo, DispatchHeadRunsCallbackInPlace) {
   EventQueue q;
   int fired = 0;
   const EventId id = q.schedule_monotone(1.5, [&] { ++fired; });
-  bool dispatched = q.dispatch_if_single(
+  const bool dispatched = q.dispatch_head(
       [&](Time at, EventId seen, EventQueue::Callback& action) {
         EXPECT_DOUBLE_EQ(at, 1.5);
         EXPECT_EQ(seen, id);
+        // The handle died before the callback ran.
+        EXPECT_FALSE(q.cancel(id));
         action();
       });
   EXPECT_TRUE(dispatched);
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(q.empty());
-  // The handle died when the event fired.
-  EXPECT_FALSE(q.cancel(id));
 }
 
-TEST(EventQueueFifo, DispatchIfSingleAllowsSchedulingFromCallback) {
+TEST(EventQueueFifo, DispatchHeadAllowsSchedulingFromCallback) {
   // The dispatched callback may schedule and cancel freely — the slot it
   // runs from is released only after it returns.
   EventQueue q;
@@ -186,11 +179,7 @@ TEST(EventQueueFifo, DispatchIfSingleAllowsSchedulingFromCallback) {
     const EventId doomed = q.schedule(1.5, [&] { order.push_back(-1); });
     q.cancel(doomed);
   });
-  const auto dispatch = [&](Time, EventId, EventQueue::Callback& action) {
-    action();
-  };
-  while (q.dispatch_if_single(dispatch)) {
-  }
+  drain_ids(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_TRUE(q.empty());
 }

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "sim/random.h"
+
 namespace tempriv::sim {
 namespace {
 
@@ -197,6 +199,99 @@ TEST(EventQueue, EventIdsAreUnique) {
   EXPECT_NE(a, b);
   EXPECT_TRUE(a.valid());
   EXPECT_FALSE(EventId{}.valid());
+}
+
+// Equal-time cohorts ("batches") through dispatch_head: one event per
+// call, insertion order, tombstones skipped wherever they surface.
+
+TEST(EventQueueBatch, DrainsEqualTimeCohortInInsertionOrder) {
+  EventQueue queue;
+  std::vector<int> order;
+  const EventId a = queue.schedule(5.0, [&] { order.push_back(1); });
+  const EventId b = queue.schedule(5.0, [&] { order.push_back(2); });
+  queue.schedule(7.0, [&] { order.push_back(99); });
+  const EventId c = queue.schedule(5.0, [&] { order.push_back(3); });
+
+  std::vector<EventId> ids;
+  const auto run = [&](Time at, EventId id, EventQueue::Callback& action) {
+    EXPECT_DOUBLE_EQ(at, 5.0);
+    ids.push_back(id);
+    action();
+  };
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(queue.dispatch_head(run));
+  EXPECT_EQ(ids, (std::vector<EventId>{a, b, c}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  // The 7.0 event is untouched.
+  EXPECT_EQ(queue.size(), 1u);
+  EXPECT_DOUBLE_EQ(queue.next_time(), 7.0);
+}
+
+TEST(EventQueueBatch, SkipsTombstonesInsideEqualTimeRun) {
+  EventQueue queue;
+  const EventId a = queue.schedule(3.0, [] {});
+  const EventId b = queue.schedule(3.0, [] {});
+  const EventId c = queue.schedule(3.0, [] {});
+  // Cancel the middle event while it is buried in the heap.
+  EXPECT_TRUE(queue.cancel(b));
+  std::vector<EventId> ids;
+  while (queue.dispatch_head(
+      [&](Time, EventId id, EventQueue::Callback&) { ids.push_back(id); })) {
+  }
+  EXPECT_EQ(ids, (std::vector<EventId>{a, c}));
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.tombstones_swept(), 1u);
+}
+
+TEST(EventQueueBatch, CancelOfHeapEventWhileBatchOutstandingSweepsHead) {
+  // While an event is being dispatched its slot is still claimed, so heap
+  // size and live count diverge; a cancel of the in-heap head from inside
+  // the callback must still be swept so next_time() stays truthful.
+  EventQueue queue;
+  queue.schedule(1.0, [] {});
+  const EventId later = queue.schedule(2.0, [] {});
+  queue.schedule(3.0, [] {});
+  ASSERT_TRUE(queue.dispatch_head([&](Time, EventId, EventQueue::Callback&) {
+    EXPECT_TRUE(queue.cancel(later));
+    EXPECT_DOUBLE_EQ(queue.next_time(), 3.0);
+  }));
+  const auto event = queue.pop();
+  ASSERT_TRUE(event.has_value());
+  EXPECT_DOUBLE_EQ(event->at, 3.0);
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueue, TombstonesSweptCountsEveryCancelOnceDrained) {
+  // Cancel-heavy churn over both lanes: records cancelled at a lane head
+  // are swept at once, buried ones when they surface; a drained queue has
+  // swept exactly one record per successful cancel.
+  RandomStream rng(5);
+  EventQueue q;
+  std::vector<EventId> ids;
+  std::uint64_t cancelled = 0;
+  double fifo_at = 0.0;
+  for (int round = 0; round < 200; ++round) {
+    for (int i = 0; i < 8; ++i) {
+      ids.push_back(q.schedule(rng.uniform(0.0, 50.0), [] {}));
+      fifo_at += rng.uniform(0.0, 1.0);
+      ids.push_back(q.schedule_monotone(fifo_at, [] {}));
+    }
+    for (int i = 0; i < 6; ++i) {
+      cancelled += q.cancel(ids[rng.uniform_index(ids.size())]);
+    }
+    for (int i = 0; i < 4; ++i) q.pop();
+    EXPECT_LE(q.tombstones_swept(), cancelled);
+  }
+  while (q.pop()) {
+  }
+  EXPECT_GT(cancelled, 500u);
+  EXPECT_EQ(q.tombstones_swept(), cancelled);
+
+  // clear() discards records without sweeping them.
+  const EventId buried = q.schedule(2.0, [] {});
+  q.schedule(1.0, [] {});
+  EXPECT_TRUE(q.cancel(buried));
+  q.clear();
+  EXPECT_EQ(q.tombstones_swept(), cancelled);
 }
 
 }  // namespace

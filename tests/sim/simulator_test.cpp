@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <iterator>
+#include <map>
 #include <stdexcept>
+#include <utility>
 #include <vector>
+
+#include "sim/random.h"
 
 namespace tempriv::sim {
 namespace {
@@ -149,6 +155,201 @@ TEST(Simulator, CascadedEventsKeepVirtualTimeCausal) {
     EXPECT_GT(times[i], times[i - 1]);
   }
 }
+
+// Equal-time cohorts: the dispatch loop runs them one event at a time in
+// insertion order, and everything a callback does inside a cohort — cancel,
+// schedule at the current time, stop(), throw — is ordered by sequence
+// number like any other event.
+
+TEST(SimulatorBatch, EqualTimeEventsRunInScheduleOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(1.0, [&] { order.push_back(1); });
+  sim.schedule_at(1.0, [&] { order.push_back(2); });
+  sim.schedule_at(1.0, [&] { order.push_back(3); });
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+}
+
+TEST(SimulatorBatch, CallbackCancellingLaterEqualTimeEventSuppressesIt) {
+  Simulator sim;
+  bool ran = false;
+  EventId doomed;
+  sim.schedule_at(1.0, [&] { sim.cancel(doomed); });
+  doomed = sim.schedule_at(1.0, [&] { ran = true; });
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulatorBatch, CallbackSchedulingAtSameTimeRunsAfterCohort) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(1.0, [&] {
+    order.push_back(1);
+    sim.schedule_at(1.0, [&] { order.push_back(9); });
+  });
+  sim.schedule_at(1.0, [&] { order.push_back(2); });
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 9}));
+}
+
+TEST(SimulatorBatch, StopMidBatchLeavesRemainderPending) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(1.0, [&] {
+    order.push_back(1);
+    sim.stop();
+  });
+  sim.schedule_at(1.0, [&] { order.push_back(2); });
+  sim.schedule_at(1.0, [&] { order.push_back(3); });
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_DOUBLE_EQ(sim.next_event_time(), 1.0);
+
+  // Resuming runs the rest in the original order.
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(SimulatorBatch, ExceptionMidBatchRequeuesRemainder) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(1.0, [&] { order.push_back(1); });
+  sim.schedule_at(1.0, [&] { throw std::runtime_error("boom"); });
+  sim.schedule_at(1.0, [&] { order.push_back(3); });
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+}
+
+TEST(SimulatorBatch, RunUntilHonorsDeadlineAcrossBatches) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(1.0, [&] { order.push_back(1); });
+  sim.schedule_at(1.0, [&] { order.push_back(2); });
+  sim.schedule_at(2.0, [&] { order.push_back(3); });
+  sim.schedule_at(3.0, [&] { order.push_back(4); });
+  EXPECT_EQ(sim.run_until(2.0), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+  EXPECT_EQ(sim.pending_events(), 1u);
+}
+
+// Model-based fuzz of the dispatch loop: randomized schedule, cancel,
+// run_until and run calls on a coarse time grid (so equal-time cohorts are
+// common), with callbacks that themselves schedule — often at the current
+// time — cancel pending events, and stop the run. The reference model is
+// one event at a time: a map on (time, insertion seq). Every callback checks
+// that it is the model's earliest pending event, so any departure from
+// (time, seq) order is caught at the first misordered event.
+class EventQueueBatchFuzzTest : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+class DispatchModel {
+ public:
+  explicit DispatchModel(std::uint64_t seed) : rng_(seed) {}
+
+  Simulator sim;
+  std::map<std::pair<double, std::uint64_t>, EventId> pending;
+  std::size_t ran = 0;
+  bool misordered = false;
+  bool stopped = false;  // a callback called stop() since the last reset
+
+  RandomStream& rng() { return rng_; }
+
+  void schedule(double at) {
+    const std::uint64_t seq = seq_++;
+    pending.emplace(std::make_pair(at, seq),
+                    sim.schedule_at(at, [this, at, seq] { fire(at, seq); }));
+  }
+
+  void cancel_random() {
+    if (pending.empty()) return;
+    const auto it = std::next(
+        pending.begin(),
+        static_cast<std::ptrdiff_t>(rng_.uniform_index(pending.size())));
+    EXPECT_TRUE(sim.cancel(it->second));
+    pending.erase(it);
+  }
+
+ private:
+  void fire(double at, std::uint64_t seq) {
+    if (pending.empty() || pending.begin()->first != std::make_pair(at, seq) ||
+        sim.now() != at) {
+      misordered = true;
+    }
+    pending.erase({at, seq});
+    ++ran;
+    const double dice = rng_.uniform01();
+    if (dice < 0.3) {
+      schedule(sim.now());  // joins the current cohort, behind its members
+    } else if (dice < 0.45) {
+      schedule(sim.now() +
+               0.5 * static_cast<double>(1 + rng_.uniform_index(4)));
+    }
+    if (rng_.uniform01() < 0.2) cancel_random();  // often a cohort sibling
+    if (rng_.uniform01() < 0.03) {
+      sim.stop();
+      stopped = true;
+    }
+  }
+
+  RandomStream rng_;
+  std::uint64_t seq_ = 0;
+};
+
+TEST_P(EventQueueBatchFuzzTest, MatchesOneAtATimeReferenceModel) {
+  DispatchModel m(GetParam());
+  RandomStream& rng = m.rng();
+  double last_at = 0.0;
+  for (int op = 0; op < 3000; ++op) {
+    const double dice = rng.uniform01();
+    const std::size_t ran_before = m.ran;
+    m.stopped = false;
+    if (dice < 0.5) {
+      if (op % 4 != 3 || last_at < m.sim.now()) {
+        last_at =
+            m.sim.now() + 0.5 * static_cast<double>(rng.uniform_index(20));
+      }
+      m.schedule(last_at);
+    } else if (dice < 0.65) {
+      m.cancel_random();
+    } else if (dice < 0.9) {
+      const double deadline =
+          m.sim.now() + 0.5 * static_cast<double>(rng.uniform_index(6)) +
+          (rng.bernoulli(0.3) ? 0.25 : 0.0);
+      const std::size_t count = m.sim.run_until(deadline);
+      ASSERT_EQ(count, m.ran - ran_before);
+      if (!m.stopped) {
+        ASSERT_TRUE(m.pending.empty() ||
+                    m.pending.begin()->first.first > deadline);
+        ASSERT_DOUBLE_EQ(m.sim.now(), deadline);
+      }
+    } else {
+      const std::size_t count = m.sim.run();
+      ASSERT_EQ(count, m.ran - ran_before);
+      if (!m.stopped) {
+        ASSERT_TRUE(m.pending.empty());
+      }
+    }
+    ASSERT_FALSE(m.misordered) << "op " << op;
+    ASSERT_EQ(m.sim.pending_events(), m.pending.size());
+    ASSERT_EQ(m.sim.next_event_time(), m.pending.empty()
+                                           ? kTimeInfinity
+                                           : m.pending.begin()->first.first);
+  }
+  // Drain the rest; stop() may interrupt a run, so loop until empty.
+  while (m.sim.pending_events() != 0) m.sim.run();
+  ASSERT_FALSE(m.misordered);
+  ASSERT_TRUE(m.pending.empty());
+  ASSERT_EQ(m.sim.events_executed(), m.ran);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueBatchFuzzTest,
+                         ::testing::Values(7u, 21u, 301u, 9999u));
 
 }  // namespace
 }  // namespace tempriv::sim

@@ -235,5 +235,23 @@ TEST(SchemeNames, AreHumanReadable) {
   EXPECT_STREQ(to_string(Scheme::kRcad), "delay+limited-buffers(RCAD)");
 }
 
+TEST(PaperScenario, RcadUnderEveryVictimPolicyPassesEndOfRunChecks) {
+  // run_paper_scenario throws if packet conservation or
+  // preemptions == tombstones swept fails at the end of the run; drive both
+  // checks through heavy preemption under every victim rule.
+  for (const core::VictimPolicy victim :
+       {core::VictimPolicy::kShortestRemaining,
+        core::VictimPolicy::kLongestRemaining, core::VictimPolicy::kRandom,
+        core::VictimPolicy::kOldest}) {
+    PaperScenario scenario = fast_scenario(Scheme::kRcad, 2.0);
+    scenario.victim = victim;
+    scenario.source = SourceKind::kBursty;
+    scenario.hop_jitter = 0.5;
+    const ScenarioResult result = run_paper_scenario(scenario);
+    EXPECT_GT(result.preemptions, 100u) << core::to_string(victim);
+    EXPECT_EQ(result.delivered, result.originated);
+  }
+}
+
 }  // namespace
 }  // namespace tempriv::workload

@@ -4,7 +4,6 @@
 //   tempriv-campaign fig2a --jobs 8
 //   tempriv-campaign buffer --reps 5 --jsonl buffer.jsonl
 //   tempriv-campaign fig2a --shard 1/4          # run only shard 1 of 4
-//   tempriv-campaign fig2a --shard auto:4       # fork 4 shards, auto-merge
 //   tempriv-campaign grid --interarrival 2:20:2 --buffer-slots 5,10,20
 //       --scheme rcad,droptail --packets 500 --seed 42
 //
@@ -15,11 +14,10 @@
 // point keeps the scenario's own seed; replication r > 0 reseeds with
 // sim::derive_seed (see sim/seed.h).
 //
-// Sharding: --shard i/N runs only the jobs whose global index ≡ i (mod N)
-// and writes self-describing shard artifacts for tempriv-merge; --shard
-// auto:N forks N local shard processes, streams one aggregated progress
-// meter, and merges the shards back into the same files a serial run
-// writes, byte for byte.
+// Sharding spreads one campaign over several hosts: --shard i/N runs only
+// the jobs whose global index ≡ i (mod N) and writes self-describing shard
+// artifacts, which tempriv-merge folds back into the same files a serial
+// run writes, byte for byte. On one host, --jobs N threads do the work.
 
 #include <cerrno>
 #include <cmath>
@@ -28,13 +26,12 @@
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "campaign/merge.h"
-#include "campaign/supervisor.h"
 #include "campaign/sweeps.h"
 #include "campaign/telemetry_io.h"
 
@@ -60,21 +57,17 @@ int usage(std::ostream& os, int code) {
         "  --seed S             base seed for every point (default: paper seed)\n"
         "  --shard i/N          run only shard i of N (jobs with index % N == i)\n"
         "                       and write shard artifacts for tempriv-merge\n"
-        "  --shard auto:N       fork N local shard processes, aggregate their\n"
-        "                       progress, and auto-merge when all succeed\n"
         "  --jsonl PATH         write the per-job JSONL result log here\n"
         "                       (default: <results-dir>/<tag>.jsonl, or the\n"
         "                       shard-stamped stem under --shard i/N)\n"
         "  --out DIR            results directory (default: $TEMPRIV_RESULTS_DIR\n"
         "                       or bench_results/)\n"
         "  --telemetry PATH     write a telemetry snapshot (counters, phase\n"
-        "                       spans, memory gauges) here after the run; in\n"
-        "                       --shard auto:N mode each shard also writes a\n"
-        "                       .telemetry.json sibling next to its JSONL and\n"
-        "                       PATH gets their merge. Default builds compile\n"
-        "                       the probes out: the file is all zeros with\n"
-        "                       \"enabled\": false (build -DTEMPRIV_TELEMETRY=ON\n"
-        "                       for live counts; results are byte-identical)\n"
+        "                       spans, memory gauges) here after the run.\n"
+        "                       Default builds compile the probes out: the\n"
+        "                       file is all zeros with \"enabled\": false\n"
+        "                       (build -DTEMPRIV_TELEMETRY=ON for live counts;\n"
+        "                       results are byte-identical)\n"
         "  --quiet              suppress the progress meter\n"
         "  --trace              enable per-packet tracing in every scenario\n"
         "                       (reports total link transmissions; untraced\n"
@@ -174,8 +167,6 @@ std::vector<workload::Scheme> parse_schemes(const std::string& text) {
   return schemes;
 }
 
-enum class ShardMode { kSerial, kSingle, kAuto };
-
 struct Options {
   std::string sweep_name;
   std::size_t jobs = 0;  // 0 = hardware concurrency
@@ -186,30 +177,21 @@ struct Options {
   std::uint64_t seed = 0;
   std::string jsonl_path;
   std::string telemetry_path;
-  ShardMode mode = ShardMode::kSerial;
-  campaign::ShardSpec shard;       // kSingle
-  std::uint32_t fleet_shards = 0;  // kAuto
+  // Set by --shard i/N. "0/1" is a one-shard campaign that still stamps
+  // shard artifacts: the determinism suite merges it to prove
+  // merge(1 shard) == serial.
+  std::optional<campaign::ShardSpec> shard;
   campaign::GridSpec grid;
 };
 
-void parse_shard_arg(Options& opt, const std::string& text) {
-  if (text.rfind("auto:", 0) == 0) {
-    opt.fleet_shards = parse_u32_arg("--shard auto:", text.substr(5));
-    if (opt.fleet_shards == 0) {
-      throw UsageError("--shard auto:N wants N >= 1, got '" + text + "'");
-    }
-    opt.mode = ShardMode::kAuto;
-    return;
-  }
+campaign::ShardSpec parse_shard_arg(const std::string& text) {
   try {
-    opt.shard = campaign::parse_shard_spec(text);
+    return campaign::parse_shard_spec(text);
   } catch (const std::invalid_argument& e) {
-    throw UsageError(e.what());
+    throw UsageError(std::string(e.what()) +
+                     "; --shard i/N splits a campaign across hosts, and "
+                     "--jobs N runs it on N threads of this one");
   }
-  // "0/1" also takes this path and stamps shard artifacts — it is a
-  // one-shard campaign, and the determinism suite merges it to prove
-  // merge(1 shard) == serial.
-  opt.mode = ShardMode::kSingle;
 }
 
 Options parse_options(int argc, char** argv) {
@@ -230,7 +212,7 @@ Options parse_options(int argc, char** argv) {
       opt.seed = parse_u64_arg(arg, value());
       opt.seed_set = true;
     } else if (arg == "--shard") {
-      parse_shard_arg(opt, value());
+      opt.shard = parse_shard_arg(value());
     } else if (arg == "--jsonl") {
       opt.jsonl_path = value();
     } else if (arg == "--telemetry") {
@@ -275,17 +257,22 @@ std::ofstream open_output(const std::string& path) {
   return file;
 }
 
-/// Runs one shard to its two artifact files (plus an optional telemetry
-/// snapshot). Shared by --shard i/N (in process) and --shard auto:N
-/// (inside each forked child).
-void run_one_shard(const campaign::Sweep& sweep, const Options& opt,
-                   const campaign::ShardSpec& shard, std::size_t threads,
-                   campaign::ProgressListener* progress,
-                   const std::string& jsonl_path,
-                   const std::string& telemetry_path) {
+/// Runs the jobs of shard `opt.shard` to its two artifact files (plus an
+/// optional telemetry snapshot).
+int run_shard(const campaign::Sweep& sweep, const Options& opt) {
+  const campaign::ShardSpec shard = *opt.shard;
+  const std::size_t total_jobs = sweep.points.size() * opt.reps;
+  const std::size_t owned = campaign::shard_jobs_owned(total_jobs, shard);
+  const std::string jsonl_path =
+      opt.jsonl_path.empty()
+          ? bench::results_dir() + "/" +
+                campaign::shard_artifact_stem(sweep.tag, shard) + ".jsonl"
+          : opt.jsonl_path;
+
+  campaign::ProgressReporter progress(std::cerr, owned);
   campaign::RunnerOptions options;
-  options.threads = threads;
-  options.progress = progress;
+  options.threads = opt.jobs;
+  if (!opt.quiet) options.progress = &progress;
   std::ofstream jsonl_file = open_output(jsonl_path);
   std::ofstream stats_file = open_output(campaign::shard_stats_path(jsonl_path));
   campaign::run_sweep_shard(sweep, options, opt.reps, shard, jsonl_file,
@@ -296,133 +283,19 @@ void run_one_shard(const campaign::Sweep& sweep, const Options& opt,
     throw std::runtime_error("short write on shard artifacts for " +
                              jsonl_path);
   }
-  // Collected after the worker pool has quiesced (run_sweep_shard joins it).
-  if (!telemetry_path.empty()) {
-    campaign::write_telemetry_file(telemetry_path, telemetry::collect());
-  }
-}
-
-std::string shard_jsonl_path(const std::string& dir, const std::string& tag,
-                             const campaign::ShardSpec& shard) {
-  return dir + "/" + campaign::shard_artifact_stem(tag, shard) + ".jsonl";
-}
-
-int run_single_shard(const campaign::Sweep& sweep, const Options& opt) {
-  const std::size_t total_jobs = sweep.points.size() * opt.reps;
-  const std::size_t owned = campaign::shard_jobs_owned(total_jobs, opt.shard);
-  const std::string jsonl_path =
-      opt.jsonl_path.empty()
-          ? shard_jsonl_path(bench::results_dir(), sweep.tag, opt.shard)
-          : opt.jsonl_path;
-
-  campaign::ProgressReporter progress(std::cerr, owned);
-  run_one_shard(sweep, opt, opt.shard, opt.jobs,
-                opt.quiet ? nullptr : &progress, jsonl_path,
-                opt.telemetry_path);
   if (!opt.quiet) progress.finish();
+  // Collected after the worker pool has quiesced (run_sweep_shard joins it).
+  if (!opt.telemetry_path.empty()) {
+    campaign::write_telemetry_file(opt.telemetry_path, telemetry::collect());
+  }
 
-  std::cout << "shard " << opt.shard.index << "/" << opt.shard.count << ": "
+  std::cout << "shard " << shard.index << "/" << shard.count << ": "
             << owned << " of " << total_jobs << " jobs\n"
             << "(jsonl: " << jsonl_path << ")\n"
             << "(stats: " << campaign::shard_stats_path(jsonl_path) << ")\n";
   if (!opt.telemetry_path.empty()) {
     std::cout << "(telemetry: " << opt.telemetry_path << ")\n";
   }
-  return 0;
-}
-
-int run_shard_fleet_and_merge(const campaign::Sweep& sweep,
-                              const Options& opt) {
-  const std::size_t total_jobs = sweep.points.size() * opt.reps;
-  const std::uint32_t shards = opt.fleet_shards;
-  const std::string merged_jsonl =
-      opt.jsonl_path.empty()
-          ? bench::results_dir() + "/" + sweep.tag + ".jsonl"
-          : opt.jsonl_path;
-  std::string dir =
-      std::filesystem::path(merged_jsonl).parent_path().string();
-  if (dir.empty()) dir = ".";
-
-  // Split the machine across the fleet unless the user pinned --jobs, which
-  // then applies per child.
-  std::size_t child_threads = opt.jobs;
-  if (child_threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    child_threads = hw > shards ? hw / shards : 1;
-  }
-
-  campaign::ProgressReporter progress(std::cerr, total_jobs);
-  campaign::ProgressListener* listener = opt.quiet ? nullptr : &progress;
-
-  // Children heartbeat once a second so the supervisor can distinguish a
-  // shard grinding through one long job from a hung one.
-  campaign::FleetOptions fleet_options;
-  fleet_options.stall_after = std::chrono::seconds(30);
-  fleet_options.stall_log = opt.quiet ? nullptr : &std::cerr;
-
-  // Fork the fleet before any thread exists in this process (fork and
-  // threads do not mix); each child spawns its own worker pool.
-  std::string fleet_error;
-  const int rc = campaign::run_shard_fleet(
-      shards, listener,
-      [&](const campaign::ShardSpec& shard, int progress_fd) {
-        try {
-          const std::string shard_jsonl =
-              shard_jsonl_path(dir, sweep.tag, shard);
-          campaign::PipeProgress pipe_progress(progress_fd,
-                                               std::chrono::seconds(1));
-          run_one_shard(sweep, opt, shard, child_threads, &pipe_progress,
-                        shard_jsonl,
-                        opt.telemetry_path.empty()
-                            ? std::string()
-                            : campaign::shard_telemetry_path(shard_jsonl));
-          return 0;
-        } catch (const std::exception& e) {
-          std::cerr << "tempriv-campaign [shard " << shard.index << "/"
-                    << shard.count << "]: " << e.what() << "\n";
-          return 1;
-        }
-      },
-      &fleet_error, fleet_options);
-  if (rc != 0) {
-    throw std::runtime_error("shard fleet failed: " + fleet_error);
-  }
-  if (!opt.quiet) progress.finish();
-
-  std::vector<campaign::ShardInput> inputs;
-  inputs.reserve(shards);
-  for (std::uint32_t i = 0; i < shards; ++i) {
-    inputs.push_back(campaign::load_shard_files(
-        shard_jsonl_path(dir, sweep.tag, campaign::ShardSpec{i, shards})));
-  }
-  const campaign::MergedCampaign merged = campaign::merge_shards(inputs);
-
-  open_output(merged_jsonl) << merged.jsonl;
-  const std::string stats_path = campaign::shard_stats_path(merged_jsonl);
-  open_output(stats_path) << merged.stats_json;
-
-  if (!opt.telemetry_path.empty()) {
-    // Campaign-wide view: the shards' snapshots (simulation counters)
-    // folded together with this process's own (which carries the merge
-    // span). Merge order is irrelevant — snapshot merge is associative
-    // and commutative (tested).
-    telemetry::Snapshot combined = telemetry::collect();
-    for (std::uint32_t i = 0; i < shards; ++i) {
-      combined.merge(campaign::load_telemetry_file(
-          campaign::shard_telemetry_path(shard_jsonl_path(
-              dir, sweep.tag, campaign::ShardSpec{i, shards}))));
-    }
-    campaign::write_telemetry_file(opt.telemetry_path, combined);
-  }
-
-  bench::emit(sweep.tag, merged.table);
-  std::cout << "(jsonl: " << merged_jsonl << ")\n"
-            << "(stats: " << stats_path << ")\n";
-  if (!opt.telemetry_path.empty()) {
-    std::cout << "(telemetry: " << opt.telemetry_path << ")\n";
-  }
-  campaign::print_campaign_summary(std::cout, merged.total,
-                                   sweep.points.size(), opt.reps);
   return 0;
 }
 
@@ -488,15 +361,7 @@ int run(int argc, char** argv) {
     for (workload::PaperScenario& point : sweep.points) point.trace = true;
   }
 
-  switch (opt.mode) {
-    case ShardMode::kSingle:
-      return run_single_shard(sweep, opt);
-    case ShardMode::kAuto:
-      return run_shard_fleet_and_merge(sweep, opt);
-    case ShardMode::kSerial:
-      break;
-  }
-  return run_serial(sweep, opt);
+  return opt.shard ? run_shard(sweep, opt) : run_serial(sweep, opt);
 }
 
 }  // namespace
