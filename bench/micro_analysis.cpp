@@ -4,10 +4,9 @@
 // adversary's per-flow estimate query. These bound how many Monte-Carlo
 // samples a leakage figure can afford per sweep point.
 //
-// scripts/bench_analysis.sh runs this suite and records the medians in
-// BENCH_analysis.json, with speedups against the committed pre-rewrite
-// capture bench_results/analysis_before.json (same trajectory convention
-// as BENCH_engine.json).
+// This binary is the estimators' only timing: perfbench's workloads never
+// run them (see perfbench/README.md). Compare two builds by running it
+// from each, interleaved.
 
 #include <benchmark/benchmark.h>
 
@@ -59,9 +58,8 @@ void BM_MutualInformationKsg(benchmark::State& state) {
 BENCHMARK(BM_MutualInformationKsg)->Arg(1000)->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
-// The retained O(n²) reference — kept runnable so the speedup claimed in
-// BENCH_analysis.json can be re-measured on any machine, not just trusted
-// from the committed baseline capture.
+// The retained O(n²) reference — kept runnable so the sort-based rewrite's
+// speedup (EXPERIMENTS.md) can be re-measured on any machine.
 void BM_MutualInformationKsgBrute(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const LeakagePairs p = leakage_pairs(n, 101);

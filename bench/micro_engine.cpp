@@ -15,8 +15,8 @@
 #include "workload/scenario.h"
 
 // Global allocation counter: the steady-state benchmarks report allocs/op so
-// the zero-allocation contract shows up in BENCH_engine.json, not just in
-// the unit test that asserts it.
+// the zero-allocation contract shows up in the benchmark report, not just
+// in the unit test that asserts it.
 //
 // GCC flags malloc-backed replacement allocators as mismatched new/delete
 // pairs; the pairing is correct here since every path goes through these.

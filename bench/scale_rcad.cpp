@@ -6,24 +6,28 @@
 // a baseline adversary and ground-truth recorder scoring temporal privacy
 // at the sink.
 //
-// Emits one JSON object on stdout per invocation; scripts/bench_scale.sh
-// runs the n-ladder and merges the objects into BENCH_scale.json. Wall-clock
-// numbers are machine-dependent (trajectory data, not a regression gate);
-// the structural fields (nodes, edges, bytes_per_node, unreachable,
-// delivered, adversary_mse) are deterministic per seed.
+// Emits one JSON object on stdout per invocation. Wall-clock numbers are
+// machine-dependent; the structural fields (nodes, edges, bytes_per_node,
+// unreachable, delivered, adversary_mse) are deterministic per seed. The
+// `scale_rcad` ctest (tests/cli/scale_rcad_test.sh) gates two of them:
+// every packet delivered on a 10⁴-node full run and bytes_per_node ≤ 256
+// on a 10⁵-node build. perfbench's field_1m workload times the 10⁶-node
+// scored run.
 //
 // Usage: scale_rcad --n 100000 [--mode full|build] [--sinks 32]
 //                   [--sources 512] [--packets 20] [--interval 20]
 //                   [--radius 1.8] [--mean-delay 30] [--capacity 10]
 //                   [--seed 1]
+//
+// A malformed or out-of-range value exits 2 with a message, never aborts.
 
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -37,10 +41,12 @@
 #include "net/topology.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "tools/cli_number.h"
 #include "workload/source.h"
 
 namespace {
 
+using namespace tempriv;
 using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
@@ -69,12 +75,12 @@ Options parse(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
-    auto value = [&]() -> const char* {
+    auto value = [&]() -> std::string {
       if (++i >= argc) usage_error("missing value after flag");
       return argv[i];
     };
     if (flag == "--n") {
-      opt.n = std::strtoull(value(), nullptr, 10);
+      opt.n = cli::parse_uint<std::size_t>(flag, value());
     } else if (flag == "--mode") {
       const std::string mode = value();
       if (mode == "build") {
@@ -83,21 +89,21 @@ Options parse(int argc, char** argv) {
         usage_error("--mode must be full or build");
       }
     } else if (flag == "--sinks") {
-      opt.sinks = std::strtoull(value(), nullptr, 10);
+      opt.sinks = cli::parse_uint<std::size_t>(flag, value());
     } else if (flag == "--sources") {
-      opt.sources = std::strtoull(value(), nullptr, 10);
+      opt.sources = cli::parse_uint<std::size_t>(flag, value());
     } else if (flag == "--packets") {
-      opt.packets = static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      opt.packets = cli::parse_uint<std::uint32_t>(flag, value());
     } else if (flag == "--interval") {
-      opt.interval = std::strtod(value(), nullptr);
+      opt.interval = cli::parse_double(flag, value());
     } else if (flag == "--radius") {
-      opt.radius = std::strtod(value(), nullptr);
+      opt.radius = cli::parse_double(flag, value());
     } else if (flag == "--mean-delay") {
-      opt.mean_delay = std::strtod(value(), nullptr);
+      opt.mean_delay = cli::parse_double(flag, value());
     } else if (flag == "--capacity") {
-      opt.capacity = std::strtoull(value(), nullptr, 10);
+      opt.capacity = cli::parse_uint<std::size_t>(flag, value());
     } else if (flag == "--seed") {
-      opt.seed = std::strtoull(value(), nullptr, 10);
+      opt.seed = cli::parse_uint<std::uint64_t>(flag, value());
     } else {
       usage_error("unknown flag (see header comment for usage)");
     }
@@ -108,11 +114,7 @@ Options parse(int argc, char** argv) {
   return opt;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace tempriv;
-  const Options opt = parse(argc, argv);
+int run(const Options& opt) {
   // Unit density: n nodes in a side × side square with side = sqrt(n), so
   // the expected degree (π·r² − 1 neighbors) is scale-invariant and the
   // giant component covers the field at every rung of the ladder.
@@ -230,4 +232,17 @@ int main(int argc, char** argv) {
                   static_cast<double>(opt.n));
   std::printf("\n}\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Out-of-range values the parser cannot judge alone (--capacity 0,
+  // --mean-delay 0) are rejected by the constructors before anything is
+  // printed; they are usage errors too.
+  try {
+    return run(parse(argc, argv));
+  } catch (const std::invalid_argument& e) {
+    usage_error(e.what());
+  }
 }

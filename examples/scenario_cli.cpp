@@ -8,16 +8,15 @@
 //
 // Run with --help for the full flag list.
 
-#include <charconv>
 #include <cstdint>
 #include <iostream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "metrics/table.h"
+#include "tools/cli_number.h"
 #include "workload/scenario.h"
 
 namespace {
@@ -71,35 +70,12 @@ core::VictimPolicy parse_victim(const std::string& name) {
   usage(2);
 }
 
-/// A whole unsigned decimal no larger than T's maximum. A sign, trailing
-/// text or an out-of-range value throws std::invalid_argument, where
-/// std::stoul would accept "5x", wrap "-1" or throw std::out_of_range.
-template <typename T>
-T parse_count(const std::string& text) {
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (error != std::errc() || stop != end ||
-      value > std::numeric_limits<T>::max()) {
-    throw std::invalid_argument(text);
-  }
-  return static_cast<T>(value);
-}
-
-/// A whole decimal number; trailing text throws std::invalid_argument.
-double parse_real(const std::string& text) {
-  std::size_t stop = 0;
-  const double value = std::stod(text, &stop);
-  if (stop != text.size()) throw std::invalid_argument(text);
-  return value;
-}
-
 std::vector<std::uint16_t> parse_hops(const std::string& list) {
   std::vector<std::uint16_t> hops;
   std::stringstream ss(list);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    const std::uint16_t value = parse_count<std::uint16_t>(item);
+    const auto value = cli::parse_uint<std::uint16_t>("--hops", item);
     if (value == 0) {
       std::cerr << "bad hop count: " << item << "\n";
       usage(2);
@@ -135,36 +111,37 @@ int main(int argc, char** argv) {
       } else if (flag == "--scheme") {
         scenario.scheme = parse_scheme(value());
       } else if (flag == "--interarrival") {
-        scenario.interarrival = parse_real(value());
+        scenario.interarrival = cli::parse_double(flag, value());
       } else if (flag == "--packets") {
-        scenario.packets_per_source = parse_count<std::uint32_t>(value());
+        scenario.packets_per_source =
+            cli::parse_uint<std::uint32_t>(flag, value());
       } else if (flag == "--mean-delay") {
-        scenario.mean_delay = parse_real(value());
+        scenario.mean_delay = cli::parse_double(flag, value());
       } else if (flag == "--buffer") {
-        scenario.buffer_slots = parse_count<std::size_t>(value());
+        scenario.buffer_slots = cli::parse_uint<std::size_t>(flag, value());
       } else if (flag == "--victim") {
         scenario.victim = parse_victim(value());
       } else if (flag == "--hops") {
         scenario.hop_counts = parse_hops(value());
       } else if (flag == "--shared-tail") {
-        scenario.shared_tail = parse_count<std::uint16_t>(value());
+        scenario.shared_tail = cli::parse_uint<std::uint16_t>(flag, value());
       } else if (flag == "--sink-weighting") {
-        scenario.sink_weighting = parse_real(value());
+        scenario.sink_weighting = cli::parse_double(flag, value());
       } else if (flag == "--source") {
         scenario.source = parse_source(value());
       } else if (flag == "--jitter") {
-        scenario.hop_jitter = parse_real(value());
+        scenario.hop_jitter = cli::parse_double(flag, value());
       } else if (flag == "--tx-delay") {
-        scenario.hop_tx_delay = parse_real(value());
+        scenario.hop_tx_delay = cli::parse_double(flag, value());
       } else if (flag == "--seed") {
-        scenario.seed = parse_count<std::uint64_t>(value());
+        scenario.seed = cli::parse_uint<std::uint64_t>(flag, value());
       } else if (flag == "--csv") {
         csv_path = value();
       } else {
         std::cerr << "unknown flag: " << flag << "\n";
         usage(2);
       }
-    } catch (const std::logic_error&) {  // invalid_argument, out_of_range
+    } catch (const cli::UsageError&) {
       std::cerr << "bad value for " << flag << "\n";
       usage(2);
     }

@@ -9,16 +9,22 @@
 #   4. the retired fork-fleet shard mode is a usage error (exit 2) that
 #      points at --jobs N and --shard i/N;
 #   5. --telemetry writes a snapshot in every mode without perturbing any
-#      result byte (works in OFF builds too: all-zero snapshot), and
-#      tempriv-merge --telemetry combines shard snapshots / fails when a
-#      sibling is missing.
+#      result byte (works in OFF builds too: all-zero snapshot), with the
+#      event-queue counters, buffer occupancy, memory gauges and, when the
+#      probes are compiled in, the job/simulate span; tempriv-merge
+#      --telemetry combines shard snapshots / fails when a sibling is
+#      missing.
 #
-# Usage: campaign_cli_test.sh <tempriv-campaign> <tempriv-merge>
+# Usage: campaign_cli_test.sh <tempriv-campaign> <tempriv-merge> [telemetry]
+#   telemetry: 1 if the binaries were built with -DTEMPRIV_TELEMETRY=ON
+#   (the snapshot must then say "enabled": true), else 0 (the default).
 
 set -u
 
-CAMPAIGN=${1:?usage: campaign_cli_test.sh <tempriv-campaign> <tempriv-merge>}
-MERGE=${2:?usage: campaign_cli_test.sh <tempriv-campaign> <tempriv-merge>}
+USAGE="usage: campaign_cli_test.sh <tempriv-campaign> <tempriv-merge> [0|1]"
+CAMPAIGN=${1:?$USAGE}
+MERGE=${2:?$USAGE}
+TELEMETRY=${3:-0}
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
@@ -143,10 +149,19 @@ for f in campaign_grid.jsonl campaign_grid.stats.json campaign_grid.csv; do
   expect_same "--telemetry vs plain serial ($f)" \
     "$WORK/serial/$f" "$WORK/tserial/$f"
 done
-grep -q '"eq.schedule_heap"' "$WORK/tserial/grid.telemetry.json" ||
-  note_failure "serial telemetry snapshot lacks the event-queue counters"
-grep -q '"spans"' "$WORK/tserial/grid.telemetry.json" ||
-  note_failure "serial telemetry snapshot lacks the spans section"
+SNAPSHOT="$WORK/tserial/grid.telemetry.json"
+ENABLED=false
+[ "$TELEMETRY" = 1 ] && ENABLED=true
+grep -q "\"enabled\": $ENABLED" "$SNAPSHOT" ||
+  note_failure "serial telemetry snapshot does not say \"enabled\": $ENABLED"
+for key in eq.schedule_heap buf.occupancy mem.network_bytes spans; do
+  grep -q "\"$key\"" "$SNAPSHOT" ||
+    note_failure "serial telemetry snapshot lacks \"$key\""
+done
+if [ "$TELEMETRY" = 1 ]; then
+  grep -q '"job/simulate"' "$SNAPSHOT" ||
+    note_failure "serial telemetry snapshot lacks the job/simulate span"
+fi
 
 # Two explicit shards writing .telemetry.json siblings, then a merge that
 # combines them. The sibling paths follow the shard JSONL naming so

@@ -27,6 +27,13 @@ for args in "--seed 99999999999999999999999" "--hops 99999999999" \
   expect_bad_value $args
 done
 
+# Non-finite numbers and leading blanks are malformed too, for every real.
+for flag in --interarrival --mean-delay --sink-weighting --jitter --tx-delay; do
+  for value in nan inf ' 4'; do
+    expect_bad_value "$flag" "$value"
+  done
+done
+
 if ! "$CLI" --packets 10 --hops 5,6 >/dev/null 2>"$ERR"; then
   echo "FAIL: a well-formed run did not exit 0" >&2
   cat "$ERR" >&2

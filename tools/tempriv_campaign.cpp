@@ -9,8 +9,8 @@
 //
 // Scenario points × replications fan out across worker threads; results are
 // merged in job-index order, so every output (CSV, JSONL, summary stats) is
-// byte-identical whatever --jobs is. Named sweeps write the same CSV as
-// their serial bench/ counterpart at the default seed. Replication 0 of each
+// byte-identical whatever --jobs is. Named sweeps write the paper figures'
+// CSVs (tests/golden/) at the default seed. Replication 0 of each
 // point keeps the scenario's own seed; replication r > 0 reseeds with
 // sim::derive_seed (see sim/seed.h).
 //
@@ -19,7 +19,6 @@
 // artifacts, which tempriv-merge folds back into the same files a serial
 // run writes, byte for byte. On one host, --jobs N threads do the work.
 
-#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -34,6 +33,7 @@
 #include "campaign/merge.h"
 #include "campaign/sweeps.h"
 #include "campaign/telemetry_io.h"
+#include "tools/cli_number.h"
 
 namespace {
 
@@ -41,9 +41,7 @@ using namespace tempriv;
 
 /// Bad command line (unknown flag, malformed number, ...): reported with a
 /// pointer at --help and exit code 2, distinct from runtime failures (1).
-struct UsageError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
+using cli::UsageError;
 
 int usage(std::ostream& os, int code) {
   os << "usage: tempriv-campaign <sweep>|grid [options]\n"
@@ -82,45 +80,6 @@ int usage(std::ostream& os, int code) {
   return code;
 }
 
-/// Strict non-negative integer: digits only, fully consumed, in range.
-/// "12x", "-3", "" and "99999999999999999999999" all raise UsageError —
-/// std::stoul would silently accept the first and mangle the rest.
-std::uint64_t parse_u64_arg(const std::string& flag, const std::string& text) {
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    throw UsageError(flag + " wants a non-negative integer, got '" + text +
-                     "'");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno == ERANGE || end != text.c_str() + text.size()) {
-    throw UsageError(flag + " value out of range: '" + text + "'");
-  }
-  return value;
-}
-
-std::uint32_t parse_u32_arg(const std::string& flag, const std::string& text) {
-  const std::uint64_t value = parse_u64_arg(flag, text);
-  if (value > 0xffffffffull) {
-    throw UsageError(flag + " value out of range: '" + text + "'");
-  }
-  return static_cast<std::uint32_t>(value);
-}
-
-/// Strict finite double, fully consumed.
-double parse_double_arg(const std::string& flag, const std::string& text) {
-  if (text.empty()) throw UsageError(flag + " wants a number, got ''");
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (errno == ERANGE || end != text.c_str() + text.size() ||
-      !std::isfinite(value)) {
-    throw UsageError(flag + " wants a number, got '" + text + "'");
-  }
-  return value;
-}
-
 std::vector<double> parse_axis(const std::string& flag,
                                const std::string& text) {
   std::vector<double> values;
@@ -132,9 +91,9 @@ std::vector<double> parse_axis(const std::string& flag,
     if (parts.size() != 3) {
       throw UsageError(flag + " wants lo:hi:step, got '" + text + "'");
     }
-    const double lo = parse_double_arg(flag, parts[0]);
-    const double hi = parse_double_arg(flag, parts[1]);
-    const double step = parse_double_arg(flag, parts[2]);
+    const double lo = cli::parse_double(flag, parts[0]);
+    const double hi = cli::parse_double(flag, parts[1]);
+    const double step = cli::parse_double(flag, parts[2]);
     if (step <= 0.0 || hi < lo) {
       throw UsageError(flag + " wants lo:hi:step with step > 0 and hi >= lo, "
                        "got '" + text + "'");
@@ -145,7 +104,7 @@ std::vector<double> parse_axis(const std::string& flag,
   std::istringstream in(text);
   std::string item;
   while (std::getline(in, item, ',')) {
-    if (!item.empty()) values.push_back(parse_double_arg(flag, item));
+    if (!item.empty()) values.push_back(cli::parse_double(flag, item));
   }
   if (values.empty()) throw UsageError(flag + " got an empty list");
   return values;
@@ -204,12 +163,12 @@ Options parse_options(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--jobs") {
-      opt.jobs = static_cast<std::size_t>(parse_u64_arg(arg, value()));
+      opt.jobs = cli::parse_uint<std::size_t>(arg, value());
     } else if (arg == "--reps") {
-      opt.reps = parse_u32_arg(arg, value());
+      opt.reps = cli::parse_uint<std::uint32_t>(arg, value());
       if (opt.reps == 0) throw UsageError("--reps must be >= 1");
     } else if (arg == "--seed") {
-      opt.seed = parse_u64_arg(arg, value());
+      opt.seed = cli::parse_uint<std::uint64_t>(arg, value());
       opt.seed_set = true;
     } else if (arg == "--shard") {
       opt.shard = parse_shard_arg(value());
@@ -236,9 +195,10 @@ Options parse_options(int argc, char** argv) {
     } else if (arg == "--scheme") {
       opt.grid.schemes = parse_schemes(value());
     } else if (arg == "--packets") {
-      opt.grid.base.packets_per_source = parse_u32_arg(arg, value());
+      opt.grid.base.packets_per_source =
+          cli::parse_uint<std::uint32_t>(arg, value());
     } else if (arg == "--mean-delay") {
-      opt.grid.base.mean_delay = parse_double_arg(arg, value());
+      opt.grid.base.mean_delay = cli::parse_double(arg, value());
     } else {
       throw UsageError("unknown option: " + arg);
     }
