@@ -10,7 +10,6 @@
 #include "campaign/jsonio.h"
 #include "campaign/runner.h"
 #include "campaign/sweeps.h"
-#include "telemetry/probes.h"
 
 namespace tempriv::campaign {
 
@@ -320,7 +319,6 @@ MergeCheck check_shards(const std::vector<ShardInput>& shards) {
 }
 
 MergedCampaign merge_shards(const std::vector<ShardInput>& shards) {
-  TEMPRIV_TLM_SPAN("merge");
   const MergeCheck check = check_shards(shards);
   if (!check.ok()) {
     std::string joined = "shard set cannot merge:";

@@ -10,7 +10,6 @@
 
 #include "campaign/thread_pool.h"
 #include "sim/seed.h"
-#include "telemetry/probes.h"
 
 namespace tempriv::campaign {
 
@@ -101,17 +100,11 @@ std::vector<JobResult> CampaignRunner::run(
         const auto start = std::chrono::steady_clock::now();
         JobResult job;
         job.spec = spec;
-        {
-          TEMPRIV_TLM_SPAN("job");
-          job.result = workload::run_paper_scenario(spec.scenario);
-        }
+        job.result = workload::run_paper_scenario(spec.scenario);
         job.wall_seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           start)
                 .count();
-        TEMPRIV_TLM_COUNT(kCampaignJobs);
-        TEMPRIV_TLM_HIST(kCampaignJobWallUs,
-                         static_cast<std::uint64_t>(job.wall_seconds * 1e6));
         if (progress) progress->job_done(job.result.events_executed);
         merger.deposit(order, std::move(job));
       }));

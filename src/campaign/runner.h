@@ -35,9 +35,9 @@ class CampaignRunner {
   explicit CampaignRunner(RunnerOptions options) : options_(options) {}
 
   /// Expands scenario points × replications into the flat job list.
-  /// Replication 0 runs each point's scenario verbatim (same seed as the
-  /// serial benches, keeping their CSVs byte-identical); replication r > 0
-  /// reseeds with sim::derive_seed(seed, r).
+  /// Replication 0 runs each point's scenario verbatim (its own seed, which
+  /// keeps the golden CSVs byte-identical); replication r > 0 reseeds with
+  /// sim::derive_seed(seed, r).
   static std::vector<JobSpec> expand(
       const std::vector<workload::PaperScenario>& points,
       std::uint32_t replications);

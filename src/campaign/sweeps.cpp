@@ -11,9 +11,9 @@ constexpr workload::Scheme kFigureSchemes[] = {
     workload::Scheme::kNoDelay, workload::Scheme::kUnlimitedDelay,
     workload::Scheme::kRcad};
 
-// The paper's sweep axis, 1/λ ∈ [2, 20] step 2, generated with the same
-// loop as the serial benches (the values are exact in binary, so the CSV
-// x-column matches byte for byte).
+// The paper's sweep axis, 1/λ ∈ [2, 20] step 2, accumulated by repeated
+// addition (the values are exact in binary, so the golden CSVs' x-column
+// matches byte for byte).
 std::vector<double> paper_interarrivals() {
   std::vector<double> out;
   for (double interarrival = 2.0; interarrival <= 20.0; interarrival += 2.0) {
@@ -23,7 +23,7 @@ std::vector<double> paper_interarrivals() {
 }
 
 // One scenario point per (interarrival, scheme), interarrival-major — the
-// serial benches' nesting order.
+// golden CSVs' row order.
 std::vector<workload::PaperScenario> three_scheme_grid() {
   std::vector<workload::PaperScenario> points;
   for (const double interarrival : paper_interarrivals()) {
@@ -229,7 +229,8 @@ SweepRun run_sweep(const Sweep& sweep, const RunnerOptions& options,
 
 void run_sweep_shard(const Sweep& sweep, const RunnerOptions& options,
                      std::uint32_t replications, const ShardSpec& shard,
-                     std::ostream& jsonl_os, std::ostream& stats_os) {
+                     std::ostream& jsonl_os, std::ostream& stats_os,
+                     const std::vector<ResultSink*>& sinks) {
   const CampaignManifest manifest =
       make_manifest(sweep.name, sweep.tag, replications, sweep.points);
   const std::vector<JobSpec> jobs =
@@ -243,8 +244,10 @@ void run_sweep_shard(const Sweep& sweep, const RunnerOptions& options,
 
   JsonlSink jsonl(jsonl_os);
   MergedStatsSink stats(sweep.points.size());
+  std::vector<ResultSink*> all_sinks = {&jsonl, &stats};
+  all_sinks.insert(all_sinks.end(), sinks.begin(), sinks.end());
   CampaignRunner runner(options);
-  runner.run(jobs, {&jsonl, &stats});
+  runner.run(jobs, all_sinks);
 
   write_campaign_stats_json(stats_os, manifest, &shard, stats);
 }

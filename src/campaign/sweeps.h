@@ -13,11 +13,11 @@ namespace tempriv::campaign {
 
 /// A named parameter sweep: the scenario grid plus the recipe that folds the
 /// per-point results back into the figure's table. The `table` builder
-/// receives the replication-0 results in point order, so a campaign sweep
-/// emits exactly the CSV its serial bench/ counterpart does.
+/// receives the replication-0 results in point order; for the named sweeps
+/// that table is the paper figure's CSV (tests/golden/<tag>.csv).
 struct Sweep {
   std::string name;  ///< CLI name ("fig2a", "buffer", "grid")
-  std::string tag;   ///< CSV tag, matching the serial bench ("fig2a_mse")
+  std::string tag;   ///< CSV and artifact stem ("fig2a_mse")
   std::vector<workload::PaperScenario> points;
   std::function<metrics::Table(const std::vector<workload::ScenarioResult>&)>
       table;
@@ -68,10 +68,12 @@ SweepRun run_sweep(const Sweep& sweep, const RunnerOptions& options,
 /// the records a shard emits are byte-for-byte the lines the serial run
 /// would have emitted for those jobs — tempriv-merge only interleaves and
 /// validates, it never recomputes. No figure table is built (a partial
-/// shard cannot see every point); that happens at merge time.
+/// shard cannot see every point); that happens at merge time. Extra sinks
+/// see the owned jobs after the two artifact sinks.
 void run_sweep_shard(const Sweep& sweep, const RunnerOptions& options,
                      std::uint32_t replications, const ShardSpec& shard,
-                     std::ostream& jsonl_os, std::ostream& stats_os);
+                     std::ostream& jsonl_os, std::ostream& stats_os,
+                     const std::vector<ResultSink*>& sinks = {});
 
 /// Rebuilds a Sweep good enough to re-render the figure table from parsed
 /// shard artifacts: named sweeps resolve through make_named_sweep (their

@@ -1,10 +1,9 @@
 #include "core/delay_buffer.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
-
-#include "telemetry/probes.h"
 
 namespace tempriv::core {
 
@@ -234,8 +233,9 @@ void DelayBuffer::admit_with_delay(QueueId queue, net::Packet&& packet,
   if (indexed(q)) heap_push(q, slot, admit_seq);
   ++q.count;
   ++live_;
-  TEMPRIV_TLM_HIST(kBufOccupancy, q.count);
-  TEMPRIV_TLM_GAUGE_MAX(kBufPeakOccupancy, q.count);
+  ++occupancy_[std::min<std::size_t>(std::bit_width(q.count),
+                                     kOccupancyBuckets - 1)];
+  peak_occupancy_ = std::max(peak_occupancy_, q.count);
 }
 
 DelayBuffer::Admission DelayBuffer::offer(QueueId queue, net::Packet&& packet,
@@ -245,7 +245,6 @@ DelayBuffer::Admission DelayBuffer::offer(QueueId queue, net::Packet&& packet,
   Admission outcome = Admission::kAdmitted;
   if (queues_[queue].count >= config.capacity) {
     if (!config.victim) {
-      TEMPRIV_TLM_COUNT(kNetDropTailDropped);
       return Admission::kDropped;  // the packet is destroyed
     }
     ctx.transmit(preempt(queue, ctx));
@@ -303,26 +302,12 @@ net::Packet DelayBuffer::preempt(QueueId queue, net::NodeContext& ctx) {
   if (!victim) {
     throw std::logic_error("DelayBuffer::preempt: queue never preempts");
   }
-  TEMPRIV_TLM_COUNT_AT(telemetry::preempt_counter(
-      static_cast<std::uint32_t>(*victim)));
   return extract(victim_slot(q, ctx.rng()), ctx);
-}
-
-net::Packet DelayBuffer::eject(QueueId queue, std::size_t index,
-                               net::NodeContext& ctx) {
-  const Queue& q = queues_[queue];
-  if (index >= q.count) {
-    throw std::out_of_range("DelayBuffer::eject: bad index");
-  }
-  TEMPRIV_TLM_COUNT(kBufEjected);
-  std::uint32_t slot = q.head;
-  while (index-- > 0) slot = slots_[slot].next;
-  return extract(slot, ctx);
 }
 
 void DelayBuffer::release(std::uint32_t slot, std::uint64_t uid,
                           net::NodeContext& ctx) {
-  // Defensive: eject()/preempt() cancel the release event, so a fired event
+  // Defensive: preempt() cancels the release event, so a fired event
   // whose slot was recycled (or freed) indicates a kernel bug — skip rather
   // than transmit the wrong packet.
   if (slot >= slots_.size() || slots_[slot].queue == kNil ||

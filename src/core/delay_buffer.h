@@ -26,8 +26,8 @@ const char* to_string(VictimPolicy policy) noexcept;
 
 /// Shared machinery for the buffering disciplines: holds packets, schedules
 /// their future release through the simulation kernel, and supports
-/// cancelling a scheduled release so a packet can be ejected early (the
-/// RCAD preemption primitive).
+/// cancelling a scheduled release so a packet can leave early (the RCAD
+/// preemption primitive).
 ///
 /// One DelayBuffer is a slab serving any number of queues — one per
 /// buffering node in a Network (made when a packet first reaches the node,
@@ -167,13 +167,16 @@ class DelayBuffer {
   net::Packet preempt(QueueId queue, net::NodeContext& ctx);
   net::Packet preempt(net::NodeContext& ctx) { return preempt(0, ctx); }
 
-  /// Cancels the scheduled release of the packet at admission-order position
-  /// `index` (0 = oldest) and returns it. O(n) list walk; preempt() is the
-  /// hot-path primitive. Throws std::out_of_range on a bad index.
-  net::Packet eject(QueueId queue, std::size_t index, net::NodeContext& ctx);
-  net::Packet eject(std::size_t index, net::NodeContext& ctx) {
-    return eject(0, index, ctx);
-  }
+  /// Admissions counted by the admitting queue's size just after, in
+  /// power-of-two buckets: bucket b counts sizes s with bit_width(s) == b
+  /// (bucket 1 is size 1, bucket 2 sizes 2-3, bucket 3 sizes 4-7, ...); the
+  /// last bucket absorbs everything wider. The M/M/k/k occupancy seen by
+  /// arrivals, over every queue of the slab.
+  static constexpr std::size_t kOccupancyBuckets = 32;
+  using OccupancyCounts = std::array<std::uint64_t, kOccupancyBuckets>;
+  const OccupancyCounts& occupancy() const noexcept { return occupancy_; }
+  /// Most packets any one queue has held at once.
+  std::uint32_t peak_occupancy() const noexcept { return peak_occupancy_; }
 
   /// Structural self-check for tests: the slab's live slots equal the sum
   /// of the per-queue counts, every queue's admission list has its count of
@@ -255,6 +258,8 @@ class DelayBuffer {
   std::uint32_t free_slot_ = kNil;
   std::uint64_t next_admit_seq_ = 1;
   std::size_t live_ = 0;
+  OccupancyCounts occupancy_{};
+  std::uint32_t peak_occupancy_ = 0;
 };
 
 /// Reference victim selection: index of the victim in `held` (admission

@@ -4,22 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "telemetry/probes.h"
-
 namespace tempriv::net {
-
-namespace {
-
-/// The per-scheme net.forward.* counter for a packet reaching a slab queue.
-[[maybe_unused]] telemetry::Counter forward_counter(
-    const core::DelayBuffer::QueueConfig& config) noexcept {
-  if (config.victim) return telemetry::Counter::kNetForwardRcad;
-  return config.capacity == core::DelayBuffer::kUnbounded
-             ? telemetry::Counter::kNetForwardUnlimited
-             : telemetry::Counter::kNetForwardDropTail;
-}
-
-}  // namespace
 
 Network::Network(sim::Simulator& simulator, const Topology& topology,
                  NetworkConfig config, const sim::RandomStream& root_rng)
@@ -141,12 +126,12 @@ const Network::NodeRecord* Network::find(NodeId id) const {
 void Network::handle(NodeRecord& node, Packet&& packet) {
   switch (node.role) {
     case NodeRole::kImmediate:
-      TEMPRIV_TLM_COUNT(kNetForwardImmediate);
+      ++handled_.immediate;
       transmit_from(node, std::move(packet));
       break;
     case NodeRole::kBuffered: {
       const std::uint32_t queue = node.slot;
-      TEMPRIV_TLM_COUNT_AT(forward_counter(slab_.config(queue)));
+      ++handled_.buffered;
       if (slab_.offer(queue, std::move(packet), node) !=
           core::DelayBuffer::Admission::kAdmitted) {
         ++losses_[queue];
@@ -154,7 +139,7 @@ void Network::handle(NodeRecord& node, Packet&& packet) {
       break;
     }
     case NodeRole::kCustom:
-      TEMPRIV_TLM_COUNT(kNetForwardCustom);
+      ++handled_.custom;
       custom_[node.slot]->on_packet(std::move(packet), node);
       break;
     case NodeRole::kSink:

@@ -179,6 +179,17 @@ class Network {
   std::uint64_t total_drops() const;
   std::size_t total_buffered() const;
 
+  /// Packets forwarding nodes have handled, by what the node does with an
+  /// arrival: forward it at once, offer it to its slab queue, or pass it to
+  /// a custom discipline. A packet counts once at each forwarding node it
+  /// reaches, its origin included.
+  struct HandledCounts {
+    std::uint64_t immediate = 0;
+    std::uint64_t buffered = 0;
+    std::uint64_t custom = 0;
+  };
+  const HandledCounts& packets_handled() const noexcept { return handled_; }
+
   /// Packets currently traversing a link (in the pool between transmit and
   /// arrival).
   std::size_t packets_in_flight() const noexcept { return pool_.in_flight(); }
@@ -333,6 +344,7 @@ class Network {
   std::uint64_t next_uid_ = 0;
   std::uint64_t originated_ = 0;
   std::uint64_t delivered_ = 0;
+  HandledCounts handled_;
 };
 
 }  // namespace tempriv::net

@@ -9,7 +9,6 @@
 
 #include "sim/inline_callback.h"
 #include "sim/time.h"
-#include "telemetry/probes.h"
 
 namespace tempriv::sim {
 
@@ -72,8 +71,6 @@ class EventQueue {
   EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
-  /// Adds tombstones_swept() to the eq.tombstone_skipped telemetry counter.
-  ~EventQueue() { TEMPRIV_TLM_COUNT_N(kEqTombstoneSkipped, tombstones_swept_); }
 
   /// Inserts `action` to fire at time `at`. Returns a handle for cancel().
   /// Throws std::length_error if the queue would exceed 2^24 concurrent
@@ -87,9 +84,8 @@ class EventQueue {
     s.aux = aux;
     s.lane = 0;
     heap_push(HeapEntry{time_to_key(at), aux});
-    ++live_count_;
-    TEMPRIV_TLM_COUNT(kEqScheduleHeap);
-    TEMPRIV_TLM_GAUGE_MAX(kEqPeakDepth, live_count_);
+    ++scheduled_heap_;
+    note_scheduled();
     return EventId(aux);
   }
 
@@ -108,7 +104,7 @@ class EventQueue {
   EventId schedule_monotone(Time at, F&& action) {
     const std::uint64_t key = time_to_key(at);
     if (fifo_size_ != 0 && key < fifo_tail_key_) {
-      TEMPRIV_TLM_COUNT(kEqFifoDiverted);
+      ++fifo_diverted_;
       return schedule(at, std::forward<F>(action));
     }
     const std::uint32_t slot = acquire_slot();
@@ -119,9 +115,8 @@ class EventQueue {
     s.lane = 1;
     fifo_push(HeapEntry{key, aux});
     fifo_tail_key_ = key;
-    ++live_count_;
-    TEMPRIV_TLM_COUNT(kEqScheduleFifo);
-    TEMPRIV_TLM_GAUGE_MAX(kEqPeakDepth, live_count_);
+    ++scheduled_fifo_;
+    note_scheduled();
     return EventId(aux);
   }
 
@@ -214,6 +209,19 @@ class EventQueue {
   /// A queue run to empty has swept one record per cancelled event.
   std::uint64_t tombstones_swept() const noexcept { return tombstones_swept_; }
 
+  /// Lifetime schedule counts: records pushed onto the heap lane (a
+  /// diverted schedule_monotone() call counts here), records appended to
+  /// the FIFO lane, and schedule_monotone() calls diverted to the heap
+  /// because their time fell below the ring's tail. Every scheduled event
+  /// either runs or is cancelled, so a queue run to empty without clear()
+  /// has scheduled_heap() + scheduled_fifo() == events dispatched +
+  /// tombstones_swept().
+  std::uint64_t scheduled_heap() const noexcept { return scheduled_heap_; }
+  std::uint64_t scheduled_fifo() const noexcept { return scheduled_fifo_; }
+  std::uint64_t fifo_diverted() const noexcept { return fifo_diverted_; }
+  /// Most events ever pending at once.
+  std::size_t peak_size() const noexcept { return peak_size_; }
+
   /// Monotone bijection from double event times to unsigned keys:
   /// a < b  <=>  time_to_key(a) < time_to_key(b) for all ordered (non-NaN)
   /// doubles. Positive values map above the sign-bit midpoint unchanged;
@@ -283,6 +291,9 @@ class EventQueue {
     return static_cast<std::uint32_t>(aux & (kMaxSlots - 1));
   }
 
+  void note_scheduled() noexcept {
+    if (++live_count_ > peak_size_) peak_size_ = live_count_;
+  }
   std::uint64_t next_aux(std::uint32_t slot);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot) noexcept;
@@ -340,6 +351,10 @@ class EventQueue {
   std::uint32_t free_head_ = kNilSlot;
   std::uint64_t next_seq_ = 1;
   std::size_t live_count_ = 0;
+  std::size_t peak_size_ = 0;
+  std::uint64_t scheduled_heap_ = 0;
+  std::uint64_t scheduled_fifo_ = 0;
+  std::uint64_t fifo_diverted_ = 0;
   std::uint64_t tombstones_swept_ = 0;
   // Dead (cancelled) records still physically present per lane.
   // Zero means pops can skip that lane's head-liveness probe outright —

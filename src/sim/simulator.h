@@ -106,12 +106,9 @@ class Simulator {
   /// Total events executed since construction.
   std::uint64_t events_executed() const noexcept { return executed_; }
 
-  /// Cancelled events' records swept from the queue so far (see
-  /// EventQueue::tombstones_swept). Once the queue has run empty this
-  /// equals the number of successful cancel() calls.
-  std::uint64_t tombstones_swept() const noexcept {
-    return queue_.tombstones_swept();
-  }
+  /// The event queue, for its lifetime counts (EventQueue::tombstones_swept(),
+  /// scheduled_heap() and the rest).
+  const EventQueue& queue() const noexcept { return queue_; }
 
  private:
   /// Dispatches head events while `more()` holds and stop() was not

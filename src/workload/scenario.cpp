@@ -1,5 +1,6 @@
 #include "workload/scenario.h"
 
+#include <chrono>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -15,7 +16,6 @@
 #include "net/topology.h"
 #include "net/tracer.h"
 #include "sim/simulator.h"
-#include "telemetry/probes.h"
 #include "workload/burst_source.h"
 #include "workload/source.h"
 
@@ -108,6 +108,34 @@ net::NodeSpecs node_specs(const PaperScenario& s) {
   };
 }
 
+/// Throws std::logic_error naming the seed and both sides of a failed
+/// end-of-run invariant.
+void check_invariant(const char* what, std::uint64_t seed, const char* lhs,
+                     std::uint64_t lhs_value, const char* rhs,
+                     std::uint64_t rhs_value) {
+  if (lhs_value == rhs_value) return;
+  std::string message = "run_paper_scenario: ";
+  message += what;
+  message += " (seed ";
+  message += std::to_string(seed);
+  message += ": ";
+  message += lhs;
+  message += " ";
+  message += std::to_string(lhs_value);
+  message += ", ";
+  message += rhs;
+  message += " ";
+  message += std::to_string(rhs_value);
+  message += ")";
+  throw std::logic_error(message);
+}
+
+std::uint64_t nanos_between(std::chrono::steady_clock::time_point from,
+                            std::chrono::steady_clock::time_point to) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
+}
+
 }  // namespace
 
 ScenarioResult run_paper_scenario(const PaperScenario& scenario) {
@@ -118,7 +146,7 @@ ScenarioResult run_paper_scenario(const PaperScenario& scenario) {
     throw std::invalid_argument("run_paper_scenario: no flows configured");
   }
 
-  TEMPRIV_TLM_SPAN_BEGIN(build_span, "build");
+  const auto build_start = std::chrono::steady_clock::now();
 
   sim::Simulator simulator;
   sim::RandomStream root(scenario.seed);
@@ -204,51 +232,48 @@ ScenarioResult run_paper_scenario(const PaperScenario& scenario) {
     sources.back()->start(phase_rng.uniform(0.0, scenario.interarrival));
   }
 
-  TEMPRIV_TLM_SPAN_END(build_span);
+  const auto simulate_start = std::chrono::steady_clock::now();
+  simulator.run();
+  const auto simulate_end = std::chrono::steady_clock::now();
 
-  {
-    TEMPRIV_TLM_SPAN("simulate");
-    simulator.run();
-  }
-
+  // End-of-run invariants. A miss is a simulator bug; throwing makes the
+  // campaign count the job as failed instead of scoring a broken run.
+  const sim::EventQueue& queue = simulator.queue();
   // Packet conservation: every injected packet was delivered, dropped, is
-  // still buffered or is on a link. A miss is a simulator bug; throwing makes
-  // the campaign count the job as failed instead of scoring a leaky run.
-  const std::uint64_t accounted =
-      network.packets_delivered() + network.total_drops() +
-      network.total_buffered() + network.packets_in_flight();
-  if (network.packets_originated() != accounted) {
-    std::string what = "run_paper_scenario: packet conservation violated (seed ";
-    what += std::to_string(scenario.seed);
-    what += ": originated ";
-    what += std::to_string(network.packets_originated());
-    what += ", accounted ";
-    what += std::to_string(accounted);
-    what += ")";
-    throw std::logic_error(what);
-  }
+  // still buffered or is on a link.
+  check_invariant("packet conservation violated", scenario.seed, "originated",
+                  network.packets_originated(), "accounted",
+                  network.packets_delivered() + network.total_drops() +
+                      network.total_buffered() + network.packets_in_flight());
   // Every RCAD preemption cancels the victim's release event, and a queue
   // run to empty sweeps each cancelled record exactly once, so the two
   // counts must agree; a miss means a lost or doubly-run event.
-  if (network.total_preemptions() != simulator.tombstones_swept()) {
-    std::string what = "run_paper_scenario: preemptions != tombstones swept";
-    what += " (seed ";
-    what += std::to_string(scenario.seed);
-    what += ": preemptions ";
-    what += std::to_string(network.total_preemptions());
-    what += ", tombstones swept ";
-    what += std::to_string(simulator.tombstones_swept());
-    what += ")";
-    throw std::logic_error(what);
-  }
-
-  TEMPRIV_TLM_GAUGE_MAX(kMemNetworkBytes, network.memory_bytes());
-  TEMPRIV_TLM_GAUGE_MAX(kMemTopologyBytes, network.topology().memory_bytes());
-  TEMPRIV_TLM_GAUGE_MAX(kMemRoutingBytes, network.routing().memory_bytes());
-
-  TEMPRIV_TLM_SPAN_BEGIN(score_span, "score");
+  check_invariant("preemptions != tombstones swept", scenario.seed,
+                  "preemptions", network.total_preemptions(),
+                  "tombstones swept", queue.tombstones_swept());
+  // Event conservation: every scheduled event either ran or was cancelled
+  // (and, the queue being drained, swept).
+  check_invariant("scheduled events != executed + swept", scenario.seed,
+                  "scheduled", queue.scheduled_heap() + queue.scheduled_fifo(),
+                  "executed + swept",
+                  simulator.events_executed() + queue.tombstones_swept());
 
   ScenarioResult result;
+  RunTelemetry& telemetry = result.telemetry;
+  telemetry.schedule_heap = queue.scheduled_heap();
+  telemetry.schedule_fifo = queue.scheduled_fifo();
+  telemetry.fifo_diverted = queue.fifo_diverted();
+  telemetry.tombstones_swept = queue.tombstones_swept();
+  telemetry.peak_events = queue.peak_size();
+  telemetry.forward_immediate = network.packets_handled().immediate;
+  telemetry.forward_buffered = network.packets_handled().buffered;
+  telemetry.forward_custom = network.packets_handled().custom;
+  telemetry.occupancy = network.buffer_slab().occupancy();
+  telemetry.peak_occupancy = network.buffer_slab().peak_occupancy();
+  telemetry.network_bytes = network.memory_bytes();
+  telemetry.topology_bytes = network.topology().memory_bytes();
+  telemetry.routing_bytes = network.routing().memory_bytes();
+
   result.events_executed = simulator.events_executed();
   result.originated = network.packets_originated();
   result.delivered = network.packets_delivered();
@@ -277,6 +302,10 @@ ScenarioResult run_paper_scenario(const PaperScenario& scenario) {
     }
     result.flows.push_back(flow);
   }
+  telemetry.build_ns = nanos_between(build_start, simulate_start);
+  telemetry.simulate_ns = nanos_between(simulate_start, simulate_end);
+  telemetry.score_ns =
+      nanos_between(simulate_end, std::chrono::steady_clock::now());
   return result;
 }
 

@@ -84,6 +84,36 @@ struct FlowResult {
   double max_latency = 0.0;
 };
 
+/// Measurement-only counts and timings of one run, copied at the end from
+/// the objects that keep them: the event queue, the network and its buffer
+/// slab. Nothing here feeds back into the simulation and no result writer
+/// reads it, so it never moves a result byte; campaign::TelemetrySink folds
+/// these records into the telemetry snapshot. The counts are deterministic,
+/// the timings are not.
+struct RunTelemetry {
+  // sim::EventQueue
+  std::uint64_t schedule_heap = 0;
+  std::uint64_t schedule_fifo = 0;
+  std::uint64_t fifo_diverted = 0;
+  std::uint64_t tombstones_swept = 0;
+  std::uint64_t peak_events = 0;  ///< most events pending at once
+  // net::Network::packets_handled()
+  std::uint64_t forward_immediate = 0;
+  std::uint64_t forward_buffered = 0;
+  std::uint64_t forward_custom = 0;
+  // The network's core::DelayBuffer slab
+  core::DelayBuffer::OccupancyCounts occupancy{};
+  std::uint64_t peak_occupancy = 0;
+  // Heap bytes at the end of the run
+  std::uint64_t network_bytes = 0;
+  std::uint64_t topology_bytes = 0;
+  std::uint64_t routing_bytes = 0;
+  // Wall time of each phase, nanoseconds
+  std::uint64_t build_ns = 0;
+  std::uint64_t simulate_ns = 0;
+  std::uint64_t score_ns = 0;
+};
+
 struct ScenarioResult {
   std::vector<FlowResult> flows;  ///< in hop_counts order (S1 first)
   std::uint64_t originated = 0;
@@ -96,6 +126,7 @@ struct ScenarioResult {
   /// Filled only when PaperScenario::trace is set; 0 otherwise.
   std::uint64_t transmissions = 0;   ///< link-layer transmissions traced
   std::uint64_t packets_traced = 0;  ///< distinct packets seen by the tracer
+  RunTelemetry telemetry;
 };
 
 /// Builds the network, runs it to completion (all sources exhausted, all

@@ -9,22 +9,18 @@
 #   4. the retired fork-fleet shard mode is a usage error (exit 2) that
 #      points at --jobs N and --shard i/N;
 #   5. --telemetry writes a snapshot in every mode without perturbing any
-#      result byte (works in OFF builds too: all-zero snapshot), with the
-#      event-queue counters, buffer occupancy, memory gauges and, when the
-#      probes are compiled in, the job/simulate span; tempriv-merge
-#      --telemetry combines shard snapshots / fails when a sibling is
-#      missing.
+#      result byte, with live counts (a nonzero eq.schedule_heap, one
+#      campaign.jobs per job) and the job/simulate span; tempriv-merge
+#      --telemetry combines shard snapshots into the serial snapshot, key
+#      for key (timings aside), and fails when a sibling is missing.
 #
-# Usage: campaign_cli_test.sh <tempriv-campaign> <tempriv-merge> [telemetry]
-#   telemetry: 1 if the binaries were built with -DTEMPRIV_TELEMETRY=ON
-#   (the snapshot must then say "enabled": true), else 0 (the default).
+# Usage: campaign_cli_test.sh <tempriv-campaign> <tempriv-merge>
 
 set -u
 
-USAGE="usage: campaign_cli_test.sh <tempriv-campaign> <tempriv-merge> [0|1]"
+USAGE="usage: campaign_cli_test.sh <tempriv-campaign> <tempriv-merge>"
 CAMPAIGN=${1:?$USAGE}
 MERGE=${2:?$USAGE}
-TELEMETRY=${3:-0}
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
@@ -150,18 +146,21 @@ for f in campaign_grid.jsonl campaign_grid.stats.json campaign_grid.csv; do
     "$WORK/serial/$f" "$WORK/tserial/$f"
 done
 SNAPSHOT="$WORK/tserial/grid.telemetry.json"
-ENABLED=false
-[ "$TELEMETRY" = 1 ] && ENABLED=true
-grep -q "\"enabled\": $ENABLED" "$SNAPSHOT" ||
-  note_failure "serial telemetry snapshot does not say \"enabled\": $ENABLED"
-for key in eq.schedule_heap buf.occupancy mem.network_bytes spans; do
+for key in eq.schedule_heap buf.occupancy mem.network_bytes job/simulate; do
   grep -q "\"$key\"" "$SNAPSHOT" ||
     note_failure "serial telemetry snapshot lacks \"$key\""
 done
-if [ "$TELEMETRY" = 1 ]; then
-  grep -q '"job/simulate"' "$SNAPSHOT" ||
-    note_failure "serial telemetry snapshot lacks the job/simulate span"
-fi
+# Live counts: the grid is 2 interarrivals x 2 schemes x 2 reps = 8 jobs.
+grep -q '"eq.schedule_heap": [1-9]' "$SNAPSHOT" ||
+  note_failure "serial telemetry snapshot has no eq.schedule_heap count"
+grep -q '"campaign.jobs": 8,' "$SNAPSHOT" ||
+  note_failure "serial telemetry snapshot does not count 8 campaign.jobs"
+
+# The snapshot's deterministic part: every counter, every gauge and
+# buf.occupancy. Spans and campaign.job_wall_us are timings.
+counts_of() {
+  sed -e '/"spans"/,$d' -e '/"campaign.job_wall_us"/d' "$1"
+}
 
 # Two explicit shards writing .telemetry.json siblings, then a merge that
 # combines them. The sibling paths follow the shard JSONL naming so
@@ -179,8 +178,12 @@ for f in campaign_grid.jsonl campaign_grid.stats.json campaign_grid.csv; do
   expect_same "telemetry merge vs serial ($f)" \
     "$WORK/serial/$f" "$WORK/tmerged/$f"
 done
-grep -q '"telemetry"' "$WORK/tmerged/grid.telemetry.json" ||
-  note_failure "merged telemetry snapshot missing or malformed"
+counts_of "$SNAPSHOT" >"$WORK/serial.counts"
+counts_of "$WORK/tmerged/grid.telemetry.json" >"$WORK/merged.counts"
+expect_same "telemetry counts, 2-shard merge vs serial" \
+  "$WORK/serial.counts" "$WORK/merged.counts"
+grep -q '"merge"' "$WORK/tmerged/grid.telemetry.json" ||
+  note_failure "merged telemetry snapshot lacks the merge span"
 
 # A shard set without telemetry siblings cannot honor --telemetry.
 expect_exit 1 "merge --telemetry without siblings" \

@@ -46,38 +46,41 @@ TEST(DelayBuffer, SnapshotRecordsReleaseTimes) {
 
 TEST(DelayBuffer, SnapshotPreservesAdmissionOrder) {
   TestContext ctx;
-  DelayBuffer buffer(std::make_unique<ExponentialDelay>(5.0));
+  DelayBuffer buffer(std::make_unique<ExponentialDelay>(5.0),
+                     VictimPolicy::kOldest);
   for (std::uint64_t uid = 0; uid < 8; ++uid) {
     buffer.admit(ctx.make_packet(uid), ctx);
   }
-  // Ejecting from the middle must keep the remaining relative order, exactly
-  // like the pre-slot-pool vector erase did.
-  buffer.eject(3, ctx);
-  buffer.eject(0, ctx);
+  // Removing packets must keep the remaining relative order, exactly like
+  // the pre-slot-pool vector erase did.
+  EXPECT_EQ(buffer.preempt(ctx).uid, 0u);
+  EXPECT_EQ(buffer.preempt(ctx).uid, 1u);
   const auto held = buffer.snapshot();
   ASSERT_EQ(held.size(), 6u);
-  const std::uint64_t expected[] = {1, 2, 4, 5, 6, 7};
+  const std::uint64_t expected[] = {2, 3, 4, 5, 6, 7};
   for (std::size_t i = 0; i < held.size(); ++i) {
     EXPECT_EQ(held[i].packet.uid, expected[i]);
   }
 }
 
-TEST(DelayBuffer, EjectCancelsScheduledRelease) {
-  TestContext ctx;
-  DelayBuffer buffer(std::make_unique<ConstantDelay>(4.0));
-  buffer.admit(ctx.make_packet(1), ctx);
-  const net::Packet packet = buffer.eject(0, ctx);
-  EXPECT_EQ(packet.uid, 1u);
-  EXPECT_EQ(buffer.size(), 0u);
-  ctx.simulator().run();
-  // The release event was cancelled: nothing transmits.
-  EXPECT_TRUE(ctx.transmitted().empty());
-}
-
-TEST(DelayBuffer, EjectValidatesIndex) {
+TEST(DelayBuffer, CountsOccupancyAtEachAdmission) {
+  // Bucket b counts admissions that leave the queue with bit_width(size)
+  // == b; the peak is the largest size any queue reached.
   TestContext ctx;
   DelayBuffer buffer(std::make_unique<ConstantDelay>(1.0));
-  EXPECT_THROW(buffer.eject(0, ctx), std::out_of_range);
+  for (std::uint64_t uid = 0; uid < 5; ++uid) {
+    buffer.admit(ctx.make_packet(uid), ctx);  // sizes 1, 2, 3, 4, 5
+  }
+  buffer.preempt(ctx);
+  buffer.admit(ctx.make_packet(5), ctx);  // size 5 again
+  DelayBuffer::OccupancyCounts expected{};
+  expected[1] = 1;  // size 1
+  expected[2] = 2;  // sizes 2, 3
+  expected[3] = 3;  // sizes 4, 5, 5
+  EXPECT_EQ(buffer.occupancy(), expected);
+  EXPECT_EQ(buffer.peak_occupancy(), 5u);
+  ctx.simulator().run();
+  EXPECT_EQ(buffer.occupancy(), expected);  // releases do not count
 }
 
 TEST(DelayBuffer, SlotsAreRecycledAcrossAdmissions) {
@@ -292,11 +295,11 @@ std::vector<std::uint64_t> uids_of(const std::vector<DelayBuffer::Held>& held) {
 }
 
 // Randomized churn over a many-queue slab — every victim policy plus queues
-// that never preempt — mixing admit, preempt, eject and fired releases.
-// Each queue must behave exactly like its own reference model: preempt()
-// picks what select_victim (the linear-scan oracle, fed the same RNG draw)
-// picks, eject() takes the indexed packet, releases leave from the queue
-// that admitted them, and admission order survives every removal.
+// that never preempt — mixing admit, preempt and fired releases. Each
+// queue must behave exactly like its own reference model: preempt() picks
+// what select_victim (the linear-scan oracle, fed the same RNG draw)
+// picks, releases leave from the queue that admitted them, and admission
+// order survives every removal.
 TEST(DelayBufferSlab, RandomizedChurnMatchesPerQueueReference) {
   constexpr std::size_t kQueues = 30;
   const std::optional<VictimPolicy> kVictims[] = {
@@ -328,7 +331,7 @@ TEST(DelayBufferSlab, RandomizedChurnMatchesPerQueueReference) {
 
   sim::RandomStream ops(2024);
   std::uint64_t next_uid = 0;
-  std::size_t preempts = 0, ejects = 0;
+  std::size_t preempts = 0;
   for (int step = 0; step < 6000; ++step) {
     const auto q = static_cast<DelayBuffer::QueueId>(ops.uniform_index(kQueues));
     QueueContext& c = *ctx[q];
@@ -348,12 +351,6 @@ TEST(DelayBufferSlab, RandomizedChurnMatchesPerQueueReference) {
       ASSERT_EQ(victim.uid, held[expected].packet.uid) << "step " << step;
       forget(q, victim.uid);
       ++preempts;
-    } else if (op < 0.9) {
-      const std::size_t index = ops.uniform_index(slab.size(q));
-      const net::Packet ejected = slab.eject(q, index, c);
-      ASSERT_EQ(ejected.uid, model[q][index]) << "step " << step;
-      forget(q, ejected.uid);
-      ++ejects;
     } else {
       released.clear();
       sim.run_until(sim.now() + ops.uniform(0.0, 3.0));
@@ -370,7 +367,6 @@ TEST(DelayBufferSlab, RandomizedChurnMatchesPerQueueReference) {
     }
   }
   EXPECT_GT(preempts, 500u);
-  EXPECT_GT(ejects, 200u);
   released.clear();
   sim.run();
   for (const auto& [from, uid] : released) forget(from, uid);
@@ -385,7 +381,7 @@ TEST(DelayBufferSlab, QueuesThatNeverPreemptRejectPreempt) {
       std::make_shared<ConstantDelay>(1.0), std::nullopt, 3});
   buffer.admit(ctx.make_packet(0), ctx);
   EXPECT_THROW(buffer.preempt(ctx), std::logic_error);
-  EXPECT_EQ(buffer.eject(0, ctx).uid, 0u);  // eject still works
+  EXPECT_EQ(buffer.size(), 1u);  // the failed preempt removed nothing
 }
 
 TEST(DelayBufferSlab, ValidatesConfigsAndQueues) {

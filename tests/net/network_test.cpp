@@ -523,11 +523,11 @@ TEST(Network, PreemptionsEqualTombstonesSwept) {
       const NodeId origin = built.sources[i % 3];
       net.originate(origin, sealed_at(sim.now(), origin, i));
       sim.run_until(sim.now() + 0.25);
-      ASSERT_LE(sim.tombstones_swept(), net.total_preemptions());
+      ASSERT_LE(sim.queue().tombstones_swept(), net.total_preemptions());
     }
     sim.run();
     EXPECT_GT(net.total_preemptions(), 100u) << to_string(victim);
-    EXPECT_EQ(sim.tombstones_swept(), net.total_preemptions())
+    EXPECT_EQ(sim.queue().tombstones_swept(), net.total_preemptions())
         << to_string(victim);
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/random.h"
@@ -292,6 +293,47 @@ TEST(EventQueue, TombstonesSweptCountsEveryCancelOnceDrained) {
   EXPECT_TRUE(q.cancel(buried));
   q.clear();
   EXPECT_EQ(q.tombstones_swept(), cancelled);
+}
+
+TEST(EventQueue, EveryScheduledEventRunsOrIsCancelled) {
+  // Event conservation over both lanes: FIFO appends, FIFO calls diverted
+  // to the heap (times below the ring's tail), heap schedules and cancels,
+  // drained through dispatch_head and pop. Once empty, the lane counts add
+  // up to the events run plus the tombstones swept.
+  RandomStream rng(17);
+  EventQueue q;
+  std::vector<EventId> ids;
+  std::uint64_t heap_calls = 0, monotone_calls = 0, dispatched = 0;
+  std::size_t peak = 0;
+  double fifo_at = 0.0;
+  for (int round = 0; round < 300; ++round) {
+    for (int i = 0; i < 6; ++i) {
+      ids.push_back(q.schedule(rng.uniform(0.0, 80.0), [] {}));
+      ++heap_calls;
+      // Every fourth monotone time dips below the tail and diverts.
+      const double at = i % 4 == 3 ? fifo_at * rng.uniform01()
+                                   : (fifo_at += rng.uniform(0.0, 1.0));
+      ids.push_back(q.schedule_monotone(at, [] {}));
+      ++monotone_calls;
+      peak = std::max(peak, q.size());
+    }
+    for (int i = 0; i < 4; ++i) q.cancel(ids[rng.uniform_index(ids.size())]);
+    for (int i = 0; i < 3; ++i) {
+      dispatched += q.dispatch_head([](Time, EventId, EventQueue::Callback&) {});
+    }
+    if (q.pop()) ++dispatched;
+  }
+  while (q.dispatch_head([](Time, EventId, EventQueue::Callback&) {})) {
+    ++dispatched;
+  }
+
+  EXPECT_GT(q.fifo_diverted(), 100u);
+  EXPECT_GT(q.tombstones_swept(), 500u);
+  EXPECT_EQ(q.scheduled_heap(), heap_calls + q.fifo_diverted());
+  EXPECT_EQ(q.scheduled_fifo(), monotone_calls - q.fifo_diverted());
+  EXPECT_EQ(q.scheduled_heap() + q.scheduled_fifo(),
+            dispatched + q.tombstones_swept());
+  EXPECT_EQ(q.peak_size(), peak);
 }
 
 }  // namespace

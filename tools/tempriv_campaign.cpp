@@ -60,12 +60,10 @@ int usage(std::ostream& os, int code) {
         "                       shard-stamped stem under --shard i/N)\n"
         "  --out DIR            results directory (default: $TEMPRIV_RESULTS_DIR\n"
         "                       or bench_results/)\n"
-        "  --telemetry PATH     write a telemetry snapshot (counters, phase\n"
-        "                       spans, memory gauges) here after the run.\n"
-        "                       Default builds compile the probes out: the\n"
-        "                       file is all zeros with \"enabled\": false\n"
-        "                       (build -DTEMPRIV_TELEMETRY=ON for live counts;\n"
-        "                       results are byte-identical)\n"
+        "  --telemetry PATH     write a telemetry snapshot (event-queue,\n"
+        "                       buffer and forwarding counters, memory\n"
+        "                       gauges, phase spans) here after the run;\n"
+        "                       results are byte-identical with or without it\n"
         "  --quiet              suppress the progress meter\n"
         "  --trace              enable per-packet tracing in every scenario\n"
         "                       (reports total link transmissions; untraced\n"
@@ -235,8 +233,11 @@ int run_shard(const campaign::Sweep& sweep, const Options& opt) {
   if (!opt.quiet) options.progress = &progress;
   std::ofstream jsonl_file = open_output(jsonl_path);
   std::ofstream stats_file = open_output(campaign::shard_stats_path(jsonl_path));
+  campaign::TelemetrySink telemetry;
+  std::vector<campaign::ResultSink*> sinks;
+  if (!opt.telemetry_path.empty()) sinks.push_back(&telemetry);
   campaign::run_sweep_shard(sweep, options, opt.reps, shard, jsonl_file,
-                            stats_file);
+                            stats_file, sinks);
   jsonl_file.flush();
   stats_file.flush();
   if (!jsonl_file || !stats_file) {
@@ -244,9 +245,8 @@ int run_shard(const campaign::Sweep& sweep, const Options& opt) {
                              jsonl_path);
   }
   if (!opt.quiet) progress.finish();
-  // Collected after the worker pool has quiesced (run_sweep_shard joins it).
   if (!opt.telemetry_path.empty()) {
-    campaign::write_telemetry_file(opt.telemetry_path, telemetry::collect());
+    campaign::write_telemetry_file(opt.telemetry_path, telemetry.snapshot());
   }
 
   std::cout << "shard " << shard.index << "/" << shard.count << ": "
@@ -273,9 +273,12 @@ int run_serial(const campaign::Sweep& sweep, const Options& opt) {
   std::ofstream jsonl_file = open_output(jsonl_path);
   campaign::JsonlSink jsonl(jsonl_file);
   campaign::MergedStatsSink stats(sweep.points.size());
+  campaign::TelemetrySink telemetry;
+  std::vector<campaign::ResultSink*> sinks = {&jsonl, &stats};
+  if (!opt.telemetry_path.empty()) sinks.push_back(&telemetry);
 
   const campaign::SweepRun run =
-      campaign::run_sweep(sweep, options, opt.reps, {&jsonl, &stats});
+      campaign::run_sweep(sweep, options, opt.reps, sinks);
   if (!opt.quiet) progress.finish();
 
   // The stats artifact of the whole campaign — the file an N-shard merge
@@ -288,9 +291,8 @@ int run_serial(const campaign::Sweep& sweep, const Options& opt) {
     campaign::write_campaign_stats_json(stats_file, manifest, nullptr, stats);
   }
 
-  // Collected after run_sweep has joined its worker pool.
   if (!opt.telemetry_path.empty()) {
-    campaign::write_telemetry_file(opt.telemetry_path, telemetry::collect());
+    campaign::write_telemetry_file(opt.telemetry_path, telemetry.snapshot());
   }
 
   bench::emit(sweep.tag, run.table);

@@ -24,6 +24,8 @@
 // (missing/duplicate shards, incompatible manifests, truncated files),
 // writing nothing. Exit codes: 0 ok, 1 validation/merge failure, 2 usage.
 
+#include <chrono>
+#include <cstdint>
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -116,7 +118,12 @@ int run(int argc, char** argv) {
     return 1;
   }
 
+  const auto merge_start = std::chrono::steady_clock::now();
   const campaign::MergedCampaign merged = campaign::merge_shards(shards);
+  const auto merge_nanos = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - merge_start)
+          .count());
   if (jsonl_path.empty()) {
     jsonl_path = bench::results_dir() + "/" + merged.manifest.tag + ".jsonl";
   }
@@ -140,10 +147,9 @@ int run(int argc, char** argv) {
   }
 
   if (!telemetry_path.empty()) {
-    // Shard snapshots fold with this process's own collect() (which carries
-    // the merge span); in a default build the latter is all zeros with
-    // enabled=false and the merge is a no-op on the shard counts.
-    telemetry::Snapshot combined = telemetry::collect();
+    // The shard snapshots, plus this process's own merge span.
+    campaign::TelemetrySnapshot combined;
+    combined.spans["merge"] = {1, merge_nanos};
     for (const std::string& path : shard_paths) {
       combined.merge(campaign::load_telemetry_file(
           campaign::shard_telemetry_path(path)));
