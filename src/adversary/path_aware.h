@@ -24,7 +24,8 @@ namespace tempriv::adversary {
 /// hold packets much more briefly (≈ k/λtot) than lightly-loaded branch
 /// nodes (≈ k/λᵢ), and summing per-node estimates tracks the true latency
 /// far more closely. Defenders should evaluate against this adversary;
-/// see bench/ablation_adversary_models.
+/// see `tempriv-campaign adversaries` (tests/golden/
+/// ablation_adversary_models.csv).
 class PathAwareAdversary final : public Adversary {
  public:
   struct Config {

@@ -1,5 +1,6 @@
 #include "campaign/sweeps.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace tempriv::campaign {
@@ -33,6 +34,19 @@ std::vector<workload::PaperScenario> three_scheme_grid() {
       scenario.scheme = scheme;
       points.push_back(scenario);
     }
+  }
+  return points;
+}
+
+// RCAD at every paper interarrival: Figure 3's points, also the adversary
+// ladder's.
+std::vector<workload::PaperScenario> rcad_paper_points() {
+  std::vector<workload::PaperScenario> points;
+  for (const double interarrival : paper_interarrivals()) {
+    workload::PaperScenario scenario;
+    scenario.interarrival = interarrival;
+    scenario.scheme = workload::Scheme::kRcad;
+    points.push_back(scenario);
   }
   return points;
 }
@@ -87,12 +101,7 @@ Sweep fig3_sweep() {
   Sweep sweep;
   sweep.name = "fig3";
   sweep.tag = "fig3_adaptive_adversary";
-  for (const double interarrival : paper_interarrivals()) {
-    workload::PaperScenario scenario;
-    scenario.interarrival = interarrival;
-    scenario.scheme = workload::Scheme::kRcad;
-    sweep.points.push_back(scenario);
-  }
+  sweep.points = rcad_paper_points();
   sweep.table = [](const std::vector<workload::ScenarioResult>& results) {
     metrics::Table table(
         {"1/lambda", "BaselineAdversary", "AdaptiveAdversary", "reduction"});
@@ -136,6 +145,165 @@ Sweep buffer_size_sweep() {
            static_cast<double>(result.preemptions) /
                static_cast<double>(result.originated)},
           1);
+    }
+    return table;
+  };
+  return sweep;
+}
+
+Sweep victim_policy_sweep() {
+  Sweep sweep;
+  sweep.name = "victim";
+  sweep.tag = "ablation_victim_policy";
+  for (const core::VictimPolicy policy :
+       {core::VictimPolicy::kShortestRemaining,
+        core::VictimPolicy::kLongestRemaining, core::VictimPolicy::kRandom,
+        core::VictimPolicy::kOldest}) {
+    for (const double interarrival : {2.0, 6.0}) {
+      workload::PaperScenario scenario;
+      scenario.scheme = workload::Scheme::kRcad;
+      scenario.victim = policy;
+      scenario.interarrival = interarrival;
+      sweep.points.push_back(scenario);
+    }
+  }
+  sweep.table = [points = sweep.points](
+                    const std::vector<workload::ScenarioResult>& results) {
+    metrics::Table table({"victim policy", "1/lambda", "S1 MSE (baseline adv)",
+                          "S1 MSE (adaptive adv)", "S1 mean latency",
+                          "preemptions"});
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const auto& s1 = results[i].flows.front();
+      table.add_row({core::to_string(points[i].victim),
+                     metrics::format_number(points[i].interarrival, 0),
+                     metrics::format_number(s1.mse_baseline, 1),
+                     metrics::format_number(s1.mse_adaptive, 1),
+                     metrics::format_number(s1.mean_latency, 1),
+                     std::to_string(results[i].preemptions)});
+    }
+    return table;
+  };
+  return sweep;
+}
+
+Sweep delay_decomposition_sweep() {
+  Sweep sweep;
+  sweep.name = "decomposition";
+  sweep.tag = "ablation_delay_decomposition";
+  for (const double weighting : {0.0, 0.5, 1.0}) {
+    for (const double interarrival : {2.0, 6.0}) {
+      workload::PaperScenario scenario;
+      scenario.scheme = workload::Scheme::kRcad;
+      scenario.sink_weighting = weighting;
+      scenario.interarrival = interarrival;
+      sweep.points.push_back(scenario);
+    }
+  }
+  sweep.table = [points = sweep.points](
+                    const std::vector<workload::ScenarioResult>& results) {
+    metrics::Table table({"sink weighting", "1/lambda",
+                          "S1 MSE (baseline adv)", "S1 mean latency",
+                          "preemptions", "drops"});
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const auto& result = results[i];
+      const auto& s1 = result.flows.front();
+      table.add_numeric_row({points[i].sink_weighting, points[i].interarrival,
+                             s1.mse_baseline, s1.mean_latency,
+                             static_cast<double>(result.preemptions),
+                             static_cast<double>(result.drops)},
+                            1);
+    }
+    return table;
+  };
+  return sweep;
+}
+
+Sweep topology_sharing_sweep() {
+  Sweep sweep;
+  sweep.name = "trunk";
+  sweep.tag = "ablation_topology_sharing";
+  // Each tail runs twice, RCAD then unlimited buffers; a table row pairs
+  // the two.
+  for (const std::uint16_t tail : {0, 2, 3, 5, 8}) {
+    workload::PaperScenario scenario;
+    scenario.scheme = workload::Scheme::kRcad;
+    scenario.interarrival = 2.0;
+    scenario.shared_tail = tail;
+    sweep.points.push_back(scenario);
+    scenario.scheme = workload::Scheme::kUnlimitedDelay;
+    sweep.points.push_back(scenario);
+  }
+  sweep.table = [points = sweep.points](
+                    const std::vector<workload::ScenarioResult>& results) {
+    metrics::Table table({"shared trunk hops", "S1 MSE (baseline adv)",
+                          "S1 RCAD latency", "S1 unlimited latency",
+                          "latency reduction", "preemptions"});
+    for (std::size_t i = 0; i + 1 < results.size(); i += 2) {
+      const auto& rcad = results[i];
+      const auto& s1 = rcad.flows.front();
+      const double unlimited_latency = results[i + 1].flows.front().mean_latency;
+      table.add_numeric_row(
+          {static_cast<double>(points[i].shared_tail), s1.mse_baseline,
+           s1.mean_latency, unlimited_latency,
+           unlimited_latency / s1.mean_latency,
+           static_cast<double>(rcad.preemptions)},
+          1);
+    }
+    return table;
+  };
+  return sweep;
+}
+
+Sweep adversary_models_sweep() {
+  Sweep sweep;
+  sweep.name = "adversaries";
+  sweep.tag = "ablation_adversary_models";
+  sweep.points = rcad_paper_points();
+  sweep.table = [](const std::vector<workload::ScenarioResult>& results) {
+    metrics::Table table({"1/lambda", "baseline MSE", "adaptive MSE",
+                          "path-aware MSE", "S1 latency variance floor"});
+    const std::vector<double> xs = paper_interarrivals();
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const auto& s1 = results[i].flows.front();
+      // No estimator beats the latency's own variance; the best of the
+      // three adversaries stands in for that floor.
+      table.add_numeric_row({xs[i], s1.mse_baseline, s1.mse_adaptive,
+                             s1.mse_path_aware,
+                             std::min({s1.mse_baseline, s1.mse_adaptive,
+                                       s1.mse_path_aware})},
+                            1);
+    }
+    return table;
+  };
+  return sweep;
+}
+
+Sweep traffic_pattern_sweep() {
+  Sweep sweep;
+  sweep.name = "traffic";
+  sweep.tag = "ablation_traffic_pattern";
+  for (const workload::SourceKind kind :
+       {workload::SourceKind::kPeriodic, workload::SourceKind::kPoisson,
+        workload::SourceKind::kBursty}) {
+    workload::PaperScenario scenario;
+    scenario.scheme = workload::Scheme::kRcad;
+    scenario.interarrival = 2.0;
+    scenario.hop_counts = {15};
+    scenario.packets_per_source = 4000;
+    scenario.source = kind;
+    sweep.points.push_back(scenario);
+  }
+  sweep.table = [](const std::vector<workload::ScenarioResult>& results) {
+    metrics::Table table({"creation process (avg rate 0.5)", "adversary MSE",
+                          "mean latency", "max latency", "preemptions"});
+    const char* const labels[] = {"periodic (paper sim)",
+                                  "Poisson (paper analysis)", "ON/OFF bursty"};
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const auto& s1 = results[i].flows.front();
+      table.add_row({labels[i], metrics::format_number(s1.mse_baseline, 1),
+                     metrics::format_number(s1.mean_latency, 1),
+                     metrics::format_number(s1.max_latency, 1),
+                     std::to_string(results[i].preemptions)});
     }
     return table;
   };
@@ -206,12 +374,33 @@ const std::vector<std::string>& named_sweeps() {
   return names;
 }
 
+const std::vector<std::string>& ablation_sweeps() {
+  static const std::vector<std::string> names = {
+      "victim", "decomposition", "trunk", "adversaries", "traffic"};
+  return names;
+}
+
 Sweep make_named_sweep(const std::string& name) {
   if (name == "fig2a" || name == "fig2a_mse") return fig2a_sweep();
   if (name == "fig2b" || name == "fig2b_latency") return fig2b_sweep();
   if (name == "fig3" || name == "fig3_adaptive_adversary") return fig3_sweep();
   if (name == "buffer" || name == "ablation_buffer_size") {
     return buffer_size_sweep();
+  }
+  if (name == "victim" || name == "ablation_victim_policy") {
+    return victim_policy_sweep();
+  }
+  if (name == "decomposition" || name == "ablation_delay_decomposition") {
+    return delay_decomposition_sweep();
+  }
+  if (name == "trunk" || name == "ablation_topology_sharing") {
+    return topology_sharing_sweep();
+  }
+  if (name == "adversaries" || name == "ablation_adversary_models") {
+    return adversary_models_sweep();
+  }
+  if (name == "traffic" || name == "ablation_traffic_pattern") {
+    return traffic_pattern_sweep();
   }
   throw std::invalid_argument("unknown sweep: " + name);
 }

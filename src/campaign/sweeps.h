@@ -31,6 +31,21 @@ Sweep fig2b_sweep();
 Sweep fig3_sweep();
 /// Ablation B: the privacy/latency trade-off vs buffer size k at 1/λ = 2.
 Sweep buffer_size_sweep();
+/// Ablation A: RCAD's victim rule (the paper's shortest-remaining vs
+/// longest-remaining, random, oldest) at 1/λ ∈ {2, 6}.
+Sweep victim_policy_sweep();
+/// Ablation C: §3.3 delay decomposition, sink weighting {0, 0.5, 1} at
+/// 1/λ ∈ {2, 6}.
+Sweep delay_decomposition_sweep();
+/// Ablation D: shared-trunk length, RCAD paired with unlimited buffers at
+/// 1/λ = 2.
+Sweep topology_sharing_sweep();
+/// Ablation E: baseline vs adaptive vs path-aware adversary on Figure 3's
+/// points.
+Sweep adversary_models_sweep();
+/// Ablation F: periodic vs Poisson vs bursty sources at equal average rate
+/// on a 15-hop line.
+Sweep traffic_pattern_sweep();
 
 /// Ad-hoc cross-product grid for the CLI: every combination of the listed
 /// interarrivals × buffer sizes × schemes on top of `base`, one table row
@@ -43,11 +58,14 @@ struct GridSpec {
 };
 Sweep grid_sweep(const GridSpec& spec);
 
-/// CLI names accepted by make_named_sweep, in display order.
+/// The paper campaign's CLI names, in display order: the three figures and
+/// the buffer-size ablation.
 const std::vector<std::string>& named_sweeps();
+/// The other ablations' CLI names, in display order.
+const std::vector<std::string>& ablation_sweeps();
 
-/// Resolves a CLI name ("fig2a", "fig2b", "fig3", "buffer"; CSV tags are
-/// accepted as aliases). Throws std::invalid_argument on unknown names.
+/// Resolves a CLI name from either list (CSV tags are accepted as
+/// aliases). Throws std::invalid_argument on unknown names.
 Sweep make_named_sweep(const std::string& name);
 
 /// Expands the sweep into jobs, runs them on the campaign engine, and builds

@@ -275,10 +275,9 @@ std::uint32_t DelayBuffer::victim_slot(const Queue& q,
   throw std::logic_error("DelayBuffer::victim_slot: unknown policy");
 }
 
-net::Packet DelayBuffer::extract(std::uint32_t slot, net::NodeContext& ctx) {
+net::Packet DelayBuffer::extract(std::uint32_t slot) {
   Slot& s = slots_[slot];
   Queue& q = queues_[s.queue];
-  ctx.simulator().cancel(s.held.release_event);
   net::Packet packet = std::move(s.held.packet);
   unlink(q, slot);
   if (s.heap_pos != kNil) heap_remove(q, slot);
@@ -302,7 +301,10 @@ net::Packet DelayBuffer::preempt(QueueId queue, net::NodeContext& ctx) {
   if (!victim) {
     throw std::logic_error("DelayBuffer::preempt: queue never preempts");
   }
-  return extract(victim_slot(q, ctx.rng()), ctx);
+  const std::uint32_t slot = victim_slot(q, ctx.rng());
+  // The victim's release is still pending; it must never fire.
+  ctx.simulator().cancel(slots_[slot].held.release_event);
+  return extract(slot);
 }
 
 void DelayBuffer::release(std::uint32_t slot, std::uint64_t uid,
@@ -314,9 +316,7 @@ void DelayBuffer::release(std::uint32_t slot, std::uint64_t uid,
       slots_[slot].held.packet.uid != uid) {
     return;
   }
-  // extract() re-cancels the (already fired) release event; that cancel is a
-  // cheap no-op returning false.
-  ctx.transmit(extract(slot, ctx));
+  ctx.transmit(extract(slot));
 }
 
 bool DelayBuffer::consistent() const {

@@ -242,8 +242,9 @@ class DelayBuffer {
   void admit_with_delay(QueueId queue, net::Packet&& packet,
                         net::NodeContext& ctx, double delay);
   std::uint32_t victim_slot(const Queue& q, sim::RandomStream& rng) const;
-  /// Removes the packet in `slot` from every structure and returns it.
-  net::Packet extract(std::uint32_t slot, net::NodeContext& ctx);
+  /// Removes the packet in `slot` from every structure and returns it; its
+  /// release event is the caller's to cancel (or is the one running).
+  net::Packet extract(std::uint32_t slot);
   void release(std::uint32_t slot, std::uint64_t uid, net::NodeContext& ctx);
 
   std::vector<QueueConfig> configs_;

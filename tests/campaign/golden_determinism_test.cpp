@@ -1,14 +1,15 @@
-// Byte-level determinism gate for the paper figures: every named sweep,
-// run in-process on the campaign engine at the default seed, must render a
-// CSV byte-identical to the golden files committed in tests/golden/ (which
-// were captured before the event-kernel rewrite). Any change to event
-// ordering, RNG draw order, or victim selection trips this immediately.
+// Byte-level determinism gate for the paper figures and ablations: every
+// named sweep, run in-process on the campaign engine at the default seed,
+// must render a CSV byte-identical to the golden file committed in
+// tests/golden/. Any change to event ordering, RNG draw order, or victim
+// selection trips this immediately.
 
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "campaign/sweeps.h"
 
@@ -30,7 +31,15 @@ std::string read_file(const std::string& path) {
   return contents.str();
 }
 
-class GoldenDeterminism : public ::testing::TestWithParam<const char*> {};
+// Every name make_named_sweep resolves, so a sweep added without a golden
+// fails here.
+std::vector<std::string> all_named_sweeps() {
+  std::vector<std::string> names = named_sweeps();
+  names.insert(names.end(), ablation_sweeps().begin(), ablation_sweeps().end());
+  return names;
+}
+
+class GoldenDeterminism : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(GoldenDeterminism, SweepCsvMatchesGoldenBytes) {
   const Sweep sweep = make_named_sweep(GetParam());
@@ -49,8 +58,8 @@ TEST_P(GoldenDeterminism, SweepCsvMatchesGoldenBytes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(NamedSweeps, GoldenDeterminism,
-                         ::testing::Values("fig2a", "fig2b", "fig3", "buffer"),
-                         [](const auto& info) { return std::string(info.param); });
+                         ::testing::ValuesIn(all_named_sweeps()),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 }  // namespace tempriv::campaign

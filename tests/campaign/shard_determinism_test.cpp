@@ -6,7 +6,7 @@
 // `tempriv-campaign --shard i/N` + `tempriv-merge` a drop-in replacement
 // for the serial run.
 //
-// Sweeps run with packets_per_source shrunk so the whole matrix (4 sweeps
+// Sweeps run with packets_per_source shrunk so the whole matrix (9 sweeps
 // x 4 shard counts x 2 worker counts) finishes in a few seconds; the
 // byte-identity property is load-independent, so nothing is lost.
 
@@ -73,7 +73,14 @@ CampaignBytes sharded_bytes(const Sweep& sweep, std::uint32_t count,
   return {merged.jsonl, merged.stats_json, csv_os.str()};
 }
 
-class ShardDeterminism : public ::testing::TestWithParam<const char*> {};
+// Every name make_named_sweep resolves, so a new sweep is covered here.
+std::vector<std::string> all_named_sweeps() {
+  std::vector<std::string> names = named_sweeps();
+  names.insert(names.end(), ablation_sweeps().begin(), ablation_sweeps().end());
+  return names;
+}
+
+class ShardDeterminism : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ShardDeterminism, MergedShardsMatchSerialBytes) {
   const Sweep sweep = reduced_sweep(GetParam());
@@ -101,8 +108,8 @@ TEST_P(ShardDeterminism, MergedShardsMatchSerialBytes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(NamedSweeps, ShardDeterminism,
-                         ::testing::Values("fig2a", "fig2b", "fig3", "buffer"),
-                         [](const auto& info) { return std::string(info.param); });
+                         ::testing::ValuesIn(all_named_sweeps()),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 }  // namespace tempriv::campaign

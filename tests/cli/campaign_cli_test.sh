@@ -12,7 +12,9 @@
 #      result byte, with live counts (a nonzero eq.schedule_heap, one
 #      campaign.jobs per job) and the job/simulate span; tempriv-merge
 #      --telemetry combines shard snapshots into the serial snapshot, key
-#      for key (timings aside), and fails when a sibling is missing.
+#      for key (timings aside), and fails when a sibling is missing;
+#   6. --help names every sweep, the grid-axis flags are usage errors on a
+#      named sweep, and a named ablation writes its golden CSV.
 #
 # Usage: campaign_cli_test.sh <tempriv-campaign> <tempriv-merge>
 
@@ -197,6 +199,27 @@ expect_exit 2 "--shard $FLEET:2 with --telemetry" \
   --telemetry "$WORK/tauto/grid.telemetry.json"
 [ ! -e "$WORK/tauto/grid.telemetry.json" ] ||
   note_failure "--shard $FLEET:2 wrote a telemetry snapshot"
+
+# --- 6. named sweeps: listed, fixed, golden ------------------------------
+
+"$CAMPAIGN" --help >"$WORK/help.txt"
+for name in fig2a fig2b fig3 buffer victim decomposition trunk adversaries \
+            traffic; do
+  grep -qw "$name" "$WORK/help.txt" || note_failure "--help does not name $name"
+done
+
+# A named sweep's points are fixed: each grid axis is refused, not ignored.
+for axis in "--interarrival 4" "--scheme nodelay" "--packets 5" \
+            "--mean-delay 1" "--buffer-slots 3"; do
+  # shellcheck disable=SC2086  # the flag and its value are two words
+  expect_exit 2 "fig3 $axis" "$CAMPAIGN" fig3 $axis --quiet --out "$WORK/axis"
+done
+[ ! -e "$WORK/axis" ] || note_failure "a refused grid axis wrote results"
+
+GOLDEN="$(dirname "$0")/../golden"
+expect_exit 0 "victim sweep" "$CAMPAIGN" victim --quiet --out "$WORK/victim"
+expect_same "victim sweep vs golden" \
+  "$GOLDEN/ablation_victim_policy.csv" "$WORK/victim/ablation_victim_policy.csv"
 
 if [ "$FAILURES" -ne 0 ]; then
   echo "$FAILURES failure(s)" >&2

@@ -9,10 +9,10 @@
 //
 // Scenario points × replications fan out across worker threads; results are
 // merged in job-index order, so every output (CSV, JSONL, summary stats) is
-// byte-identical whatever --jobs is. Named sweeps write the paper figures'
-// CSVs (tests/golden/) at the default seed. Replication 0 of each
-// point keeps the scenario's own seed; replication r > 0 reseeds with
-// sim::derive_seed (see sim/seed.h).
+// byte-identical whatever --jobs is. Named sweeps (the paper figures and
+// ablations) write the CSVs in tests/golden/ at the default seed.
+// Replication 0 of each point keeps the scenario's own seed; replication
+// r > 0 reseeds with sim::derive_seed (see sim/seed.h).
 //
 // Sharding spreads one campaign over several hosts: --shard i/N runs only
 // the jobs whose global index ≡ i (mod N) and writes self-describing shard
@@ -48,6 +48,9 @@ int usage(std::ostream& os, int code) {
         "\n"
         "sweeps: fig2a (adversary MSE), fig2b (latency), fig3 (adaptive\n"
         "        adversary), buffer (buffer-size ablation)\n"
+        "ablations: victim (RCAD victim rule), decomposition (sec. 3.3 delay\n"
+        "        decomposition), trunk (shared-trunk length), adversaries\n"
+        "        (adversary ladder), traffic (periodic/Poisson/bursty)\n"
         "\n"
         "options:\n"
         "  --jobs N             worker threads (default: hardware concurrency)\n"
@@ -69,7 +72,7 @@ int usage(std::ostream& os, int code) {
         "                       (reports total link transmissions; untraced\n"
         "                       runs never pay the tracer's probe)\n"
         "\n"
-        "grid axes (comma lists or lo:hi:step ranges):\n"
+        "grid axes (comma lists or lo:hi:step ranges; grid only):\n"
         "  --interarrival LIST  1/lambda values (default 2)\n"
         "  --buffer-slots LIST  buffer sizes k (default 10)\n"
         "  --scheme LIST        nodelay,unlimited,droptail,rcad (default rcad)\n"
@@ -160,6 +163,13 @@ Options parse_options(int argc, char** argv) {
       if (i + 1 >= argc) throw UsageError("missing value for " + arg);
       return argv[++i];
     };
+    const bool grid_axis = arg == "--interarrival" || arg == "--buffer-slots" ||
+                           arg == "--scheme" || arg == "--packets" ||
+                           arg == "--mean-delay";
+    if (grid_axis && opt.sweep_name != "grid") {
+      throw UsageError(arg + " sets a grid axis; sweep '" + opt.sweep_name +
+                       "' has fixed points");
+    }
     if (arg == "--jobs") {
       opt.jobs = cli::parse_uint<std::size_t>(arg, value());
     } else if (arg == "--reps") {
