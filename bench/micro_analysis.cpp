@@ -18,7 +18,6 @@
 #include "campaign/thread_pool.h"
 #include "infotheory/entropy.h"
 #include "infotheory/estimators.h"
-#include "infotheory/reference.h"
 #include "net/packet.h"
 #include "sim/random.h"
 
@@ -58,21 +57,6 @@ void BM_MutualInformationKsg(benchmark::State& state) {
 BENCHMARK(BM_MutualInformationKsg)->Arg(1000)->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
-// The retained O(n²) reference — kept runnable so the sort-based rewrite's
-// speedup (EXPERIMENTS.md) can be re-measured on any machine.
-void BM_MutualInformationKsgBrute(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const LeakagePairs p = leakage_pairs(n, 101);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        infotheory::reference::mutual_information_ksg_brute(p.xs, p.zs, 4));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_MutualInformationKsgBrute)->Arg(1000)
-    ->Unit(benchmark::kMillisecond);
-
 // Thread-pool fan-out of the same estimator (bit-identical by contract).
 // On multi-core hosts this shows the extra headroom; on one core it prices
 // the dispatch overhead.
@@ -100,17 +84,6 @@ void BM_EntropyKnn(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_EntropyKnn)->Arg(100000);
-
-void BM_EntropyKnnBrute(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const LeakagePairs p = leakage_pairs(n, 102);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(infotheory::reference::entropy_knn_brute(p.zs, 4));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_EntropyKnnBrute)->Arg(5000);
 
 // ψ(m) for integer m is the hot inner call of every k-NN estimate; the memo
 // table turns the series evaluation into an array load.

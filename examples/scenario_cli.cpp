@@ -26,7 +26,8 @@ using namespace tempriv;
 [[noreturn]] void usage(int exit_code) {
   std::cout <<
       "usage: scenario_cli [options]\n"
-      "  --scheme S        no-delay | unlimited | drop-tail | rcad (default rcad)\n"
+      "  --scheme S        nodelay | unlimited | droptail | rcad\n"
+      "                    (default rcad; no-delay and drop-tail also work)\n"
       "  --interarrival X  source inter-arrival time 1/lambda (default 2)\n"
       "  --packets N       packets per source (default 1000)\n"
       "  --mean-delay X    mean privacy delay 1/mu (default 30)\n"
@@ -42,23 +43,6 @@ using namespace tempriv;
       "  --csv FILE        also write the per-flow table as CSV\n"
       "  --help            this text\n";
   std::exit(exit_code);
-}
-
-workload::SourceKind parse_source(const std::string& name) {
-  if (name == "periodic") return workload::SourceKind::kPeriodic;
-  if (name == "poisson") return workload::SourceKind::kPoisson;
-  if (name == "bursty") return workload::SourceKind::kBursty;
-  std::cerr << "unknown source kind: " << name << "\n";
-  usage(2);
-}
-
-workload::Scheme parse_scheme(const std::string& name) {
-  if (name == "no-delay") return workload::Scheme::kNoDelay;
-  if (name == "unlimited") return workload::Scheme::kUnlimitedDelay;
-  if (name == "drop-tail") return workload::Scheme::kDropTail;
-  if (name == "rcad") return workload::Scheme::kRcad;
-  std::cerr << "unknown scheme: " << name << "\n";
-  usage(2);
 }
 
 core::VictimPolicy parse_victim(const std::string& name) {
@@ -109,7 +93,7 @@ int main(int argc, char** argv) {
       if (flag == "--help" || flag == "-h") {
         usage(0);
       } else if (flag == "--scheme") {
-        scenario.scheme = parse_scheme(value());
+        scenario.scheme = workload::scheme_from_string(value());
       } else if (flag == "--interarrival") {
         scenario.interarrival = cli::parse_double(flag, value());
       } else if (flag == "--packets") {
@@ -128,7 +112,7 @@ int main(int argc, char** argv) {
       } else if (flag == "--sink-weighting") {
         scenario.sink_weighting = cli::parse_double(flag, value());
       } else if (flag == "--source") {
-        scenario.source = parse_source(value());
+        scenario.source = workload::source_kind_from_string(value());
       } else if (flag == "--jitter") {
         scenario.hop_jitter = cli::parse_double(flag, value());
       } else if (flag == "--tx-delay") {
@@ -143,6 +127,9 @@ int main(int argc, char** argv) {
       }
     } catch (const cli::UsageError&) {
       std::cerr << "bad value for " << flag << "\n";
+      usage(2);
+    } catch (const std::invalid_argument& error) {  // an unknown name
+      std::cerr << error.what() << "\n";
       usage(2);
     }
   }

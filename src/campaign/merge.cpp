@@ -162,6 +162,16 @@ void read_shard_stats(std::istream& is, const std::string& label,
         throw std::runtime_error("stats shard block disagrees with the "
                                  "JSONL header");
       }
+      if (const JsonValue* digest = block->find("jsonl_fnv1a")) {
+        const std::string& hex = digest->as_string();
+        if (hex.size() != 16 ||
+            hex.find_first_not_of("0123456789abcdef") != std::string::npos) {
+          std::string message = "malformed jsonl_fnv1a ";
+          message += hex;
+          throw std::runtime_error(message);
+        }
+        shard.stats_jsonl_fnv1a = std::strtoull(hex.c_str(), nullptr, 16);
+      }
     } else if (!shard.header.shard.is_all()) {
       throw std::runtime_error("stats file has no shard block but the JSONL "
                                "header is sharded");
@@ -313,6 +323,20 @@ MergeCheck check_shards(const std::vector<ShardInput>& shards) {
       error(shard.label + ": stats artifact covers " +
             std::to_string(shard.stats_jobs) + " jobs, JSONL has " +
             std::to_string(shard.job_lines.size()));
+    } else if (!spec.is_all()) {
+      // The digest covers the job lines byte for byte, so an edit that
+      // keeps a record valid JSON (one digit for another) still fails.
+      std::uint64_t digest = kFnv1aOffset;
+      for (const std::string& line : shard.job_lines) {
+        digest = fnv1a64("\n", fnv1a64(line, digest));
+      }
+      if (!shard.stats_jsonl_fnv1a) {
+        error(shard.label + ": stats shard block has no jsonl_fnv1a digest");
+      } else if (*shard.stats_jsonl_fnv1a != digest) {
+        error(shard.label + ": job records do not match the stats digest "
+              "(jsonl_fnv1a " + config_hash_hex(*shard.stats_jsonl_fnv1a) +
+              ", records hash to " + config_hash_hex(digest) + ")");
+      }
     }
   }
   return check;

@@ -43,6 +43,8 @@ struct ShardInput {
   std::uint64_t stats_sim_events = 0;
   std::optional<metrics::Histogram> stats_latency_hist;
   metrics::IntegerHistogram stats_preemption_hist;
+  /// The shard block's `jsonl_fnv1a`: fnv1a64 of the job lines as written.
+  std::optional<std::uint64_t> stats_jsonl_fnv1a;
 };
 
 /// Reads a shard JSONL stream (header line + job lines).
@@ -66,7 +68,8 @@ ShardInput load_shard_files(const std::string& jsonl_path);
 /// Outcome of validating a shard set for merge. `errors` is
 /// human-readable, one problem per entry (incompatible manifests, duplicate
 /// or missing shards, job records that violate the ownership rule, gaps,
-/// truncated files, missing stats siblings...).
+/// truncated files, missing stats siblings, job lines whose digest is
+/// missing from or disagrees with the stats shard block...).
 struct MergeCheck {
   std::vector<std::string> errors;
   bool ok() const noexcept { return errors.empty(); }

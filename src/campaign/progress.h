@@ -8,29 +8,20 @@
 
 namespace tempriv::campaign {
 
-/// Where the runner reports job completions. Implementations must be
-/// thread-safe: workers call job_done() concurrently, outside any lock.
-/// Progress is measurement-only — it never touches result data, so it has
-/// no effect on determinism.
-class ProgressListener {
- public:
-  virtual ~ProgressListener() = default;
-
-  /// Record one finished job that executed `sim_events` simulator events.
-  virtual void job_done(std::uint64_t sim_events) = 0;
-};
-
 /// Thread-safe campaign progress meter: prints "jobs done/total, simulated
 /// events/sec, ETA" lines to a stream (stderr in the CLI). Reporting is
-/// rate-limited.
-class ProgressReporter : public ProgressListener {
+/// rate-limited. Workers call job_done() concurrently, outside any lock.
+/// Progress is measurement-only — it never touches result data, so it has
+/// no effect on determinism.
+class ProgressReporter {
  public:
   /// `min_interval` throttles output; the final job always reports.
   explicit ProgressReporter(
       std::ostream& os, std::size_t total_jobs,
       std::chrono::milliseconds min_interval = std::chrono::milliseconds(250));
 
-  void job_done(std::uint64_t sim_events) override;
+  /// Records one finished job that executed `sim_events` simulator events.
+  void job_done(std::uint64_t sim_events);
 
   /// Prints the closing summary line (total wall time, events/sec).
   void finish();

@@ -88,7 +88,7 @@ std::vector<JobResult> CampaignRunner::run(
   std::vector<JobResult> results;
   results.reserve(jobs.size());
   InOrderMerger merger(results, sinks);
-  ProgressListener* progress = options_.progress;
+  ProgressReporter* progress = options_.progress;
 
   std::vector<std::future<void>> futures;
   futures.reserve(jobs.size());

@@ -14,8 +14,8 @@ namespace tempriv::campaign {
 struct RunnerOptions {
   /// Worker threads; 0 = hardware_concurrency (the CLI's --jobs default).
   std::size_t threads = 0;
-  /// Optional progress listener (not owned); may be null.
-  ProgressListener* progress = nullptr;
+  /// Optional progress meter (not owned); may be null.
+  ProgressReporter* progress = nullptr;
 };
 
 /// Fans a list of jobs out across a ThreadPool and merges the results

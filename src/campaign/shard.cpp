@@ -28,17 +28,9 @@ bool parse_full_u64(const std::string& text, std::uint64_t& out) {
   return true;
 }
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
 void fnv_mix(std::uint64_t& hash, const std::string& text) {
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= kFnvPrime;
-  }
   // Field separator, so concatenated fields can't collide by reflowing.
-  hash ^= 0x1f;
-  hash *= kFnvPrime;
+  hash = fnv1a64("\x1f", fnv1a64(text, hash));
 }
 
 /// Canonical text form of one scenario point. Every field participates:
@@ -90,10 +82,18 @@ std::size_t shard_jobs_owned(std::size_t total_jobs, const ShardSpec& spec) {
   return (total_jobs - spec.index - 1) / spec.count + 1;
 }
 
+std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t hash) noexcept {
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;  // the FNV-64 prime
+  }
+  return hash;
+}
+
 std::uint64_t campaign_config_hash(
     const std::string& tag, std::uint32_t reps,
     const std::vector<workload::PaperScenario>& points) {
-  std::uint64_t hash = kFnvOffset;
+  std::uint64_t hash = kFnv1aOffset;
   fnv_mix(hash, tag);
   fnv_mix(hash, std::to_string(reps));
   for (const workload::PaperScenario& point : points) {

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/job.h"
@@ -49,6 +50,14 @@ struct CampaignManifest {
   std::uint64_t config_hash = 0;
 };
 
+/// FNV-1a-64 offset basis: the hash of no bytes.
+inline constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
+
+/// Continues an FNV-1a-64 hash over `bytes` (start from kFnv1aOffset). The
+/// one hash of the campaign layer: config hashes and shard JSONL digests.
+std::uint64_t fnv1a64(std::string_view bytes,
+                      std::uint64_t hash = kFnv1aOffset) noexcept;
+
 /// FNV-1a-64 over a canonical serialization of (tag, reps, every scenario
 /// point). Any change to any parameter of any point changes the hash.
 std::uint64_t campaign_config_hash(
@@ -83,7 +92,8 @@ ShardHeader parse_shard_header(const std::string& line,
 /// is "<stem>.jsonl", its stats sibling "<stem>.stats.json").
 std::string shard_artifact_stem(const std::string& tag, const ShardSpec& spec);
 
-/// 16-lower-hex rendering of the config hash as it appears in headers.
+/// 16-lower-hex rendering of a 64-bit hash (the config hash in headers, the
+/// JSONL digest in shard stats files).
 std::string config_hash_hex(std::uint64_t hash);
 
 }  // namespace tempriv::campaign

@@ -3,6 +3,7 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "metrics/table.h"
 
@@ -18,35 +19,39 @@ std::string json_number(double value) {
 void JsonlSink::consume(const JobResult& job) {
   const workload::PaperScenario& s = job.spec.scenario;
   const workload::ScenarioResult& r = job.result;
-  os_ << "{\"job\":" << job.spec.index << ",\"point\":" << job.spec.point
-      << ",\"replication\":" << job.spec.replication << ",\"seed\":" << s.seed
-      << ",\"scenario\":{\"interarrival\":" << json_number(s.interarrival)
-      << ",\"packets_per_source\":" << s.packets_per_source
-      << ",\"mean_delay\":" << json_number(s.mean_delay)
-      << ",\"buffer_slots\":" << s.buffer_slots
-      << ",\"hop_tx_delay\":" << json_number(s.hop_tx_delay)
-      << ",\"scheme\":\"" << workload::to_string(s.scheme)
-      << "\",\"source\":\"" << workload::to_string(s.source)
-      << "\"},\"result\":{\"originated\":" << r.originated
-      << ",\"delivered\":" << r.delivered
-      << ",\"preemptions\":" << r.preemptions << ",\"drops\":" << r.drops
-      << ",\"mean_latency_all\":" << json_number(r.mean_latency_all)
-      << ",\"sim_end_time\":" << json_number(r.sim_end_time)
-      << ",\"events_executed\":" << r.events_executed
-      << ",\"transmissions\":" << r.transmissions
-      << ",\"packets_traced\":" << r.packets_traced << ",\"flows\":[";
+  std::ostringstream line;
+  line << "{\"job\":" << job.spec.index << ",\"point\":" << job.spec.point
+       << ",\"replication\":" << job.spec.replication << ",\"seed\":" << s.seed
+       << ",\"scenario\":{\"interarrival\":" << json_number(s.interarrival)
+       << ",\"packets_per_source\":" << s.packets_per_source
+       << ",\"mean_delay\":" << json_number(s.mean_delay)
+       << ",\"buffer_slots\":" << s.buffer_slots
+       << ",\"hop_tx_delay\":" << json_number(s.hop_tx_delay)
+       << ",\"scheme\":\"" << workload::to_string(s.scheme)
+       << "\",\"source\":\"" << workload::to_string(s.source)
+       << "\"},\"result\":{\"originated\":" << r.originated
+       << ",\"delivered\":" << r.delivered
+       << ",\"preemptions\":" << r.preemptions << ",\"drops\":" << r.drops
+       << ",\"mean_latency_all\":" << json_number(r.mean_latency_all)
+       << ",\"sim_end_time\":" << json_number(r.sim_end_time)
+       << ",\"events_executed\":" << r.events_executed
+       << ",\"transmissions\":" << r.transmissions
+       << ",\"packets_traced\":" << r.packets_traced << ",\"flows\":[";
   for (std::size_t i = 0; i < r.flows.size(); ++i) {
     const workload::FlowResult& flow = r.flows[i];
-    if (i > 0) os_ << ",";
-    os_ << "{\"source\":" << flow.source << ",\"hops\":" << flow.hops
-        << ",\"delivered\":" << flow.delivered
-        << ",\"mse_baseline\":" << json_number(flow.mse_baseline)
-        << ",\"mse_adaptive\":" << json_number(flow.mse_adaptive)
-        << ",\"mse_path_aware\":" << json_number(flow.mse_path_aware)
-        << ",\"mean_latency\":" << json_number(flow.mean_latency)
-        << ",\"max_latency\":" << json_number(flow.max_latency) << "}";
+    if (i > 0) line << ",";
+    line << "{\"source\":" << flow.source << ",\"hops\":" << flow.hops
+         << ",\"delivered\":" << flow.delivered
+         << ",\"mse_baseline\":" << json_number(flow.mse_baseline)
+         << ",\"mse_adaptive\":" << json_number(flow.mse_adaptive)
+         << ",\"mse_path_aware\":" << json_number(flow.mse_path_aware)
+         << ",\"mean_latency\":" << json_number(flow.mean_latency)
+         << ",\"max_latency\":" << json_number(flow.max_latency) << "}";
   }
-  os_ << "]}}\n";
+  line << "]}}\n";
+  const std::string text = std::move(line).str();
+  digest_ = fnv1a64(text, digest_);
+  os_ << text;
 }
 
 CampaignStats::CampaignStats() : latency_hist(0.0, 1000.0, 100) {}
@@ -132,7 +137,8 @@ void write_campaign_stats(std::ostream& os, const CampaignStats& s) {
 void write_campaign_stats_json(std::ostream& os,
                                const CampaignManifest& manifest,
                                const ShardSpec* shard,
-                               const MergedStatsSink& stats) {
+                               const MergedStatsSink& stats,
+                               std::optional<std::uint64_t> jsonl_fnv1a) {
   os << "{\n  \"campaign\": {\"schema\":" << manifest.schema << ",\"sweep\":\""
      << manifest.sweep << "\",\"tag\":\"" << manifest.tag
      << "\",\"base_seed\":" << manifest.base_seed << ",\"reps\":"
@@ -141,7 +147,11 @@ void write_campaign_stats_json(std::ostream& os,
      << config_hash_hex(manifest.config_hash) << "\"},\n";
   if (shard != nullptr && !shard->is_all()) {
     os << "  \"shard\": {\"index\":" << shard->index << ",\"count\":"
-       << shard->count << ",\"jobs_owned\":" << stats.total().jobs << "},\n";
+       << shard->count << ",\"jobs_owned\":" << stats.total().jobs;
+    if (jsonl_fnv1a) {
+      os << ",\"jsonl_fnv1a\":\"" << config_hash_hex(*jsonl_fnv1a) << "\"";
+    }
+    os << "},\n";
   }
   os << "  \"total\": ";
   write_campaign_stats(os, stats.total());

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,15 +28,21 @@ class ResultSink {
 /// Streams one JSON object per job to `os`. Every emitted field is a
 /// deterministic function of the job spec (wall_seconds is deliberately
 /// omitted), so the log is byte-identical across worker counts — the
-/// determinism test diffs it directly.
+/// determinism test diffs it directly. The sink keeps a running FNV-1a-64
+/// of the bytes it writes, which a shard's stats file records so a merge
+/// can prove the job lines were not edited.
 class JsonlSink : public ResultSink {
  public:
   explicit JsonlSink(std::ostream& os) : os_(os) {}
 
   void consume(const JobResult& job) override;
 
+  /// fnv1a64 of every byte written so far.
+  std::uint64_t digest() const noexcept { return digest_; }
+
  private:
   std::ostream& os_;
+  std::uint64_t digest_ = kFnv1aOffset;
 };
 
 /// Per-job summary statistics in mergeable form: Welford accumulators plus a
@@ -91,15 +98,17 @@ std::string json_number(double value);
 
 /// Writes the campaign stats artifact (`<tag>.stats.json`, or the
 /// `.shard-i-of-N.stats.json` sibling of a shard JSONL): the manifest, the
-/// shard block when `shard` is non-null and not 0/1, the total
-/// CampaignStats, and one CampaignStats per scenario point. Every byte is a
-/// deterministic function of the consumed jobs and the manifest, so a
-/// merged N-shard campaign writes the identical file a serial run writes —
-/// the byte-identity contract the determinism suite diffs.
+/// shard block when `shard` is non-null and not 0/1 (with the shard JSONL's
+/// `jsonl_fnv1a` digest when given), the total CampaignStats, and one
+/// CampaignStats per scenario point. Every byte is a deterministic function
+/// of the consumed jobs and the manifest, so a merged N-shard campaign
+/// writes the identical file a serial run writes — the byte-identity
+/// contract the determinism suite diffs.
 void write_campaign_stats_json(std::ostream& os,
                                const CampaignManifest& manifest,
                                const ShardSpec* shard,
-                               const MergedStatsSink& stats);
+                               const MergedStatsSink& stats,
+                               std::optional<std::uint64_t> jsonl_fnv1a = {});
 
 /// The human summary both tempriv-campaign (after a serial or supervised
 /// run) and tempriv-merge (after combining shards) print — shared so the

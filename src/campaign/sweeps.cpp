@@ -438,7 +438,7 @@ void run_sweep_shard(const Sweep& sweep, const RunnerOptions& options,
   CampaignRunner runner(options);
   runner.run(jobs, all_sinks);
 
-  write_campaign_stats_json(stats_os, manifest, &shard, stats);
+  write_campaign_stats_json(stats_os, manifest, &shard, stats, jsonl.digest());
 }
 
 Sweep sweep_for_merge(const std::string& name,

@@ -264,7 +264,7 @@ std::uint32_t DelayBuffer::victim_slot(const Queue& q,
     case VictimPolicy::kOldest:
       return q.head;
     case VictimPolicy::kRandom: {
-      // Same draw as the reference scan: a uniform index into the admission
+      // Same draw as a linear scan: a uniform index into the admission
       // order, then a walk to that position.
       auto index = static_cast<std::size_t>(rng.uniform_index(q.count));
       std::uint32_t slot = q.head;
@@ -361,36 +361,6 @@ bool DelayBuffer::consistent() const {
   }
   return live_slots == live_ && queued == live_ &&
          free_slots == slots_.size() - live_;
-}
-
-std::size_t select_victim(const std::vector<DelayBuffer::Held>& held,
-                          VictimPolicy policy, double now,
-                          sim::RandomStream& rng) {
-  if (held.empty()) throw std::invalid_argument("select_victim: empty buffer");
-  auto remaining = [now](const DelayBuffer::Held& h) {
-    return h.release_time - now;
-  };
-  std::size_t best = 0;
-  switch (policy) {
-    case VictimPolicy::kShortestRemaining:
-      for (std::size_t i = 1; i < held.size(); ++i) {
-        if (remaining(held[i]) < remaining(held[best])) best = i;
-      }
-      return best;
-    case VictimPolicy::kLongestRemaining:
-      for (std::size_t i = 1; i < held.size(); ++i) {
-        if (remaining(held[i]) > remaining(held[best])) best = i;
-      }
-      return best;
-    case VictimPolicy::kRandom:
-      return static_cast<std::size_t>(rng.uniform_index(held.size()));
-    case VictimPolicy::kOldest:
-      for (std::size_t i = 1; i < held.size(); ++i) {
-        if (held[i].enqueue_time < held[best].enqueue_time) best = i;
-      }
-      return best;
-  }
-  throw std::logic_error("select_victim: unknown policy");
 }
 
 const char* to_string(VictimPolicy policy) noexcept {

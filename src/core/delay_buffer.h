@@ -53,9 +53,9 @@ const char* to_string(VictimPolicy policy) noexcept;
 ///    queue that never preempts — keep no index at all.
 ///
 /// Victim choice is bit-identical to a linear first-wins scan over the
-/// admission order (see select_victim, kept as the reference
-/// implementation), and RNG draws happen in the same order, so simulation
-/// outputs do not depend on how packets are laid out in the slab.
+/// admission order (a test oracle in tests/oracles/), and RNG draws happen
+/// in the same order, so simulation outputs do not depend on how packets
+/// are laid out in the slab.
 class DelayBuffer {
  public:
   using QueueId = std::uint32_t;
@@ -262,13 +262,5 @@ class DelayBuffer {
   OccupancyCounts occupancy_{};
   std::uint32_t peak_occupancy_ = 0;
 };
-
-/// Reference victim selection: index of the victim in `held` (admission
-/// order) per `policy`. Linear scan, first-wins on ties — the behavioral
-/// contract DelayBuffer::preempt's indexed selection must match; tests
-/// cross-check the two. Requires non-empty `held`.
-std::size_t select_victim(const std::vector<DelayBuffer::Held>& held,
-                          VictimPolicy policy, double now,
-                          sim::RandomStream& rng);
 
 }  // namespace tempriv::core

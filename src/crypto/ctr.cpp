@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "crypto/reference.h"
 #include "crypto/wordio.h"
 
 namespace tempriv::crypto {
@@ -30,6 +29,17 @@ void keystream_wave(const Speck64_128& cipher, std::uint64_t nonce,
   }
 }
 
+/// The keystream word for one counter, E_K(nonce ^ counter), with the block
+/// convention of Speck64_128::encrypt_block: y is the low word, x the high.
+std::uint64_t keystream_word(const Speck64_128& cipher, std::uint64_t nonce,
+                             std::uint64_t counter) noexcept {
+  const std::uint64_t v = nonce ^ counter;
+  auto x = static_cast<std::uint32_t>(v >> 32);
+  auto y = static_cast<std::uint32_t>(v);
+  cipher.encrypt_words(x, y);
+  return (static_cast<std::uint64_t>(x) << 32) | y;
+}
+
 /// Walks the keystream for (nonce) over `nbytes` bytes — lane waves while
 /// at least two blocks remain, the scalar word for a lone last block — and
 /// hands each block to `emit(offset, chunk, word)`. The last block may be a
@@ -54,8 +64,7 @@ void walk_keystream(const Speck64_128& cipher, std::uint64_t nonce,
     counter += static_cast<std::uint64_t>(live);
   }
   if (nblocks - counter == 1) {
-    emit(offset, nbytes - offset,
-         reference::keystream_word(cipher, nonce, counter));
+    emit(offset, nbytes - offset, keystream_word(cipher, nonce, counter));
   }
 }
 
@@ -110,7 +119,21 @@ std::vector<std::uint8_t> CtrCipher::crypt_copy(
 }
 
 std::uint64_t CbcMac::tag(std::span<const std::uint8_t> data) const noexcept {
-  return reference::cbc_mac_tag(cipher_, data);
+  // Block zero is the message length; the zero-padded message is then
+  // chained one block at a time through the two cipher registers.
+  constexpr std::size_t kBlock = Speck64_128::kBlockBytes;
+  const auto length = static_cast<std::uint64_t>(data.size());
+  auto x = static_cast<std::uint32_t>(length >> 32);
+  auto y = static_cast<std::uint32_t>(length);
+  cipher_.encrypt_words(x, y);
+  for (std::size_t offset = 0; offset < data.size(); offset += kBlock) {
+    const std::uint64_t block =
+        load_le(data.data() + offset, std::min(kBlock, data.size() - offset));
+    x ^= static_cast<std::uint32_t>(block >> 32);
+    y ^= static_cast<std::uint32_t>(block);
+    cipher_.encrypt_words(x, y);
+  }
+  return (static_cast<std::uint64_t>(x) << 32) | y;
 }
 
 }  // namespace tempriv::crypto

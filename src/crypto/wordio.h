@@ -8,7 +8,7 @@
 namespace tempriv::crypto {
 
 /// Little-endian word <-> byte helpers shared by the CTR/CBC-MAC modes,
-/// their scalar reference, and the payload codec. Loads and stores of up to
+/// the payload codec and the crypto test oracle. Loads and stores of up to
 /// 8 bytes are the only memory traffic on the crypto path; everything in
 /// between is register arithmetic. Full 8-byte accesses — every block of
 /// every keystream lane — take a single fixed-width memcpy (one mov on

@@ -11,9 +11,9 @@ namespace tempriv::infotheory {
 /// creation/arrival time pairs.
 ///
 /// All estimators are deterministic pure functions of their inputs. The
-/// sort-based fast paths are verified bit-identical against retained
-/// brute-force references (infotheory/reference.h) by property tests that
-/// include exact-duplicate samples and tied max-norm distances.
+/// sort-based fast paths are verified bit-identical against the O(N²)
+/// brute-force test oracles (tests/oracles/) by property tests that include
+/// exact-duplicate samples and tied max-norm distances.
 
 struct AnalysisScratch;
 
@@ -111,7 +111,7 @@ class KsgWorkspace {
 /// (bounded window sweep over the x-order) plus binary-search marginal
 /// counting: O(N (k + log N)) for continuous samples, degrading toward
 /// O(N²) only when nearly all x values coincide. Bit-identical to the
-/// retained O(N²) reference. Requires N > k >= 1.
+/// O(N²) brute-force oracle. Requires N > k >= 1.
 double mutual_information_ksg(std::span<const double> xs,
                               std::span<const double> zs, unsigned k = 3);
 double mutual_information_ksg(std::span<const double> xs,

@@ -52,7 +52,9 @@ Scheme scheme_from_string(const std::string& name) {
   if (name == "unlimited" || name == "delay+unlimited-buffers") {
     return Scheme::kUnlimitedDelay;
   }
-  if (name == "droptail" || name == "delay+drop-tail") return Scheme::kDropTail;
+  if (name == "droptail" || name == "drop-tail" || name == "delay+drop-tail") {
+    return Scheme::kDropTail;
+  }
   if (name == "rcad" || name == "delay+limited-buffers(RCAD)") {
     return Scheme::kRcad;
   }

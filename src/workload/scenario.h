@@ -21,8 +21,8 @@ enum class Scheme {
 const char* to_string(Scheme scheme) noexcept;
 
 /// Inverse of to_string(Scheme); also accepts the CLI short names
-/// ("nodelay", "unlimited", "droptail", "rcad"). Throws
-/// std::invalid_argument on unknown names.
+/// ("nodelay" or "no-delay", "unlimited", "droptail" or "drop-tail",
+/// "rcad"). Throws std::invalid_argument on unknown names.
 Scheme scheme_from_string(const std::string& name);
 
 /// Which creation process drives the sources: the paper's periodic

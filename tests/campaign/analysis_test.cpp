@@ -12,7 +12,7 @@
 #include "campaign/analysis.h"
 #include "campaign/thread_pool.h"
 #include "infotheory/estimators.h"
-#include "infotheory/reference.h"
+#include "oracles/infotheory_reference.h"
 #include "sim/random.h"
 
 namespace tempriv::campaign {

@@ -215,6 +215,40 @@ TEST(MergeCheckTest, MissingStatsSiblingIsReported) {
   ASSERT_FALSE(check.ok());
 }
 
+// One digit of one record's mse_baseline changed: the record is still valid
+// JSON and the stats sibling's counts and histograms still agree, so only
+// the stats shard block's jsonl_fnv1a digest can tell. Without the digest
+// the shard is rejected too.
+TEST(MergeCheckTest, EditedValueFailsTheJsonlDigest) {
+  const Sweep sweep = small_sweep();
+  const ShardInput clean = input_from_text(
+      run_shard_to_text(sweep, 2, ShardSpec{0, 2}), "shard-0");
+  ShardText text = run_shard_to_text(sweep, 2, ShardSpec{1, 2});
+  const std::size_t key = text.jsonl.find("\"mse_baseline\":");
+  ASSERT_NE(key, std::string::npos);
+  const std::size_t digit = text.jsonl.find_first_of("0123456789", key);
+  char& c = text.jsonl[digit];
+  c = c == '9' ? '8' : static_cast<char>(c + 1);
+  const std::vector<ShardInput> edited = {clean,
+                                          input_from_text(text, "shard-1")};
+  const MergeCheck check = check_shards(edited);
+  ASSERT_EQ(check.errors.size(), 1u);
+  EXPECT_NE(check.errors[0].find("shard-1"), std::string::npos);
+  EXPECT_NE(check.errors[0].find("jsonl_fnv1a"), std::string::npos);
+  EXPECT_THROW(merge_shards(edited), std::runtime_error);
+
+  ShardText undigested = run_shard_to_text(sweep, 2, ShardSpec{1, 2});
+  const std::size_t at = undigested.stats.find(",\"jsonl_fnv1a\"");
+  ASSERT_NE(at, std::string::npos);
+  undigested.stats.erase(at, undigested.stats.find('}', at) - at);
+  const MergeCheck missing =
+      check_shards({clean, input_from_text(undigested, "shard-1")});
+  ASSERT_EQ(missing.errors.size(), 1u);
+  EXPECT_NE(missing.errors[0].find("shard-1: stats shard block has no "
+                                   "jsonl_fnv1a"),
+            std::string::npos);
+}
+
 TEST(MergeTest, JobRecordRoundTripsThroughJsonl) {
   // Every field the stats replay and the figure tables read must survive the
   // JSONL round trip bit-exactly.

@@ -67,6 +67,14 @@ expect_exit 2 "unknown sweep" "$CAMPAIGN" nosuchsweep --quiet
 expect_exit 2 "unknown option" "$CAMPAIGN" fig2a --frobnicate --quiet
 expect_exit 2 "missing value" "$CAMPAIGN" fig2a --jobs
 expect_exit 0 "--help" "$CAMPAIGN" --help
+# One scheme vocabulary with scenario_cli: every name either CLI accepts
+# parses here, and an unknown one is a usage error.
+expect_exit 0 "grid --scheme (every name)" "$CAMPAIGN" grid \
+  --scheme nodelay,no-delay,unlimited,droptail,drop-tail,rcad \
+  --interarrival 4 --packets 5 --quiet --out "$WORK/schemes"
+expect_exit 2 "unknown --scheme" "$CAMPAIGN" grid --scheme nosuch --quiet
+grep -q "unknown scheme: nosuch" "$WORK/err.log" ||
+  note_failure "unknown --scheme: no message naming the scheme"
 if ! grep -q "wants a non-negative integer" "$WORK/err.log" 2>/dev/null; then
   "$CAMPAIGN" fig2a --jobs 4x --quiet 2>"$WORK/err.log"
   grep -q "wants a non-negative integer" "$WORK/err.log" ||

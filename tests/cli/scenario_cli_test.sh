@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # scenario_cli usage errors: every malformed or out-of-range number prints
-# "bad value for <flag>" and exits 2, never an uncaught exception; a
-# well-formed run still exits 0.
+# "bad value for <flag>" and exits 2, never an uncaught exception; an
+# unknown scheme or source name exits 2 with a message; every scheme name
+# tempriv-campaign accepts works here too; a well-formed run still exits 0.
 #
 # Usage: scenario_cli_test.sh <scenario_cli>
 
@@ -33,6 +34,26 @@ for flag in --interarrival --mean-delay --sink-weighting --jitter --tx-delay; do
     expect_bad_value "$flag" "$value"
   done
 done
+
+# One scheme vocabulary with tempriv-campaign (workload::scheme_from_string).
+for scheme in nodelay no-delay unlimited droptail drop-tail rcad; do
+  if ! "$CLI" --scheme "$scheme" --packets 10 --hops 5 >/dev/null 2>"$ERR"; then
+    echo "FAIL: --scheme $scheme did not exit 0" >&2
+    cat "$ERR" >&2
+    FAILURES=$((FAILURES + 1))
+  fi
+done
+expect_unknown() {  # expect_unknown <flag> <message>
+  "$CLI" "$1" nosuch --packets 10 >/dev/null 2>"$ERR"
+  local got=$?
+  if [ "$got" -ne 2 ] || ! grep -qF "$2: nosuch" "$ERR"; then
+    echo "FAIL: $1 nosuch: want exit 2 and '$2: nosuch', got $got" >&2
+    cat "$ERR" >&2
+    FAILURES=$((FAILURES + 1))
+  fi
+}
+expect_unknown --scheme "unknown scheme"
+expect_unknown --source "unknown source kind"
 
 if ! "$CLI" --packets 10 --hops 5,6 >/dev/null 2>"$ERR"; then
   echo "FAIL: a well-formed run did not exit 0" >&2

@@ -10,11 +10,13 @@
 #include <utility>
 #include <vector>
 
+#include "oracles/select_victim.h"
 #include "test_context.h"
 
 namespace tempriv::core {
 namespace {
 
+using oracles::select_victim;
 using testing::TestContext;
 
 TEST(DelayBuffer, RequiresDistribution) {
@@ -196,7 +198,8 @@ TEST(SelectVictim, RandomIsInRangeAndCoversBuffer) {
 TEST(SelectVictim, RejectsEmptyBuffer) {
   TestContext ctx;
   EXPECT_THROW(
-      select_victim({}, VictimPolicy::kShortestRemaining, 0.0, ctx.rng()),
+      select_victim(std::vector<DelayBuffer::Held>{},
+                    VictimPolicy::kShortestRemaining, 0.0, ctx.rng()),
       std::invalid_argument);
 }
 

@@ -1,4 +1,4 @@
-#include "crypto/reference.h"
+#include "oracles/crypto_reference.h"
 
 #include <gtest/gtest.h>
 
@@ -112,6 +112,36 @@ TEST(CryptoReference, CbcMacTagMatchesReference) {
       EXPECT_EQ(mac.tag(data), reference::cbc_mac_tag(cipher, data))
           << "trial " << trial << " len " << len;
     }
+  }
+}
+
+// Tags recorded from the implementation the oracle was split from, under the
+// NSA Speck64/128 test key, for messages 0, 1, …, n−1 of lengths that cover
+// the length block alone, a lone tail, one whole block, a whole block plus
+// a tail, and three whole blocks. A change made to both the production MAC
+// and the oracle at once still fails here.
+TEST(CryptoReference, CbcMacTagMatchesRecordedValues) {
+  const Speck64_128::Key key = {0x00, 0x01, 0x02, 0x03, 0x08, 0x09, 0x0a, 0x0b,
+                                0x10, 0x11, 0x12, 0x13, 0x18, 0x19, 0x1a, 0x1b};
+  struct Recorded {
+    std::size_t length;
+    std::uint64_t tag;
+  };
+  const Recorded recorded[] = {{0, 0x77ad972ab1f1af49ULL},
+                               {1, 0x164e6c3f99776b32ULL},
+                               {8, 0x77d19fb6474f5ed1ULL},
+                               {9, 0x9660974f1df37d56ULL},
+                               {24, 0x06a036906fce60f9ULL}};
+  const CbcMac mac(key);
+  const Speck64_128 cipher(key);
+  for (const Recorded& r : recorded) {
+    std::vector<std::uint8_t> data(r.length);
+    for (std::size_t i = 0; i < r.length; ++i) {
+      data[i] = static_cast<std::uint8_t>(i);
+    }
+    EXPECT_EQ(mac.tag(data), r.tag) << "length " << r.length;
+    EXPECT_EQ(reference::cbc_mac_tag(cipher, data), r.tag)
+        << "length " << r.length;
   }
 }
 

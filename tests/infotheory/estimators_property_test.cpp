@@ -1,5 +1,5 @@
-// Property tests pinning the sort-based analysis kernels to the retained
-// brute-force references (infotheory/reference.h). The acceptance bar is
+// Property tests pinning the sort-based analysis kernels to the brute-force
+// oracles (tests/oracles/infotheory_reference.h). The acceptance bar is
 // exact equality — not a tolerance — on randomized corpora that include the
 // two known correctness traps of sort-based KSG: exact-duplicate samples
 // (zero k-NN distances, so the strict marginal counts must come out empty)
@@ -14,7 +14,7 @@
 
 #include "infotheory/entropy.h"
 #include "infotheory/estimators.h"
-#include "infotheory/reference.h"
+#include "oracles/infotheory_reference.h"
 #include "sim/random.h"
 
 namespace tempriv::infotheory {

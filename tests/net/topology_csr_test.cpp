@@ -16,34 +16,12 @@
 #include <vector>
 
 #include "net/routing.h"
+#include "oracles/topology_reference.h"
 
 namespace tempriv::net {
 namespace {
 
-/// The pre-CSR reference: the O(n²) pairwise-distance builder
-/// random_geometric replaced. Placement loop and distance predicate are the
-/// expressions the production builder must match bit-for-bit.
-Topology brute_force_geometric(std::size_t n, double side, double radius,
-                               sim::RandomStream& rng) {
-  std::vector<Position> positions;
-  for (std::size_t i = 0; i < n; ++i) {
-    positions.push_back({rng.uniform(0.0, side), rng.uniform(0.0, side)});
-  }
-  TopologyBuilder topo;
-  for (const Position& p : positions) topo.add_node(p);
-  const double r2 = radius * radius;
-  for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b = a + 1; b < n; ++b) {
-      const Position& pa = positions[a];
-      const Position& pb = positions[b];
-      const double dx = pa.x - pb.x;
-      const double dy = pa.y - pb.y;
-      if (dx * dx + dy * dy <= r2) topo.add_edge(a, b);
-    }
-  }
-  topo.set_sink(0);
-  return topo.build();
-}
+using oracles::brute_force_geometric;
 
 /// Checks the CSR invariants and cross-checks every row against has_edge.
 void expect_csr_well_formed(const Topology& topo) {

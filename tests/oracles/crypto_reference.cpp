@@ -1,4 +1,4 @@
-#include "crypto/reference.h"
+#include "oracles/crypto_reference.h"
 
 #include "crypto/wordio.h"
 

@@ -8,12 +8,11 @@
 namespace tempriv::crypto {
 
 /// Executable specification of the CTR keystream and CBC-MAC, one block at a
-/// time — the code the 4-lane keystream wave must match bit for bit.
-///
-/// Mirrors the src/infotheory/reference.* discipline: the scalar
-/// block-at-a-time implementations stay compiled as the test oracle, and
-/// the property tests compare the production entry points against them on
-/// randomized key/nonce/length corpora (and against the NSA test vector).
+/// time — the code the production CtrCipher (4-lane keystream wave plus a
+/// scalar lone last block) and CbcMac (src/crypto/ctr.cpp) must match bit
+/// for bit. Test-only: the CryptoReference tests compare the production
+/// entry points against it on randomized key/nonce/length corpora (and
+/// against the NSA test vector); no production code calls it.
 namespace reference {
 
 /// Keystream block i as a little-endian 64-bit word: E_K(nonce ^ i).

@@ -1,4 +1,4 @@
-#include "infotheory/reference.h"
+#include "oracles/infotheory_reference.h"
 
 #include <algorithm>
 #include <cmath>

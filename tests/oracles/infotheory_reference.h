@@ -4,15 +4,13 @@
 
 namespace tempriv::infotheory::reference {
 
-/// Retained brute-force reference implementations of the k-NN estimators.
+/// Brute-force reference implementations of the k-NN estimators.
 ///
 /// These are the original O(n²)-scan estimators the sort-based fast paths
-/// in estimators.h replaced. They stay in the tree as executable
-/// specifications: the property tests assert the fast paths return
-/// *bit-identical* results on randomized corpora (including exact
-/// duplicates and tied max-norm distances), and the analysis
-/// microbenchmarks measure the speedup against them. Do not use them in
-/// sweep loops.
+/// in infotheory/estimators.h replaced. They live on as test oracles only:
+/// the property tests assert the fast paths (and the thread-pool KSG in
+/// campaign/analysis.h) return *bit-identical* results on randomized
+/// corpora, including exact duplicates and tied max-norm distances.
 
 /// KSG algorithm 1 with a full O(n²) pairwise max-norm scan per point.
 double mutual_information_ksg_brute(std::span<const double> xs,

@@ -7,30 +7,13 @@
 #include <set>
 #include <vector>
 
+#include "oracles/rng_reference.h"
+
 namespace tempriv::sim {
 namespace {
 
 using State = std::array<std::uint64_t, 4>;
-
-/// The authors' 256-step xoshiro256 long jump (walk the generator, XOR in
-/// the states at the jump polynomial's set bits): the oracle for the
-/// table-driven Xoshiro256pp::long_jump.
-State reference_long_jump(const State& state) {
-  static constexpr std::uint64_t kJump[] = {
-      0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL, 0x77710069854ee241ULL,
-      0x39109bb02acbe635ULL};
-  Xoshiro256pp rng = Xoshiro256pp::from_state(state);
-  State acc{};
-  for (std::uint64_t jump : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (jump & (1ULL << b)) {
-        for (std::size_t w = 0; w < 4; ++w) acc[w] ^= rng.state()[w];
-      }
-      rng.next();
-    }
-  }
-  return acc;
-}
+using oracles::reference_long_jump;
 
 State table_long_jump(const State& state) {
   Xoshiro256pp rng = Xoshiro256pp::from_state(state);
