@@ -58,23 +58,6 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1000)->Arg(100000);
 
-void BM_EventQueueCancelHeavy(benchmark::State& state) {
-  sim::RandomStream rng(2);
-  for (auto _ : state) {
-    sim::EventQueue queue;
-    std::vector<sim::EventId> ids;
-    ids.reserve(10000);
-    for (int i = 0; i < 10000; ++i) {
-      ids.push_back(queue.schedule(rng.uniform(0.0, 1000.0), [] {}));
-    }
-    for (std::size_t i = 0; i < ids.size(); i += 2) queue.cancel(ids[i]);
-    while (queue.pop()) {
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_EventQueueCancelHeavy);
-
 void BM_EventQueueSteadyState(benchmark::State& state) {
   // Warm, pre-reserved queue: the per-event cost with the pool and heap at
   // capacity, plus the allocations-per-event counter (contract: 0.0).

@@ -126,13 +126,8 @@ int run(const Options& opt) {
       opt.n, side, opt.radius, opt.sinks, topo_rng);
   const double topo_s = seconds_since(t_topo);
 
-  const auto t_csr = Clock::now();
   const std::size_t edges = topology.edge_count();
-  const double csr_s = seconds_since(t_csr);
-
-  const auto t_routing = Clock::now();
   const net::RoutingTable routing(topology);
-  const double routing_s = seconds_since(t_routing);
   const std::size_t unreachable = routing.unreachable_count();
 
   sim::Simulator simulator;
@@ -151,10 +146,8 @@ int run(const Options& opt) {
   std::printf("  \"mean_degree\": %.3f,\n",
               2.0 * static_cast<double>(edges) / static_cast<double>(opt.n));
   std::printf("  \"unreachable\": %zu,\n", unreachable);
+  // The CSR adjacency and the routing table are built with the topology.
   std::printf("  \"build_topology_s\": %.6f,\n", topo_s);
-  // csr/routing now time handle reads; their build is in build_topology_s.
-  std::printf("  \"build_csr_s\": %.6f,\n", csr_s);
-  std::printf("  \"build_routing_s\": %.6f,\n", routing_s);
   std::printf("  \"build_network_s\": %.6f", net_s);
 
   if (!opt.build_only) {
@@ -212,8 +205,6 @@ int run(const Options& opt) {
     std::printf("  \"events\": %llu,\n",
                 static_cast<unsigned long long>(events));
     std::printf("  \"run_s\": %.6f,\n", run_s);
-    std::printf("  \"events_per_s\": %.0f,\n",
-                run_s > 0 ? static_cast<double>(events) / run_s : 0.0);
     std::printf("  \"mean_latency\": %.4f,\n", recorder.total_latency().mean());
     std::printf("  \"adversary_mse\": %.4f,\n", score.mse());
     std::printf("  \"adversary_estimates\": %llu",

@@ -172,9 +172,8 @@ void read_shard_stats(std::istream& is, const std::string& label,
         }
         shard.stats_jsonl_fnv1a = std::strtoull(hex.c_str(), nullptr, 16);
       }
-    } else if (!shard.header.shard.is_all()) {
-      throw std::runtime_error("stats file has no shard block but the JSONL "
-                               "header is sharded");
+    } else {
+      throw std::runtime_error("stats file has no shard block");
     }
     const JsonValue& total = doc.at("total");
     shard.stats_jobs = total.at("jobs").as_u64();
@@ -323,9 +322,10 @@ MergeCheck check_shards(const std::vector<ShardInput>& shards) {
       error(shard.label + ": stats artifact covers " +
             std::to_string(shard.stats_jobs) + " jobs, JSONL has " +
             std::to_string(shard.job_lines.size()));
-    } else if (!spec.is_all()) {
+    } else {
       // The digest covers the job lines byte for byte, so an edit that
-      // keeps a record valid JSON (one digit for another) still fails.
+      // keeps a record valid JSON (one digit for another) still fails —
+      // in a one-shard set too.
       std::uint64_t digest = kFnv1aOffset;
       for (const std::string& line : shard.job_lines) {
         digest = fnv1a64("\n", fnv1a64(line, digest));

@@ -145,7 +145,7 @@ void write_campaign_stats_json(std::ostream& os,
      << manifest.reps << ",\"points\":" << manifest.points
      << ",\"total_jobs\":" << manifest.total_jobs << ",\"config_hash\":\""
      << config_hash_hex(manifest.config_hash) << "\"},\n";
-  if (shard != nullptr && !shard->is_all()) {
+  if (shard != nullptr) {
     os << "  \"shard\": {\"index\":" << shard->index << ",\"count\":"
        << shard->count << ",\"jobs_owned\":" << stats.total().jobs;
     if (jsonl_fnv1a) {

@@ -98,8 +98,9 @@ std::string json_number(double value);
 
 /// Writes the campaign stats artifact (`<tag>.stats.json`, or the
 /// `.shard-i-of-N.stats.json` sibling of a shard JSONL): the manifest, the
-/// shard block when `shard` is non-null and not 0/1 (with the shard JSONL's
-/// `jsonl_fnv1a` digest when given), the total CampaignStats, and one
+/// shard block when `shard` is non-null (0/1 included, so every shard set
+/// is digest-checked; with the shard JSONL's `jsonl_fnv1a` digest when
+/// given), the total CampaignStats, and one
 /// CampaignStats per scenario point. Every byte is a deterministic function
 /// of the consumed jobs and the manifest, so a merged N-shard campaign
 /// writes the identical file a serial run writes — the byte-identity

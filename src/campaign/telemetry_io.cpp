@@ -86,7 +86,7 @@ void TelemetrySnapshot::merge(const TelemetrySnapshot& other) {
 TelemetrySink::TelemetrySink() {
   for (const char* key :
        {"eq.schedule_heap", "eq.schedule_fifo", "eq.fifo_diverted",
-        "eq.tombstone_skipped", "buf.preempt.shortest_remaining",
+        "eq.rekey", "buf.preempt.shortest_remaining",
         "buf.preempt.longest_remaining", "buf.preempt.random",
         "buf.preempt.oldest", "net.forward.immediate", "net.forward.unlimited",
         "net.forward.droptail", "net.forward.rcad", "net.forward.custom",
@@ -109,7 +109,7 @@ void TelemetrySink::consume(const JobResult& job) {
   counters["eq.schedule_heap"] += t.schedule_heap;
   counters["eq.schedule_fifo"] += t.schedule_fifo;
   counters["eq.fifo_diverted"] += t.fifo_diverted;
-  counters["eq.tombstone_skipped"] += t.tombstones_swept;
+  counters["eq.rekey"] += t.rekeys;
   counters[preempt_key(job.spec.scenario.victim)] += r.preemptions;
   counters["net.forward.immediate"] += t.forward_immediate;
   counters[buffered_forward_key(job.spec.scenario.scheme)] +=

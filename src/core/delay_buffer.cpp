@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -9,20 +10,20 @@ namespace tempriv::core {
 
 namespace {
 
-/// Heap order: the policy's victim at the root, admission order (first
-/// admitted wins) breaking release-time ties — exactly the element a
+/// Heap order: earliest release at the root, admission order (the reserved
+/// sequence number; first admitted wins) breaking release-time ties — the
+/// kernel's order, and exactly the shortest-remaining victim a
 /// first-strict-win linear scan over admission order selects.
 template <typename Node>
 bool heap_precedes(const Node& a, const Node& b) noexcept {
-  if (a.key != b.key) return a.key < b.key;
-  return a.admit_seq < b.admit_seq;
+  if (a.release != b.release) return a.release < b.release;
+  return a.seq < b.seq;
 }
 
 }  // namespace
 
-DelayBuffer::DelayBuffer(std::shared_ptr<const DelayDistribution> delay,
-                         VictimPolicy policy)
-    : DelayBuffer(QueueConfig{std::move(delay), policy, kUnbounded}) {}
+DelayBuffer::DelayBuffer(std::shared_ptr<const DelayDistribution> delay)
+    : DelayBuffer(QueueConfig{std::move(delay), std::nullopt, kUnbounded}) {}
 
 DelayBuffer::DelayBuffer(QueueConfig config) {
   add_queue(add_config(std::move(config)));
@@ -53,31 +54,32 @@ std::size_t DelayBuffer::memory_bytes() const noexcept {
   return configs_.capacity() * sizeof(QueueConfig) +
          queues_.capacity() * sizeof(Queue) +
          slots_.capacity() * sizeof(Slot) +
-         blocks_.capacity() * sizeof(HeapNode);
+         (blocks_.capacity() + scratch_.capacity()) * sizeof(HeapNode);
 }
 
 std::vector<DelayBuffer::Held> DelayBuffer::snapshot(QueueId queue) const {
-  const Queue& q = queues_.at(queue);
   std::vector<Held> held;
-  held.reserve(q.count);
-  for (std::uint32_t slot = q.head; slot != kNil; slot = slots_[slot].next) {
-    held.push_back(slots_[slot].held);
+  for (const HeapNode& node : admission_order(queues_.at(queue))) {
+    held.push_back(slots_[node.slot].held);
   }
   return held;
 }
 
-void DelayBuffer::reserve(std::size_t packets) { slots_.reserve(packets); }
-
-bool DelayBuffer::indexed(const Queue& q) const noexcept {
-  const std::optional<VictimPolicy>& victim = configs_[q.config].victim;
-  return victim == VictimPolicy::kShortestRemaining ||
-         victim == VictimPolicy::kLongestRemaining;
+std::span<const DelayBuffer::HeapNode> DelayBuffer::admission_order(
+    const Queue& q) const {
+  if (q.count == 0) return {};
+  scratch_.assign(blocks_.data() + q.block, blocks_.data() + q.block + q.count);
+  std::sort(scratch_.begin(), scratch_.end(),
+            [](const HeapNode& a, const HeapNode& b) { return a.seq < b.seq; });
+  return scratch_;
 }
+
+void DelayBuffer::reserve(std::size_t packets) { slots_.reserve(packets); }
 
 std::uint32_t DelayBuffer::acquire_slot() {
   if (free_slot_ != kNil) {
     const std::uint32_t slot = free_slot_;
-    free_slot_ = slots_[slot].next;
+    free_slot_ = slots_[slot].heap_pos;
     return slot;
   }
   if (slots_.size() >= kNil) {
@@ -85,33 +87,6 @@ std::uint32_t DelayBuffer::acquire_slot() {
   }
   slots_.emplace_back();
   return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
-void DelayBuffer::link_back(Queue& q, std::uint32_t slot) noexcept {
-  Slot& s = slots_[slot];
-  s.prev = q.tail;
-  s.next = kNil;
-  if (q.tail != kNil) {
-    slots_[q.tail].next = slot;
-  } else {
-    q.head = slot;
-  }
-  q.tail = slot;
-}
-
-void DelayBuffer::unlink(Queue& q, std::uint32_t slot) noexcept {
-  Slot& s = slots_[slot];
-  if (s.prev != kNil) {
-    slots_[s.prev].next = s.next;
-  } else {
-    q.head = s.next;
-  }
-  if (s.next != kNil) {
-    slots_[s.next].prev = s.prev;
-  } else {
-    q.tail = s.prev;
-  }
-  s.prev = s.next = kNil;
 }
 
 std::uint32_t DelayBuffer::acquire_block(std::uint8_t block_class) {
@@ -123,7 +98,7 @@ std::uint32_t DelayBuffer::acquire_block(std::uint8_t block_class) {
   }
   const std::size_t nodes = std::size_t{1} << block_class;
   if (blocks_.size() + nodes >= kNil) {
-    throw std::length_error("DelayBuffer: victim arena full");
+    throw std::length_error("DelayBuffer: release arena full");
   }
   const auto block = static_cast<std::uint32_t>(blocks_.size());
   blocks_.resize(blocks_.size() + nodes);
@@ -143,7 +118,7 @@ void DelayBuffer::ensure_block_room(Queue& q) {
   } else if (q.count == (std::uint32_t{1} << q.block_class)) {
     const auto bigger = static_cast<std::uint8_t>(q.block_class + 1);
     if (bigger >= kClasses) {
-      throw std::length_error("DelayBuffer: victim block too large");
+      throw std::length_error("DelayBuffer: release block too large");
     }
     const std::uint32_t block = acquire_block(bigger);  // may move blocks_
     std::copy_n(blocks_.data() + q.block, q.count, blocks_.data() + block);
@@ -153,15 +128,11 @@ void DelayBuffer::ensure_block_room(Queue& q) {
   }
 }
 
-void DelayBuffer::heap_push(Queue& q, std::uint32_t slot,
-                            std::uint64_t admit_seq) {
+void DelayBuffer::heap_push(Queue& q, std::uint32_t slot, std::uint64_t seq) {
   ensure_block_room(q);
-  const double release_time = slots_[slot].held.release_time;
   HeapNode node;
-  node.key = configs_[q.config].victim == VictimPolicy::kLongestRemaining
-                 ? -release_time
-                 : release_time;
-  node.admit_seq = admit_seq;
+  node.release = slots_[slot].held.release_time;
+  node.seq = seq;
   node.slot = slot;
   heap_sift({blocks_.data() + q.block, q.count + 1}, q.count, node);
 }
@@ -197,7 +168,6 @@ void DelayBuffer::heap_sift(std::span<HeapNode> heap, std::uint32_t pos,
 
 void DelayBuffer::heap_remove(Queue& q, std::uint32_t slot) noexcept {
   const std::uint32_t pos = slots_[slot].heap_pos;
-  slots_[slot].heap_pos = kNil;
   const std::uint32_t last = q.count - 1;
   if (pos != last) {
     HeapNode* heap = blocks_.data() + q.block;
@@ -205,34 +175,24 @@ void DelayBuffer::heap_remove(Queue& q, std::uint32_t slot) noexcept {
   }
 }
 
-void DelayBuffer::admit(QueueId queue, net::Packet&& packet,
-                        net::NodeContext& ctx) {
-  const Queue& q = queues_[queue];
-  admit_with_delay(queue, std::move(packet), ctx,
-                   configs_[q.config].delay->sample(ctx.rng()));
-}
-
 void DelayBuffer::admit_with_delay(QueueId queue, net::Packet&& packet,
                                    net::NodeContext& ctx, double delay) {
-  if (delay < 0.0) {
-    throw std::invalid_argument("DelayBuffer::admit_with_delay: negative delay");
+  if (!std::isfinite(delay) || delay < 0.0) {
+    throw std::invalid_argument(
+        "DelayBuffer: delay must be finite and >= 0");
   }
   const double now = ctx.simulator().now();
-  const std::uint64_t uid = packet.uid;
   const std::uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
   s.held.packet = std::move(packet);
   s.held.enqueue_time = now;
   s.held.release_time = now + delay;
   s.queue = queue;
-  s.held.release_event = ctx.simulator().schedule_after(
-      delay, [this, slot, uid, &ctx] { release(slot, uid, ctx); });
   Queue& q = queues_[queue];
-  link_back(q, slot);
-  const std::uint64_t admit_seq = next_admit_seq_++;
-  if (indexed(q)) heap_push(q, slot, admit_seq);
+  heap_push(q, slot, ctx.simulator().reserve_seq());
   ++q.count;
   ++live_;
+  ++admitted_;
   ++occupancy_[std::min<std::size_t>(std::bit_width(q.count),
                                      kOccupancyBuckets - 1)];
   peak_occupancy_ = std::max(peak_occupancy_, q.count);
@@ -241,17 +201,32 @@ void DelayBuffer::admit_with_delay(QueueId queue, net::Packet&& packet,
 DelayBuffer::Admission DelayBuffer::offer(QueueId queue, net::Packet&& packet,
                                           net::NodeContext& ctx,
                                           const DelayDistribution* delay) {
-  const QueueConfig& config = configs_[queues_[queue].config];
+  Queue& q = queues_[queue];
+  const QueueConfig& config = configs_[q.config];
+  // The queue's event is keyed on its root's number (0, never a kernel
+  // number, when the queue is empty and has no event).
+  const std::uint64_t old_root = q.count != 0 ? blocks_[q.block].seq : 0;
   Admission outcome = Admission::kAdmitted;
-  if (queues_[queue].count >= config.capacity) {
+  if (q.count >= config.capacity) {
     if (!config.victim) {
       return Admission::kDropped;  // the packet is destroyed
     }
-    ctx.transmit(preempt(queue, ctx));
+    // The queue's event stays pending even if the victim was its root (or
+    // its last packet): it is re-keyed on the arrival below.
+    ++preempted_;
+    ctx.transmit(extract(victim_slot(q, ctx.rng())));
     outcome = Admission::kPreempted;
   }
   if (delay == nullptr) delay = config.delay.get();
   admit_with_delay(queue, std::move(packet), ctx, delay->sample(ctx.rng()));
+  const HeapNode& root = blocks_[q.block];
+  if (old_root == 0) {
+    q.event = ctx.simulator().schedule_at(
+        root.release, root.seq,
+        [this, queue, &ctx] { release_head(queue, ctx); });
+  } else if (root.seq != old_root) {
+    q.event = ctx.simulator().reschedule(q.event, root.release, root.seq);
+  }
   return outcome;
 }
 
@@ -259,18 +234,29 @@ std::uint32_t DelayBuffer::victim_slot(const Queue& q,
                                        sim::RandomStream& rng) const {
   switch (*configs_[q.config].victim) {
     case VictimPolicy::kShortestRemaining:
-    case VictimPolicy::kLongestRemaining:
       return blocks_[q.block].slot;
+    case VictimPolicy::kLongestRemaining:
+      // A scan of the dense block: the latest release, the earliest
+      // admission among equals.
+      return std::max_element(blocks_.data() + q.block,
+                              blocks_.data() + q.block + q.count,
+                              [](const HeapNode& a, const HeapNode& b) {
+                                return a.release != b.release
+                                           ? a.release < b.release
+                                           : a.seq > b.seq;
+                              })
+          ->slot;
     case VictimPolicy::kOldest:
-      return q.head;
-    case VictimPolicy::kRandom: {
+      return std::min_element(blocks_.data() + q.block,
+                              blocks_.data() + q.block + q.count,
+                              [](const HeapNode& a, const HeapNode& b) {
+                                return a.seq < b.seq;
+                              })
+          ->slot;
+    case VictimPolicy::kRandom:
       // Same draw as a linear scan: a uniform index into the admission
-      // order, then a walk to that position.
-      auto index = static_cast<std::size_t>(rng.uniform_index(q.count));
-      std::uint32_t slot = q.head;
-      while (index-- > 0) slot = slots_[slot].next;
-      return slot;
-    }
+      // order.
+      return admission_order(q)[rng.uniform_index(q.count)].slot;
   }
   throw std::logic_error("DelayBuffer::victim_slot: unknown policy");
 }
@@ -279,44 +265,29 @@ net::Packet DelayBuffer::extract(std::uint32_t slot) {
   Slot& s = slots_[slot];
   Queue& q = queues_[s.queue];
   net::Packet packet = std::move(s.held.packet);
-  unlink(q, slot);
-  if (s.heap_pos != kNil) heap_remove(q, slot);
+  heap_remove(q, slot);
   s.queue = kNil;
-  s.next = free_slot_;
+  s.heap_pos = free_slot_;
   free_slot_ = slot;
   --live_;
-  if (--q.count == 0 && q.block != kNil) {
+  if (--q.count == 0) {
     release_block(q.block, q.block_class);
     q.block = kNil;
   }
   return packet;
 }
 
-net::Packet DelayBuffer::preempt(QueueId queue, net::NodeContext& ctx) {
-  const Queue& q = queues_[queue];
-  if (q.count == 0) {
-    throw std::logic_error("DelayBuffer::preempt: empty buffer");
+void DelayBuffer::release_head(QueueId queue, net::NodeContext& ctx) {
+  // The running event was keyed on the root; it re-arms itself for the
+  // next root, if any.
+  Queue& q = queues_[queue];
+  net::Packet packet = extract(blocks_[q.block].slot);
+  ++released_;
+  if (q.count != 0) {
+    const HeapNode& root = blocks_[q.block];
+    q.event = ctx.simulator().rearm(root.release, root.seq);
   }
-  const std::optional<VictimPolicy>& victim = configs_[q.config].victim;
-  if (!victim) {
-    throw std::logic_error("DelayBuffer::preempt: queue never preempts");
-  }
-  const std::uint32_t slot = victim_slot(q, ctx.rng());
-  // The victim's release is still pending; it must never fire.
-  ctx.simulator().cancel(slots_[slot].held.release_event);
-  return extract(slot);
-}
-
-void DelayBuffer::release(std::uint32_t slot, std::uint64_t uid,
-                          net::NodeContext& ctx) {
-  // Defensive: preempt() cancels the release event, so a fired event
-  // whose slot was recycled (or freed) indicates a kernel bug — skip rather
-  // than transmit the wrong packet.
-  if (slot >= slots_.size() || slots_[slot].queue == kNil ||
-      slots_[slot].held.packet.uid != uid) {
-    return;
-  }
-  ctx.transmit(extract(slot));
+  ctx.transmit(std::move(packet));
 }
 
 bool DelayBuffer::consistent() const {
@@ -329,7 +300,8 @@ bool DelayBuffer::consistent() const {
     ++live_slots;
   }
   std::size_t free_slots = 0;
-  for (std::uint32_t slot = free_slot_; slot != kNil; slot = slots_[slot].next) {
+  for (std::uint32_t slot = free_slot_; slot != kNil;
+       slot = slots_[slot].heap_pos) {
     if (slots_[slot].queue != kNil || ++free_slots > slots_.size()) return false;
   }
   std::size_t queued = 0;
@@ -337,15 +309,7 @@ bool DelayBuffer::consistent() const {
     const Queue& q = queues_[id];
     queued += q.count;
     if (owned[id] != q.count) return false;
-    std::uint32_t walked = 0;
-    std::uint32_t prev = kNil;
-    for (std::uint32_t slot = q.head; slot != kNil; slot = slots_[slot].next) {
-      const Slot& s = slots_[slot];
-      if (s.queue != id || s.prev != prev || ++walked > q.count) return false;
-      prev = slot;
-    }
-    if (walked != q.count || q.tail != prev) return false;
-    if (!indexed(q) || q.count == 0) {
+    if (q.count == 0) {
       if (q.block != kNil) return false;
       continue;
     }
@@ -360,7 +324,8 @@ bool DelayBuffer::consistent() const {
     }
   }
   return live_slots == live_ && queued == live_ &&
-         free_slots == slots_.size() - live_;
+         free_slots == slots_.size() - live_ &&
+         admitted_ == released_ + preempted_ + live_;
 }
 
 const char* to_string(VictimPolicy policy) noexcept {

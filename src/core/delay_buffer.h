@@ -24,10 +24,9 @@ enum class VictimPolicy {
 
 const char* to_string(VictimPolicy policy) noexcept;
 
-/// Shared machinery for the buffering disciplines: holds packets, schedules
-/// their future release through the simulation kernel, and supports
-/// cancelling a scheduled release so a packet can leave early (the RCAD
-/// preemption primitive).
+/// Shared machinery for the buffering disciplines: holds packets and
+/// releases each one through the simulation kernel when its delay runs out,
+/// or early, as the victim of an RCAD preemption (§5).
 ///
 /// One DelayBuffer is a slab serving any number of queues — one per
 /// buffering node in a Network (made when a packet first reaches the node,
@@ -35,27 +34,31 @@ const char* to_string(VictimPolicy policy) noexcept;
 /// memory is sized by the packets held, not by queues × capacity:
 ///
 ///  - **Slots.** One free-listed slot vector shared by every queue. A slot
-///    holds a packet, its release event and times, its links in the owning
-///    queue's admission-order list, its victim-heap position and the owning
-///    queue's id. It grows only when more packets are held at once than
-///    ever before (Contiki's `memb` fixed-block pool, network-wide).
-///  - **Queue heads** (24 bytes each): admission-list head and tail, live
-///    count, the queue's victim block, and an index into a small table of
+///    holds a packet and its times, its release-heap position and the
+///    owning queue's id. It grows only when more packets are held at once
+///    than ever before (Contiki's `memb` fixed-block pool, network-wide).
+///  - **Queue heads** (24 bytes each): live count, the queue's release
+///    block, its kernel event, and an index into a small table of
 ///    QueueConfig entries (delay distribution, victim policy, capacity).
-///  - **Victim blocks.** Only preemptive queues under kShortestRemaining /
-///    kLongestRemaining keep a victim index: a binary heap keyed on
-///    (release_time, admission order) living in a power-of-two block of a
-///    shared arena. A queue takes a one-node block when it goes from 0 to 1
-///    packets and returns it to its size class's free list when it
-///    empties; a full block is swapped for one twice its size, so a queue's
-///    block tracks the packets it holds. kOldest is the list head and
-///    kRandom one RNG draw plus a list walk, so those queues — and every
-///    queue that never preempts — keep no index at all.
+///  - **Release blocks.** Every non-empty queue keeps its packets in a
+///    binary min-heap on (release time, kernel sequence number) living in a
+///    power-of-two block of a shared arena. A queue takes a one-node block
+///    when it goes from 0 to 1 packets and returns it to its size class's
+///    free list when it empties; a full block is swapped for one twice its
+///    size, so a queue's block tracks the packets it holds.
 ///
-/// Victim choice is bit-identical to a linear first-wins scan over the
-/// admission order (a test oracle in tests/oracles/), and RNG draws happen
-/// in the same order, so simulation outputs do not depend on how packets
-/// are laid out in the slab.
+/// **One kernel event per queue.** A non-empty queue owns exactly one
+/// pending kernel event, keyed on its heap root — the packet due to leave
+/// next, and the paper's shortest-remaining victim. Each admission reserves
+/// a kernel sequence number where a per-packet release would have been
+/// scheduled, so releases run in exactly the order one event per packet
+/// would give, ties included. The event is re-keyed in place when the root
+/// changes; a queue empties only through a release, so the event never has
+/// to be withdrawn. A node's `seq` also orders admissions, so the heap is
+/// the only index a queue keeps: kLongestRemaining, kOldest and kRandom
+/// scan or select within the dense block. Victim choice is bit-identical
+/// to a linear first-wins scan over the admission order (a test oracle in
+/// tests/oracles/), with RNG draws in the same order.
 class DelayBuffer {
  public:
   using QueueId = std::uint32_t;
@@ -64,7 +67,6 @@ class DelayBuffer {
 
   struct Held {
     net::Packet packet;
-    sim::EventId release_event;
     double enqueue_time = 0.0;
     double release_time = 0.0;
   };
@@ -75,11 +77,10 @@ class DelayBuffer {
     /// Shared-const, so a whole network of identically configured nodes
     /// holds one distribution object (sample() is const).
     std::shared_ptr<const DelayDistribution> delay;
-    /// Victim rule for preempt(); nullopt for queues that never preempt
-    /// (unlimited and drop-tail buffering), which keep no victim index.
+    /// Victim rule for offer() at capacity; nullopt for queues that never
+    /// preempt (unlimited and drop-tail buffering).
     std::optional<VictimPolicy> victim;
-    /// Admission bound (k of M/M/k/k), enforced by offer(); admit() does
-    /// not check it.
+    /// Admission bound (k of M/M/k/k), enforced by offer().
     std::size_t capacity = kUnbounded;
 
     /// Same distribution object, victim rule and bound.
@@ -89,17 +90,15 @@ class DelayBuffer {
   /// An empty slab with no queues; add them with add_queue().
   DelayBuffer() = default;
 
-  /// A one-queue buffer (queue 0) that may preempt under `policy`, with
-  /// no capacity bound — the stand-alone form custom disciplines and tests
-  /// use. unique_ptr arguments convert implicitly.
-  explicit DelayBuffer(std::shared_ptr<const DelayDistribution> delay,
-                       VictimPolicy policy = VictimPolicy::kShortestRemaining);
+  /// A one-queue buffer (queue 0) with no capacity bound, so it never
+  /// preempts or drops. unique_ptr arguments convert implicitly.
+  explicit DelayBuffer(std::shared_ptr<const DelayDistribution> delay);
 
   /// A one-queue buffer (queue 0) configured by `config`.
   explicit DelayBuffer(QueueConfig config);
 
-  /// Movable while empty (moving parks no events); an admitted packet's
-  /// release closure captures `this`, so a non-empty buffer must stay put.
+  /// Movable while empty (moving parks no events); a non-empty queue's
+  /// kernel event captures `this`, so a non-empty buffer must stay put.
   DelayBuffer(DelayBuffer&&) = default;
   DelayBuffer& operator=(DelayBuffer&&) = default;
 
@@ -121,7 +120,7 @@ class DelayBuffer {
   std::size_t size(QueueId queue) const noexcept { return queues_[queue].count; }
 
   /// Heap bytes held by the slot slab, queue heads, configuration table and
-  /// victim arena (capacity-based; the shared distributions are not
+  /// release arena (capacity-based; the shared distributions are not
   /// counted — they are shared).
   std::size_t memory_bytes() const noexcept;
 
@@ -133,15 +132,6 @@ class DelayBuffer {
   /// Pre-sizes the slot slab for `packets` concurrently held packets.
   void reserve(std::size_t packets);
 
-  /// Draws a delay Y from the queue's distribution and schedules the
-  /// packet's transmission at now + Y. The packet leaves the buffer (and is
-  /// transmitted via `ctx`) when the event fires. Ignores the capacity;
-  /// offer() is the arrival rule.
-  void admit(QueueId queue, net::Packet&& packet, net::NodeContext& ctx);
-  void admit(net::Packet&& packet, net::NodeContext& ctx) {
-    admit(0, std::move(packet), ctx);
-  }
-
   /// What offer() did with an arrival.
   enum class Admission : std::uint8_t {
     kAdmitted,   ///< the queue had room; the packet is held
@@ -151,21 +141,27 @@ class DelayBuffer {
   };
 
   /// The arrival rule of every buffering scheme, written once. Below the
-  /// queue's capacity the packet is admitted (admit()). At capacity a queue
+  /// queue's capacity the packet is admitted: it draws a delay Y and is
+  /// held until now + Y, when it leaves and is transmitted via `ctx`. Every
+  /// packet a queue holds must come with the same `ctx` (its node's): the
+  /// queue's one kernel event keeps the context it was scheduled with. At
+  /// capacity a queue
   /// with no victim rule drops it — the M/M/k/k loss event of Eq. (5) — and
-  /// a preemptive queue ejects its victim (preempt()), transmits it through
-  /// `ctx`, then admits the arrival (RCAD, §5). The arrival's delay is
-  /// drawn after any victim draw, from `delay` if given, else from the
-  /// queue's own distribution.
+  /// a preemptive queue ejects its victim under its policy, transmits it
+  /// through `ctx`, then admits the arrival (RCAD, §5). The arrival's delay
+  /// is drawn after any victim draw, from `delay` if given, else from the
+  /// queue's own distribution. The queue's kernel event is re-keyed at most
+  /// once, after both steps.
   Admission offer(QueueId queue, net::Packet&& packet, net::NodeContext& ctx,
                   const DelayDistribution* delay = nullptr);
 
-  /// Selects the victim under the queue's policy, cancels its scheduled
-  /// release, and returns it to the caller (RCAD transmits it immediately).
-  /// O(log n) for the heap-indexed policies. Throws std::logic_error if the
-  /// queue is empty or never preempts.
-  net::Packet preempt(QueueId queue, net::NodeContext& ctx);
-  net::Packet preempt(net::NodeContext& ctx) { return preempt(0, ctx); }
+  /// Lifetime packet counts over every queue: packets admitted, released
+  /// when their delay ran out, and transmitted early as preemption victims.
+  /// Every admitted packet leaves exactly one way or is still held, so
+  /// admitted() == released() + preempted() + size() at all times.
+  std::uint64_t admitted() const noexcept { return admitted_; }
+  std::uint64_t released() const noexcept { return released_; }
+  std::uint64_t preempted() const noexcept { return preempted_; }
 
   /// Admissions counted by the admitting queue's size just after, in
   /// power-of-two buckets: bucket b counts sizes s with bit_width(s) == b
@@ -179,9 +175,9 @@ class DelayBuffer {
   std::uint32_t peak_occupancy() const noexcept { return peak_occupancy_; }
 
   /// Structural self-check for tests: the slab's live slots equal the sum
-  /// of the per-queue counts, every queue's admission list has its count of
-  /// live slots owned by that queue, and every victim heap holds exactly
-  /// its queue's packets in heap order. O(slots).
+  /// of the per-queue counts, every non-empty queue's release heap holds
+  /// exactly its packets in heap order, and the free list holds the rest.
+  /// O(slots).
   bool consistent() const;
 
  private:
@@ -190,47 +186,40 @@ class DelayBuffer {
   struct Slot {
     Held held;
     std::uint32_t queue = kNil;  // owning queue; kNil = free slot
-    std::uint32_t heap_pos = kNil;
-    std::uint32_t prev = kNil;  // admission-order list links; `next`
-    std::uint32_t next = kNil;  // doubles as the free-list link
+    std::uint32_t heap_pos = kNil;  // in a free slot: the next free slot
   };
 
   struct Queue {
-    std::uint32_t head = kNil;  // oldest admission
-    std::uint32_t tail = kNil;  // newest admission
     std::uint32_t count = 0;
     std::uint32_t config = 0;
-    std::uint32_t block = kNil;  // victim block offset in blocks_
+    std::uint32_t block = kNil;  // release block offset in blocks_
     std::uint8_t block_class = 0;  // block holds 2^block_class nodes
+    sim::EventId event;  // keyed on the root; pending iff count != 0
   };
 
-  /// Victim-heap node: the ordering keys ride along with the slot index, so
-  /// sift compares stay inside the (dense) block instead of chasing slots.
-  /// A live slot's release_time never changes, so the copy cannot go stale;
-  /// admit_seq (admission order, the tie-breaker) lives only here. `key` is
-  /// the release time, negated under kLongestRemaining so both policies
-  /// compare ascending with no branch (negation is exact and preserves
-  /// ties, so victim choice is unchanged).
+  /// Release-heap node: the ordering keys ride along with the slot index,
+  /// so sift compares stay inside the (dense) block instead of chasing
+  /// slots. A live slot's release_time never changes, so the copy cannot go
+  /// stale; `seq`, the kernel sequence number reserved at admission (the
+  /// tie-breaker, in admission order), lives only here.
   struct HeapNode {
-    double key = 0.0;
-    std::uint64_t admit_seq = 0;
+    double release = 0.0;
+    std::uint64_t seq = 0;
     std::uint32_t slot = kNil;  // in a free block: the next free block
   };
 
   static constexpr std::size_t kClasses = 32;
 
-  bool indexed(const Queue& q) const noexcept;
-
   std::uint32_t acquire_slot();
-  void link_back(Queue& q, std::uint32_t slot) noexcept;
-  void unlink(Queue& q, std::uint32_t slot) noexcept;
+  /// The queue's nodes in admission (`seq`) order.
+  std::span<const HeapNode> admission_order(const Queue& q) const;
 
   std::uint32_t acquire_block(std::uint8_t block_class);
   void release_block(std::uint32_t block, std::uint8_t block_class) noexcept;
-  /// Makes room for one more victim node in `q`'s block, taking a
-  /// one-node block or doubling a full one.
+  /// Makes room for one more heap node in `q`'s block, taking a one-node
+  /// block or doubling a full one.
   void ensure_block_room(Queue& q);
-  void heap_push(Queue& q, std::uint32_t slot, std::uint64_t admit_seq);
+  void heap_push(Queue& q, std::uint32_t slot, std::uint64_t seq);
   void heap_remove(Queue& q, std::uint32_t slot) noexcept;
   /// Re-sites `node` starting at hole `pos` of `heap`, whichever direction
   /// it must move; writes it once at its final position (hole-based, no
@@ -238,27 +227,31 @@ class DelayBuffer {
   void heap_sift(std::span<HeapNode> heap, std::uint32_t pos,
                  HeapNode node) noexcept;
 
-  /// Holds the packet for `delay` (>= 0) and schedules its release.
+  /// Holds the packet for `delay` (finite, >= 0) in the release heap; the
+  /// caller keys the queue's event.
   void admit_with_delay(QueueId queue, net::Packet&& packet,
                         net::NodeContext& ctx, double delay);
   std::uint32_t victim_slot(const Queue& q, sim::RandomStream& rng) const;
-  /// Removes the packet in `slot` from every structure and returns it; its
-  /// release event is the caller's to cancel (or is the one running).
+  /// Removes the packet in `slot` from every structure and returns it.
   net::Packet extract(std::uint32_t slot);
-  void release(std::uint32_t slot, std::uint64_t uid, net::NodeContext& ctx);
+  /// The queue's kernel event: transmits the root, keys the next event.
+  void release_head(QueueId queue, net::NodeContext& ctx);
 
   std::vector<QueueConfig> configs_;
   std::vector<Queue> queues_;
   std::vector<Slot> slots_;
-  std::vector<HeapNode> blocks_;  // victim-block arena
+  std::vector<HeapNode> blocks_;  // release-block arena
+  mutable std::vector<HeapNode> scratch_;  // admission_order()'s buffer
   std::array<std::uint32_t, kClasses> free_block_ = [] {
     std::array<std::uint32_t, kClasses> heads{};
     heads.fill(kNil);  // per size class: first free block, kNil = none
     return heads;
   }();
   std::uint32_t free_slot_ = kNil;
-  std::uint64_t next_admit_seq_ = 1;
   std::size_t live_ = 0;
+  std::uint64_t admitted_ = 0;
+  std::uint64_t released_ = 0;
+  std::uint64_t preempted_ = 0;
   OccupancyCounts occupancy_{};
   std::uint32_t peak_occupancy_ = 0;
 };

@@ -89,10 +89,10 @@ ErlangLossThreshold::ErlangLossThreshold(double threshold, std::uint64_t k)
     return;
   }
   // Certification targets. The recurrence accumulates a few ulps of
-  // relative error per step with no cancellation, so a value computed at
-  // least `2 * margin` above (below) the threshold stays above (below) it
-  // for every larger (smaller) rho: the true function is strictly
-  // monotone, and margin dwarfs the computed-vs-true discrepancy.
+  // relative error per step and never subtracts near-equal terms, so a
+  // value computed at least `2 * margin` above (below) the threshold stays
+  // above (below) it for every larger (smaller) rho: the true function is
+  // strictly monotone, and margin dwarfs the computed-vs-true discrepancy.
   const double margin = 1e-9 + static_cast<double>(k) * 1e-14;
   const double hi_target = threshold * (1.0 + 2.0 * margin);
   const double lo_target = threshold * (1.0 - 2.0 * margin);

@@ -5,11 +5,8 @@
 
 namespace tempriv::sim {
 
-std::uint64_t EventQueue::next_aux(std::uint32_t slot) {
-  if (next_seq_ >= (1ull << 40)) {
-    throw std::length_error("EventQueue: sequence number space exhausted");
-  }
-  return (next_seq_++ << kSlotBits) | slot;
+void EventQueue::throw_unreserved() {
+  throw std::invalid_argument("EventQueue: sequence number never reserved");
 }
 
 std::uint32_t EventQueue::acquire_slot() {
@@ -29,52 +26,65 @@ std::uint32_t EventQueue::acquire_slot() {
   }
   if (slot_count_ == chunks_.size() * kChunkSize) {
     chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
+    heap_pos_.resize(chunks_.size() * kChunkSize);
   }
   return slot_count_++;
 }
 
-void EventQueue::release_slot(std::uint32_t slot) noexcept {
-  Slot& s = slot_at(slot);
-  s.action = Callback{};
-  // Resetting the occupant word invalidates the outstanding handle and any
-  // heap record for this slot's previous event; the next occupant's aux has
-  // a fresh sequence number, so stale records can never spring back to life.
-  s.aux = 0;
-  s.next_free = free_head_;
-  free_head_ = slot;
-}
-
-bool EventQueue::cancel(EventId id) {
-  if (!id.valid()) return false;
-  const std::uint64_t aux = id.value();
-  const std::uint32_t slot = aux_slot(aux);
-  if (slot >= slot_count_) return false;
-  if (slot_at(slot).aux != aux) return false;
-  // The record stays behind as a tombstone in whichever lane holds it.
-  if (slot_at(slot).lane != 0) {
-    ++fifo_tomb_;
-  } else {
-    ++heap_tomb_;
+EventId EventQueue::reschedule(EventId id, Time at, std::uint64_t seq) {
+  const std::uint32_t slot = aux_slot(id.value());
+  const std::uint32_t pos = slot < slot_count_ ? heap_pos_[slot] : 0;
+  // An invalid id (0) matches no record: every sequence number is >= 1.
+  if (slot >= slot_count_ || pos >= heap_.size() ||
+      heap_[pos].aux != id.value()) {
+    throw std::invalid_argument(
+        "EventQueue::reschedule: not a pending heap-lane event");
   }
-  release_slot(slot);
-  --live_count_;
-  // Sweep the heads now so next_time() never reports a cancelled event.
-  drop_leading_tombstones();
-  return true;
+  if (seq == 0 || seq >= next_seq_) throw_unreserved();
+  const std::uint64_t aux = make_aux(seq, slot);
+  heap_sift(pos, HeapEntry{time_to_key(at), aux});
+  ++rekeys_;
+  return EventId(aux);
 }
 
-// Sift up with a hole: the entry is written once at its final position
-// instead of swapped level by level.
-void EventQueue::heap_push(HeapEntry entry) {
-  std::size_t pos = heap_.size();
-  heap_.push_back(entry);
+EventId EventQueue::rearm(Time at, std::uint64_t seq) {
+  if (running_ == kNilSlot) {
+    throw std::logic_error("EventQueue::rearm: no callback is running");
+  }
+  if (seq == 0 || seq >= next_seq_) throw_unreserved();
+  const std::uint64_t aux = make_aux(seq, running_);
+  running_ = kNilSlot;  // the dispatch keeps the slot
+  heap_push(HeapEntry{time_to_key(at), aux});
+  ++scheduled_heap_;
+  note_scheduled();
+  return EventId(aux);
+}
+
+// Hole-based: parents (or children) move into the hole one level at a time
+// and the entry is written once at its final position, never swapped. At
+// most one direction actually moves; a push starts at a leaf, so it only
+// ever moves up.
+void EventQueue::heap_sift(std::size_t pos, HeapEntry entry) noexcept {
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / 4;
     if (!entry.precedes(heap_[parent])) break;
-    heap_[pos] = heap_[parent];
+    heap_place(pos, heap_[parent]);
     pos = parent;
   }
-  heap_[pos] = entry;
+  const std::size_t n = heap_.size();
+  while (true) {
+    const std::size_t first_child = 4 * pos + 1;
+    if (first_child >= n) break;
+    const std::size_t end = first_child + 4 < n ? first_child + 4 : n;
+    std::size_t best = first_child;
+    for (std::size_t c = first_child + 1; c < end; ++c) {
+      if (heap_[c].precedes(heap_[best])) best = c;
+    }
+    if (!heap_[best].precedes(entry)) break;
+    heap_place(pos, heap_[best]);
+    pos = best;
+  }
+  heap_place(pos, entry);
 }
 
 // Removes the root, bottom-up (Wegener): descend along minimum children to
@@ -103,16 +113,10 @@ void EventQueue::heap_pop_front() noexcept {
     for (std::size_t c = first_child + 1; c < end; ++c) {
       if (heap_[c].precedes(heap_[best])) best = c;
     }
-    heap_[pos] = heap_[best];
+    heap_place(pos, heap_[best]);
     pos = best;
   }
-  while (pos > 0) {
-    const std::size_t parent = (pos - 1) / 4;
-    if (!last.precedes(heap_[parent])) break;
-    heap_[pos] = heap_[parent];
-    pos = parent;
-  }
-  heap_[pos] = last;
+  heap_sift(pos, last);  // a leaf hole: only the upward pass can move
 }
 
 void EventQueue::fifo_grow() {
@@ -125,22 +129,6 @@ void EventQueue::fifo_grow() {
   fifo_head_ = 0;
 }
 
-void EventQueue::drop_leading_tombstones() noexcept {
-  // Each lane's head is probed only while that lane carries dead records —
-  // cancel-free lanes (the fifo lane, in practice) cost one counter branch.
-  // Tombstones still buried mid-lane surface on later dispatches.
-  while (heap_tomb_ != 0 && !heap_.empty() && !entry_live(heap_.front())) {
-    heap_pop_front();
-    --heap_tomb_;
-    ++tombstones_swept_;
-  }
-  while (fifo_tomb_ != 0 && fifo_size_ != 0 && !entry_live(fifo_front())) {
-    fifo_pop_front();
-    --fifo_tomb_;
-    ++tombstones_swept_;
-  }
-}
-
 std::optional<EventQueue::Event> EventQueue::pop() {
   std::optional<Event> event;
   dispatch_head([&event](Time at, EventId id, Callback& action) {
@@ -151,15 +139,13 @@ std::optional<EventQueue::Event> EventQueue::pop() {
 
 void EventQueue::clear() {
   heap_.clear();
+  running_ = kNilSlot;  // its slot is freed below with the rest
   fifo_head_ = 0;
   fifo_size_ = 0;
-  heap_tomb_ = 0;
-  fifo_tomb_ = 0;
   free_head_ = kNilSlot;
   for (std::uint32_t i = slot_count_; i-- > 0;) {
     Slot& s = slot_at(i);
     s.action = Callback{};
-    s.aux = 0;
     s.next_free = free_head_;
     free_head_ = i;
   }
@@ -174,6 +160,7 @@ void EventQueue::reserve(std::size_t events) {
   while (chunks_.size() < chunks) {
     chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
   }
+  heap_pos_.resize(chunks_.size() * kChunkSize);
 }
 
 }  // namespace tempriv::sim

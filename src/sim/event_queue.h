@@ -12,14 +12,12 @@
 
 namespace tempriv::sim {
 
-/// Opaque handle to a scheduled event; used to cancel it later.
+/// Opaque handle to a scheduled event; used to re-key it later.
 /// Value 0 is reserved for "invalid".
 ///
-/// Internally the value is the event's unique "aux" word: bits [0,24) hold
-/// the pool slot index and bits [24,64) the event's global sequence number.
-/// The sequence number makes every handle unique for the queue's lifetime,
-/// so a handle kept past its event's firing (or cancellation) can never
-/// alias the slot's next occupant.
+/// Internally the value is the event's "aux" word: bits [0,24) hold the
+/// pool slot index and bits [24,64) the event's sequence number. No two
+/// pending events share an aux word, so a handle names at most one of them.
 class EventId {
  public:
   constexpr EventId() noexcept = default;
@@ -34,9 +32,10 @@ class EventId {
   std::uint64_t value_ = 0;
 };
 
-/// Priority queue of timed callbacks with O(log n) insert/pop and O(1)
-/// cancellation. Ties in time are broken by insertion order so runs are
-/// fully deterministic.
+/// Priority queue of timed callbacks with O(log n) insert, pop and in-place
+/// re-key. Ties in time are broken by sequence number — insertion order,
+/// unless the caller reserved the number earlier — so runs are fully
+/// deterministic.
 ///
 /// The design is a free-listed slot pool plus a 4-ary implicit heap of
 /// 16-byte {key, aux} records:
@@ -47,14 +46,12 @@ class EventId {
 ///    integer (IEEE-754 totally ordered for finite doubles), and `aux`
 ///    packs {seq:40, slot:24}, so the heap's entire (time, seq) ordering
 ///    contract is two integer compares on one 16-byte record;
-///  - EventId is the aux word itself, so cancel() is an array index plus one
-///    8-byte identity compare — no hashing, no tombstone set;
-///  - cancelling frees the slot immediately and leaves the heap record
-///    behind as a tombstone; records whose aux no longer matches their
-///    slot's current occupant are skipped when they surface at the head,
-///    and cancel-free workloads skip the check entirely.
-/// In steady state (pool and heap at capacity) schedule/cancel/pop perform
-/// zero heap allocations (see the allocation-counter test and microbench).
+///  - EventId is the aux word itself, and a dense per-slot heap position,
+///    kept current by every heap move, lets reschedule() re-site a record
+///    in place: a record leaves either lane only by running.
+/// In steady state (pool and heap at capacity) schedule/reschedule/pop
+/// perform zero heap allocations (see the allocation-counter test and
+/// microbench).
 class EventQueue {
  public:
   /// Inline capture budget for scheduled callbacks: enough for the largest
@@ -72,22 +69,50 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Inserts `action` to fire at time `at`. Returns a handle for cancel().
-  /// Throws std::length_error if the queue would exceed 2^24 concurrent
-  /// events or 2^40 total events (far beyond any simulated workload).
+  /// Inserts `action` to fire at time `at` with the next sequence number.
+  /// Returns a handle for reschedule(). Throws std::length_error if the
+  /// queue would exceed 2^24 concurrent events or 2^40 sequence numbers
+  /// (far beyond any simulated workload).
   template <class F>
   EventId schedule(Time at, F&& action) {
+    return schedule(at, reserve_seq(), std::forward<F>(action));
+  }
+
+  /// Takes the next sequence number without scheduling anything. An event
+  /// later keyed on it (schedule() or reschedule()) ties among equal-time
+  /// events exactly as if it had been scheduled now.
+  std::uint64_t reserve_seq() {
+    if (next_seq_ >= (1ull << 40)) {
+      throw std::length_error("EventQueue: sequence number space exhausted");
+    }
+    return next_seq_++;
+  }
+
+  /// schedule() with a number from reserve_seq(), which the caller keeps
+  /// on at most one pending event at a time. Throws std::invalid_argument
+  /// for a number reserve_seq() never returned.
+  template <class F>
+  EventId schedule(Time at, std::uint64_t seq, F&& action) {
+    if (seq == 0 || seq >= next_seq_) [[unlikely]] throw_unreserved();
     const std::uint32_t slot = acquire_slot();
-    Slot& s = slot_at(slot);
-    s.action.emplace(std::forward<F>(action));
-    const std::uint64_t aux = next_aux(slot);
-    s.aux = aux;
-    s.lane = 0;
+    slot_at(slot).action.emplace(std::forward<F>(action));
+    const std::uint64_t aux = make_aux(seq, slot);
     heap_push(HeapEntry{time_to_key(at), aux});
     ++scheduled_heap_;
     note_scheduled();
     return EventId(aux);
   }
+
+  /// Moves a pending heap-lane event to (`at`, reserved `seq`) in place,
+  /// callback untouched, in O(log n); returns its new handle. Throws
+  /// std::invalid_argument if `id` is not a pending heap-lane event
+  /// (FIFO-lane records are never re-keyed) or `seq` was never reserved.
+  EventId reschedule(EventId id, Time at, std::uint64_t seq);
+
+  /// From a running callback, at most once: makes the running event pending
+  /// again at (`at`, reserved `seq`) — its slot and callback stay — and
+  /// returns its new handle. Throws std::logic_error outside a callback.
+  EventId rearm(Time at, std::uint64_t seq);
 
   /// schedule() for event streams whose times arrive in non-decreasing
   /// order — constant-latency link arrivals scheduled from a non-decreasing
@@ -98,8 +123,7 @@ class EventQueue {
   /// every simulation result — is bit-identical to scheduling through the
   /// heap. Monotonicity is checked, not trusted: a time below the ring's
   /// tail simply routes through the heap lane, keeping correctness
-  /// unconditional. cancel() works on these events exactly as on
-  /// heap-scheduled ones.
+  /// unconditional.
   template <class F>
   EventId schedule_monotone(Time at, F&& action) {
     const std::uint64_t key = time_to_key(at);
@@ -108,11 +132,8 @@ class EventQueue {
       return schedule(at, std::forward<F>(action));
     }
     const std::uint32_t slot = acquire_slot();
-    Slot& s = slot_at(slot);
-    s.action.emplace(std::forward<F>(action));
-    const std::uint64_t aux = next_aux(slot);
-    s.aux = aux;
-    s.lane = 1;
+    slot_at(slot).action.emplace(std::forward<F>(action));
+    const std::uint64_t aux = make_aux(reserve_seq(), slot);
     fifo_push(HeapEntry{key, aux});
     fifo_tail_key_ = key;
     ++scheduled_fifo_;
@@ -120,18 +141,14 @@ class EventQueue {
     return EventId(aux);
   }
 
-  /// Cancels a pending event. Returns true if the event was still pending
-  /// (it will not fire); false if it already fired, was already cancelled,
-  /// or the id is invalid.
-  bool cancel(EventId id);
-
   /// Runs the earliest pending event — (time, seq) order across both lanes —
   /// in place in its pool slot: invokes
   /// `dispatch(Time at, EventId id, Callback& action)` with the stored
-  /// callback, releases the slot afterwards (even if `dispatch` throws), and
-  /// returns true; returns false, touching nothing, if the queue is empty.
+  /// callback, releases the slot afterwards (even if `dispatch` throws)
+  /// unless the callback re-armed it, and returns true; returns false,
+  /// touching nothing, if the queue is empty.
   /// The event's handle dies before `dispatch` runs. The callback may freely
-  /// schedule or cancel other events while executing — pool chunks never
+  /// schedule or re-key other events while executing — pool chunks never
   /// move, and the dispatched slot rejoins the free list only after
   /// `dispatch` returns. Equal-time events run one call each, in insertion
   /// order; an event scheduled from a callback at the current time takes a
@@ -139,8 +156,6 @@ class EventQueue {
   /// at that time.
   template <class Dispatch>
   bool dispatch_head(Dispatch&& dispatch) {
-    // Both lane heads are live here: every cancel and every dispatch ends
-    // by sweeping leading tombstones.
     const bool heap_has = !heap_.empty();
     if (!heap_has && fifo_size_ == 0) return false;
     const bool from_fifo =
@@ -157,11 +172,16 @@ class EventQueue {
     } else {
       heap_pop_front();
     }
-    Slot& s = slot_at(slot);
-    s.aux = 0;  // the handle dies before the callback runs
+#if defined(__GNUC__) || defined(__clang__)
+    // The new heap head is usually the next event to run: warm its slot.
+    if (!heap_.empty()) {
+      __builtin_prefetch(&slot_at(aux_slot(heap_.front().aux)));
+    }
+#endif
     --live_count_;
+    running_ = slot;
     FinishDispatch finisher{*this, slot};
-    dispatch(key_to_time(top.key), EventId(top.aux), s.action);
+    dispatch(key_to_time(top.key), EventId(top.aux), slot_at(slot).action);
     return true;
   }
 
@@ -171,8 +191,7 @@ class EventQueue {
 
   /// Time of the earliest pending event, or kTimeInfinity if empty.
   Time next_time() const noexcept {
-    // Leading tombstones are swept on every cancel/pop, so both heads are
-    // live; the earliest record is the smaller of the two lane heads.
+    // The earliest record is the smaller of the two lane heads.
     std::uint64_t key = ~0ull;
     bool any = false;
     if (!heap_.empty()) {
@@ -187,14 +206,12 @@ class EventQueue {
     return any ? key_to_time(key) : kTimeInfinity;
   }
 
-  /// Number of pending (non-cancelled) events.
+  /// Number of pending events.
   std::size_t size() const noexcept { return live_count_; }
   bool empty() const noexcept { return live_count_ == 0; }
 
-  /// Drops every pending event, frees all pool slots, and discards any
-  /// tombstoned heap records. Handles issued before clear() are invalidated
-  /// (their slots' occupant words are reset), so they can never cancel an
-  /// event scheduled afterwards. Capacity is retained.
+  /// Drops every pending event and frees all pool slots; handles issued
+  /// before clear() name nothing. Capacity is retained.
   void clear();
 
   /// Pre-sizes the heap and the slot pool for `events` concurrent events so
@@ -204,21 +221,17 @@ class EventQueue {
   /// Slots currently allocated in the pool (capacity diagnostics).
   std::size_t slot_count() const noexcept { return slot_count_; }
 
-  /// Dead records (left behind by cancel()) swept from the lane heads over
-  /// the queue's lifetime; clear() discards records without counting them.
-  /// A queue run to empty has swept one record per cancelled event.
-  std::uint64_t tombstones_swept() const noexcept { return tombstones_swept_; }
-
   /// Lifetime schedule counts: records pushed onto the heap lane (a
   /// diverted schedule_monotone() call counts here), records appended to
   /// the FIFO lane, and schedule_monotone() calls diverted to the heap
   /// because their time fell below the ring's tail. Every scheduled event
-  /// either runs or is cancelled, so a queue run to empty without clear()
-  /// has scheduled_heap() + scheduled_fifo() == events dispatched +
-  /// tombstones_swept().
+  /// runs, so a queue run to empty without clear() has scheduled_heap() +
+  /// scheduled_fifo() == events dispatched.
   std::uint64_t scheduled_heap() const noexcept { return scheduled_heap_; }
   std::uint64_t scheduled_fifo() const noexcept { return scheduled_fifo_; }
   std::uint64_t fifo_diverted() const noexcept { return fifo_diverted_; }
+  /// Lifetime reschedule() calls: heap records re-keyed in place.
+  std::uint64_t rekeys() const noexcept { return rekeys_; }
   /// Most events ever pending at once.
   std::size_t peak_size() const noexcept { return peak_size_; }
 
@@ -248,14 +261,11 @@ class EventQueue {
   static constexpr std::uint32_t kChunkShift = 10;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 
+  // A handle's identity lives in its heap or ring record, not here: a
+  // record that has left both lanes names no event.
   struct Slot {
     Callback action;
-    std::uint64_t aux = 0;  // current occupant's identity; 0 = free
     std::uint32_t next_free = kNilSlot;
-    // Which lane holds the occupant's record (0 heap, 1 fifo): cancelling
-    // charges the tombstone to the right lane's counter, so pops only probe
-    // a lane's head when that lane actually carries dead records.
-    std::uint8_t lane = 0;
   };
 
   struct HeapEntry {
@@ -290,36 +300,45 @@ class EventQueue {
   static constexpr std::uint32_t aux_slot(std::uint64_t aux) noexcept {
     return static_cast<std::uint32_t>(aux & (kMaxSlots - 1));
   }
+  static constexpr std::uint64_t make_aux(std::uint64_t seq,
+                                          std::uint32_t slot) noexcept {
+    return (seq << kSlotBits) | slot;
+  }
 
   void note_scheduled() noexcept {
     if (++live_count_ > peak_size_) peak_size_ = live_count_;
   }
-  std::uint64_t next_aux(std::uint32_t slot);
+  [[noreturn]] static void throw_unreserved();
   std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t slot) noexcept;
 
   // Scope guard for dispatch_head: frees the dispatched slot when the
-  // callback returns or throws (its aux is already 0, so only the action
-  // reset and the free-list push remain), then sweeps any tombstone the
-  // callback's cancels left at a lane head.
+  // callback returns or throws, unless the callback re-armed it.
   struct FinishDispatch {
     EventQueue& queue;
     std::uint32_t slot;
     ~FinishDispatch() {
+      if (queue.running_ != slot) return;  // re-armed
+      queue.running_ = kNilSlot;
       Slot& s = queue.slot_at(slot);
       s.action = Callback{};
       s.next_free = queue.free_head_;
       queue.free_head_ = slot;
-      queue.drop_leading_tombstones();
     }
   };
-  bool entry_live(const HeapEntry& entry) const noexcept {
-    return slot_at(aux_slot(entry.aux)).aux == entry.aux;
-  }
 
-  void heap_push(HeapEntry entry);
+  void heap_push(HeapEntry entry) {
+    heap_.push_back(entry);
+    heap_sift(heap_.size() - 1, entry);
+  }
   void heap_pop_front() noexcept;
-  void drop_leading_tombstones() noexcept;
+  /// Writes `entry` at heap position `pos` and records the position.
+  void heap_place(std::size_t pos, HeapEntry entry) noexcept {
+    heap_[pos] = entry;
+    heap_pos_[aux_slot(entry.aux)] = static_cast<std::uint32_t>(pos);
+  }
+  /// Re-sites `entry` starting at hole `pos`, whichever direction it must
+  /// move; writes it once at its final position.
+  void heap_sift(std::size_t pos, HeapEntry entry) noexcept;
 
   const HeapEntry& fifo_front() const noexcept { return fifo_[fifo_head_]; }
   void fifo_pop_front() noexcept {
@@ -338,6 +357,10 @@ class EventQueue {
   // pop-heavy hot path), and four 16-byte entries are exactly one cache
   // line.
   std::vector<HeapEntry> heap_;
+  // Per pool slot: where its record sits in heap_ (meaningful only while
+  // the slot's event is on the heap lane). Dense, one u32 per slot, so a
+  // heap move costs one small store and reschedule() one index.
+  std::vector<std::uint32_t> heap_pos_;
   // Sorted power-of-two ring for schedule_monotone records. Sortedness is an
   // invariant (appends below the tail key divert to the heap), so the lane
   // needs no sifting: the head is always its minimum, and only the head and
@@ -349,19 +372,14 @@ class EventQueue {
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slot_count_ = 0;  // slots handed out at least once
   std::uint32_t free_head_ = kNilSlot;
+  std::uint32_t running_ = kNilSlot;  // slot whose callback is running
   std::uint64_t next_seq_ = 1;
   std::size_t live_count_ = 0;
   std::size_t peak_size_ = 0;
   std::uint64_t scheduled_heap_ = 0;
   std::uint64_t scheduled_fifo_ = 0;
   std::uint64_t fifo_diverted_ = 0;
-  std::uint64_t tombstones_swept_ = 0;
-  // Dead (cancelled) records still physically present per lane.
-  // Zero means pops can skip that lane's head-liveness probe outright —
-  // the common case for the fifo lane, whose link-arrival events are never
-  // cancelled in practice.
-  std::size_t heap_tomb_ = 0;
-  std::size_t fifo_tomb_ = 0;
+  std::uint64_t rekeys_ = 0;
 };
 
 }  // namespace tempriv::sim

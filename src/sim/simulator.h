@@ -13,9 +13,10 @@ namespace tempriv::sim {
 /// Discrete-event simulation kernel: a virtual clock plus an event queue.
 ///
 /// Components schedule callbacks at absolute or relative times; run() /
-/// run_until() advance the clock from event to event. Cancellation is first
-/// class because RCAD preemption must cancel the release event of the victim
-/// packet (see core/rcad_buffer.h).
+/// run_until() advance the clock from event to event. Every scheduled event
+/// runs: a component that must move a pending event (a buffering queue
+/// whose head packet changed, see core/delay_buffer.h) re-keys it in place
+/// with reschedule().
 class Simulator {
  public:
   Simulator() = default;
@@ -34,14 +35,36 @@ class Simulator {
   /// allocation.
   template <class F>
   EventId schedule_at(Time at, F&& action) {
-    if (!std::isfinite(at)) {
-      throw std::invalid_argument("Simulator::schedule_at: non-finite time");
-    }
-    if (at < now_) {
-      throw std::invalid_argument(
-          "Simulator::schedule_at: cannot schedule in the past");
-    }
+    check_time(at);
     return queue_.schedule(at, std::forward<F>(action));
+  }
+
+  /// Takes the next sequence number without scheduling anything; see
+  /// EventQueue::reserve_seq.
+  std::uint64_t reserve_seq() { return queue_.reserve_seq(); }
+
+  /// schedule_at() with a sequence number taken earlier by reserve_seq():
+  /// among equal-time events the action runs where an event scheduled at
+  /// the reservation would have. Same time checks as schedule_at().
+  template <class F>
+  EventId schedule_at(Time at, std::uint64_t seq, F&& action) {
+    check_time(at);
+    return queue_.schedule(at, seq, std::forward<F>(action));
+  }
+
+  /// Moves a pending event to (`at`, reserved `seq`) in place and returns
+  /// its new handle; see EventQueue::reschedule. Same time checks as
+  /// schedule_at().
+  EventId reschedule(EventId id, Time at, std::uint64_t seq) {
+    check_time(at);
+    return queue_.reschedule(id, at, seq);
+  }
+
+  /// Re-arms the running event from its own callback; see
+  /// EventQueue::rearm. Same time checks as schedule_at().
+  EventId rearm(Time at, std::uint64_t seq) {
+    check_time(at);
+    return queue_.rearm(at, seq);
   }
 
   /// Schedules `action` after `delay` (>= 0, finite) time units.
@@ -74,15 +97,12 @@ class Simulator {
   /// steady state never reallocates (see EventQueue::reserve).
   void reserve(std::size_t events) { queue_.reserve(events); }
 
-  /// Cancels a pending event; see EventQueue::cancel.
-  bool cancel(EventId id) { return queue_.cancel(id); }
-
   /// Runs until the event queue is empty or stop() is called.
   /// Returns the number of events executed.
   ///
   /// One loop over EventQueue::dispatch_head: each event runs in place in
   /// its pool slot, in (time, insertion order). Equal-time events are no
-  /// special case — an event scheduled or cancelled by a callback at the
+  /// special case — an event scheduled or re-keyed by a callback at the
   /// current time is ordered by its sequence number like any other, and
   /// stop() or an exception leaves every event not yet run pending.
   std::size_t run();
@@ -97,7 +117,7 @@ class Simulator {
   /// Requests run()/run_until() to return after the current callback.
   void stop() noexcept { stopped_ = true; }
 
-  /// Pending (non-cancelled) event count.
+  /// Pending event count.
   std::size_t pending_events() const noexcept { return queue_.size(); }
 
   /// Time of the next pending event (kTimeInfinity if none).
@@ -106,11 +126,21 @@ class Simulator {
   /// Total events executed since construction.
   std::uint64_t events_executed() const noexcept { return executed_; }
 
-  /// The event queue, for its lifetime counts (EventQueue::tombstones_swept(),
-  /// scheduled_heap() and the rest).
+  /// The event queue, for its lifetime counts (EventQueue::scheduled_heap(),
+  /// rekeys() and the rest).
   const EventQueue& queue() const noexcept { return queue_; }
 
  private:
+  void check_time(Time at) const {
+    if (!std::isfinite(at)) {
+      throw std::invalid_argument("Simulator::schedule_at: non-finite time");
+    }
+    if (at < now_) {
+      throw std::invalid_argument(
+          "Simulator::schedule_at: cannot schedule in the past");
+    }
+  }
+
   /// Dispatches head events while `more()` holds and stop() was not
   /// called; returns the number run.
   template <class More>

@@ -140,6 +140,24 @@ std::uint64_t nanos_between(std::chrono::steady_clock::time_point from,
 
 }  // namespace
 
+void check_end_of_run(const EndOfRunCounts& c, std::uint64_t seed) {
+  // Packet conservation: every injected packet was delivered, dropped, is
+  // still buffered or is on a link.
+  check_invariant("packet conservation violated", seed, "originated",
+                  c.originated, "accounted",
+                  c.delivered + c.dropped + c.buffered + c.in_flight);
+  // Event conservation: every scheduled event runs (events are re-keyed,
+  // never withdrawn), so a drained queue has run each one exactly once.
+  check_invariant("scheduled events != executed", seed, "scheduled",
+                  c.scheduled_heap + c.scheduled_fifo, "executed", c.executed);
+  // Slab conservation: every admitted packet left through its release
+  // event, left early as a victim, or is still held; a miss means a packet
+  // lost or released twice.
+  check_invariant("admitted != released + preempted + held", seed, "admitted",
+                  c.admitted, "released + preempted + held",
+                  c.released + c.preempted + c.held);
+}
+
 ScenarioResult run_paper_scenario(const PaperScenario& scenario) {
   if (scenario.interarrival <= 0.0) {
     throw std::invalid_argument("run_paper_scenario: interarrival must be > 0");
@@ -238,40 +256,29 @@ ScenarioResult run_paper_scenario(const PaperScenario& scenario) {
   simulator.run();
   const auto simulate_end = std::chrono::steady_clock::now();
 
-  // End-of-run invariants. A miss is a simulator bug; throwing makes the
-  // campaign count the job as failed instead of scoring a broken run.
   const sim::EventQueue& queue = simulator.queue();
-  // Packet conservation: every injected packet was delivered, dropped, is
-  // still buffered or is on a link.
-  check_invariant("packet conservation violated", scenario.seed, "originated",
-                  network.packets_originated(), "accounted",
-                  network.packets_delivered() + network.total_drops() +
-                      network.total_buffered() + network.packets_in_flight());
-  // Every RCAD preemption cancels the victim's release event, and a queue
-  // run to empty sweeps each cancelled record exactly once, so the two
-  // counts must agree; a miss means a lost or doubly-run event.
-  check_invariant("preemptions != tombstones swept", scenario.seed,
-                  "preemptions", network.total_preemptions(),
-                  "tombstones swept", queue.tombstones_swept());
-  // Event conservation: every scheduled event either ran or was cancelled
-  // (and, the queue being drained, swept).
-  check_invariant("scheduled events != executed + swept", scenario.seed,
-                  "scheduled", queue.scheduled_heap() + queue.scheduled_fifo(),
-                  "executed + swept",
-                  simulator.events_executed() + queue.tombstones_swept());
+  const core::DelayBuffer& slab = network.buffer_slab();
+  check_end_of_run(
+      EndOfRunCounts{network.packets_originated(), network.packets_delivered(),
+                     network.total_drops(), network.total_buffered(),
+                     network.packets_in_flight(), queue.scheduled_heap(),
+                     queue.scheduled_fifo(), simulator.events_executed(),
+                     slab.admitted(), slab.released(), slab.preempted(),
+                     slab.size()},
+      scenario.seed);
 
   ScenarioResult result;
   RunTelemetry& telemetry = result.telemetry;
   telemetry.schedule_heap = queue.scheduled_heap();
   telemetry.schedule_fifo = queue.scheduled_fifo();
   telemetry.fifo_diverted = queue.fifo_diverted();
-  telemetry.tombstones_swept = queue.tombstones_swept();
+  telemetry.rekeys = queue.rekeys();
   telemetry.peak_events = queue.peak_size();
   telemetry.forward_immediate = network.packets_handled().immediate;
   telemetry.forward_buffered = network.packets_handled().buffered;
   telemetry.forward_custom = network.packets_handled().custom;
-  telemetry.occupancy = network.buffer_slab().occupancy();
-  telemetry.peak_occupancy = network.buffer_slab().peak_occupancy();
+  telemetry.occupancy = slab.occupancy();
+  telemetry.peak_occupancy = slab.peak_occupancy();
   telemetry.network_bytes = network.memory_bytes();
   telemetry.topology_bytes = network.topology().memory_bytes();
   telemetry.routing_bytes = network.routing().memory_bytes();

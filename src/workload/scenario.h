@@ -95,7 +95,7 @@ struct RunTelemetry {
   std::uint64_t schedule_heap = 0;
   std::uint64_t schedule_fifo = 0;
   std::uint64_t fifo_diverted = 0;
-  std::uint64_t tombstones_swept = 0;
+  std::uint64_t rekeys = 0;
   std::uint64_t peak_events = 0;  ///< most events pending at once
   // net::Network::packets_handled()
   std::uint64_t forward_immediate = 0;
@@ -132,5 +132,22 @@ struct ScenarioResult {
 /// Builds the network, runs it to completion (all sources exhausted, all
 /// buffers drained), and scores both adversary models against ground truth.
 ScenarioResult run_paper_scenario(const PaperScenario& scenario);
+
+/// What run_paper_scenario's end-of-run invariants compare, read from the
+/// drained event queue, the network and its buffer slab.
+struct EndOfRunCounts {
+  // Packets: originated == delivered + dropped + buffered + in_flight.
+  std::uint64_t originated, delivered, dropped, buffered, in_flight;
+  // Events: scheduled_heap + scheduled_fifo == executed.
+  std::uint64_t scheduled_heap, scheduled_fifo, executed;
+  // The slab: admitted == released + preempted + held.
+  std::uint64_t admitted, released, preempted, held;
+};
+
+/// Throws std::logic_error naming `seed` and both sides of the first
+/// identity of `counts` that fails. A miss is a simulator bug; throwing
+/// makes the campaign count the job as failed instead of scoring a broken
+/// run.
+void check_end_of_run(const EndOfRunCounts& counts, std::uint64_t seed);
 
 }  // namespace tempriv::workload

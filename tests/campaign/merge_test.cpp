@@ -249,6 +249,32 @@ TEST(MergeCheckTest, EditedValueFailsTheJsonlDigest) {
             std::string::npos);
 }
 
+TEST(MergeCheckTest, EditedValueInOneShardSetFailsTheJsonlDigest) {
+  // A 0/1 run stamps the same digest an N-shard run does, so a one-shard
+  // set gets no pass; its merge still writes the serial bytes.
+  const Sweep sweep = small_sweep();
+  const ShardText clean = run_shard_to_text(sweep, 2, ShardSpec{0, 1});
+  EXPECT_NE(clean.stats.find("\"jsonl_fnv1a\""), std::string::npos);
+  EXPECT_TRUE(check_shards({input_from_text(clean, "only")}).ok());
+  EXPECT_EQ(merge_shards({input_from_text(clean, "only")}).stats_json,
+            run_serial(sweep, 2).stats_json);
+
+  ShardText text = clean;
+  const std::size_t key = text.jsonl.find("\"mse_baseline\":");
+  ASSERT_NE(key, std::string::npos);
+  const std::size_t digit = text.jsonl.find_first_of("0123456789", key);
+  char& c = text.jsonl[digit];
+  c = c == '9' ? '8' : static_cast<char>(c + 1);
+  const std::vector<ShardInput> edited = {input_from_text(text, "only")};
+  const MergeCheck check = check_shards(edited);
+  ASSERT_EQ(check.errors.size(), 1u);
+  EXPECT_NE(check.errors[0].find("only: job records do not match the stats "
+                                 "digest"),
+            std::string::npos)
+      << check.errors[0];
+  EXPECT_THROW(merge_shards(edited), std::runtime_error);
+}
+
 TEST(MergeTest, JobRecordRoundTripsThroughJsonl) {
   // Every field the stats replay and the figure tables read must survive the
   // JSONL round trip bit-exactly.

@@ -141,7 +141,7 @@ TEST(TelemetrySinkTest, SweptSnapshotCarriesEveryKnownMetric) {
       sweep_snapshot({small_scenario(workload::Scheme::kNoDelay)});
   for (const char* key :
        {"eq.schedule_heap", "eq.schedule_fifo", "eq.fifo_diverted",
-        "eq.tombstone_skipped", "buf.preempt.shortest_remaining",
+        "eq.rekey", "buf.preempt.shortest_remaining",
         "buf.preempt.longest_remaining", "buf.preempt.random",
         "buf.preempt.oldest", "net.forward.immediate", "net.forward.unlimited",
         "net.forward.droptail", "net.forward.rcad", "net.forward.custom",
@@ -194,14 +194,17 @@ TEST(TelemetrySinkTest, FilesCountsUnderEachJobsSchemeAndPolicy) {
             jobs[3].result.telemetry.forward_buffered);
   EXPECT_GT(c.at("net.forward.unlimited"), 0u);
 
-  // Every preemption cancels a release; a drained queue sweeps each one.
-  EXPECT_EQ(c.at("eq.tombstone_skipped"),
-            c.at("buf.preempt.shortest_remaining") +
-                c.at("buf.preempt.oldest"));
-  std::uint64_t events = 0;
-  for (const JobResult& job : jobs) events += job.result.events_executed;
-  EXPECT_EQ(c.at("eq.schedule_heap") + c.at("eq.schedule_fifo"),
-            events + c.at("eq.tombstone_skipped"));
+  // Every buffering job re-keys (an arrival that leaves before a queue's
+  // head, or a preempted head, moves the queue's event), and nothing is
+  // cancelled, so a drained queue ran every event it scheduled.
+  std::uint64_t events = 0, rekeys = 0;
+  for (const JobResult& job : jobs) {
+    events += job.result.events_executed;
+    rekeys += job.result.telemetry.rekeys;
+    EXPECT_GT(job.result.telemetry.rekeys, 0u);
+  }
+  EXPECT_EQ(c.at("eq.rekey"), rekeys);
+  EXPECT_EQ(c.at("eq.schedule_heap") + c.at("eq.schedule_fifo"), events);
   EXPECT_GT(snap.histograms.at("buf.occupancy").total(), 0u);
   EXPECT_EQ(c.at("campaign.jobs"), 4u);
   // Drop-tail and RCAD hold at most k = 10 packets a node; the unlimited

@@ -3,8 +3,10 @@
 
 Writes a small grid campaign as 3 shards, then derives a fixed, seeded set
 of mutants of the six shard files (JSONL and .stats.json): byte flips,
-truncations and line swaps, one mutation per mutant. Each mutant set goes
-to both `tempriv-merge --check` and a real merge. Every run must either
+truncations and line swaps, one mutation per mutant. The same campaign as
+one shard (`--shard 0/1`) gets its own, smaller set of mutants. Each
+mutant set goes to both `tempriv-merge --check` and a real merge. Every
+run must either
 
   * exit 0, and a merge must then write bytes identical to the clean
     merge's JSONL, stats JSON and CSV, or
@@ -15,7 +17,7 @@ report. A --check that passes must be followed by a merge that passes.
 This holds for every mutant, including a byte flip that leaves a job
 record valid JSON (one digit turned into another): each shard's stats
 file carries the FNV-1a-64 digest of its job lines (`jsonl_fnv1a`), so
-such an edit is rejected, not merged.
+such an edit is rejected, not merged — in a one-shard set too.
 
 Usage: merge_mutation_test.py <tempriv-campaign> <tempriv-merge>
 """
@@ -27,6 +29,7 @@ import sys
 import tempfile
 
 MUTANTS = 240
+ONE_SHARD_MUTANTS = 60
 SEED = 0x7E3D_2007
 GRID = ["grid", "--interarrival", "2,4", "--scheme", "rcad,droptail",
         "--packets", "40", "--reps", "2", "--quiet"]
@@ -93,16 +96,33 @@ def main():
 
 
 def test(campaign, merge, work):
+    failures = mutate_shard_set(campaign, merge, work, 3, MUTANTS, SEED)
+    failures += mutate_shard_set(campaign, merge, work, 1, ONE_SHARD_MUTANTS,
+                                 SEED + 1)
+    for failure in failures:
+        print("FAIL:", failure, file=sys.stderr)
+    if failures:
+        return 1
+    print(f"merge mutation test: {MUTANTS} + {ONE_SHARD_MUTANTS} one-shard "
+          "mutants x 2 modes, no crash, every accepted merge byte-identical")
+    return 0
+
+
+def mutate_shard_set(campaign, merge, work, count, mutants, seed):
+    """Runs the grid as `count` shards and feeds `mutants` corrupted copies
+    of the shard set to --check and to a merge; returns the failures."""
+    work = os.path.join(work, f"of-{count}")
     shards_dir = os.path.join(work, "shards")
-    for i in range(3):
+    for i in range(count):
         code, err = run([campaign, *GRID, "--out", shards_dir,
-                         "--shard", f"{i}/3"])
+                         "--shard", f"{i}/{count}"])
         if code != 0:
-            sys.exit(f"shard {i}/3 run exited {code}: {err}")
+            sys.exit(f"shard {i}/{count} run exited {code}: {err}")
     names = sorted(os.listdir(shards_dir))
     jsonl = [n for n in names if n.endswith(".jsonl")]
-    if len(names) != 6 or len(jsonl) != 3:
-        sys.exit(f"expected 3 shard JSONL + 3 stats files, got {names}")
+    if len(names) != 2 * count or len(jsonl) != count:
+        sys.exit(f"expected {count} shard JSONL + {count} stats files, "
+                 f"got {names}")
 
     clean_dir = os.path.join(work, "clean")
     code, err = run([merge, "--out", clean_dir,
@@ -116,14 +136,14 @@ def test(campaign, merge, work):
     for var in ("ASAN_OPTIONS", "UBSAN_OPTIONS"):
         env[var] = (env.get(var, "") + ":exitcode=99").lstrip(":")
 
-    rng = SplitMix64(SEED)
+    rng = SplitMix64(seed)
     failures = []
     tally = {}
-    for m in range(MUTANTS):
+    for m in range(mutants):
         victim = names[rng.below(len(names))]
         original = read(os.path.join(shards_dir, victim))
         kind, data = mutate(original, rng)
-        what = f"mutant {m} ({victim} {kind})"
+        what = f"{count}-shard mutant {m} ({victim} {kind})"
         mutant_dir = os.path.join(work, "mutant")
         shutil.rmtree(mutant_dir, ignore_errors=True)
         shutil.copytree(shards_dir, mutant_dir)
@@ -152,19 +172,15 @@ def test(campaign, merge, work):
             failures.append(f"{what}: --check passed but the merge exited "
                             f"{codes['merge']}")
 
-    print("exit codes:", ", ".join(f"{mode} {code}: {n}" for (mode, code), n
-                                   in sorted(tally.items())))
+    print(f"{count} shard(s), exit codes:",
+          ", ".join(f"{mode} {code}: {n}"
+                    for (mode, code), n in sorted(tally.items())))
     rejected = sum(n for (_, code), n in tally.items() if code == 1)
-    if rejected < MUTANTS:
-        failures.append(f"only {rejected} of {2 * MUTANTS} runs rejected "
-                        "their mutant; the mutations are not biting")
-    for failure in failures:
-        print("FAIL:", failure, file=sys.stderr)
-    if failures:
-        return 1
-    print(f"merge mutation test: {MUTANTS} mutants x 2 modes, no crash, "
-          "every accepted merge byte-identical")
-    return 0
+    if rejected < mutants:
+        failures.append(f"{count} shard(s): only {rejected} of {2 * mutants} "
+                        "runs rejected their mutant; the mutations are not "
+                        "biting")
+    return failures
 
 
 if __name__ == "__main__":

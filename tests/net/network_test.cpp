@@ -505,10 +505,11 @@ TEST(Network, PacketsFromDifferentFlowsInterleaveCorrectly) {
   }
 }
 
-TEST(Network, PreemptionsEqualTombstonesSwept) {
-  // Each RCAD preemption cancels the victim's pending release; once the
-  // queue runs empty it has swept exactly that many dead records. Mid-run
-  // some records may still be buried, never more than were cancelled.
+TEST(Network, SlabConservesEveryAdmissionUnderEveryVictimRule) {
+  // Every admitted packet leaves its queue once — through its release
+  // event or as a preemption victim — or is still held, at every point of
+  // the run; a drained run has released all but the victims, and the
+  // kernel ran exactly the events it scheduled.
   for (const core::VictimPolicy victim :
        {core::VictimPolicy::kShortestRemaining,
         core::VictimPolicy::kLongestRemaining, core::VictimPolicy::kRandom,
@@ -519,15 +520,23 @@ TEST(Network, PreemptionsEqualTombstonesSwept) {
                 core::DisciplineSpec::rcad_exponential(20.0, 2, victim),
                 NetworkConfig{.hop_tx_delay = 1.0, .hop_jitter = 0.5},
                 sim::RandomStream(9));
+    const core::DelayBuffer& slab = net.buffer_slab();
     for (std::uint32_t i = 0; i < 300; ++i) {
       const NodeId origin = built.sources[i % 3];
       net.originate(origin, sealed_at(sim.now(), origin, i));
       sim.run_until(sim.now() + 0.25);
-      ASSERT_LE(sim.queue().tombstones_swept(), net.total_preemptions());
+      ASSERT_EQ(slab.admitted(),
+                slab.released() + slab.preempted() + slab.size())
+          << to_string(victim);
     }
     sim.run();
     EXPECT_GT(net.total_preemptions(), 100u) << to_string(victim);
-    EXPECT_EQ(sim.queue().tombstones_swept(), net.total_preemptions())
+    EXPECT_EQ(slab.preempted(), net.total_preemptions()) << to_string(victim);
+    EXPECT_EQ(slab.size(), 0u);
+    EXPECT_EQ(slab.admitted(), slab.released() + slab.preempted())
+        << to_string(victim);
+    EXPECT_EQ(sim.queue().scheduled_heap() + sim.queue().scheduled_fifo(),
+              sim.events_executed())
         << to_string(victim);
   }
 }

@@ -56,7 +56,7 @@ struct Delivery {
 ///    sender's stream, then schedules the arrival;
 ///  - event sequence numbers are taken in that schedule-call order, and a
 ///    preempted packet's release event is skipped when popped (it is not
-///    counted as executed, as a cancelled engine event is not).
+///    counted as executed: the engine never runs one for a victim).
 ///
 /// Supports the four built-in kinds (immediate, unlimited, drop-tail, RCAD
 /// with any victim rule) under tree routing; custom disciplines and hop

@@ -1,5 +1,5 @@
 // Proves the event kernel's zero-allocation contract: once the queue's heap
-// and slot pool are warm, schedule/pop (and cancel) never touch the global
+// and slot pool are warm, schedule/reschedule/pop never touch the global
 // heap. Lives in its own test binary because it replaces the global
 // operator new/delete with counting versions.
 
@@ -87,7 +87,9 @@ TEST(AllocGuard, WarmScheduleAndPopAllocatesNothing) {
   EXPECT_GT(sink, 0.0);
 }
 
-TEST(AllocGuard, WarmCancelAllocatesNothing) {
+TEST(AllocGuard, WarmRescheduleAllocatesNothing) {
+  // Steady-state schedule (fresh and reserved numbers), in-place re-key and
+  // pop on a warm queue.
   RandomStream rng(12);
   EventQueue queue;
   queue.reserve(1024);
@@ -96,11 +98,26 @@ TEST(AllocGuard, WarmCancelAllocatesNothing) {
   for (int i = 0; i < 1024; ++i) {
     ids.push_back(queue.schedule(rng.uniform(0.0, 100.0), [] {}));
   }
-  const std::size_t before = allocations();
-  for (std::size_t i = 0; i < ids.size(); i += 2) queue.cancel(ids[i]);
   while (queue.pop()) {
   }
+  ids.clear();
+  const std::size_t before = allocations();
+  for (int round = 0; round < 20; ++round) {
+    for (int i = 0; i < 1000; ++i) {
+      ids.push_back(i % 2 == 0
+                        ? queue.schedule(rng.uniform(0.0, 100.0), [] {})
+                        : queue.schedule(rng.uniform(0.0, 100.0),
+                                         queue.reserve_seq(), [] {}));
+    }
+    for (std::size_t i = 0; i < ids.size(); i += 2) {
+      queue.reschedule(ids[i], rng.uniform(0.0, 100.0), queue.reserve_seq());
+    }
+    while (queue.pop()) {
+    }
+    ids.clear();
+  }
   EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(queue.rekeys(), 20u * 500u);
 }
 
 TEST(AllocGuard, HotPathClosuresFitInline) {
@@ -110,12 +127,12 @@ TEST(AllocGuard, HotPathClosuresFitInline) {
   std::uint64_t remaining = 0;
   // Simulator event-chain shape (pointer + countdown pointer).
   auto chain = [&sim, &remaining] { (void)sim, (void)remaining; };
-  // DelayBuffer::release shape: this + slot + uid + context reference.
+  // DelayBuffer's per-queue release shape: this + queue id + context
+  // reference.
   void* self = nullptr;
-  std::uint32_t slot = 0;
-  std::uint64_t uid = 0;
-  auto release = [self, slot, uid, &remaining] {
-    (void)self, (void)slot, (void)uid, (void)remaining;
+  std::uint32_t queue = 0;
+  auto release = [self, queue, &remaining] {
+    (void)self, (void)queue, (void)remaining;
   };
   EXPECT_TRUE(EventQueue::Callback::fits_inline<decltype(chain)>());
   EXPECT_TRUE(EventQueue::Callback::fits_inline<decltype(release)>());
@@ -197,14 +214,14 @@ TEST(AllocGuard, WarmDelayedForwardingAllocatesNothing) {
 
 TEST(AllocGuard, WarmEqualTimeDispatchAllocatesNothing) {
   // The dispatch loop on equal-time cohorts, with callbacks that schedule
-  // at the current time and cancel a pending sibling, must match the
+  // at the current time and re-key a pending sibling, must match the
   // queue's zero-allocation contract once the slot pool is warm.
   RandomStream rng(14);
   Simulator simulator;
   simulator.reserve(512);
   double sink = 0.0;
-  bool doomed_ran = false;
-  EventId doomed;
+  std::size_t moved_runs = 0;
+  EventId moved;
   auto fill = [&] {
     // Ties on an integer grid put many events in every cohort.
     for (int j = 0; j < 16; ++j) {
@@ -214,11 +231,13 @@ TEST(AllocGuard, WarmEqualTimeDispatchAllocatesNothing) {
         simulator.schedule_at(simulator.now(), [&sink] { sink += 1.0; });
       });
     }
-    // A cohort member cancelling the one scheduled right after it.
-    simulator.schedule_at(simulator.now() + 4.0,
-                          [&simulator, &doomed] { simulator.cancel(doomed); });
-    doomed = simulator.schedule_at(simulator.now() + 4.0,
-                                   [&doomed_ran] { doomed_ran = true; });
+    // A cohort member re-keying the one scheduled right after it.
+    simulator.schedule_at(simulator.now() + 4.0, [&simulator, &moved] {
+      simulator.reschedule(moved, simulator.now() + 1.0,
+                           simulator.reserve_seq());
+    });
+    moved = simulator.schedule_at(simulator.now() + 4.0,
+                                  [&moved_runs] { ++moved_runs; });
   };
   // Warm-up: populate the slot pool.
   for (int i = 0; i < 32; ++i) {
@@ -233,7 +252,7 @@ TEST(AllocGuard, WarmEqualTimeDispatchAllocatesNothing) {
   }
   EXPECT_EQ(allocations() - before, 0u)
       << "equal-time dispatch allocated when warm";
-  EXPECT_FALSE(doomed_ran);
+  EXPECT_EQ(moved_runs, 2032u);
   EXPECT_GT(sink, 0.0);
 }
 
@@ -289,8 +308,9 @@ TEST(AllocGuard, TopologyAndRoutingAllocationsScaleWithArraysNotNodes) {
 }
 
 TEST(AllocGuard, WarmDelayBufferChurnAllocatesNothing) {
-  // The full RCAD inner loop — admit, release event, preempt — on a warm
-  // buffer. Packet payloads are plain structs, so nothing here may allocate.
+  // The full RCAD inner loop — offer at capacity (preempt + admit + re-key),
+  // release event — on a warm buffer. Packet payloads are plain structs, so
+  // nothing here may allocate.
   Simulator simulator;
   RandomStream rng(13);
 
@@ -308,9 +328,10 @@ TEST(AllocGuard, WarmDelayBufferChurnAllocatesNothing) {
   };
 
   NullContext ctx(simulator, rng);
-  core::DelayBuffer buffer(std::make_unique<core::ExponentialDelay>(5.0),
-                           core::VictimPolicy::kShortestRemaining);
   constexpr std::size_t kCapacity = 32;
+  core::DelayBuffer buffer(core::DelayBuffer::QueueConfig{
+      std::make_shared<core::ExponentialDelay>(5.0),
+      core::VictimPolicy::kShortestRemaining, kCapacity});
   buffer.reserve(kCapacity);
   simulator.reserve(kCapacity + 8);
   auto make_packet = [](std::uint64_t uid) {
@@ -321,17 +342,17 @@ TEST(AllocGuard, WarmDelayBufferChurnAllocatesNothing) {
   std::uint64_t uid = 0;
   // Warm-up: fill to capacity once so every slot and heap cell exists.
   for (std::size_t i = 0; i < kCapacity; ++i) {
-    buffer.admit(make_packet(uid++), ctx);
+    buffer.offer(0, make_packet(uid++), ctx);
   }
   const std::size_t before = allocations();
   for (int round = 0; round < 5000; ++round) {
-    if (buffer.size() >= kCapacity) buffer.preempt(ctx);
-    buffer.admit(make_packet(uid++), ctx);
+    buffer.offer(0, make_packet(uid++), ctx);
     simulator.run_until(simulator.now() + 0.2);
   }
   simulator.run();
   EXPECT_EQ(allocations() - before, 0u)
       << "RCAD buffer allocated on the steady-state path";
+  EXPECT_GT(buffer.preempted(), 0u);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // The monotone FIFO lane (schedule_monotone): ordering against heap-lane
-// events, cancellation, the non-monotone fallback, and dispatch_head's
+// events, re-keying, the non-monotone fallback, and dispatch_head's
 // merge of the two lanes, equal-time cohorts included.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -40,26 +41,18 @@ TEST(EventQueueFifo, InterleavesWithHeapLaneByTimeThenInsertion) {
   EXPECT_EQ(order, (std::vector<int>{2, 0, 1, 4, 3}));
 }
 
-TEST(EventQueueFifo, CancelWorksOnFifoLaneEvents) {
+TEST(EventQueueFifo, RescheduleRejectsFifoLaneEvents) {
+  // Only heap-lane records are re-keyed; a FIFO record stays where the
+  // sorted ring put it.
   EventQueue q;
   std::vector<int> order;
   q.schedule_monotone(1.0, [&] { order.push_back(1); });
-  const EventId doomed = q.schedule_monotone(2.0, [&] { order.push_back(2); });
-  q.schedule_monotone(3.0, [&] { order.push_back(3); });
-  EXPECT_TRUE(q.cancel(doomed));
-  EXPECT_FALSE(q.cancel(doomed));
-  EXPECT_EQ(q.size(), 2u);
+  const EventId fifo = q.schedule_monotone(2.0, [&] { order.push_back(2); });
+  q.schedule(1.5, [&] { order.push_back(15); });
+  EXPECT_THROW(q.reschedule(fifo, 0.5, q.reserve_seq()), std::invalid_argument);
+  EXPECT_EQ(q.size(), 3u);
   while (auto event = q.pop()) event->action();
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
-}
-
-TEST(EventQueueFifo, NextTimeSkipsCancelledFifoHead) {
-  EventQueue q;
-  const EventId head = q.schedule_monotone(1.0, [] {});
-  q.schedule_monotone(2.0, [] {});
-  EXPECT_DOUBLE_EQ(q.next_time(), 1.0);
-  EXPECT_TRUE(q.cancel(head));
-  EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
+  EXPECT_EQ(order, (std::vector<int>{1, 15, 2}));
 }
 
 TEST(EventQueueFifo, NonMonotoneTimeFallsBackToHeap) {
@@ -76,17 +69,15 @@ TEST(EventQueueFifo, NonMonotoneTimeFallsBackToHeap) {
   EXPECT_EQ(order, (std::vector<int>{1, 5, 9, 95}));
 }
 
-TEST(EventQueueFifo, FallbackEventIsCancellable) {
+TEST(EventQueueFifo, FallbackEventIsReschedulable) {
+  // A diverted monotone call is an ordinary heap record.
   EventQueue q;
-  bool fired = false;
-  q.schedule_monotone(5.0, [] {});
-  const EventId early = q.schedule_monotone(1.0, [&] { fired = true; });
-  EXPECT_TRUE(q.cancel(early));
-  auto event = q.pop();
-  ASSERT_TRUE(event.has_value());
-  EXPECT_DOUBLE_EQ(event->at, 5.0);
-  EXPECT_FALSE(q.pop().has_value());
-  EXPECT_FALSE(fired);
+  std::vector<int> order;
+  q.schedule_monotone(5.0, [&] { order.push_back(5); });
+  const EventId early = q.schedule_monotone(1.0, [&] { order.push_back(1); });
+  q.reschedule(early, 7.0, q.reserve_seq());
+  while (auto event = q.pop()) event->action();
+  EXPECT_EQ(order, (std::vector<int>{5, 1}));
 }
 
 // Runs every pending event through dispatch_head, returning the ids in
@@ -110,16 +101,6 @@ TEST(EventQueueFifo, DispatchHeadMergesEqualTimeCohortAcrossLanes) {
   const EventId d = q.schedule_monotone(4.0, [] {});  // seq 4, fifo
   const EventId e = q.schedule_monotone(6.0, [] {});  // later; stays behind
   EXPECT_EQ(drain_ids(q), (std::vector<EventId>{a, b, c, d, e}));
-}
-
-TEST(EventQueueFifo, DispatchHeadSkipsFifoTombstonesInsideCohort) {
-  EventQueue q;
-  const EventId a = q.schedule_monotone(4.0, [] {});
-  const EventId doomed = q.schedule_monotone(4.0, [] {});
-  const EventId c = q.schedule(4.0, [] {});
-  EXPECT_TRUE(q.cancel(doomed));
-  EXPECT_EQ(drain_ids(q), (std::vector<EventId>{a, c}));
-  EXPECT_EQ(q.tombstones_swept(), 1u);
 }
 
 TEST(EventQueueFifo, DispatchHeadBreaksCrossLaneTieByInsertion) {
@@ -160,7 +141,8 @@ TEST(EventQueueFifo, DispatchHeadRunsCallbackInPlace) {
         EXPECT_DOUBLE_EQ(at, 1.5);
         EXPECT_EQ(seen, id);
         // The handle died before the callback ran.
-        EXPECT_FALSE(q.cancel(id));
+        EXPECT_THROW(q.reschedule(id, 2.0, q.reserve_seq()),
+                     std::invalid_argument);
         action();
       });
   EXPECT_TRUE(dispatched);
@@ -169,18 +151,18 @@ TEST(EventQueueFifo, DispatchHeadRunsCallbackInPlace) {
 }
 
 TEST(EventQueueFifo, DispatchHeadAllowsSchedulingFromCallback) {
-  // The dispatched callback may schedule and cancel freely — the slot it
+  // The dispatched callback may schedule and re-key freely — the slot it
   // runs from is released only after it returns.
   EventQueue q;
   std::vector<int> order;
   q.schedule_monotone(1.0, [&] {
     order.push_back(1);
     q.schedule_monotone(2.0, [&] { order.push_back(2); });
-    const EventId doomed = q.schedule(1.5, [&] { order.push_back(-1); });
-    q.cancel(doomed);
+    const EventId moved = q.schedule(1.5, [&] { order.push_back(3); });
+    q.reschedule(moved, 2.5, q.reserve_seq());
   });
   drain_ids(q);
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_TRUE(q.empty());
 }
 
@@ -228,7 +210,7 @@ TEST(EventQueueFifo, RingGrowthPreservesOrder) {
 }
 
 // Randomized cross-lane check against a reference model: mixed
-// schedule/schedule_monotone/cancel/pop must match a sorted multimap on
+// schedule/schedule_monotone/reschedule/pop must match a sorted multimap on
 // (time, insertion seq) exactly. The monotone stream uses its own
 // non-decreasing clock; occasional below-tail times exercise the fallback.
 TEST(EventQueueFifo, MixedLanesMatchReferenceModel) {
@@ -236,6 +218,7 @@ TEST(EventQueueFifo, MixedLanesMatchReferenceModel) {
     RandomStream rng(seed);
     EventQueue q;
     std::map<std::pair<double, std::uint64_t>, EventId> model;
+    // Heap-lane events scheduled with schedule(), the ones re-keyed below.
     std::vector<std::pair<std::pair<double, std::uint64_t>, EventId>> live;
     std::uint64_t seq = 0;
     double clock = 0.0;
@@ -255,7 +238,6 @@ TEST(EventQueueFifo, MixedLanesMatchReferenceModel) {
         }
         const EventId id = q.schedule_monotone(at, [] {});
         model.emplace(std::make_pair(at, seq), id);
-        live.push_back({{at, seq}, id});
         ++seq;
       } else if (dice < 0.55) {
         const double at = rng.uniform(0.0, clock + 10.0);
@@ -264,12 +246,16 @@ TEST(EventQueueFifo, MixedLanesMatchReferenceModel) {
         live.push_back({{at, seq}, id});
         ++seq;
       } else if (dice < 0.7 && !live.empty()) {
+        // Re-key a heap event to a fresh time and a freshly reserved
+        // number; it now ties behind everything scheduled before.
         const std::size_t pick =
             static_cast<std::size_t>(rng.uniform_index(live.size()));
-        const auto [key, id] = live[pick];
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-        ASSERT_TRUE(q.cancel(id));
+        auto& [key, id] = live[pick];
         ASSERT_EQ(model.erase(key), 1u);
+        const double at = rng.uniform(0.0, clock + 10.0);
+        id = q.reschedule(id, at, q.reserve_seq());
+        key = {at, seq++};
+        model.emplace(key, id);
       } else if (!model.empty()) {
         const auto expected = model.begin();
         ASSERT_DOUBLE_EQ(q.next_time(), expected->first.first);

@@ -1,10 +1,11 @@
 // Model-based randomized test: the EventQueue against a trivially-correct
 // reference model (a sorted multimap), across thousands of interleaved
-// schedule/cancel/pop operations.
+// schedule/reserve/reschedule/pop operations.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -18,38 +19,67 @@ class EventQueueFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(EventQueueFuzzTest, MatchesReferenceModel) {
   RandomStream rng(GetParam());
   EventQueue queue;
-  // Reference: (time, insertion seq) -> id; mirrors the tie-break contract.
+  // Reference: (time, sequence number) -> id; mirrors the tie-break
+  // contract. `next` mirrors the queue's sequence counter: schedule() and
+  // reserve_seq() each take one number.
   std::map<std::pair<double, std::uint64_t>, EventId> model;
-  std::uint64_t seq = 0;
+  std::uint64_t next = 1;
   std::vector<std::pair<std::pair<double, std::uint64_t>, EventId>> live;
-  // Handles whose events fired, were cancelled, or were dropped by clear().
-  // Slots recycle aggressively under this churn, so these exercise the
-  // stale-handle guarantee: a dead id must never alias a newer event.
+  // Numbers reserved and not yet used; an event keyed on one ties ahead of
+  // everything scheduled after the reservation.
+  std::vector<std::uint64_t> reserved;
+  // Handles whose events fired, were re-keyed away, or were dropped by
+  // clear(). Slots recycle aggressively under this churn, so these exercise
+  // the stale-handle guarantee: a dead id must never alias a newer event.
   std::vector<EventId> dead;
   double last_at = 0.0;
+  const auto draw_time = [&](int op) {
+    // Every 8th draw reuses the previous one so exact time ties (broken by
+    // sequence number) stay exercised.
+    return op % 8 == 7 ? last_at : (last_at = rng.uniform(0.0, 100.0));
+  };
+  const auto take_seq = [&] {
+    if (reserved.empty() || rng.uniform01() < 0.5) {
+      EXPECT_EQ(queue.reserve_seq(), next);
+      return next++;
+    }
+    const std::uint64_t seq = reserved.back();
+    reserved.pop_back();
+    return seq;
+  };
 
   for (int op = 0; op < 5000; ++op) {
     const double dice = rng.uniform01();
-    if (dice < 0.5) {
-      // Schedule; every 8th event reuses the previous draw so exact time
-      // ties (broken by insertion order) stay exercised.
-      const double at =
-          op % 8 == 7 ? last_at : (last_at = rng.uniform(0.0, 100.0));
+    if (dice < 0.4) {
+      const double at = draw_time(op);
       const EventId id = queue.schedule(at, [] {});
+      model.emplace(std::make_pair(at, next), id);
+      live.push_back({{at, next}, id});
+      ++next;
+    } else if (dice < 0.45) {
+      ASSERT_EQ(queue.reserve_seq(), next);
+      reserved.push_back(next++);
+    } else if (dice < 0.5 && !reserved.empty()) {
+      // Schedule with a number reserved earlier.
+      const double at = draw_time(op);
+      const std::uint64_t seq = reserved.back();
+      reserved.pop_back();
+      const EventId id = queue.schedule(at, seq, [] {});
       model.emplace(std::make_pair(at, seq), id);
       live.push_back({{at, seq}, id});
-      ++seq;
     } else if (dice < 0.75 && !live.empty()) {
-      // Cancel a random live event.
+      // Re-key a random live event in place.
       const std::size_t pick =
           static_cast<std::size_t>(rng.uniform_index(live.size()));
-      const auto [key, id] = live[pick];
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-      ASSERT_TRUE(queue.cancel(id));
+      auto& [key, id] = live[pick];
       ASSERT_EQ(model.erase(key), 1u);
-      // Double-cancel must fail.
-      ASSERT_FALSE(queue.cancel(id));
-      dead.push_back(id);
+      const double at = draw_time(op);
+      const std::uint64_t seq = take_seq();
+      const EventId old = id;
+      id = queue.reschedule(old, at, seq);
+      key = {at, seq};
+      model.emplace(key, id);
+      dead.push_back(old);
     } else if (dice < 0.99 && !model.empty()) {
       // Pop: must match the model's earliest (time, seq) entry.
       const auto expected = model.begin();
@@ -65,8 +95,6 @@ TEST_P(EventQueueFuzzTest, MatchesReferenceModel) {
         }
       }
       model.erase(expected);
-      // Cancelling after the event fired must fail, now and forever.
-      ASSERT_FALSE(queue.cancel(event->id));
       dead.push_back(event->id);
     } else if (dice >= 0.99) {
       // Rare full reset: everything pending dies, handles included.
@@ -76,10 +104,12 @@ TEST_P(EventQueueFuzzTest, MatchesReferenceModel) {
       model.clear();
     }
     if (!dead.empty()) {
-      // A recycled slot must never resurrect an old handle.
+      // A recycled slot must never resurrect an old handle: re-keying one
+      // throws and leaves the queue as it was.
       const std::size_t pick =
           static_cast<std::size_t>(rng.uniform_index(dead.size()));
-      ASSERT_FALSE(queue.cancel(dead[pick]));
+      ASSERT_THROW(queue.reschedule(dead[pick], 1.0, next - 1),
+                   std::invalid_argument);
     }
     ASSERT_EQ(queue.size(), model.size());
   }

@@ -103,13 +103,28 @@ TEST(Simulator, StopHaltsProcessing) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST(Simulator, CancelledEventsDoNotRun) {
+TEST(Simulator, RescheduledEventRunsAtItsNewTime) {
   Simulator sim;
-  bool fired = false;
-  const EventId id = sim.schedule_at(1.0, [&] { fired = true; });
-  EXPECT_TRUE(sim.cancel(id));
+  std::vector<double> fired_at;
+  const EventId id = sim.schedule_at(1.0, [&] { fired_at.push_back(sim.now()); });
+  sim.schedule_at(2.0, [&] { fired_at.push_back(sim.now()); });
+  sim.reschedule(id, 3.0, sim.reserve_seq());
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(fired_at, (std::vector<double>{2.0, 3.0}));
+}
+
+TEST(Simulator, ReservedScheduleAndRescheduleCheckTimes) {
+  Simulator sim;
+  sim.schedule_at(5.0, [] {});
   sim.run();
-  EXPECT_FALSE(fired);
+  const std::uint64_t seq = sim.reserve_seq();
+  EXPECT_THROW(sim.schedule_at(4.0, seq, [] {}), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_at(kTimeInfinity, seq, [] {}),
+               std::invalid_argument);
+  const EventId id = sim.schedule_at(6.0, seq, [] {});
+  EXPECT_THROW(sim.reschedule(id, 4.0, seq), std::invalid_argument);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_DOUBLE_EQ(sim.next_event_time(), 6.0);
 }
 
 TEST(Simulator, EventsExecutedAccumulates) {
@@ -157,7 +172,7 @@ TEST(Simulator, CascadedEventsKeepVirtualTimeCausal) {
 }
 
 // Equal-time cohorts: the dispatch loop runs them one event at a time in
-// insertion order, and everything a callback does inside a cohort — cancel,
+// insertion order, and everything a callback does inside a cohort — re-key,
 // schedule at the current time, stop(), throw — is ordered by sequence
 // number like any other event.
 
@@ -172,14 +187,20 @@ TEST(SimulatorBatch, EqualTimeEventsRunInScheduleOrder) {
   EXPECT_DOUBLE_EQ(sim.now(), 1.0);
 }
 
-TEST(SimulatorBatch, CallbackCancellingLaterEqualTimeEventSuppressesIt) {
+TEST(SimulatorBatch, CallbackRekeyingLaterEqualTimeEventMovesIt) {
+  // A cohort member re-keys a later sibling with a fresh number: the
+  // sibling now runs after everything scheduled before the re-key.
   Simulator sim;
-  bool ran = false;
-  EventId doomed;
-  sim.schedule_at(1.0, [&] { sim.cancel(doomed); });
-  doomed = sim.schedule_at(1.0, [&] { ran = true; });
-  EXPECT_EQ(sim.run(), 1u);
-  EXPECT_FALSE(ran);
+  std::vector<int> order;
+  EventId moved;
+  sim.schedule_at(1.0, [&] {
+    order.push_back(1);
+    sim.reschedule(moved, 1.0, sim.reserve_seq());
+  });
+  moved = sim.schedule_at(1.0, [&] { order.push_back(2); });
+  sim.schedule_at(1.0, [&] { order.push_back(3); });
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
@@ -238,22 +259,24 @@ TEST(SimulatorBatch, RunUntilHonorsDeadlineAcrossBatches) {
   EXPECT_EQ(sim.pending_events(), 1u);
 }
 
-// Model-based fuzz of the dispatch loop: randomized schedule, cancel,
+// Model-based fuzz of the dispatch loop: randomized schedule, re-key,
 // run_until and run calls on a coarse time grid (so equal-time cohorts are
 // common), with callbacks that themselves schedule — often at the current
-// time — cancel pending events, and stop the run. The reference model is
-// one event at a time: a map on (time, insertion seq). Every callback checks
-// that it is the model's earliest pending event, so any departure from
-// (time, seq) order is caught at the first misordered event.
+// time — re-key pending events, re-arm themselves, and stop the run. The reference model is
+// one event at a time: a map on (time, sequence number). Every callback
+// checks that it is the model's earliest pending event, so any departure
+// from (time, seq) order is caught at the first misordered event.
 class EventQueueBatchFuzzTest : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 class DispatchModel {
  public:
+  using Key = std::pair<double, std::uint64_t>;
+
   explicit DispatchModel(std::uint64_t seed) : rng_(seed) {}
 
   Simulator sim;
-  std::map<std::pair<double, std::uint64_t>, EventId> pending;
+  std::map<Key, std::uint64_t> pending;  // -> token
   std::size_t ran = 0;
   bool misordered = false;
   bool stopped = false;  // a callback called stop() since the last reset
@@ -261,28 +284,53 @@ class DispatchModel {
   RandomStream& rng() { return rng_; }
 
   void schedule(double at) {
-    const std::uint64_t seq = seq_++;
-    pending.emplace(std::make_pair(at, seq),
-                    sim.schedule_at(at, [this, at, seq] { fire(at, seq); }));
+    const std::uint64_t token = next_token_++;
+    const Key key{at, seq_++};
+    pending.emplace(key, token);
+    entries_[token] = {key, sim.schedule_at(at, [this, token] { fire(token); })};
   }
 
-  void cancel_random() {
+  // Moves a random pending event to a grid time at or after now, keyed on
+  // a freshly reserved number.
+  void rekey_random() {
     if (pending.empty()) return;
     const auto it = std::next(
         pending.begin(),
         static_cast<std::ptrdiff_t>(rng_.uniform_index(pending.size())));
-    EXPECT_TRUE(sim.cancel(it->second));
+    const std::uint64_t token = it->second;
     pending.erase(it);
+    Entry& entry = entries_[token];
+    const double at =
+        sim.now() + 0.5 * static_cast<double>(rng_.uniform_index(4));
+    entry.id = sim.reschedule(entry.id, at, sim.reserve_seq());
+    entry.key = {at, seq_++};
+    pending.emplace(entry.key, token);
   }
 
  private:
-  void fire(double at, std::uint64_t seq) {
-    if (pending.empty() || pending.begin()->first != std::make_pair(at, seq) ||
-        sim.now() != at) {
+  struct Entry {
+    Key key;
+    EventId id;
+  };
+
+  void fire(std::uint64_t token) {
+    Entry& entry = entries_[token];
+    if (pending.empty() || pending.begin()->first != entry.key ||
+        sim.now() != entry.key.first) {
       misordered = true;
     }
-    pending.erase({at, seq});
+    pending.erase(entry.key);
     ++ran;
+    if (rng_.uniform01() < 0.15) {
+      // Re-arm this event, often into the current cohort.
+      const double at =
+          sim.now() + 0.5 * static_cast<double>(rng_.uniform_index(3));
+      entry.id = sim.rearm(at, sim.reserve_seq());
+      entry.key = {at, seq_++};
+      pending.emplace(entry.key, token);
+    } else {
+      entries_.erase(token);
+    }
     const double dice = rng_.uniform01();
     if (dice < 0.3) {
       schedule(sim.now());  // joins the current cohort, behind its members
@@ -290,7 +338,7 @@ class DispatchModel {
       schedule(sim.now() +
                0.5 * static_cast<double>(1 + rng_.uniform_index(4)));
     }
-    if (rng_.uniform01() < 0.2) cancel_random();  // often a cohort sibling
+    if (rng_.uniform01() < 0.2) rekey_random();  // often a cohort sibling
     if (rng_.uniform01() < 0.03) {
       sim.stop();
       stopped = true;
@@ -298,7 +346,9 @@ class DispatchModel {
   }
 
   RandomStream rng_;
-  std::uint64_t seq_ = 0;
+  std::map<std::uint64_t, Entry> entries_;
+  std::uint64_t seq_ = 0;  // mirrors the kernel's sequence counter
+  std::uint64_t next_token_ = 0;
 };
 
 TEST_P(EventQueueBatchFuzzTest, MatchesOneAtATimeReferenceModel) {
@@ -316,7 +366,7 @@ TEST_P(EventQueueBatchFuzzTest, MatchesOneAtATimeReferenceModel) {
       }
       m.schedule(last_at);
     } else if (dice < 0.65) {
-      m.cancel_random();
+      m.rekey_random();
     } else if (dice < 0.9) {
       const double deadline =
           m.sim.now() + 0.5 * static_cast<double>(rng.uniform_index(6)) +

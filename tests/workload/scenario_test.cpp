@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 namespace tempriv::workload {
 namespace {
@@ -236,9 +237,9 @@ TEST(SchemeNames, AreHumanReadable) {
 }
 
 TEST(PaperScenario, RcadUnderEveryVictimPolicyPassesEndOfRunChecks) {
-  // run_paper_scenario throws if packet conservation or
-  // preemptions == tombstones swept fails at the end of the run; drive both
-  // checks through heavy preemption under every victim rule.
+  // run_paper_scenario throws if any end-of-run identity fails (packet,
+  // event or slab conservation); drive them through heavy preemption under
+  // every victim rule.
   for (const core::VictimPolicy victim :
        {core::VictimPolicy::kShortestRemaining,
         core::VictimPolicy::kLongestRemaining, core::VictimPolicy::kRandom,
@@ -251,6 +252,44 @@ TEST(PaperScenario, RcadUnderEveryVictimPolicyPassesEndOfRunChecks) {
     EXPECT_GT(result.preemptions, 100u) << core::to_string(victim);
     EXPECT_EQ(result.delivered, result.originated);
   }
+}
+
+TEST(EndOfRunChecks, EachIdentityThrowsWhenBroken) {
+  // Counts of a consistent drained run: 10 originated, 7 delivered, 1
+  // dropped, 2 buffered; 40 events scheduled and run; 30 admitted, 25
+  // released, 3 preempted, 2 held.
+  const EndOfRunCounts good{10, 7, 1, 2, 0, 30, 10, 40, 30, 25, 3, 2};
+  EXPECT_NO_THROW(check_end_of_run(good, 1));
+  const auto message_of = [](const EndOfRunCounts& counts) {
+    try {
+      check_end_of_run(counts, 77);
+    } catch (const std::logic_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+
+  EndOfRunCounts lost_packet = good;
+  ++lost_packet.originated;
+  EXPECT_NE(message_of(lost_packet).find("packet conservation"),
+            std::string::npos);
+
+  EndOfRunCounts unrun_event = good;
+  ++unrun_event.scheduled_heap;  // a pending (or lost) event
+  const std::string events = message_of(unrun_event);
+  EXPECT_NE(events.find("scheduled events != executed"), std::string::npos)
+      << events;
+  EXPECT_NE(events.find("seed 77"), std::string::npos) << events;
+  EXPECT_NE(events.find("scheduled 41"), std::string::npos) << events;
+
+  EndOfRunCounts released_twice = good;
+  ++released_twice.released;
+  const std::string slab = message_of(released_twice);
+  EXPECT_NE(slab.find("admitted != released + preempted + held"),
+            std::string::npos)
+      << slab;
+  EXPECT_NE(slab.find("released + preempted + held 31"), std::string::npos)
+      << slab;
 }
 
 }  // namespace
