@@ -8,11 +8,14 @@
 //
 // Emits one JSON object on stdout per invocation. Wall-clock numbers are
 // machine-dependent; the structural fields (nodes, edges, bytes_per_node,
-// unreachable, delivered, adversary_mse) are deterministic per seed. The
-// `scale_rcad` ctest (tests/cli/scale_rcad_test.sh) gates two of them:
-// every packet delivered on a 10⁴-node full run and bytes_per_node ≤ 256
-// on a 10⁵-node build. perfbench's field_1m workload times the 10⁶-node
-// scored run.
+// unreachable, graph_digest, delivered, adversary_mse) are deterministic per
+// seed. graph_digest is FNV-1a over the CSR index (row_offsets, adjacency)
+// and the routing tree (next hop, sink and hop count of every node), so any
+// change to the built field changes it. The `scale_rcad` ctest
+// (tests/cli/scale_rcad_test.sh) gates every packet delivered on a 10⁴-node
+// full run, bytes_per_node ≤ 256 on a 10⁵-node build, and that build's
+// edges, unreachable and graph_digest. perfbench's field_1m workload times
+// the 10⁶-node scored run.
 //
 // Usage: scale_rcad --n 100000 [--mode full|build] [--sinks 32]
 //                   [--sources 512] [--packets 20] [--interval 20]
@@ -65,6 +68,30 @@ struct Options {
   std::size_t capacity = 10;
   std::uint64_t seed = 1;
 };
+
+/// Folds the little-endian bytes of `value` into the FNV-1a (64-bit) hash `h`.
+template <typename T>
+void fnv1a(std::uint64_t& h, T value) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    h ^= static_cast<std::uint8_t>(static_cast<std::uint64_t>(value) >> (8 * i));
+    h *= 0x100000001b3ULL;
+  }
+}
+
+/// FNV-1a over the CSR index and the routing tree: one number that moves
+/// when any row, any offset or any node's route changes.
+std::uint64_t graph_digest(const net::Topology& topology,
+                           const net::RoutingTable& routing) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint32_t offset : topology.row_offsets()) fnv1a(h, offset);
+  for (const net::NodeId nbr : topology.adjacency()) fnv1a(h, nbr);
+  for (net::NodeId id = 0; id < topology.node_count(); ++id) {
+    fnv1a(h, routing.next_hop(id));
+    fnv1a(h, routing.sink_of(id));
+    fnv1a(h, routing.reachable(id) ? routing.hops_to_sink(id) : std::uint16_t{0});
+  }
+  return h;
+}
 
 [[noreturn]] void usage_error(const char* what) {
   std::fprintf(stderr, "scale_rcad: %s\n", what);
@@ -146,6 +173,8 @@ int run(const Options& opt) {
   std::printf("  \"mean_degree\": %.3f,\n",
               2.0 * static_cast<double>(edges) / static_cast<double>(opt.n));
   std::printf("  \"unreachable\": %zu,\n", unreachable);
+  std::printf("  \"graph_digest\": \"%016llx\",\n",
+              static_cast<unsigned long long>(graph_digest(topology, routing)));
   // The CSR adjacency and the routing table are built with the topology.
   std::printf("  \"build_topology_s\": %.6f,\n", topo_s);
   std::printf("  \"build_network_s\": %.6f", net_s);

@@ -308,24 +308,17 @@ void Network::probe(const NodeRecord& node) {
   }
 }
 
-std::uint64_t Network::total_losses(bool preemptive) const {
-  std::uint64_t total = 0;
-  for (std::uint32_t queue = 0; queue < losses_.size(); ++queue) {
-    if (slab_.config(queue).victim.has_value() == preemptive) {
-      total += losses_[queue];
-    }
-  }
-  return total;
-}
-
 std::uint64_t Network::total_preemptions() const {
-  std::uint64_t total = total_losses(true);
+  std::uint64_t total = slab_.preempted();
   for (const auto& d : custom_) total += d->preemptions();
   return total;
 }
 
 std::uint64_t Network::total_drops() const {
-  std::uint64_t total = total_losses(false);
+  std::uint64_t total = 0;
+  for (std::uint32_t queue = 0; queue < losses_.size(); ++queue) {
+    if (!slab_.config(queue).victim) total += losses_[queue];
+  }
   for (const auto& d : custom_) total += d->drops();
   return total;
 }

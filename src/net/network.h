@@ -283,8 +283,6 @@ class Network {
   bool forwards(NodeId id) const {
     return id < next_hop_.size() && next_hop_[id] != kInvalidNode;
   }
-  /// Sum of losses_ over the queues that preempt (`preemptive`) or drop.
-  std::uint64_t total_losses(bool preemptive) const;
 
   /// A packet is at `node` now: run the node's policy (switch on the role
   /// byte; immediate and buffered nodes run with no virtual call), then
@@ -329,7 +327,9 @@ class Network {
   // capture the slab's address; Network never moves). A queue loses
   // packets in at most one way — a queue without a victim rule drops
   // arrivals, one with a rule preempts held packets — so one counter per
-  // queue, indexed by queue id, serves both.
+  // queue, indexed by queue id, serves both. The network-wide preemption
+  // count is the slab's own (DelayBuffer::preempted()); losses_ serves the
+  // per-node counts and the drops.
   core::DelayBuffer slab_;
   std::vector<std::uint64_t> losses_;
 

@@ -1,6 +1,7 @@
 #include "net/topology.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -39,15 +40,32 @@ void TopologyBuilder::reserve(std::size_t nodes, std::size_t edges) {
   edges_.reserve(edges);
 }
 
-Topology TopologyBuilder::build() {
+std::shared_ptr<Topology::Field> TopologyBuilder::take_field() {
   auto field = std::make_shared<Topology::Field>();
-  Topology::Field& f = *field;
-  f.positions = std::move(positions_);
-  f.sinks = std::move(sinks_);
+  field->positions = std::move(positions_);
+  field->sinks = std::move(sinks_);
   positions_.clear();
   sinks_.clear();
-  const std::size_t n = f.positions.size();
+  return field;
+}
 
+Topology TopologyBuilder::build() {
+  std::shared_ptr<Topology::Field> field = take_field();
+  pack_edges(*field);
+  route(*field);
+  return Topology(std::move(field));
+}
+
+Topology TopologyBuilder::build_within_radius(double radius) {
+  assert(edges_.empty() && "a geometric field takes its edges from positions");
+  std::shared_ptr<Topology::Field> field = take_field();
+  connect_within_radius(*field, radius);
+  route(*field);
+  return Topology(std::move(field));
+}
+
+void TopologyBuilder::pack_edges(Topology::Field& f) {
+  const std::size_t n = f.positions.size();
   // CSR: counting-sort scatter of both directions of every edge, then
   // per-row sort and dedup.
   f.offsets.assign(n + 1, 0);
@@ -84,12 +102,19 @@ Topology TopologyBuilder::build() {
   }
   f.offsets[n] = write;
   f.nbrs.resize(write);
+}
 
+void TopologyBuilder::route(Topology::Field& f) {
   // Routing tree: one multi-source BFS. Sinks seed a flat FIFO frontier
   // (head index instead of pop_front; every node enters at most once) in
   // registration order, and rows are sorted ascending, so among
   // equal-distance parents the first-dequeued, smallest-id one wins.
+  const std::size_t n = f.positions.size();
   constexpr std::uint16_t kMaxHops = std::numeric_limits<std::uint16_t>::max();
+  // Frontier entries are random node ids: fetch the offsets of the entry
+  // 2·kAhead places ahead, and the row of the one kAhead ahead (whose
+  // offsets the previous prefetch brought in).
+  constexpr std::size_t kAhead = 4;
   f.next_hop.assign(n, kInvalidNode);
   f.hops.assign(n, 0);
   f.sink_of.assign(n, kInvalidNode);
@@ -100,6 +125,12 @@ Topology TopologyBuilder::build() {
     frontier.push_back(sink);
   }
   for (std::size_t head = 0; head < frontier.size() && !f.route_overflow; ++head) {
+    if (head + 2 * kAhead < frontier.size()) {
+      __builtin_prefetch(&f.offsets[frontier[head + 2 * kAhead]]);
+    }
+    if (head + kAhead < frontier.size()) {
+      __builtin_prefetch(f.nbrs.data() + f.offsets[frontier[head + kAhead]]);
+    }
     const NodeId current = frontier[head];
     for (std::uint32_t k = f.offsets[current]; k < f.offsets[current + 1]; ++k) {
       const NodeId nbr = f.nbrs[k];
@@ -115,7 +146,6 @@ Topology TopologyBuilder::build() {
     }
   }
   f.unreachable = n - frontier.size();
-  return Topology(std::move(field));
 }
 
 std::span<const NodeId> Topology::neighbors(NodeId id) const {
@@ -189,12 +219,14 @@ Topology Topology::grid(std::size_t width, std::size_t height, double spacing) {
   return topo.build();
 }
 
-void TopologyBuilder::connect_within_radius(double radius) {
-  const std::size_t n = node_count();
+void TopologyBuilder::connect_within_radius(Topology::Field& f, double radius) {
+  const std::vector<Position>& positions = f.positions;
+  const std::size_t n = positions.size();
+  f.offsets.assign(n + 1, 0);
   if (n < 2) return;
-  double min_x = positions_[0].x, max_x = min_x;
-  double min_y = positions_[0].y, max_y = min_y;
-  for (const Position& p : positions_) {
+  double min_x = positions[0].x, max_x = min_x;
+  double min_y = positions[0].y, max_y = min_y;
+  for (const Position& p : positions) {
     min_x = std::min(min_x, p.x);
     max_x = std::max(max_x, p.x);
     min_y = std::min(min_y, p.y);
@@ -218,52 +250,99 @@ void TopologyBuilder::connect_within_radius(double radius) {
     return cy * cols + cx;
   };
   // Counting-sort the nodes into their cells, and gather the positions into
-  // the same cell order so the scan below reads them sequentially instead of
+  // the same cell order so the scans below read them sequentially instead of
   // chasing random node ids.
   std::vector<std::uint32_t> start(rows * cols + 1, 0);
-  for (const Position& p : positions_) ++start[cell_of(p) + 1];
+  for (const Position& p : positions) ++start[cell_of(p) + 1];
   for (std::size_t c = 0; c + 1 < start.size(); ++c) start[c + 1] += start[c];
   std::vector<NodeId> bucket(n);
   std::vector<Position> sorted(n);
   {
     std::vector<std::uint32_t> cursor(start.begin(), start.end() - 1);
     for (NodeId i = 0; i < n; ++i) {
-      const std::uint32_t k = cursor[cell_of(positions_[i])]++;
+      const std::uint32_t k = cursor[cell_of(positions[i])]++;
       bucket[k] = i;
-      sorted[k] = positions_[i];
+      sorted[k] = positions[i];
     }
   }
-  // Cell by cell, each node scans its 3×3 cell neighborhood; b > a keeps
-  // every pair once. The distance test is the same expression (and operand
-  // order) as the pairwise-scan reference, so the edge set is bit-identical;
-  // only the order of the appended pairs differs, which the CSR build erases.
+  // Two passes, cell by cell, of each node against its 3×3 cell
+  // neighborhood: the first counts every row's length, the second writes
+  // the rows in place. Each pair is tested from both ends with the same
+  // expression as the pairwise-scan reference; pa − pb and pb − pa square
+  // to the same doubles, so both ends agree and every row is bit-identical
+  // to the reference's. `sorted` is in cell order, so a node's candidates
+  // are read sequentially.
   const double r2 = radius * radius;
-  for (std::size_t acy = 0; acy < rows; ++acy) {
-    const std::size_t cy_lo = acy == 0 ? 0 : acy - 1;
-    const std::size_t cy_hi = std::min(acy + 1, rows - 1);
-    for (std::size_t acx = 0; acx < cols; ++acx) {
-      const std::size_t cx_lo = acx == 0 ? 0 : acx - 1;
-      const std::size_t cx_hi = std::min(acx + 1, cols - 1);
-      const std::size_t ac = acy * cols + acx;
-      for (std::uint32_t ka = start[ac]; ka < start[ac + 1]; ++ka) {
-        const NodeId a = bucket[ka];
-        const Position pa = sorted[ka];
+  auto linked = [&](std::uint32_t ka, std::uint32_t kb) {
+    const double dx = sorted[ka].x - sorted[kb].x;
+    const double dy = sorted[ka].y - sorted[kb].y;
+    return (kb != ka) & (dx * dx + dy * dy <= r2);
+  };
+  // A cell's neighborhood is three runs of `sorted`, one per neighborhood
+  // row: the three cells of a row are adjacent in cell order. Rows past the
+  // edge of the grid are empty runs.
+  struct Run {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
+  using Neighborhood = std::array<Run, 3>;
+  auto for_each_cell = [&](auto&& visit) {
+    for (std::size_t acy = 0; acy < rows; ++acy) {
+      const std::size_t cy_lo = acy == 0 ? 0 : acy - 1;
+      const std::size_t cy_hi = std::min(acy + 1, rows - 1);
+      for (std::size_t acx = 0; acx < cols; ++acx) {
+        const std::size_t cx_lo = acx == 0 ? 0 : acx - 1;
+        const std::size_t cx_hi = std::min(acx + 1, cols - 1);
+        Neighborhood hood{};
         for (std::size_t cy = cy_lo; cy <= cy_hi; ++cy) {
-          // The three cells of one neighborhood row are adjacent in cell
-          // order, so they form one contiguous run of `sorted`.
-          const std::uint32_t run_end = start[cy * cols + cx_hi + 1];
-          for (std::uint32_t kb = start[cy * cols + cx_lo]; kb < run_end; ++kb) {
-            const NodeId b = bucket[kb];
-            if (b <= a) continue;
-            const Position& pb = sorted[kb];
-            const double dx = pa.x - pb.x;
-            const double dy = pa.y - pb.y;
-            if (dx * dx + dy * dy <= r2) add_edge(a, b);
-          }
+          hood[cy - cy_lo] = {start[cy * cols + cx_lo], start[cy * cols + cx_hi + 1]};
         }
+        const std::size_t ac = acy * cols + acx;
+        visit(start[ac], start[ac + 1], hood);
       }
     }
-  }
+  };
+  // Pass 1: degrees into offsets[id + 1], then their prefix sum. The
+  // largest neighborhood sizes pass 2's one scratch row.
+  std::size_t widest = 0;
+  for_each_cell([&](std::uint32_t first, std::uint32_t last, const Neighborhood& hood) {
+    std::size_t candidates = 0;
+    for (const Run& run : hood) candidates += run.end - run.begin;
+    widest = std::max(widest, candidates);
+    for (std::uint32_t ka = first; ka < last; ++ka) {
+      std::uint32_t degree = 0;
+      for (const Run& run : hood) {
+        for (std::uint32_t kb = run.begin; kb < run.end; ++kb) degree += linked(ka, kb);
+      }
+      f.offsets[bucket[ka] + 1] = degree;
+    }
+  });
+  for (std::size_t i = 0; i < n; ++i) f.offsets[i + 1] += f.offsets[i];
+  // Pass 2: gather each row without branching (every candidate is written,
+  // the cursor advances only past neighbors), sort it, and store it at its
+  // node's offset. Rows are visited in cell order, so their slots are
+  // scattered across the index: read the slots in cell order (one gather
+  // up front) and prefetch the slot of the node kAhead places on.
+  constexpr std::uint32_t kAhead = 8;
+  std::vector<std::uint32_t> slot(n);
+  for (std::uint32_t k = 0; k < n; ++k) slot[k] = f.offsets[bucket[k]];
+  f.nbrs.resize(f.offsets[n]);
+  std::vector<NodeId> row(widest);
+  for_each_cell([&](std::uint32_t first, std::uint32_t last, const Neighborhood& hood) {
+    for (std::uint32_t ka = first; ka < last; ++ka) {
+      if (ka + kAhead < n) __builtin_prefetch(f.nbrs.data() + slot[ka + kAhead], 1);
+      std::size_t degree = 0;
+      for (const Run& run : hood) {
+        for (std::uint32_t kb = run.begin; kb < run.end; ++kb) {
+          row[degree] = bucket[kb];
+          degree += linked(ka, kb);
+        }
+      }
+      assert(slot[ka] + degree == f.offsets[bucket[ka] + 1]);
+      std::sort(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(degree));
+      std::copy_n(row.begin(), degree, f.nbrs.begin() + slot[ka]);
+    }
+  });
 }
 
 Topology Topology::random_geometric(std::size_t n, double side, double radius,
@@ -285,12 +364,11 @@ Topology Topology::random_geometric_multi_sink(std::size_t n, double side,
   for (std::size_t i = 0; i < n; ++i) {
     topo.add_node({rng.uniform(0.0, side), rng.uniform(0.0, side)});
   }
-  topo.connect_within_radius(radius);
   topo.set_sink(0);
   for (std::size_t s = 1; s < sink_count; ++s) {
     topo.add_sink(static_cast<NodeId>(s));
   }
-  return topo.build();
+  return topo.build_within_radius(radius);
 }
 
 Topology Topology::star(std::size_t leaves) {

@@ -178,9 +178,20 @@ class TopologyBuilder {
 
  private:
   friend class Topology;
-  /// Spatial-hash edge discovery over the current positions (see
-  /// Topology::random_geometric).
-  void connect_within_radius(double radius);
+  /// Like build(), but the edges join every pair of nodes within `radius`
+  /// and are written straight into the CSR index by a spatial hash (see
+  /// Topology::random_geometric); add_edge() must not have been called.
+  Topology build_within_radius(double radius);
+
+  /// Moves the positions and sinks into a new field; the builder is empty.
+  std::shared_ptr<Topology::Field> take_field();
+  /// The CSR index of `f` from the edge list, which is freed.
+  void pack_edges(Topology::Field& f);
+  /// The CSR index of `f` from its positions: an edge for every pair of
+  /// nodes at most `radius` apart.
+  static void connect_within_radius(Topology::Field& f, double radius);
+  /// The routing tree of `f` from its CSR index and sinks.
+  static void route(Topology::Field& f);
 
   std::vector<Position> positions_;
   std::vector<NodeId> sinks_;

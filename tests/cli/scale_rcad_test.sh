@@ -2,7 +2,11 @@
 # scale_rcad structural gates and usage errors, through the real binary:
 #
 #   1. a 10⁴-node full RCAD run delivers every packet it originates;
-#   2. a 10⁵-node build stays within 256 bytes per node (graph + network);
+#   2. a 10⁵-node build stays within 256 bytes per node (graph + network)
+#      and builds the pinned graph: its edge count, unreachable count and
+#      graph_digest (FNV-1a over the CSR index and the routing tree) are
+#      the values recorded at seed 1, so any change to the rows or the
+#      routes of a large geometric field fails here;
 #   3. every malformed or out-of-range value exits 2 with a message, never
 #      aborts and never runs with a value read as 0.
 #
@@ -19,6 +23,10 @@ field() {  # field <name> <json-file>: the value of a top-level number
   sed -n "s/^  \"$1\": \([0-9.]*\),\{0,1\}$/\1/p" "$2"
 }
 
+text() {  # text <name> <json-file>: the value of a top-level string
+  sed -n "s/^  \"$1\": \"\([^\"]*\)\",\{0,1\}$/\1/p" "$2"
+}
+
 # --- 1. every packet delivered on the 10⁴-node full run -------------------
 if "$BIN" --n 10000 --sinks 8 --sources 256 --packets 20 --seed 1 \
     >"$WORK/full.json"; then
@@ -32,11 +40,18 @@ else
   fail "10^4 full run exited $?"
 fi
 
-# --- 2. bytes_per_node <= 256 on the 10⁵-node build ------------------------
+# --- 2. bytes_per_node <= 256 and the pinned graph on the 10⁵-node build ---
 if "$BIN" --n 100000 --sinks 32 --mode build --seed 1 >"$WORK/build.json"; then
   bytes=$(field bytes_per_node "$WORK/build.json")
   if [ -z "$bytes" ] || ! awk -v b="$bytes" 'BEGIN { exit !(b <= 256) }'; then
     fail "10^5 build: bytes_per_node '$bytes' > 256"
+  fi
+  edges=$(field edges "$WORK/build.json")
+  unreachable=$(field unreachable "$WORK/build.json")
+  digest=$(text graph_digest "$WORK/build.json")
+  if [ "$edges" != 506943 ] || [ "$unreachable" != 15 ] ||
+      [ "$digest" != fe53b99f9e0ea6ed ]; then
+    fail "10^5 build: edges '$edges' unreachable '$unreachable' graph_digest '$digest'; want 506943, 15, fe53b99f9e0ea6ed"
   fi
 else
   fail "10^5 build exited $?"

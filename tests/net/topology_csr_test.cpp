@@ -1,9 +1,10 @@
 // CSR adjacency and spatial-hash construction regression suite: the packed
 // sorted-row representation must agree with a straightforward builder-side
 // reference on every topology factory, the grid-hash random_geometric must
-// reproduce the O(n²) pairwise scan bit-for-bit (same RNG draw order, same
-// placements, same edge set), and multi-sink routing must hand every node
-// to its nearest sink with actionable coverage diagnostics.
+// reproduce the O(n²) pairwise scan and a queue-based BFS bit-for-bit (same
+// RNG draw order, same placements, same edge set, same routing tree), and
+// multi-sink routing must hand every node to its nearest sink with
+// actionable coverage diagnostics.
 
 #include "net/topology.h"
 
@@ -146,14 +147,16 @@ double cell_floor_for(std::size_t n, double side, std::uint64_t seed) {
 
 TEST(TopologyCsr, GridHashGeometricMatchesBruteForceReference) {
   // Same RNG seed through both builders: placements must be bit-identical
-  // (identical draw order) and the edge sets must match exactly, across
-  // sparse, dense and degenerate-radius regimes, and on fields large enough
-  // for a real cell grid (hundreds of cells, most pairs across cell edges).
+  // (identical draw order), the rows must match exactly and so must every
+  // node's route, across sparse, dense and degenerate regimes, and on
+  // fields large enough for a real cell grid (hundreds of cells, most pairs
+  // across cell edges).
   struct Case {
     std::size_t n;
     double side;
     double radius;
     std::uint64_t seed;
+    std::size_t sinks = 1;
   };
   const double unit_side_3000 = std::sqrt(3000.0);
   const double floor_2000 = cell_floor_for(2000, 40.0, 2001);
@@ -167,26 +170,44 @@ TEST(TopologyCsr, GridHashGeometricMatchesBruteForceReference) {
       {1500, 20.0, 1.0, 1007},               // 400 cells, ~4 nodes each
       {2000, 40.0, floor_2000, 2001},        // radius == cell side exactly
       {2000, 40.0, 0.5 * floor_2000, 2001},  // cell side set by the √n floor
+      {60, 0.0, 1.0, 1008},   // side 0: one cell, complete graph, widest scan
+      {300, 10.0, 0.0, 1009},           // radius 0: only coincident nodes link
+      {400, 12.0, -1.5, 1010},          // negative radius: |r| cells, r² test
+      {1500, 20.0, 1.2, 1011, 7},       // multi-sink: nearest-sink tree
+      {800, 15.0, 1.0, 1012, 40},       // many sinks: many equal-distance ties
   };
   for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "n=" << c.n << " side=" << c.side
+                                    << " radius=" << c.radius << " sinks=" << c.sinks);
     sim::RandomStream rng_fast(c.seed);
     sim::RandomStream rng_ref(c.seed);
-    const Topology fast = Topology::random_geometric(c.n, c.side, c.radius, rng_fast);
-    const Topology ref = brute_force_geometric(c.n, c.side, c.radius, rng_ref);
-    ASSERT_EQ(fast.node_count(), ref.node_count());
+    const Topology fast =
+        c.sinks == 1 ? Topology::random_geometric(c.n, c.side, c.radius, rng_fast)
+                     : Topology::random_geometric_multi_sink(c.n, c.side, c.radius,
+                                                             c.sinks, rng_fast);
+    const oracles::GeometricField ref =
+        brute_force_geometric(c.n, c.side, c.radius, c.sinks, rng_ref);
+    ASSERT_EQ(fast.node_count(), ref.positions.size());
     // Both streams must have advanced identically (2n draws each).
     EXPECT_EQ(rng_fast.uniform(0.0, 1.0), rng_ref.uniform(0.0, 1.0));
-    EXPECT_EQ(fast.edge_count(), ref.edge_count()) << "n=" << c.n;
+    EXPECT_EQ(fast.edge_count(), ref.edge_count);
+    ASSERT_EQ(fast.sinks().size(), c.sinks);
+    for (NodeId s = 0; s < c.sinks; ++s) EXPECT_EQ(fast.sinks()[s], s);
+    const RoutingTable routing(fast);
+    EXPECT_EQ(routing.unreachable_count(), ref.unreachable);
     for (NodeId id = 0; id < c.n; ++id) {
-      ASSERT_EQ(fast.position(id).x, ref.position(id).x) << "node " << id;
-      ASSERT_EQ(fast.position(id).y, ref.position(id).y) << "node " << id;
-      const auto fast_row = fast.neighbors(id);
-      const auto ref_row = ref.neighbors(id);
-      ASSERT_TRUE(std::ranges::equal(fast_row, ref_row))
-          << "edge mismatch at node " << id << " (n=" << c.n
-          << " radius=" << c.radius << ")";
+      ASSERT_EQ(fast.position(id).x, ref.positions[id].x) << "node " << id;
+      ASSERT_EQ(fast.position(id).y, ref.positions[id].y) << "node " << id;
+      ASSERT_TRUE(std::ranges::equal(fast.neighbors(id), ref.rows[id]))
+          << "edge mismatch at node " << id;
+      ASSERT_EQ(routing.next_hop(id), ref.next_hop[id]) << "node " << id;
+      ASSERT_EQ(routing.sink_of(id), ref.sink_of[id]) << "node " << id;
+      ASSERT_EQ(routing.reachable(id), ref.sink_of[id] != kInvalidNode)
+          << "node " << id;
+      if (routing.reachable(id)) {
+        ASSERT_EQ(routing.hops_to_sink(id), ref.hops[id]) << "node " << id;
+      }
     }
-    EXPECT_EQ(fast.sink(), ref.sink());
   }
 }
 
