@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <new>
 
@@ -42,6 +43,10 @@ namespace {
 
 using namespace tempriv;
 
+// Runs the head event in place, as Simulator does.
+constexpr auto run_head = [](sim::Time, sim::EventId,
+                             sim::EventQueue::Callback& action) { action(); };
+
 void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   sim::RandomStream rng(1);
@@ -50,7 +55,7 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
     for (std::size_t i = 0; i < batch; ++i) {
       queue.schedule(rng.uniform(0.0, 1000.0), [] {});
     }
-    while (queue.pop()) {
+    while (queue.dispatch_head(run_head)) {
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -65,12 +70,12 @@ void BM_EventQueueSteadyState(benchmark::State& state) {
   sim::EventQueue queue;
   queue.reserve(1024);
   for (int i = 0; i < 1024; ++i) queue.schedule(rng.uniform(0.0, 1000.0), [] {});
-  for (int i = 0; i < 512; ++i) queue.pop();
+  for (int i = 0; i < 512; ++i) queue.dispatch_head(run_head);
   const std::int64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     queue.schedule(queue.next_time() + rng.uniform(0.0, 10.0), [] {});
-    auto event = queue.pop();
-    benchmark::DoNotOptimize(event);
+    bool ran = queue.dispatch_head(run_head);
+    benchmark::DoNotOptimize(ran);
   }
   const std::int64_t allocs = g_allocs.load(std::memory_order_relaxed) -
                               allocs_before;

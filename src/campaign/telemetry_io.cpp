@@ -89,7 +89,7 @@ TelemetrySink::TelemetrySink() {
         "eq.rekey", "buf.preempt.shortest_remaining",
         "buf.preempt.longest_remaining", "buf.preempt.random",
         "buf.preempt.oldest", "net.forward.immediate", "net.forward.unlimited",
-        "net.forward.droptail", "net.forward.rcad", "net.forward.custom",
+        "net.forward.droptail", "net.forward.rcad",
         "net.droptail_dropped", "campaign.jobs"}) {
     snapshot_.counters[key] = 0;
   }
@@ -114,7 +114,6 @@ void TelemetrySink::consume(const JobResult& job) {
   counters["net.forward.immediate"] += t.forward_immediate;
   counters[buffered_forward_key(job.spec.scenario.scheme)] +=
       t.forward_buffered;
-  counters["net.forward.custom"] += t.forward_custom;
   counters["net.droptail_dropped"] += r.drops;
   ++counters["campaign.jobs"];
 

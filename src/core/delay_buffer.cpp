@@ -199,8 +199,7 @@ void DelayBuffer::admit_with_delay(QueueId queue, net::Packet&& packet,
 }
 
 DelayBuffer::Admission DelayBuffer::offer(QueueId queue, net::Packet&& packet,
-                                          net::NodeContext& ctx,
-                                          const DelayDistribution* delay) {
+                                          net::NodeContext& ctx) {
   Queue& q = queues_[queue];
   const QueueConfig& config = configs_[q.config];
   // The queue's event is keyed on its root's number (0, never a kernel
@@ -217,8 +216,8 @@ DelayBuffer::Admission DelayBuffer::offer(QueueId queue, net::Packet&& packet,
     ctx.transmit(extract(victim_slot(q, ctx.rng())));
     outcome = Admission::kPreempted;
   }
-  if (delay == nullptr) delay = config.delay.get();
-  admit_with_delay(queue, std::move(packet), ctx, delay->sample(ctx.rng()));
+  admit_with_delay(queue, std::move(packet), ctx,
+                   config.delay->sample(ctx.rng()));
   const HeapNode& root = blocks_[q.block];
   if (old_root == 0) {
     q.event = ctx.simulator().schedule_at(

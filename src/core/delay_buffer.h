@@ -30,7 +30,7 @@ const char* to_string(VictimPolicy policy) noexcept;
 ///
 /// One DelayBuffer is a slab serving any number of queues — one per
 /// buffering node in a Network (made when a packet first reaches the node,
-/// under a single spec), a single queue inside a stand-alone discipline. Its
+/// under a single spec), or the one queue a one-queue constructor makes. Its
 /// memory is sized by the packets held, not by queues × capacity:
 ///
 ///  - **Slots.** One free-listed slot vector shared by every queue. A slot
@@ -149,11 +149,9 @@ class DelayBuffer {
   /// with no victim rule drops it — the M/M/k/k loss event of Eq. (5) — and
   /// a preemptive queue ejects its victim under its policy, transmits it
   /// through `ctx`, then admits the arrival (RCAD, §5). The arrival's delay
-  /// is drawn after any victim draw, from `delay` if given, else from the
-  /// queue's own distribution. The queue's kernel event is re-keyed at most
-  /// once, after both steps.
-  Admission offer(QueueId queue, net::Packet&& packet, net::NodeContext& ctx,
-                  const DelayDistribution* delay = nullptr);
+  /// is drawn from the queue's distribution, after any victim draw. The
+  /// queue's kernel event is re-keyed at most once, after both steps.
+  Admission offer(QueueId queue, net::Packet&& packet, net::NodeContext& ctx);
 
   /// Lifetime packet counts over every queue: packets admitted, released
   /// when their delay ran out, and transmitted early as preemption victims.

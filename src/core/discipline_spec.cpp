@@ -62,14 +62,6 @@ DisciplineSpec DisciplineSpec::rcad_exponential(double mean_delay,
               victim);
 }
 
-DisciplineSpec DisciplineSpec::custom(net::DisciplineFactory factory) {
-  if (!factory) throw std::invalid_argument("DisciplineSpec: null factory");
-  DisciplineSpec spec;
-  spec.kind = Kind::kCustom;
-  spec.factory = std::move(factory);
-  return spec;
-}
-
 DelayBuffer::QueueConfig DisciplineSpec::queue_config() const {
   if (!buffered()) {
     throw std::logic_error("DisciplineSpec: kind holds no buffer queue");

@@ -6,24 +6,22 @@
 
 #include "core/delay_buffer.h"
 #include "core/delay_distribution.h"
-#include "net/forwarding.h"
 
 namespace tempriv::core {
 
 /// Value-type description of one node's forwarding policy — the only way to
 /// configure a node. Network lays node state out in its flat per-node
-/// records directly from it: a buffering built-in becomes one queue of the
-/// network-wide DelayBuffer slab, immediate forwarding is a role byte, and
-/// only kCustom keeps a discipline object (built by `factory`). Give one spec
-/// to every node, or one per node (§3.3 sink weighting, mixed networks).
+/// records directly from it: a buffering kind becomes one queue of the
+/// network-wide DelayBuffer slab, and immediate forwarding is a role byte.
+/// Give one spec to every node, or one per node (§3.3 sink weighting, mixed
+/// networks).
 struct DisciplineSpec {
-  /// The paper's arrival rules plus the escape hatch for custom objects.
+  /// The paper's arrival rules.
   enum class Kind : std::uint8_t {
     kImmediate,  ///< case 1: forward on arrival
     kUnlimited,  ///< case 2: delay, unbounded buffer (M/M/∞)
     kDropTail,   ///< §4: delay, k slots, drop the arrival when full (M/M/k/k)
     kRcad,       ///< §5: delay, k slots, preempt a held packet when full
-    kCustom,     ///< a ForwardingDiscipline object from `factory`
   };
 
   Kind kind = Kind::kImmediate;
@@ -34,8 +32,6 @@ struct DisciplineSpec {
   std::size_t capacity = 0;
   /// RCAD victim-selection rule (kRcad only).
   VictimPolicy victim = VictimPolicy::kShortestRemaining;
-  /// Builds the node's discipline object (kCustom only).
-  net::DisciplineFactory factory;
 
   static DisciplineSpec immediate();
   static DisciplineSpec unlimited(
@@ -51,11 +47,10 @@ struct DisciplineSpec {
   static DisciplineSpec rcad_exponential(
       double mean_delay, std::size_t capacity,
       VictimPolicy victim = VictimPolicy::kShortestRemaining);
-  static DisciplineSpec custom(net::DisciplineFactory factory);
 
   /// True for the kinds that hold packets in the buffer slab.
   bool buffered() const noexcept {
-    return kind != Kind::kImmediate && kind != Kind::kCustom;
+    return kind != Kind::kImmediate;
   }
 
   /// The slab queue a buffering kind runs on: its delay distribution, its

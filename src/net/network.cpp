@@ -12,8 +12,6 @@ Network::Network(sim::Simulator& simulator, const Topology& topology,
       topology_(topology),
       routing_(topology_),
       next_hop_(routing_.next_hops()),
-      row_offsets_(topology_.row_offsets()),
-      adjacency_(topology_.adjacency()),
       config_(config),
       root_rng_(root_rng) {
   if (config_.hop_tx_delay <= 0.0) {
@@ -30,15 +28,8 @@ Network::Network(sim::Simulator& simulator, const Topology& topology,
                  const core::DisciplineSpec& spec, NetworkConfig config,
                  const sim::RandomStream& root_rng)
     : Network(simulator, topology, config, root_rng) {
-  if (spec.kind == core::DisciplineSpec::Kind::kCustom) {
-    // Factories run at construction, so a null one throws here.
-    for (NodeId id = 0; id < index_.size(); ++id) {
-      if (forwards(id)) adopt(id, spec, 0);
-    }
-    return;
-  }
-  // Built-in specs are adopted on first touch: one slab configuration for
-  // the whole network, and a node's record and queue when a packet first
+  // The spec is adopted on first touch: one slab configuration for the
+  // whole network, and a node's record and queue when a packet first
   // reaches it.
   if (spec.buffered()) {
     touch_role_ = NodeRole::kBuffered;
@@ -71,23 +62,10 @@ Network::~Network() = default;
 
 void Network::adopt(NodeId id, const core::DisciplineSpec& spec,
                     std::uint32_t queue_config) {
-  switch (spec.kind) {
-    case core::DisciplineSpec::Kind::kImmediate:
-      add_record(id, NodeRole::kImmediate, 0);
-      return;
-    case core::DisciplineSpec::Kind::kCustom: {
-      std::unique_ptr<ForwardingDiscipline> built =
-          spec.factory ? spec.factory() : nullptr;
-      if (!built) {
-        throw std::invalid_argument("Network: custom spec built no discipline");
-      }
-      add_record(id, NodeRole::kCustom,
-                 static_cast<std::uint32_t>(custom_.size()));
-      custom_.push_back(std::move(built));
-      return;
-    }
-    default:
-      add_record(id, NodeRole::kBuffered, add_queue(queue_config));
+  if (spec.buffered()) {
+    add_record(id, NodeRole::kBuffered, add_queue(queue_config));
+  } else {
+    add_record(id, NodeRole::kImmediate, 0);
   }
 }
 
@@ -138,10 +116,6 @@ void Network::handle(NodeRecord& node, Packet&& packet) {
       }
       break;
     }
-    case NodeRole::kCustom:
-      ++handled_.custom;
-      custom_[node.slot]->on_packet(std::move(packet), node);
-      break;
     case NodeRole::kSink:
       throw std::logic_error("Network: handle() on a node with no discipline");
   }
@@ -149,10 +123,8 @@ void Network::handle(NodeRecord& node, Packet&& packet) {
 }
 
 void Network::transmit_from(NodeRecord& node, Packet&& packet) {
-  // Pick the next hop while the header still shows where the packet came
-  // from (selectors use prev_hop to avoid immediate backtracking), then
-  // update the cleartext header the way MultiHop does on each forward.
-  const NodeId next = pick_next_hop(node, packet);
+  // Update the cleartext header the way MultiHop does on each forward.
+  const NodeId next = node.tree_next;
   packet.header.prev_hop = node.node;
   packet.header.hop_count =
       static_cast<std::uint16_t>(packet.header.hop_count + 1);
@@ -213,23 +185,7 @@ void Network::add_transmit_probe(TransmitProbe probe) {
   transmit_probes_.push_back(std::move(probe));
 }
 
-void Network::set_hop_selector(HopSelector selector) {
-  hop_selector_ = std::move(selector);
-}
-
 void Network::reserve(std::size_t in_flight) { pool_.reserve(in_flight); }
-
-NodeId Network::pick_next_hop(NodeRecord& node, const Packet& packet) {
-  if (!hop_selector_) return node.tree_next;
-  const NodeId current = node.node;
-  const NodeId next = hop_selector_(current, packet, node.stream);
-  const NodeId* row = adjacency_.data();
-  if (!std::binary_search(row + row_offsets_[current],
-                          row + row_offsets_[current + 1], next)) {
-    throw std::logic_error("Network: hop selector returned a non-neighbor");
-  }
-  return next;
-}
 
 void Network::dispatch_transmit_probes(NodeId from, NodeId to,
                                        const Packet& packet) {
@@ -246,14 +202,7 @@ void Network::require_discipline(NodeId id) const {
 }
 
 std::size_t Network::buffered_of(const NodeRecord& node) const {
-  switch (node.role) {
-    case NodeRole::kBuffered:
-      return slab_.size(node.slot);
-    case NodeRole::kCustom:
-      return custom_[node.slot]->buffered();
-    default:
-      return 0;
-  }
+  return node.role == NodeRole::kBuffered ? slab_.size(node.slot) : 0;
 }
 
 std::size_t Network::node_buffered(NodeId id) const {
@@ -265,25 +214,15 @@ std::size_t Network::node_buffered(NodeId id) const {
 std::uint64_t Network::node_preemptions(NodeId id) const {
   require_discipline(id);
   const NodeRecord* node = find(id);
-  if (node == nullptr) return 0;
-  if (node->role == NodeRole::kBuffered) {
-    return slab_.config(node->slot).victim ? losses_[node->slot] : 0;
-  }
-  if (node->role == NodeRole::kCustom) {
-    return custom_[node->slot]->preemptions();
-  }
-  return 0;
+  if (node == nullptr || node->role != NodeRole::kBuffered) return 0;
+  return slab_.config(node->slot).victim ? losses_[node->slot] : 0;
 }
 
 std::uint64_t Network::node_drops(NodeId id) const {
   require_discipline(id);
   const NodeRecord* node = find(id);
-  if (node == nullptr) return 0;
-  if (node->role == NodeRole::kBuffered) {
-    return slab_.config(node->slot).victim ? 0 : losses_[node->slot];
-  }
-  if (node->role == NodeRole::kCustom) return custom_[node->slot]->drops();
-  return 0;
+  if (node == nullptr || node->role != NodeRole::kBuffered) return 0;
+  return slab_.config(node->slot).victim ? 0 : losses_[node->slot];
 }
 
 void Network::arrive_from_link(NodeId node, PacketPool::Handle parked) {
@@ -309,9 +248,7 @@ void Network::probe(const NodeRecord& node) {
 }
 
 std::uint64_t Network::total_preemptions() const {
-  std::uint64_t total = slab_.preempted();
-  for (const auto& d : custom_) total += d->preemptions();
-  return total;
+  return slab_.preempted();
 }
 
 std::uint64_t Network::total_drops() const {
@@ -319,15 +256,10 @@ std::uint64_t Network::total_drops() const {
   for (std::uint32_t queue = 0; queue < losses_.size(); ++queue) {
     if (!slab_.config(queue).victim) total += losses_[queue];
   }
-  for (const auto& d : custom_) total += d->drops();
   return total;
 }
 
-std::size_t Network::total_buffered() const {
-  std::size_t total = slab_.size();
-  for (const auto& d : custom_) total += d->buffered();
-  return total;
-}
+std::size_t Network::total_buffered() const { return slab_.size(); }
 
 std::size_t Network::memory_bytes() const noexcept {
   return index_.capacity() * sizeof(std::uint32_t) +
@@ -335,7 +267,6 @@ std::size_t Network::memory_bytes() const noexcept {
          blocks_.size() * kRecordBlockBytes +
          slab_.memory_bytes() +
          losses_.capacity() * sizeof(std::uint64_t) +
-         custom_.capacity() * sizeof(custom_[0]) +
          pool_.memory_bytes();
 }
 

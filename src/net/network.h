@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -34,10 +33,10 @@ class SinkObserver {
 /// Optional instrumentation hook: called whenever a node's buffer occupancy
 /// may have changed (after every packet arrival and every transmission).
 ///
-/// Probe and selector hooks are sim::InlineFunction delegates, not
-/// std::function: captures up to 48 bytes are stored inline (install-time
-/// and per-call heap traffic is zero), and when no hook is installed the
-/// per-transmission dispatch reduces to one branch on the hot path.
+/// Probe hooks are sim::InlineFunction delegates, not std::function:
+/// captures up to 48 bytes are stored inline (install-time and per-call heap
+/// traffic is zero), and when no hook is installed the per-transmission
+/// dispatch reduces to one branch on the hot path.
 using OccupancyProbe =
     sim::InlineFunction<void(NodeId node, sim::Time now, std::size_t occupancy),
                         48>;
@@ -63,19 +62,9 @@ struct NetworkConfig {
   double hop_jitter = 0.0;
 };
 
-/// Per-transmission next-hop choice. The default is the BFS routing tree;
-/// installing a custom selector enables routing-level privacy schemes such
-/// as phantom routing (random walk before tree routing, the paper's cited
-/// prior work on source-location privacy). Must return a neighbor of
-/// `current` in the topology.
-using HopSelector = sim::InlineFunction<NodeId(NodeId current,
-                                               const Packet& packet,
-                                               sim::RandomStream& rng),
-                                        48>;
-
 /// Gives node `id` (which is `hops_to_sink` hops from the sink) its
 /// forwarding policy — per-node delay parameters (the §3.3 sink-weighted
-/// decomposition), mixed schemes, or custom disciplines.
+/// decomposition) or mixed schemes.
 using NodeSpecs =
     std::function<core::DisciplineSpec(NodeId id, std::uint16_t hops_to_sink)>;
 
@@ -90,42 +79,39 @@ using NodeSpecs =
 /// u32 index into a table of 64-byte records, and a node gets a record —
 /// its role, RNG stream, routing sequence counter, discipline slot and
 /// tree next hop, in one cache line — only when it first needs one. Sinks
-/// and the nodes of a per-node (NodeSpecs) or custom configuration get
-/// theirs at construction; under one built-in spec, a forwarding node gets
-/// its record on its first packet, so a 10⁶-node field whose paths cross a
-/// few percent of the nodes holds records for those only. Records live in
+/// and the nodes of a per-node (NodeSpecs) configuration get theirs at
+/// construction; under one spec, a forwarding node gets its record on its
+/// first packet, so a 10⁶-node field whose paths cross a few percent of the
+/// nodes holds records for those only. Records live in
 /// fixed-size blocks and never move, and dispatch is a switch on the
 /// record's role byte — no per-node heap objects and no virtual call on
 /// the forwarding hot path. Every buffering node (unlimited, drop-tail,
 /// RCAD) is one queue of a single network-wide DelayBuffer slab, made with
 /// its record, whose memory follows the packets held rather than
-/// nodes × k, and whose offer() applies the node's arrival rule. Only
-/// DisciplineSpec::custom nodes keep objects and virtual dispatch. The
-/// per-packet path is allocation-free in steady state: packets are flat
-/// PODs, and link traversals park them in a free-listed PacketPool and
-/// schedule a 16-byte {network, handle} closure (inline in the event
-/// kernel).
+/// nodes × k, and whose offer() applies the node's arrival rule. Packets
+/// leave every node by its routing-tree next hop. The per-packet path is
+/// allocation-free in steady state: packets are flat PODs, and link
+/// traversals park them in a free-listed PacketPool and schedule a 16-byte
+/// {network, handle} closure (inline in the event kernel).
 class Network {
  public:
   /// Every routable non-sink node gets `spec`. Nodes given one spec share
-  /// its delay distribution and one slab configuration. A built-in spec is
-  /// adopted on first touch: a node's record (and, for a buffering spec,
-  /// its slab queue) is made when it originates or receives its first
-  /// packet, so construction cost does not grow with the node count — the
-  /// construction path for very large networks. A kCustom spec's factory
-  /// runs at construction, once per routable non-sink node in ascending id
-  /// order. Throws std::invalid_argument if the topology is missing a
-  /// sink, if `config.hop_tx_delay` is not positive, or for an invalid
-  /// spec (a buffering kind without a distribution or with zero capacity,
-  /// a custom kind without a factory).
+  /// its delay distribution and one slab configuration. The spec is adopted
+  /// on first touch: a node's record (and, for a buffering spec, its slab
+  /// queue) is made when it originates or receives its first packet, so
+  /// construction cost does not grow with the node count — the
+  /// construction path for very large networks. Throws
+  /// std::invalid_argument if the topology is missing a sink, if
+  /// `config.hop_tx_delay` is not positive, or for an invalid spec (a
+  /// buffering kind without a distribution or with zero capacity).
   Network(sim::Simulator& simulator, const Topology& topology,
           const core::DisciplineSpec& spec, NetworkConfig config,
           const sim::RandomStream& root_rng);
 
   /// Per-node policies: `specs` runs once per routable non-sink node in
-  /// ascending id order (a kCustom spec's factory runs right after it).
-  /// Consecutive nodes whose specs share a delay object, capacity and
-  /// victim rule share a slab configuration. Throws as above.
+  /// ascending id order. Consecutive nodes whose specs share a delay
+  /// object, capacity and victim rule share a slab configuration. Throws as
+  /// above.
   Network(sim::Simulator& simulator, const Topology& topology,
           const NodeSpecs& specs, NetworkConfig config,
           const sim::RandomStream& root_rng);
@@ -149,11 +135,6 @@ class Network {
   /// Registers a transmit probe (see TransmitProbe); any number may be
   /// attached and all fire per transmission, in registration order.
   void add_transmit_probe(TransmitProbe probe);
-
-  /// Replaces tree routing with a custom per-transmission hop selector
-  /// (see HopSelector). The returned node must be a topology neighbor of
-  /// the transmitting node or the transmission throws std::logic_error.
-  void set_hop_selector(HopSelector selector);
 
   /// Pre-sizes the in-flight packet pool for `in_flight` packets
   /// simultaneously traversing links, so the steady state never reallocates.
@@ -180,13 +161,11 @@ class Network {
   std::size_t total_buffered() const;
 
   /// Packets forwarding nodes have handled, by what the node does with an
-  /// arrival: forward it at once, offer it to its slab queue, or pass it to
-  /// a custom discipline. A packet counts once at each forwarding node it
-  /// reaches, its origin included.
+  /// arrival: forward it at once or offer it to its slab queue. A packet
+  /// counts once at each forwarding node it reaches, its origin included.
   struct HandledCounts {
     std::uint64_t immediate = 0;
     std::uint64_t buffered = 0;
-    std::uint64_t custom = 0;
   };
   const HandledCounts& packets_handled() const noexcept { return handled_; }
 
@@ -204,22 +183,20 @@ class Network {
   static constexpr std::size_t kRecordBlockBytes = 16 * 1024;
 
   /// The network-wide buffer slab: one queue per buffering node that has a
-  /// record, in record-creation order (custom disciplines keep their own
-  /// buffers). For diagnostics and tests.
+  /// record, in record-creation order. For diagnostics and tests.
   const core::DelayBuffer& buffer_slab() const noexcept { return slab_; }
 
  private:
   /// What a packet arriving at the node meets — the switch key of the
-  /// virtual-free hot path.
+  /// forwarding path.
   enum class NodeRole : std::uint8_t {
     kSink,       ///< delivery point; packets surface to the observers
     kImmediate,  ///< forward on arrival
     kBuffered,   ///< one slab queue; DelayBuffer::offer() applies its rule
-    kCustom,     ///< discipline object kept; virtual on_packet dispatch
   };
 
   /// Everything the forwarding path reads for one node, in one cache line;
-  /// also the NodeContext the disciplines and the buffer slab see. Records
+  /// also the NodeContext the buffer slab sees. Records
   /// never move once made — buffer release events capture their address.
   class alignas(64) NodeRecord final : public NodeContext {
    public:
@@ -244,7 +221,7 @@ class Network {
     sim::RandomStream stream;
     NodeId node;
     NodeId tree_next;  // routing-tree next hop; kInvalidNode for sinks
-    std::uint32_t slot;  // slab queue id or custom_ index
+    std::uint32_t slot;  // slab queue id (buffered nodes)
     std::uint16_t routing_seq = 0;
     NodeRole role;
   };
@@ -285,11 +262,11 @@ class Network {
   }
 
   /// A packet is at `node` now: run the node's policy (switch on the role
-  /// byte; immediate and buffered nodes run with no virtual call), then
-  /// fire the occupancy probe.
+  /// byte), then fire the occupancy probe.
   void handle(NodeRecord& node, Packet&& packet);
-  /// Hands `packet` to the link layer from `node`: next-hop choice, header
-  /// update, transmit probes, link-delay scheduling, occupancy probe.
+  /// Hands `packet` to the link layer from `node`, towards its tree next
+  /// hop: header update, transmit probes, link-delay scheduling, occupancy
+  /// probe.
   void transmit_from(NodeRecord& node, Packet&& packet);
 
   void arrive_from_link(NodeId node, PacketPool::Handle parked);
@@ -298,24 +275,22 @@ class Network {
   std::size_t buffered_of(const NodeRecord& node) const;
   /// Throws std::out_of_range unless `id` is a routable non-sink node.
   void require_discipline(NodeId id) const;
-  NodeId pick_next_hop(NodeRecord& node, const Packet& packet);
   /// Out of line so the common no-probe transmit path stays branch + fall
   /// through; only instrumented runs pay the dispatch loop.
   void dispatch_transmit_probes(NodeId from, NodeId to, const Packet& packet);
 
   sim::Simulator& simulator_;
-  // Handles on the caller's field, and its arrays cached for direct reads.
+  // Handles on the caller's field, and its next-hop array cached for direct
+  // reads.
   Topology topology_;
   RoutingTable routing_;
   std::span<const NodeId> next_hop_;
-  std::span<const std::uint32_t> row_offsets_;
-  std::span<const NodeId> adjacency_;
   NetworkConfig config_;
   sim::RandomStream root_rng_;  // every record's stream is split(id) of it
 
   // Node state: one index per node into records allocated in fixed-size
   // blocks, kNoRecord until the node needs one. Records are numbered in
-  // creation order. Under a single built-in spec, first_touch() adopts a
+  // creation order. Under a single spec, first_touch() adopts a
   // node with `touch_role_` and, if buffered, slab configuration
   // `touch_config_`.
   std::vector<std::uint32_t> index_;
@@ -333,13 +308,9 @@ class Network {
   core::DelayBuffer slab_;
   std::vector<std::uint64_t> losses_;
 
-  // DisciplineSpec::custom nodes keep their objects.
-  std::vector<std::unique_ptr<ForwardingDiscipline>> custom_;
-
   std::vector<SinkObserver*> observers_;
   OccupancyProbe occupancy_probe_;
   std::vector<TransmitProbe> transmit_probes_;
-  HopSelector hop_selector_;
   PacketPool pool_;
   std::uint64_t next_uid_ = 0;
   std::uint64_t originated_ = 0;

@@ -359,6 +359,12 @@ Topology Topology::random_geometric_multi_sink(std::size_t n, double side,
     throw std::invalid_argument(
         "Topology::random_geometric_multi_sink: need 1 <= sink_count <= n");
   }
+  // The grid hash sizes its cells from both; a NaN would reach an integer
+  // conversion.
+  if (!std::isfinite(side) || !std::isfinite(radius)) {
+    throw std::invalid_argument(
+        "Topology::random_geometric: side and radius must be finite");
+  }
   TopologyBuilder topo;
   topo.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {

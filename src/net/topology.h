@@ -87,6 +87,8 @@ class Topology {
   /// cell by cell over their 3×3 neighborhood), so construction is
   /// O(n + edges) instead of O(n²); placements and the edge set are
   /// identical to the pairwise-scan reference for the same RNG state.
+  /// A negative radius connects like its absolute value. Throws
+  /// std::invalid_argument if n == 0 or side or radius is not finite.
   static Topology random_geometric(std::size_t n, double side, double radius,
                                    sim::RandomStream& rng);
 

@@ -129,14 +129,6 @@ void EventQueue::fifo_grow() {
   fifo_head_ = 0;
 }
 
-std::optional<EventQueue::Event> EventQueue::pop() {
-  std::optional<Event> event;
-  dispatch_head([&event](Time at, EventId id, Callback& action) {
-    event.emplace(Event{at, id, std::move(action)});
-  });
-  return event;
-}
-
 void EventQueue::clear() {
   heap_.clear();
   running_ = kNilSlot;  // its slot is freed below with the rest

@@ -3,7 +3,6 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -49,7 +48,7 @@ class EventId {
 ///  - EventId is the aux word itself, and a dense per-slot heap position,
 ///    kept current by every heap move, lets reschedule() re-site a record
 ///    in place: a record leaves either lane only by running.
-/// In steady state (pool and heap at capacity) schedule/reschedule/pop
+/// In steady state (pool and heap at capacity) schedule/reschedule/dispatch
 /// perform zero heap allocations (see the allocation-counter test and
 /// microbench).
 class EventQueue {
@@ -58,12 +57,6 @@ class EventQueue {
   /// hot-path lambda in the simulator (DelayBuffer's release closure); a
   /// bigger callable still works but falls back to one heap allocation.
   using Callback = InlineCallback<48>;
-
-  struct Event {
-    Time at = kTimeZero;
-    EventId id;
-    Callback action;
-  };
 
   EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
@@ -118,7 +111,7 @@ class EventQueue {
   /// order — constant-latency link arrivals scheduled from a non-decreasing
   /// simulation clock being the canonical case. Such records bypass the
   /// heap entirely: they append to a sorted FIFO ring (O(1) insert, O(1)
-  /// pop, one 16-byte slot each) that every pop path merges with the heap
+  /// pop, one 16-byte slot each) that dispatch_head() merges with the heap
   /// by the same (time, seq) order, so execution order — and therefore
   /// every simulation result — is bit-identical to scheduling through the
   /// heap. Monotonicity is checked, not trusted: a time below the ring's
@@ -184,10 +177,6 @@ class EventQueue {
     dispatch(key_to_time(top.key), EventId(top.aux), slot_at(slot).action);
     return true;
   }
-
-  /// Removes and returns the earliest pending event, or nullopt if empty
-  /// (dispatch_head() with the callback moved out instead of run).
-  std::optional<Event> pop();
 
   /// Time of the earliest pending event, or kTimeInfinity if empty.
   Time next_time() const noexcept {

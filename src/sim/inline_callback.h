@@ -16,7 +16,7 @@ namespace tempriv::sim {
 ///
 /// This is the nullary case of sim::InlineFunction (inline_function.h),
 /// which generalizes the same storage scheme to arbitrary signatures for
-/// the network's probe/hop-selector delegates.
+/// the network's probe delegates.
 template <std::size_t Capacity>
 using InlineCallback = InlineFunction<void(), Capacity>;
 

@@ -2,15 +2,6 @@
 
 namespace tempriv::sim {
 
-bool Simulator::step() {
-  return queue_.dispatch_head(
-      [this](Time at, EventId, EventQueue::Callback& action) {
-        now_ = at;
-        ++executed_;
-        action();
-      });
-}
-
 template <class More>
 std::size_t Simulator::dispatch_while(More more) {
   stopped_ = false;

@@ -111,9 +111,6 @@ class Simulator {
   /// then rests at min(deadline, time of last work). Returns events executed.
   std::size_t run_until(Time deadline);
 
-  /// Executes exactly one event if any is pending. Returns whether one ran.
-  bool step();
-
   /// Requests run()/run_until() to return after the current callback.
   void stop() noexcept { stopped_ = true; }
 

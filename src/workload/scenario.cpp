@@ -276,7 +276,6 @@ ScenarioResult run_paper_scenario(const PaperScenario& scenario) {
   telemetry.peak_events = queue.peak_size();
   telemetry.forward_immediate = network.packets_handled().immediate;
   telemetry.forward_buffered = network.packets_handled().buffered;
-  telemetry.forward_custom = network.packets_handled().custom;
   telemetry.occupancy = slab.occupancy();
   telemetry.peak_occupancy = slab.peak_occupancy();
   telemetry.network_bytes = network.memory_bytes();

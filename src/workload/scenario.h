@@ -100,7 +100,6 @@ struct RunTelemetry {
   // net::Network::packets_handled()
   std::uint64_t forward_immediate = 0;
   std::uint64_t forward_buffered = 0;
-  std::uint64_t forward_custom = 0;
   // The network's core::DelayBuffer slab
   core::DelayBuffer::OccupancyCounts occupancy{};
   std::uint64_t peak_occupancy = 0;

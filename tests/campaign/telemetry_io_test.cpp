@@ -144,7 +144,7 @@ TEST(TelemetrySinkTest, SweptSnapshotCarriesEveryKnownMetric) {
         "eq.rekey", "buf.preempt.shortest_remaining",
         "buf.preempt.longest_remaining", "buf.preempt.random",
         "buf.preempt.oldest", "net.forward.immediate", "net.forward.unlimited",
-        "net.forward.droptail", "net.forward.rcad", "net.forward.custom",
+        "net.forward.droptail", "net.forward.rcad",
         "net.droptail_dropped", "campaign.jobs"}) {
     EXPECT_EQ(snap.counters.count(key), 1u) << key;
   }
@@ -160,7 +160,7 @@ TEST(TelemetrySinkTest, SweptSnapshotCarriesEveryKnownMetric) {
     ASSERT_EQ(snap.spans.count(key), 1u) << key;
     EXPECT_EQ(snap.spans.at(key).count, 1u) << key;
   }
-  EXPECT_EQ(snap.counters.size(), 15u);
+  EXPECT_EQ(snap.counters.size(), 14u);
   EXPECT_EQ(snap.gauges.size(), 5u);
   EXPECT_EQ(snap.histograms.size(), 2u);
   EXPECT_EQ(snap.counters.at("campaign.jobs"), 1u);

@@ -1,7 +1,7 @@
 // The paper's buffering arrival rules as the network runs them: a
 // DisciplineSpec's queue configuration in a one-queue DelayBuffer, driven
-// through DelayBuffer::offer() — the entry point Network::handle and
-// ErlangTunedRcad call for every arrival.
+// through DelayBuffer::offer() — the entry point Network::handle calls for
+// every arrival.
 
 #include "core/delay_buffer.h"
 

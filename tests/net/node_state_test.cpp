@@ -1,4 +1,4 @@
-// Node state follows traffic: under one built-in spec a node gets its
+// Node state follows traffic: under one spec a node gets its
 // record and slab queue when a packet first reaches it, untouched nodes
 // cost only their index entry, and the order nodes are first touched in
 // changes no random draw.

@@ -12,12 +12,8 @@
 // counts and on the number of live events executed: at run_until()
 // checkpoints, after a stop() from a sink observer, and at the end of the
 // run. A uniform scenario runs both Network constructors (first-touch and
-// NodeSpecs) against the one reference.
-//
-// Out of scope: custom disciplines and hop selectors. They schedule through
-// sim::Simulator or draw from the node's stream themselves, which the
-// reference does not model; each has its own suite (core/comparators_test,
-// core/erlang_tuned_test, net/phantom_test).
+// NodeSpecs) against the one reference. Those are every forwarding path
+// the engine has.
 
 #include "oracles/reference_network.h"
 
@@ -57,7 +53,7 @@ struct Scenario {
 
 /// What the fuzz exercised, so a test can prove its coverage.
 struct Coverage {
-  std::array<bool, 4> kinds{};  // built-in kinds that handled a packet
+  std::array<bool, 4> kinds{};  // spec kinds that handled a packet
   std::array<bool, 4> preempted_by{};  // victim rules that preempted
   bool dropped = false;
   std::uint64_t ties = 0;
@@ -322,15 +318,12 @@ TEST(ReferenceNetwork, ImmediateLineDeliversOneTauPerHop) {
   EXPECT_EQ(ref.deliveries(), want);
 }
 
-TEST(ReferenceNetwork, RejectsCustomSpecsAndBadOrigins) {
+TEST(ReferenceNetwork, RejectsBadOrigins) {
   const Topology line = Topology::line(3);
   std::vector<DisciplineSpec> specs(3, DisciplineSpec::immediate());
   EXPECT_THROW(
       ReferenceNetwork(line, specs, {}, sim::RandomStream(1), {{0.0, 2}}),
       std::invalid_argument);  // node 2 is the sink
-  specs[1] = DisciplineSpec::custom([] { return nullptr; });
-  EXPECT_THROW(ReferenceNetwork(line, specs, {}, sim::RandomStream(1), {}),
-               std::invalid_argument);
 }
 
 // Every fuzz axis, drawn at random: engine and reference agree at every

@@ -12,7 +12,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -208,6 +210,21 @@ TEST(TopologyCsr, GridHashGeometricMatchesBruteForceReference) {
         ASSERT_EQ(routing.hops_to_sink(id), ref.hops[id]) << "node " << id;
       }
     }
+  }
+}
+
+TEST(TopologyCsr, GeometricRejectsNonFiniteRadiusOrSide) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [side, radius] :
+       {std::pair{10.0, nan}, std::pair{10.0, inf}, std::pair{10.0, -inf},
+        std::pair{nan, 1.0}, std::pair{inf, 1.0}}) {
+    SCOPED_TRACE(testing::Message() << "side=" << side << " radius=" << radius);
+    sim::RandomStream rng(1);
+    EXPECT_THROW(Topology::random_geometric(50, side, radius, rng),
+                 std::invalid_argument);
+    EXPECT_THROW(Topology::random_geometric_multi_sink(50, side, radius, 3, rng),
+                 std::invalid_argument);
   }
 }
 

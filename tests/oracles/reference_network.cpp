@@ -41,9 +41,6 @@ ReferenceNetwork::ReferenceNetwork(const net::Topology& topology,
     node.stream = root.split(id);
     if (!forwards(id)) continue;
     node.spec = std::move(specs[id]);
-    if (node.spec.kind == Kind::kCustom) {
-      throw std::invalid_argument("ReferenceNetwork: custom disciplines");
-    }
   }
   for (const Injection& injection : injections) {
     if (injection.origin >= nodes_.size() || !forwards(injection.origin)) {

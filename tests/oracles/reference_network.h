@@ -58,15 +58,15 @@ struct Delivery {
 ///    preempted packet's release event is skipped when popped (it is not
 ///    counted as executed: the engine never runs one for a victim).
 ///
-/// Supports the four built-in kinds (immediate, unlimited, drop-tail, RCAD
-/// with any victim rule) under tree routing; custom disciplines and hop
-/// selectors are out of its scope.
+/// Supports every kind a DisciplineSpec can name (immediate, unlimited,
+/// drop-tail, RCAD with any victim rule) under tree routing: every
+/// forwarding path net::Network has.
 class ReferenceNetwork {
  public:
   /// `specs[id]` configures node `id` (entries of sinks and unroutable nodes
   /// are ignored). Node `id` draws from `root.split(id)`. Throws
-  /// std::invalid_argument for a kCustom spec on a forwarding node or an
-  /// injection at a node that does not forward.
+  /// std::invalid_argument for an injection at a node that does not
+  /// forward.
   ReferenceNetwork(const net::Topology& topology,
                    std::vector<core::DisciplineSpec> specs, LinkTiming timing,
                    const sim::RandomStream& root,

@@ -23,6 +23,8 @@
 #include "sim/random.h"
 #include "sim/simulator.h"
 
+#include "pop_event.h"
+
 namespace {
 std::atomic<std::size_t> g_allocations{0};
 }  // namespace
@@ -61,7 +63,7 @@ TEST(AllocGuard, WarmScheduleAndPopAllocatesNothing) {
   for (int i = 0; i < 512; ++i) {
     queue.schedule(rng.uniform(0.0, 100.0), [] {});
   }
-  while (queue.pop()) {
+  while (pop(queue)) {
   }
 
   double sink = 0.0;
@@ -71,15 +73,15 @@ TEST(AllocGuard, WarmScheduleAndPopAllocatesNothing) {
     const double at = rng.uniform(0.0, 100.0);
     queue.schedule(at, [&sink, at] { sink += at; });
     if (round % 3 == 0) {
-      auto event = queue.pop();
+      auto event = pop(queue);
       if (event) event->action();
     }
     while (queue.size() >= 500) {
-      auto event = queue.pop();
+      auto event = pop(queue);
       if (event) event->action();
     }
   }
-  while (auto event = queue.pop()) {
+  while (auto event = pop(queue)) {
     event->action();
   }
   const std::size_t after = allocations();
@@ -98,7 +100,7 @@ TEST(AllocGuard, WarmRescheduleAllocatesNothing) {
   for (int i = 0; i < 1024; ++i) {
     ids.push_back(queue.schedule(rng.uniform(0.0, 100.0), [] {}));
   }
-  while (queue.pop()) {
+  while (pop(queue)) {
   }
   ids.clear();
   const std::size_t before = allocations();
@@ -112,7 +114,7 @@ TEST(AllocGuard, WarmRescheduleAllocatesNothing) {
     for (std::size_t i = 0; i < ids.size(); i += 2) {
       queue.reschedule(ids[i], rng.uniform(0.0, 100.0), queue.reserve_seq());
     }
-    while (queue.pop()) {
+    while (pop(queue)) {
     }
     ids.clear();
   }

@@ -12,6 +12,8 @@
 #include "sim/event_queue.h"
 #include "sim/random.h"
 
+#include "pop_event.h"
+
 namespace tempriv::sim {
 namespace {
 
@@ -23,7 +25,7 @@ TEST(EventQueueFifo, MonotoneEventsPopInOrder) {
       order.push_back(i);
     });
   }
-  while (auto event = q.pop()) event->action();
+  while (auto event = pop(q)) event->action();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
@@ -37,7 +39,7 @@ TEST(EventQueueFifo, InterleavesWithHeapLaneByTimeThenInsertion) {
   q.schedule(1.0, [&] { order.push_back(2); });           // heap, earlier
   q.schedule_monotone(3.0, [&] { order.push_back(3); });  // fifo, later
   q.schedule(2.0, [&] { order.push_back(4); });           // heap, tie again
-  while (auto event = q.pop()) event->action();
+  while (auto event = pop(q)) event->action();
   EXPECT_EQ(order, (std::vector<int>{2, 0, 1, 4, 3}));
 }
 
@@ -51,7 +53,7 @@ TEST(EventQueueFifo, RescheduleRejectsFifoLaneEvents) {
   q.schedule(1.5, [&] { order.push_back(15); });
   EXPECT_THROW(q.reschedule(fifo, 0.5, q.reserve_seq()), std::invalid_argument);
   EXPECT_EQ(q.size(), 3u);
-  while (auto event = q.pop()) event->action();
+  while (auto event = pop(q)) event->action();
   EXPECT_EQ(order, (std::vector<int>{1, 15, 2}));
 }
 
@@ -65,7 +67,7 @@ TEST(EventQueueFifo, NonMonotoneTimeFallsBackToHeap) {
   const EventId early = q.schedule_monotone(1.0, [&] { order.push_back(1); });
   q.schedule_monotone(9.5, [&] { order.push_back(95); });
   EXPECT_TRUE(early.valid());
-  while (auto event = q.pop()) event->action();
+  while (auto event = pop(q)) event->action();
   EXPECT_EQ(order, (std::vector<int>{1, 5, 9, 95}));
 }
 
@@ -76,7 +78,7 @@ TEST(EventQueueFifo, FallbackEventIsReschedulable) {
   q.schedule_monotone(5.0, [&] { order.push_back(5); });
   const EventId early = q.schedule_monotone(1.0, [&] { order.push_back(1); });
   q.reschedule(early, 7.0, q.reserve_seq());
-  while (auto event = q.pop()) event->action();
+  while (auto event = pop(q)) event->action();
   EXPECT_EQ(order, (std::vector<int>{5, 1}));
 }
 
@@ -179,7 +181,7 @@ TEST(EventQueueFifo, ClearResetsFifoLane) {
   std::vector<int> order;
   q.schedule_monotone(0.5, [&] { order.push_back(1); });
   q.schedule_monotone(0.75, [&] { order.push_back(2); });
-  while (auto event = q.pop()) event->action();
+  while (auto event = pop(q)) event->action();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
@@ -195,7 +197,7 @@ TEST(EventQueueFifo, RingGrowthPreservesOrder) {
     ++next;
   }
   for (int i = 0; i < 48; ++i) {
-    auto event = q.pop();
+    auto event = pop(q);
     ASSERT_TRUE(event.has_value());
     event->action();
   }
@@ -204,7 +206,7 @@ TEST(EventQueueFifo, RingGrowthPreservesOrder) {
                         [&order, next] { order.push_back(next); });
     ++next;
   }
-  while (auto event = q.pop()) event->action();
+  while (auto event = pop(q)) event->action();
   ASSERT_EQ(order.size(), static_cast<std::size_t>(next));
   for (int i = 0; i < next; ++i) EXPECT_EQ(order[i], i);
 }
@@ -259,7 +261,7 @@ TEST(EventQueueFifo, MixedLanesMatchReferenceModel) {
       } else if (!model.empty()) {
         const auto expected = model.begin();
         ASSERT_DOUBLE_EQ(q.next_time(), expected->first.first);
-        const auto event = q.pop();
+        const auto event = pop(q);
         ASSERT_TRUE(event.has_value());
         ASSERT_EQ(event->id, expected->second);
         for (std::size_t i = 0; i < live.size(); ++i) {
@@ -275,12 +277,12 @@ TEST(EventQueueFifo, MixedLanesMatchReferenceModel) {
 
     while (!model.empty()) {
       const auto expected = model.begin();
-      const auto event = q.pop();
+      const auto event = pop(q);
       ASSERT_TRUE(event.has_value());
       ASSERT_EQ(event->id, expected->second);
       model.erase(expected);
     }
-    ASSERT_FALSE(q.pop().has_value());
+    ASSERT_FALSE(pop(q).has_value());
   }
 }
 

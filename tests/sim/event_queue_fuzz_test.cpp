@@ -11,6 +11,8 @@
 #include "sim/event_queue.h"
 #include "sim/random.h"
 
+#include "pop_event.h"
+
 namespace tempriv::sim {
 namespace {
 
@@ -84,7 +86,7 @@ TEST_P(EventQueueFuzzTest, MatchesReferenceModel) {
       // Pop: must match the model's earliest (time, seq) entry.
       const auto expected = model.begin();
       ASSERT_DOUBLE_EQ(queue.next_time(), expected->first.first);
-      const auto event = queue.pop();
+      const auto event = pop(queue);
       ASSERT_TRUE(event.has_value());
       ASSERT_EQ(event->id, expected->second);
       ASSERT_DOUBLE_EQ(event->at, expected->first.first);
@@ -117,12 +119,12 @@ TEST_P(EventQueueFuzzTest, MatchesReferenceModel) {
   // Drain: remaining events come out in exact model order.
   while (!model.empty()) {
     const auto expected = model.begin();
-    const auto event = queue.pop();
+    const auto event = pop(queue);
     ASSERT_TRUE(event.has_value());
     ASSERT_EQ(event->id, expected->second);
     model.erase(expected);
   }
-  ASSERT_FALSE(queue.pop().has_value());
+  ASSERT_FALSE(pop(queue).has_value());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFuzzTest,

@@ -8,6 +8,8 @@
 
 #include "sim/random.h"
 
+#include "pop_event.h"
+
 namespace tempriv::sim {
 namespace {
 
@@ -17,7 +19,7 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.schedule(3.0, [&] { order.push_back(3); });
   q.schedule(1.0, [&] { order.push_back(1); });
   q.schedule(2.0, [&] { order.push_back(2); });
-  while (auto event = q.pop()) event->action();
+  while (auto event = pop(q)) event->action();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -27,13 +29,13 @@ TEST(EventQueue, TiesBreakByInsertionOrder) {
   for (int i = 0; i < 10; ++i) {
     q.schedule(5.0, [&order, i] { order.push_back(i); });
   }
-  while (auto event = q.pop()) event->action();
+  while (auto event = pop(q)) event->action();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(EventQueue, PopOnEmptyReturnsNullopt) {
   EventQueue q;
-  EXPECT_FALSE(q.pop().has_value());
+  EXPECT_FALSE(pop(q).has_value());
   EXPECT_TRUE(q.empty());
 }
 
@@ -48,7 +50,7 @@ TEST(EventQueue, RescheduleRejectsInvalidId) {
 TEST(EventQueue, RescheduleAfterPopThrows) {
   EventQueue q;
   const EventId id = q.schedule(1.0, [] {});
-  ASSERT_TRUE(q.pop().has_value());
+  ASSERT_TRUE(pop(q).has_value());
   EXPECT_THROW(q.reschedule(id, 2.0, q.reserve_seq()), std::invalid_argument);
 }
 
@@ -62,7 +64,7 @@ TEST(EventQueue, RescheduleMiddleMovesOnlyIt) {
   EXPECT_NE(moved, id);
   EXPECT_EQ(q.size(), 3u);
   std::vector<EventId> ids;
-  while (auto event = q.pop()) {
+  while (auto event = pop(q)) {
     ids.push_back(event->id);
     event->action();
   }
@@ -80,7 +82,7 @@ TEST(EventQueue, ReservedSeqOrdersAsIfScheduledAtReservation) {
   const EventId a = q.schedule(9.0, early, [&] { order.push_back(1); });
   q.schedule(5.0, [&] { order.push_back(3); });
   q.reschedule(a, 5.0, early);  // same number, new time
-  while (auto event = q.pop()) event->action();
+  while (auto event = pop(q)) event->action();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -118,7 +120,7 @@ TEST(EventQueue, RearmOutsideACallbackThrows) {
   EventQueue q;
   EXPECT_THROW(q.rearm(1.0, q.reserve_seq()), std::logic_error);
   q.schedule(1.0, [] {});
-  ASSERT_TRUE(q.pop().has_value());  // the event ran and is gone
+  ASSERT_TRUE(pop(q).has_value());  // the event ran and is gone
   EXPECT_THROW(q.rearm(2.0, q.reserve_seq()), std::logic_error);
   EXPECT_TRUE(q.empty());
 }
@@ -130,9 +132,9 @@ TEST(EventQueue, SizeCountsOnlyLiveEvents) {
   EXPECT_EQ(q.size(), 2u);
   q.reschedule(a, 3.0, q.reserve_seq());
   EXPECT_EQ(q.size(), 2u);
-  q.pop();
+  pop(q);
   EXPECT_EQ(q.size(), 1u);
-  q.pop();
+  pop(q);
   EXPECT_EQ(q.size(), 0u);
   EXPECT_TRUE(q.empty());
 }
@@ -158,7 +160,7 @@ TEST(EventQueue, ClearDropsEverything) {
   for (int i = 0; i < 5; ++i) q.schedule(i, [] {});
   q.clear();
   EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.pop().has_value());
+  EXPECT_FALSE(pop(q).has_value());
 }
 
 TEST(EventQueue, ManyInterleavedRekeysStayConsistent) {
@@ -177,7 +179,7 @@ TEST(EventQueue, ManyInterleavedRekeysStayConsistent) {
   EXPECT_EQ(q.rekeys(), 500u);
   std::size_t popped = 0;
   double last = -3.0;
-  while (auto event = q.pop()) {
+  while (auto event = pop(q)) {
     EXPECT_GE(event->at, last);
     last = event->at;
     ++popped;
@@ -211,7 +213,7 @@ TEST(EventQueue, ClearResetsPoolForReuse) {
   q.reschedule(later, 5.0, q.reserve_seq());
   EXPECT_DOUBLE_EQ(q.next_time(), 5.0);
   int runs = 0;
-  while (auto event = q.pop()) {
+  while (auto event = pop(q)) {
     event->action();
     ++runs;
   }
@@ -230,7 +232,7 @@ TEST(EventQueue, ReservePreallocatesSlots) {
   EXPECT_EQ(q.size(), 2500u);
   EXPECT_EQ(q.slot_count(), 2500u);
   double last = -1.0;
-  while (auto event = q.pop()) {
+  while (auto event = pop(q)) {
     EXPECT_GT(event->at, last);
     last = event->at;
   }
@@ -242,13 +244,13 @@ TEST(EventQueue, StaleHandleNeverRekeysSlotReuser) {
   // handle unique).
   EventQueue q;
   const EventId original = q.schedule(1.0, [] {});
-  ASSERT_TRUE(q.pop().has_value());
+  ASSERT_TRUE(pop(q).has_value());
   for (int round = 0; round < 100; ++round) {
     const EventId reuse = q.schedule(1.0, [] {});
     EXPECT_NE(reuse, original);
     EXPECT_THROW(q.reschedule(original, 2.0, q.reserve_seq()),
                  std::invalid_argument);
-    const auto event = q.pop();
+    const auto event = pop(q);
     ASSERT_TRUE(event.has_value());
     EXPECT_DOUBLE_EQ(event->at, 1.0);
   }
@@ -320,7 +322,7 @@ TEST(EventQueueBatch, RekeyOfHeapEventFromCallbackUpdatesHead) {
     EXPECT_DOUBLE_EQ(queue.next_time(), 3.0);
   }));
   std::vector<double> times;
-  while (const auto event = queue.pop()) times.push_back(event->at);
+  while (const auto event = pop(queue)) times.push_back(event->at);
   EXPECT_EQ(times, (std::vector<double>{3.0, 4.0}));
 }
 
@@ -346,7 +348,7 @@ TEST(EventQueue, RekeysCountsEveryReschedule) {
       ++rekeyed;
     }
     for (int i = 0; i < 4; ++i) {
-      const auto event = q.pop();
+      const auto event = pop(q);
       ASSERT_TRUE(event.has_value());
       ++ran;
       const auto it = std::find(heap_ids.begin(), heap_ids.end(), event->id);
@@ -354,7 +356,7 @@ TEST(EventQueue, RekeysCountsEveryReschedule) {
     }
     EXPECT_EQ(q.rekeys(), rekeyed);
   }
-  while (q.pop()) ++ran;
+  while (pop(q)) ++ran;
   EXPECT_EQ(rekeyed, 1200u);
   EXPECT_EQ(q.scheduled_heap() + q.scheduled_fifo(), ran);
 }
@@ -387,7 +389,7 @@ TEST(EventQueue, EveryScheduledEventRuns) {
     for (int i = 0; i < 3; ++i) {
       dispatched += q.dispatch_head([](Time, EventId, EventQueue::Callback&) {});
     }
-    if (q.pop()) ++dispatched;
+    if (pop(q)) ++dispatched;
   }
   while (q.dispatch_head([](Time, EventId, EventQueue::Callback&) {})) {
     ++dispatched;

@@ -139,10 +139,10 @@ TEST(Simulator, StepExecutesExactlyOne) {
   int fired = 0;
   sim.schedule_at(1.0, [&] { ++fired; });
   sim.schedule_at(2.0, [&] { ++fired; });
-  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(sim.run_until(1.0), 1u);
   EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
+  EXPECT_EQ(sim.run_until(2.0), 1u);
+  EXPECT_EQ(sim.run_until(3.0), 0u);
   EXPECT_EQ(fired, 2);
 }
 
