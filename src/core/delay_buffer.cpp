@@ -22,13 +22,6 @@ bool heap_precedes(const Node& a, const Node& b) noexcept {
 
 }  // namespace
 
-DelayBuffer::DelayBuffer(std::shared_ptr<const DelayDistribution> delay)
-    : DelayBuffer(QueueConfig{std::move(delay), std::nullopt, kUnbounded}) {}
-
-DelayBuffer::DelayBuffer(QueueConfig config) {
-  add_queue(add_config(std::move(config)));
-}
-
 std::uint32_t DelayBuffer::add_config(QueueConfig config) {
   if (!config.delay) {
     throw std::invalid_argument("DelayBuffer: null delay distribution");
@@ -79,7 +72,7 @@ void DelayBuffer::reserve(std::size_t packets) { slots_.reserve(packets); }
 std::uint32_t DelayBuffer::acquire_slot() {
   if (free_slot_ != kNil) {
     const std::uint32_t slot = free_slot_;
-    free_slot_ = slots_[slot].heap_pos;
+    free_slot_ = slots_[slot].next_free;
     return slot;
   }
   if (slots_.size() >= kNil) {
@@ -145,7 +138,6 @@ void DelayBuffer::heap_sift(std::span<HeapNode> heap, std::uint32_t pos,
     const std::uint32_t parent = (pos - 1) / 2;
     if (!heap_precedes(node, heap[parent])) break;
     heap[pos] = heap[parent];
-    slots_[heap[pos].slot].heap_pos = pos;
     pos = parent;
   }
   // Then down: pull the smaller child up into the hole while it orders
@@ -159,15 +151,12 @@ void DelayBuffer::heap_sift(std::span<HeapNode> heap, std::uint32_t pos,
     if (right < n && heap_precedes(heap[right], heap[left])) best = right;
     if (!heap_precedes(heap[best], node)) break;
     heap[pos] = heap[best];
-    slots_[heap[pos].slot].heap_pos = pos;
     pos = best;
   }
   heap[pos] = node;
-  slots_[node.slot].heap_pos = pos;
 }
 
-void DelayBuffer::heap_remove(Queue& q, std::uint32_t slot) noexcept {
-  const std::uint32_t pos = slots_[slot].heap_pos;
+void DelayBuffer::heap_remove(Queue& q, std::uint32_t pos) noexcept {
   const std::uint32_t last = q.count - 1;
   if (pos != last) {
     HeapNode* heap = blocks_.data() + q.block;
@@ -200,73 +189,86 @@ void DelayBuffer::admit_with_delay(QueueId queue, net::Packet&& packet,
 
 DelayBuffer::Admission DelayBuffer::offer(QueueId queue, net::Packet&& packet,
                                           net::NodeContext& ctx) {
-  Queue& q = queues_[queue];
-  const QueueConfig& config = configs_[q.config];
+  Queue* q = &queues_[queue];
+  const QueueConfig* config = &configs_[q->config];
   // The queue's event is keyed on its root's number (0, never a kernel
   // number, when the queue is empty and has no event).
-  const std::uint64_t old_root = q.count != 0 ? blocks_[q.block].seq : 0;
+  const std::uint64_t old_root = q->count != 0 ? blocks_[q->block].seq : 0;
   Admission outcome = Admission::kAdmitted;
-  if (q.count >= config.capacity) {
-    if (!config.victim) {
+  if (q->count >= config->capacity) {
+    if (!config->victim) {
       return Admission::kDropped;  // the packet is destroyed
     }
     // The queue's event stays pending even if the victim was its root (or
     // its last packet): it is re-keyed on the arrival below.
     ++preempted_;
-    ctx.transmit(extract(victim_slot(q, ctx.rng())));
+    net::Packet victim = extract(*q, victim_pos(*q, ctx.rng()));
+    ctx.transmit(std::move(victim));
+    // The transmit may have added queues or configurations, moving
+    // queues_ and configs_.
+    q = &queues_[queue];
+    config = &configs_[q->config];
     outcome = Admission::kPreempted;
   }
   admit_with_delay(queue, std::move(packet), ctx,
-                   config.delay->sample(ctx.rng()));
-  const HeapNode& root = blocks_[q.block];
+                   config->delay->sample(ctx.rng()));
+  const HeapNode& root = blocks_[q->block];
   if (old_root == 0) {
-    q.event = ctx.simulator().schedule_at(
+    q->event = ctx.simulator().schedule_at(
         root.release, root.seq,
         [this, queue, &ctx] { release_head(queue, ctx); });
   } else if (root.seq != old_root) {
-    q.event = ctx.simulator().reschedule(q.event, root.release, root.seq);
+    q->event = ctx.simulator().reschedule(q->event, root.release, root.seq);
   }
   return outcome;
 }
 
-std::uint32_t DelayBuffer::victim_slot(const Queue& q,
-                                       sim::RandomStream& rng) const {
+std::uint32_t DelayBuffer::victim_pos(const Queue& q,
+                                      sim::RandomStream& rng) const {
+  const HeapNode* heap = blocks_.data() + q.block;
+  const HeapNode* end = heap + q.count;
   switch (*configs_[q.config].victim) {
     case VictimPolicy::kShortestRemaining:
-      return blocks_[q.block].slot;
+      return 0;
     case VictimPolicy::kLongestRemaining:
       // A scan of the dense block: the latest release, the earliest
       // admission among equals.
-      return std::max_element(blocks_.data() + q.block,
-                              blocks_.data() + q.block + q.count,
-                              [](const HeapNode& a, const HeapNode& b) {
-                                return a.release != b.release
-                                           ? a.release < b.release
-                                           : a.seq > b.seq;
-                              })
-          ->slot;
+      return static_cast<std::uint32_t>(
+          std::max_element(heap, end,
+                           [](const HeapNode& a, const HeapNode& b) {
+                             return a.release != b.release
+                                        ? a.release < b.release
+                                        : a.seq > b.seq;
+                           }) -
+          heap);
     case VictimPolicy::kOldest:
-      return std::min_element(blocks_.data() + q.block,
-                              blocks_.data() + q.block + q.count,
-                              [](const HeapNode& a, const HeapNode& b) {
-                                return a.seq < b.seq;
-                              })
-          ->slot;
-    case VictimPolicy::kRandom:
+      return static_cast<std::uint32_t>(
+          std::min_element(heap, end,
+                           [](const HeapNode& a, const HeapNode& b) {
+                             return a.seq < b.seq;
+                           }) -
+          heap);
+    case VictimPolicy::kRandom: {
       // Same draw as a linear scan: a uniform index into the admission
-      // order.
-      return admission_order(q)[rng.uniform_index(q.count)].slot;
+      // order, then that node's place in the heap (seqs are unique).
+      const std::uint64_t seq =
+          admission_order(q)[rng.uniform_index(q.count)].seq;
+      return static_cast<std::uint32_t>(
+          std::find_if(heap, end,
+                       [seq](const HeapNode& n) { return n.seq == seq; }) -
+          heap);
+    }
   }
-  throw std::logic_error("DelayBuffer::victim_slot: unknown policy");
+  throw std::logic_error("DelayBuffer::victim_pos: unknown policy");
 }
 
-net::Packet DelayBuffer::extract(std::uint32_t slot) {
+net::Packet DelayBuffer::extract(Queue& q, std::uint32_t pos) {
+  const std::uint32_t slot = blocks_[q.block + pos].slot;
   Slot& s = slots_[slot];
-  Queue& q = queues_[s.queue];
   net::Packet packet = std::move(s.held.packet);
-  heap_remove(q, slot);
+  heap_remove(q, pos);
   s.queue = kNil;
-  s.heap_pos = free_slot_;
+  s.next_free = free_slot_;
   free_slot_ = slot;
   --live_;
   if (--q.count == 0) {
@@ -280,7 +282,7 @@ void DelayBuffer::release_head(QueueId queue, net::NodeContext& ctx) {
   // The running event was keyed on the root; it re-arms itself for the
   // next root, if any.
   Queue& q = queues_[queue];
-  net::Packet packet = extract(blocks_[q.block].slot);
+  net::Packet packet = extract(q, 0);
   ++released_;
   if (q.count != 0) {
     const HeapNode& root = blocks_[q.block];
@@ -291,6 +293,7 @@ void DelayBuffer::release_head(QueueId queue, net::NodeContext& ctx) {
 
 bool DelayBuffer::consistent() const {
   std::vector<std::uint32_t> owned(queues_.size(), 0);
+  std::vector<bool> in_heap(slots_.size(), false);
   std::size_t live_slots = 0;
   for (const Slot& s : slots_) {
     if (s.queue == kNil) continue;
@@ -300,7 +303,7 @@ bool DelayBuffer::consistent() const {
   }
   std::size_t free_slots = 0;
   for (std::uint32_t slot = free_slot_; slot != kNil;
-       slot = slots_[slot].heap_pos) {
+       slot = slots_[slot].next_free) {
     if (slots_[slot].queue != kNil || ++free_slots > slots_.size()) return false;
   }
   std::size_t queued = 0;
@@ -317,8 +320,11 @@ bool DelayBuffer::consistent() const {
     }
     const HeapNode* heap = blocks_.data() + q.block;
     for (std::uint32_t pos = 0; pos < q.count; ++pos) {
-      const Slot& s = slots_[heap[pos].slot];
-      if (s.queue != id || s.heap_pos != pos) return false;
+      const std::uint32_t slot = heap[pos].slot;
+      if (slot >= slots_.size() || slots_[slot].queue != id || in_heap[slot]) {
+        return false;
+      }
+      in_heap[slot] = true;
       if (pos > 0 && heap_precedes(heap[pos], heap[(pos - 1) / 2])) return false;
     }
   }

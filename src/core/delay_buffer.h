@@ -30,13 +30,14 @@ const char* to_string(VictimPolicy policy) noexcept;
 ///
 /// One DelayBuffer is a slab serving any number of queues — one per
 /// buffering node in a Network (made when a packet first reaches the node,
-/// under a single spec), or the one queue a one-queue constructor makes. Its
-/// memory is sized by the packets held, not by queues × capacity:
+/// under a single spec). Its memory is sized by the packets held, not by
+/// queues × capacity:
 ///
 ///  - **Slots.** One free-listed slot vector shared by every queue. A slot
-///    holds a packet and its times, its release-heap position and the
-///    owning queue's id. It grows only when more packets are held at once
-///    than ever before (Contiki's `memb` fixed-block pool, network-wide).
+///    holds a packet and its times and the owning queue's id; it has no
+///    back-pointer into its queue's heap. It grows only when more packets
+///    are held at once than ever before (Contiki's `memb` fixed-block pool,
+///    network-wide).
 ///  - **Queue heads** (24 bytes each): live count, the queue's release
 ///    block, its kernel event, and an index into a small table of
 ///    QueueConfig entries (delay distribution, victim policy, capacity).
@@ -45,7 +46,8 @@ const char* to_string(VictimPolicy policy) noexcept;
 ///    power-of-two block of a shared arena. A queue takes a one-node block
 ///    when it goes from 0 to 1 packets and returns it to its size class's
 ///    free list when it empties; a full block is swapped for one twice its
-///    size, so a queue's block tracks the packets it holds.
+///    size, so a queue's block tracks the packets it holds. Heap sifts read
+///    and write only inside the block, never another packet's slot.
 ///
 /// **One kernel event per queue.** A non-empty queue owns exactly one
 /// pending kernel event, keyed on its heap root — the packet due to leave
@@ -55,8 +57,10 @@ const char* to_string(VictimPolicy policy) noexcept;
 /// would give, ties included. The event is re-keyed in place when the root
 /// changes; a queue empties only through a release, so the event never has
 /// to be withdrawn. A node's `seq` also orders admissions, so the heap is
-/// the only index a queue keeps: kLongestRemaining, kOldest and kRandom
-/// scan or select within the dense block. Victim choice is bit-identical
+/// the only index a queue keeps. Victims are found by heap position: the
+/// root for kShortestRemaining, a scan of the dense block for
+/// kLongestRemaining and kOldest, and for kRandom the node whose `seq` is
+/// the drawn rank in admission order. Victim choice is bit-identical
 /// to a linear first-wins scan over the admission order (a test oracle in
 /// tests/oracles/), with RNG draws in the same order.
 class DelayBuffer {
@@ -90,13 +94,6 @@ class DelayBuffer {
   /// An empty slab with no queues; add them with add_queue().
   DelayBuffer() = default;
 
-  /// A one-queue buffer (queue 0) with no capacity bound, so it never
-  /// preempts or drops. unique_ptr arguments convert implicitly.
-  explicit DelayBuffer(std::shared_ptr<const DelayDistribution> delay);
-
-  /// A one-queue buffer (queue 0) configured by `config`.
-  explicit DelayBuffer(QueueConfig config);
-
   /// Movable while empty (moving parks no events); a non-empty queue's
   /// kernel event captures `this`, so a non-empty buffer must stay put.
   DelayBuffer(DelayBuffer&&) = default;
@@ -125,9 +122,8 @@ class DelayBuffer {
   std::size_t memory_bytes() const noexcept;
 
   /// Copies a queue's held packets in admission order (oldest first). For
-  /// tests and diagnostics; O(n). The one-argument form reads queue 0.
+  /// tests and diagnostics; O(n).
   std::vector<Held> snapshot(QueueId queue) const;
-  std::vector<Held> snapshot() const { return snapshot(0); }
 
   /// Pre-sizes the slot slab for `packets` concurrently held packets.
   void reserve(std::size_t packets);
@@ -151,6 +147,7 @@ class DelayBuffer {
   /// through `ctx`, then admits the arrival (RCAD, §5). The arrival's delay
   /// is drawn from the queue's distribution, after any victim draw. The
   /// queue's kernel event is re-keyed at most once, after both steps.
+  /// `ctx.transmit()` may add queues to this buffer.
   Admission offer(QueueId queue, net::Packet&& packet, net::NodeContext& ctx);
 
   /// Lifetime packet counts over every queue: packets admitted, released
@@ -174,8 +171,8 @@ class DelayBuffer {
 
   /// Structural self-check for tests: the slab's live slots equal the sum
   /// of the per-queue counts, every non-empty queue's release heap holds
-  /// exactly its packets in heap order, and the free list holds the rest.
-  /// O(slots).
+  /// exactly its packets, each once, in heap order, and the free list holds
+  /// the rest. O(slots).
   bool consistent() const;
 
  private:
@@ -184,7 +181,7 @@ class DelayBuffer {
   struct Slot {
     Held held;
     std::uint32_t queue = kNil;  // owning queue; kNil = free slot
-    std::uint32_t heap_pos = kNil;  // in a free slot: the next free slot
+    std::uint32_t next_free = kNil;  // in a free slot: the next free slot
   };
 
   struct Queue {
@@ -196,10 +193,12 @@ class DelayBuffer {
   };
 
   /// Release-heap node: the ordering keys ride along with the slot index,
-  /// so sift compares stay inside the (dense) block instead of chasing
-  /// slots. A live slot's release_time never changes, so the copy cannot go
-  /// stale; `seq`, the kernel sequence number reserved at admission (the
-  /// tie-breaker, in admission order), lives only here.
+  /// so sifts compare and move nodes inside the (dense) block and never
+  /// touch a slot; nothing records where a node sits, so a node is found by
+  /// its position in the block. A live slot's release_time never changes,
+  /// so the copy cannot go stale; `seq`, the kernel sequence number
+  /// reserved at admission (the tie-breaker, in admission order), lives
+  /// only here.
   struct HeapNode {
     double release = 0.0;
     std::uint64_t seq = 0;
@@ -218,7 +217,8 @@ class DelayBuffer {
   /// block or doubling a full one.
   void ensure_block_room(Queue& q);
   void heap_push(Queue& q, std::uint32_t slot, std::uint64_t seq);
-  void heap_remove(Queue& q, std::uint32_t slot) noexcept;
+  /// Removes the node at heap position `pos` (the caller has read it).
+  void heap_remove(Queue& q, std::uint32_t pos) noexcept;
   /// Re-sites `node` starting at hole `pos` of `heap`, whichever direction
   /// it must move; writes it once at its final position (hole-based, no
   /// swaps).
@@ -229,9 +229,11 @@ class DelayBuffer {
   /// caller keys the queue's event.
   void admit_with_delay(QueueId queue, net::Packet&& packet,
                         net::NodeContext& ctx, double delay);
-  std::uint32_t victim_slot(const Queue& q, sim::RandomStream& rng) const;
-  /// Removes the packet in `slot` from every structure and returns it.
-  net::Packet extract(std::uint32_t slot);
+  /// The heap position of the queue's victim under its rule.
+  std::uint32_t victim_pos(const Queue& q, sim::RandomStream& rng) const;
+  /// Removes the packet at heap position `pos` of `q` from every structure
+  /// and returns it.
+  net::Packet extract(Queue& q, std::uint32_t pos);
   /// The queue's kernel event: transmits the root, keys the next event.
   void release_head(QueueId queue, net::NodeContext& ctx);
 

@@ -123,30 +123,41 @@ void Network::handle(NodeRecord& node, Packet&& packet) {
 }
 
 void Network::transmit_from(NodeRecord& node, Packet&& packet) {
+  // The next hop's record, cached the first time a transmit finds it made;
+  // until then the arrival looks it up by node id (and makes it, if this
+  // packet is the first to reach it).
+  std::uint32_t next_record = node.next_record;
+  NodeId next = kInvalidNode;
+  if (next_record == kNoRecord) [[unlikely]] {
+    next = next_hop_[node.node];
+    next_record = index_[next];
+    node.next_record = next_record;
+  }
   // Update the cleartext header the way MultiHop does on each forward.
-  const NodeId next = node.tree_next;
   packet.header.prev_hop = node.node;
   packet.header.hop_count =
       static_cast<std::uint16_t>(packet.header.hop_count + 1);
   packet.header.routing_seq = node.routing_seq++;
   if (!transmit_probes_.empty()) [[unlikely]] {
-    dispatch_transmit_probes(node.node, next, packet);
+    dispatch_transmit_probes(node.node, next_hop_[node.node], packet);
   }
   double link_delay = config_.hop_tx_delay;
   if (config_.hop_jitter > 0.0) {
     link_delay += node.stream.uniform(0.0, config_.hop_jitter);
   }
-  // Park the packet in the pool so the link-delay closure carries only a
-  // 16-byte {network, handle} pair — inside the event kernel's inline
-  // budget, so a warm forward never touches the heap. With the paper's
-  // constant per-hop latency (jitter 0) the arrival times of successive
-  // transmits never decrease, so the arrival events ride the event
-  // queue's O(1) FIFO lane instead of its heap; with jitter the call
+  // Park the packet in the pool so the link-delay closure carries only
+  // {network, record index, node id, handle}, 24 bytes — inside the event
+  // kernel's inline budget, so a warm forward never touches the heap. With
+  // the paper's constant per-hop latency (jitter 0) the arrival times of
+  // successive transmits never decrease, so the arrival events ride the
+  // event queue's O(1) FIFO lane instead of its heap; with jitter the call
   // degrades gracefully (out-of-order times divert to the heap inside).
   const PacketPool::Handle handle = pool_.put(std::move(packet));
-  simulator_.schedule_after_monotone(link_delay, [this, next, handle] {
-    arrive_from_link(next, handle);
-  });
+  simulator_.schedule_after_monotone(link_delay,
+                                     [this, next_record, next, handle] {
+                                       arrive_from_link(next_record, next,
+                                                        handle);
+                                     });
   probe(node);
 }
 
@@ -225,8 +236,9 @@ std::uint64_t Network::node_drops(NodeId id) const {
   return slab_.config(node->slot).victim ? 0 : losses_[node->slot];
 }
 
-void Network::arrive_from_link(NodeId node, PacketPool::Handle parked) {
-  NodeRecord& arrived = record(node);
+void Network::arrive_from_link(std::uint32_t r, NodeId id,
+                               PacketPool::Handle parked) {
+  NodeRecord& arrived = r != kNoRecord ? at(r) : record(id);
   if (arrived.role == NodeRole::kSink) {
     deliver(pool_.take(parked));
     return;

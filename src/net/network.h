@@ -78,11 +78,11 @@ using NodeSpecs =
 /// Node state is sized by traffic, not by node count: each node costs one
 /// u32 index into a table of 64-byte records, and a node gets a record —
 /// its role, RNG stream, routing sequence counter, discipline slot and
-/// tree next hop, in one cache line — only when it first needs one. Sinks
-/// and the nodes of a per-node (NodeSpecs) configuration get theirs at
-/// construction; under one spec, a forwarding node gets its record on its
-/// first packet, so a 10⁶-node field whose paths cross a few percent of the
-/// nodes holds records for those only. Records live in
+/// the next hop's record index, in one cache line — only when it first
+/// needs one. Sinks and the nodes of a per-node (NodeSpecs) configuration
+/// get theirs at construction; under one spec, a forwarding node gets its
+/// record on its first packet, so a 10⁶-node field whose paths cross a few
+/// percent of the nodes holds records for those only. Records live in
 /// fixed-size blocks and never move, and dispatch is a switch on the
 /// record's role byte — no per-node heap objects and no virtual call on
 /// the forwarding hot path. Every buffering node (unlimited, drop-tail,
@@ -91,8 +91,10 @@ using NodeSpecs =
 /// nodes × k, and whose offer() applies the node's arrival rule. Packets
 /// leave every node by its routing-tree next hop. The per-packet path is
 /// allocation-free in steady state: packets are flat PODs, and link
-/// traversals park them in a free-listed PacketPool and schedule a 16-byte
-/// {network, handle} closure (inline in the event kernel).
+/// traversals park them in a free-listed PacketPool and schedule a 24-byte
+/// {network, record index, node id, handle} closure (inline in the event
+/// kernel). Once a node's next hop has a record, the sender caches its index
+/// and an arrival goes straight to it, never through the per-node index.
 class Network {
  public:
   /// Every routable non-sink node gets `spec`. Nodes given one spec share
@@ -195,9 +197,14 @@ class Network {
     kBuffered,   ///< one slab queue; DelayBuffer::offer() applies its rule
   };
 
+  static constexpr std::uint32_t kNoRecord = 0xffffffffu;
+
   /// Everything the forwarding path reads for one node, in one cache line;
   /// also the NodeContext the buffer slab sees. Records
   /// never move once made — buffer release events capture their address.
+  /// A record holds the next hop's record index, not its node id: a
+  /// transmit names the receiving record, so the arrival reads neither the
+  /// per-node index nor the routing tree.
   class alignas(64) NodeRecord final : public NodeContext {
    public:
     NodeRecord(Network* owner, NodeId id, NodeRole node_role,
@@ -205,7 +212,6 @@ class Network {
         : net(owner),
           stream(owner->root_rng_.split(id)),
           node(id),
-          tree_next(owner->next_hop_[id]),
           slot(node_slot),
           role(node_role) {}
 
@@ -220,14 +226,15 @@ class Network {
     /// root.split(id), whatever order records are made in.
     sim::RandomStream stream;
     NodeId node;
-    NodeId tree_next;  // routing-tree next hop; kInvalidNode for sinks
+    /// The routing-tree next hop's record index; kNoRecord until a transmit
+    /// finds that record made (always, for sinks, which never transmit).
+    std::uint32_t next_record = kNoRecord;
     std::uint32_t slot;  // slab queue id (buffered nodes)
     std::uint16_t routing_seq = 0;
     NodeRole role;
   };
   static_assert(sizeof(NodeRecord) == 64);
 
-  static constexpr std::uint32_t kNoRecord = 0xffffffffu;
   static constexpr std::size_t kRecordsPerBlock =
       kRecordBlockBytes / sizeof(NodeRecord);
 
@@ -244,11 +251,14 @@ class Network {
   NodeRecord& add_record(NodeId id, NodeRole role, std::uint32_t slot);
   /// Adds a slab queue and its loss counter; returns the queue id.
   std::uint32_t add_queue(std::uint32_t queue_config);
+  /// Record number `r` (a value of index_ other than kNoRecord).
+  NodeRecord& at(std::uint32_t r) {
+    return blocks_[r / kRecordsPerBlock][r % kRecordsPerBlock];
+  }
   /// The record of a node packets have reached; makes it on first touch.
   NodeRecord& record(NodeId id) {
     const std::uint32_t r = index_[id];
-    return r != kNoRecord ? blocks_[r / kRecordsPerBlock][r % kRecordsPerBlock]
-                          : first_touch(id);
+    return r != kNoRecord ? at(r) : first_touch(id);
   }
   /// The record of `id`, or nullptr if it has none yet.
   const NodeRecord* find(NodeId id) const;
@@ -266,10 +276,15 @@ class Network {
   void handle(NodeRecord& node, Packet&& packet);
   /// Hands `packet` to the link layer from `node`, towards its tree next
   /// hop: header update, transmit probes, link-delay scheduling, occupancy
-  /// probe.
+  /// probe. Caches the next hop's record index once that record exists;
+  /// never makes a record: records are made on first arrival, so mid-run
+  /// only the nodes packets have reached hold state.
   void transmit_from(NodeRecord& node, Packet&& packet);
 
-  void arrive_from_link(NodeId node, PacketPool::Handle parked);
+  /// A packet reaches node `id`, whose record is number `r`, or kNoRecord
+  /// if the sender had none cached: then the record is looked up, or made
+  /// on this first arrival.
+  void arrive_from_link(std::uint32_t r, NodeId id, PacketPool::Handle parked);
   void deliver(const Packet& packet);
   void probe(const NodeRecord& node);
   std::size_t buffered_of(const NodeRecord& node) const;

@@ -126,13 +126,36 @@ class Topology {
   friend class TopologyBuilder;
   friend class RoutingTable;
 
+  /// std::allocator, except that a value-less construct() default-
+  /// initialises: resize() leaves new integers unwritten. For arrays the
+  /// builder overwrites in full right after sizing them.
+  template <typename T>
+  struct NoZeroFill : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = NoZeroFill<U>;
+    };
+    NoZeroFill() = default;
+    template <typename U>
+    NoZeroFill(const NoZeroFill<U>&) noexcept {}
+    template <typename U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+
   /// One built field. Never written after TopologyBuilder::build().
   struct Field {
     std::vector<Position> positions;
     std::vector<NodeId> sinks;
-    // CSR adjacency: row i = nbrs[offsets[i]..offsets[i+1]).
+    // CSR adjacency: row i = nbrs[offsets[i]..offsets[i+1]). Both builders
+    // write every entry of nbrs after sizing it, so sizing does not zero it.
     std::vector<std::uint32_t> offsets;
-    std::vector<NodeId> nbrs;
+    std::vector<NodeId, NoZeroFill<NodeId>> nbrs;
     // Shortest-path tree toward the nearest sink (see RoutingTable).
     std::vector<NodeId> next_hop;
     std::vector<std::uint16_t> hops;

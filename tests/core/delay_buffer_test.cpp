@@ -17,15 +17,16 @@ namespace tempriv::core {
 namespace {
 
 using oracles::select_victim;
+using testing::one_queue;
 using testing::TestContext;
 
 TEST(DelayBuffer, RequiresDistribution) {
-  EXPECT_THROW(DelayBuffer(nullptr), std::invalid_argument);
+  EXPECT_THROW(one_queue(nullptr), std::invalid_argument);
 }
 
 TEST(DelayBuffer, ReleasesAfterSampledDelay) {
   TestContext ctx;
-  DelayBuffer buffer(std::make_unique<ConstantDelay>(4.0));
+  DelayBuffer buffer = one_queue(std::make_unique<ConstantDelay>(4.0));
   buffer.offer(0, ctx.make_packet(1), ctx);
   EXPECT_EQ(buffer.size(), 1u);
   ctx.simulator().run();
@@ -37,9 +38,9 @@ TEST(DelayBuffer, ReleasesAfterSampledDelay) {
 
 TEST(DelayBuffer, SnapshotRecordsReleaseTimes) {
   TestContext ctx;
-  DelayBuffer buffer(std::make_unique<ConstantDelay>(10.0));
+  DelayBuffer buffer = one_queue(std::make_unique<ConstantDelay>(10.0));
   buffer.offer(0, ctx.make_packet(7), ctx);
-  const auto held = buffer.snapshot();
+  const auto held = buffer.snapshot(0);
   ASSERT_EQ(held.size(), 1u);
   EXPECT_DOUBLE_EQ(held[0].enqueue_time, 0.0);
   EXPECT_DOUBLE_EQ(held[0].release_time, 10.0);
@@ -48,7 +49,7 @@ TEST(DelayBuffer, SnapshotRecordsReleaseTimes) {
 
 TEST(DelayBuffer, SnapshotPreservesAdmissionOrder) {
   TestContext ctx;
-  DelayBuffer buffer(DelayBuffer::QueueConfig{
+  DelayBuffer buffer = one_queue(DelayBuffer::QueueConfig{
       std::make_shared<ExponentialDelay>(5.0), VictimPolicy::kOldest, 8});
   for (std::uint64_t uid = 0; uid < 10; ++uid) {
     buffer.offer(0, ctx.make_packet(uid), ctx);
@@ -59,7 +60,7 @@ TEST(DelayBuffer, SnapshotPreservesAdmissionOrder) {
   ASSERT_EQ(ctx.transmitted().size(), 2u);
   EXPECT_EQ(ctx.transmitted()[0].second.uid, 0u);
   EXPECT_EQ(ctx.transmitted()[1].second.uid, 1u);
-  const auto held = buffer.snapshot();
+  const auto held = buffer.snapshot(0);
   ASSERT_EQ(held.size(), 8u);
   const std::uint64_t expected[] = {2, 3, 4, 5, 6, 7, 8, 9};
   for (std::size_t i = 0; i < held.size(); ++i) {
@@ -71,7 +72,7 @@ TEST(DelayBuffer, CountsOccupancyAtEachAdmission) {
   // Bucket b counts admissions that leave the queue with bit_width(size)
   // == b; the peak is the largest size any queue reached.
   TestContext ctx;
-  DelayBuffer buffer(DelayBuffer::QueueConfig{
+  DelayBuffer buffer = one_queue(DelayBuffer::QueueConfig{
       std::make_shared<ConstantDelay>(1.0),
       VictimPolicy::kShortestRemaining, 5});
   for (std::uint64_t uid = 0; uid < 5; ++uid) {
@@ -92,7 +93,7 @@ TEST(DelayBuffer, CountsOccupancyAtEachAdmission) {
 
 TEST(DelayBuffer, SlotsAreRecycledAcrossAdmissions) {
   TestContext ctx;
-  DelayBuffer buffer(DelayBuffer::QueueConfig{
+  DelayBuffer buffer = one_queue(DelayBuffer::QueueConfig{
       std::make_shared<ConstantDelay>(1.0),
       VictimPolicy::kShortestRemaining, 3});
   buffer.reserve(4);
@@ -112,7 +113,7 @@ TEST(DelayBuffer, SlotsAreRecycledAcrossAdmissions) {
 
 TEST(DelayBuffer, MultiplePacketsReleaseIndependently) {
   TestContext ctx;
-  DelayBuffer buffer(std::make_unique<ExponentialDelay>(5.0));
+  DelayBuffer buffer = one_queue(std::make_unique<ExponentialDelay>(5.0));
   for (std::uint64_t uid = 0; uid < 20; ++uid) {
     buffer.offer(0, ctx.make_packet(uid), ctx);
   }
@@ -130,7 +131,7 @@ TEST(DelayBuffer, ExponentialDelaysCanReorderPackets) {
   // §3.2: independent exponential delays do not preserve creation order —
   // with enough packets at least one pair must swap.
   TestContext ctx;
-  DelayBuffer buffer(std::make_unique<ExponentialDelay>(10.0));
+  DelayBuffer buffer = one_queue(std::make_unique<ExponentialDelay>(10.0));
   for (std::uint64_t uid = 0; uid < 50; ++uid) {
     buffer.offer(0, ctx.make_packet(uid), ctx);
   }
@@ -148,11 +149,11 @@ TEST(DelayBuffer, ExponentialDelaysCanReorderPackets) {
 
 TEST(SelectVictim, ShortestRemainingPicksClosestToDeparture) {
   TestContext ctx;
-  DelayBuffer buffer(std::make_unique<ExponentialDelay>(10.0));
+  DelayBuffer buffer = one_queue(std::make_unique<ExponentialDelay>(10.0));
   for (std::uint64_t uid = 0; uid < 5; ++uid) {
     buffer.offer(0, ctx.make_packet(uid), ctx);
   }
-  const auto held = buffer.snapshot();
+  const auto held = buffer.snapshot(0);
   const std::size_t victim =
       select_victim(held, VictimPolicy::kShortestRemaining, 0.0, ctx.rng());
   for (std::size_t i = 0; i < held.size(); ++i) {
@@ -162,11 +163,11 @@ TEST(SelectVictim, ShortestRemainingPicksClosestToDeparture) {
 
 TEST(SelectVictim, LongestRemainingIsOpposite) {
   TestContext ctx;
-  DelayBuffer buffer(std::make_unique<ExponentialDelay>(10.0));
+  DelayBuffer buffer = one_queue(std::make_unique<ExponentialDelay>(10.0));
   for (std::uint64_t uid = 0; uid < 5; ++uid) {
     buffer.offer(0, ctx.make_packet(uid), ctx);
   }
-  const auto held = buffer.snapshot();
+  const auto held = buffer.snapshot(0);
   const std::size_t victim =
       select_victim(held, VictimPolicy::kLongestRemaining, 0.0, ctx.rng());
   for (std::size_t i = 0; i < held.size(); ++i) {
@@ -176,13 +177,13 @@ TEST(SelectVictim, LongestRemainingIsOpposite) {
 
 TEST(SelectVictim, OldestPicksEarliestEnqueue) {
   TestContext ctx;
-  DelayBuffer buffer(std::make_unique<ConstantDelay>(100.0));
+  DelayBuffer buffer = one_queue(std::make_unique<ConstantDelay>(100.0));
   buffer.offer(0, ctx.make_packet(0), ctx);
   ctx.simulator().schedule_after(1.0, [&] {
     buffer.offer(0, ctx.make_packet(1), ctx);
   });
   ctx.simulator().run_until(2.0);
-  const auto held = buffer.snapshot();
+  const auto held = buffer.snapshot(0);
   const std::size_t victim =
       select_victim(held, VictimPolicy::kOldest, 2.0, ctx.rng());
   EXPECT_EQ(held[victim].packet.uid, 0u);
@@ -190,11 +191,11 @@ TEST(SelectVictim, OldestPicksEarliestEnqueue) {
 
 TEST(SelectVictim, RandomIsInRangeAndCoversBuffer) {
   TestContext ctx;
-  DelayBuffer buffer(std::make_unique<ExponentialDelay>(10.0));
+  DelayBuffer buffer = one_queue(std::make_unique<ExponentialDelay>(10.0));
   for (std::uint64_t uid = 0; uid < 4; ++uid) {
     buffer.offer(0, ctx.make_packet(uid), ctx);
   }
-  const auto held = buffer.snapshot();
+  const auto held = buffer.snapshot(0);
   std::set<std::size_t> seen;
   for (int i = 0; i < 200; ++i) {
     const std::size_t victim =
@@ -220,21 +221,28 @@ TEST(SelectVictim, RejectsEmptyBuffer) {
 class PreemptMatchesReference
     : public ::testing::TestWithParam<VictimPolicy> {};
 
-TEST_P(PreemptMatchesReference, AcrossChurn) {
-  const VictimPolicy policy = GetParam();
+/// Offers `batch` packets per round, all at one instant, to a queue of 6
+/// under `policy`, for 200 rounds of 0.5 time units; every arrival at
+/// capacity must preempt the packet the reference picks. Returns the number
+/// of preemptions.
+std::size_t preempt_against_reference(
+    VictimPolicy policy, std::shared_ptr<const DelayDistribution> delay,
+    int batch) {
   TestContext ctx;
-  DelayBuffer buffer(DelayBuffer::QueueConfig{
-      std::make_shared<ExponentialDelay>(10.0), policy, 6});
+  DelayBuffer buffer =
+      one_queue(DelayBuffer::QueueConfig{std::move(delay), policy, 6});
   std::uint64_t uid = 0;
   std::size_t preempts = 0;
   for (int round = 0; round < 200; ++round) {
-    if (buffer.size() < 6) {
-      EXPECT_EQ(buffer.offer(0, ctx.make_packet(uid++), ctx),
-                DelayBuffer::Admission::kAdmitted);
-    } else {
+    for (int i = 0; i < batch; ++i) {
+      if (buffer.size() < 6) {
+        EXPECT_EQ(buffer.offer(0, ctx.make_packet(uid++), ctx),
+                  DelayBuffer::Admission::kAdmitted);
+        continue;
+      }
       // Reference choice on a snapshot, with a cloned RNG so offer() sees
       // the same uniform draw the reference consumed.
-      const auto held = buffer.snapshot();
+      const auto held = buffer.snapshot(0);
       sim::RandomStream reference_rng = ctx.rng();
       const std::size_t expected_index = select_victim(
           held, policy, ctx.simulator().now(), reference_rng);
@@ -248,7 +256,23 @@ TEST_P(PreemptMatchesReference, AcrossChurn) {
     // Let some natural releases fire so the structures churn.
     ctx.simulator().run_until(ctx.simulator().now() + 0.5);
   }
-  EXPECT_GT(preempts, 50u);
+  EXPECT_TRUE(buffer.consistent());
+  return preempts;
+}
+
+TEST_P(PreemptMatchesReference, AcrossChurn) {
+  EXPECT_GT(preempt_against_reference(
+                GetParam(), std::make_shared<ExponentialDelay>(10.0), 1),
+            50u);
+}
+
+TEST_P(PreemptMatchesReference, AcrossEqualReleaseTimes) {
+  // Constant delays and three arrivals per instant: each batch shares one
+  // release time, so only admission order tells its packets apart — the
+  // heap's tie-break, and for kRandom the seq the victim is found by.
+  EXPECT_GT(preempt_against_reference(
+                GetParam(), std::make_shared<ConstantDelay>(2.0), 3),
+            200u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, PreemptMatchesReference,
@@ -273,7 +297,7 @@ INSTANTIATE_TEST_SUITE_P(Policies, PreemptMatchesReference,
 TEST(DelayBufferPreempt, CancelsTheVictimsRelease) {
   // The victim leaves once, early; its own release never happens.
   TestContext ctx;
-  DelayBuffer buffer(DelayBuffer::QueueConfig{
+  DelayBuffer buffer = one_queue(DelayBuffer::QueueConfig{
       std::make_shared<ConstantDelay>(5.0),
       VictimPolicy::kShortestRemaining, 2});
   buffer.offer(0, ctx.make_packet(0), ctx);
@@ -295,7 +319,7 @@ TEST(DelayBuffer, HoldsOneKernelEventPerQueue) {
   // However many packets a queue holds, the kernel sees one event keyed on
   // its head; it is re-keyed only when the head changes.
   TestContext ctx;
-  DelayBuffer buffer(DelayBuffer::QueueConfig{
+  DelayBuffer buffer = one_queue(DelayBuffer::QueueConfig{
       std::make_shared<ConstantDelay>(10.0),
       VictimPolicy::kShortestRemaining, 4});
   const sim::EventQueue& kernel = ctx.simulator().queue();
@@ -450,11 +474,94 @@ TEST(DelayBufferSlab, RandomizedChurnMatchesPerQueueReference) {
   EXPECT_TRUE(slab.consistent());
 }
 
+// A context whose transmit() grows the slab it serves — a new
+// configuration and enough new queues to outgrow the queue table, as a
+// network would if a transmit made the receiving node's queue — so a
+// preemption's offer() sees queues_ and configs_ move under it.
+class GrowingContext final : public net::NodeContext {
+ public:
+  GrowingContext(DelayBuffer& slab, std::uint64_t seed)
+      : slab_(slab), rng_(seed) {}
+
+  sim::Simulator& simulator() noexcept override { return sim_; }
+  sim::RandomStream& rng() noexcept override { return rng_; }
+  net::NodeId id() const noexcept override { return 0; }
+  void transmit(net::Packet&& packet) override {
+    const std::uint32_t config = slab_.add_config(slab_.config(0));
+    const std::size_t target = 2 * slab_.queue_count() + 16;
+    while (slab_.queue_count() < target) slab_.add_queue(config);
+    sent_.push_back(packet.uid);
+  }
+
+  const std::vector<std::uint64_t>& sent() const { return sent_; }
+
+ private:
+  DelayBuffer& slab_;
+  sim::Simulator sim_;
+  sim::RandomStream rng_;
+  std::vector<std::uint64_t> sent_;
+};
+
+TEST(DelayBufferSlab, PreemptionSurvivesATransmitThatAddsQueues) {
+  for (const VictimPolicy policy :
+       {VictimPolicy::kShortestRemaining, VictimPolicy::kLongestRemaining,
+        VictimPolicy::kRandom, VictimPolicy::kOldest}) {
+    SCOPED_TRACE(to_string(policy));
+    DelayBuffer slab;
+    slab.add_queue(slab.add_config(
+        {std::make_shared<ExponentialDelay>(50.0), policy, 3}));
+    GrowingContext ctx(slab, 17);
+    std::vector<std::uint64_t> held_uids;  // admission order
+    std::size_t preempts = 0;
+    for (std::uint64_t uid = 0; uid < 12; ++uid) {
+      std::optional<std::uint64_t> expected;
+      if (slab.size(0) == 3) {
+        const auto held = slab.snapshot(0);
+        sim::RandomStream oracle_rng = ctx.rng();
+        expected = held[select_victim(held, policy, ctx.simulator().now(),
+                                      oracle_rng)]
+                       .packet.uid;
+      }
+      net::Packet packet;
+      packet.uid = uid;
+      const std::size_t queues = slab.queue_count();
+      const DelayBuffer::Admission outcome =
+          slab.offer(0, std::move(packet), ctx);
+      if (expected) {
+        ASSERT_EQ(outcome, DelayBuffer::Admission::kPreempted);
+        ASSERT_EQ(ctx.sent().back(), *expected);
+        ASSERT_GT(slab.queue_count(), queues);
+        held_uids.erase(
+            std::find(held_uids.begin(), held_uids.end(), *expected));
+        ++preempts;
+      } else {
+        ASSERT_EQ(outcome, DelayBuffer::Admission::kAdmitted);
+      }
+      held_uids.push_back(uid);
+      ASSERT_EQ(uids_of(slab.snapshot(0)), held_uids) << "uid " << uid;
+      ASSERT_TRUE(slab.consistent()) << "uid " << uid;
+      // Releases transmit through the same context.
+      const std::size_t sent = ctx.sent().size();
+      ctx.simulator().run_until(ctx.simulator().now() + 0.1);
+      for (std::size_t i = sent; i < ctx.sent().size(); ++i) {
+        std::erase(held_uids, ctx.sent()[i]);
+      }
+    }
+    EXPECT_GE(preempts, 6u);
+    EXPECT_EQ(slab.preempted(), preempts);
+    ctx.simulator().run();
+    EXPECT_EQ(slab.size(), 0u);
+    EXPECT_EQ(ctx.sent().size(), 12u);
+    EXPECT_EQ(slab.released() + slab.preempted(), 12u);
+    EXPECT_TRUE(slab.consistent());
+  }
+}
+
 TEST(DelayBufferSlab, QueuesThatNeverPreemptRejectPreempt) {
   // A full queue with no victim rule never preempts: the arrival is dropped
   // and the held packets stay.
   TestContext ctx;
-  DelayBuffer buffer(DelayBuffer::QueueConfig{
+  DelayBuffer buffer = one_queue(DelayBuffer::QueueConfig{
       std::make_shared<ConstantDelay>(1.0), std::nullopt, 3});
   for (std::uint64_t uid = 0; uid < 3; ++uid) {
     EXPECT_EQ(buffer.offer(0, ctx.make_packet(uid), ctx),
@@ -513,7 +620,7 @@ TEST(DelayBufferSlab, VictimBlocksAreRecycled) {
   // list when it empties, so a second fill of the same depth reuses memory
   // instead of growing the arena.
   TestContext ctx;
-  DelayBuffer buffer(std::make_unique<ExponentialDelay>(10.0));
+  DelayBuffer buffer = one_queue(std::make_unique<ExponentialDelay>(10.0));
   auto fill_and_drain = [&] {
     for (std::uint64_t uid = 0; uid < 100; ++uid) {
       buffer.offer(0, ctx.make_packet(uid), ctx);

@@ -18,12 +18,13 @@
 namespace tempriv::core {
 namespace {
 
+using testing::one_queue;
 using testing::TestContext;
 using Admission = DelayBuffer::Admission;
 
 /// The queue a Network gives a node configured by `spec`.
 DelayBuffer queue_of(const DisciplineSpec& spec) {
-  return DelayBuffer(spec.queue_config());
+  return one_queue(spec.queue_config());
 }
 
 TEST(UnlimitedDelaying, HoldsEveryPacketUntilItsDelayExpires) {
@@ -63,7 +64,7 @@ TEST(DropTailDelaying, DropsWhenFull) {
 TEST(DropTailDelaying, ValidatesCapacity) {
   EXPECT_THROW(DisciplineSpec::droptail(std::make_shared<NoDelay>(), 0),
                std::invalid_argument);
-  EXPECT_THROW(DelayBuffer(DelayBuffer::QueueConfig{
+  EXPECT_THROW(one_queue(DelayBuffer::QueueConfig{
                    std::make_shared<NoDelay>(), std::nullopt, 0}),
                std::invalid_argument);
 }
@@ -97,7 +98,7 @@ TEST(RcadDiscipline, VictimIsShortestRemainingDelay) {
   // The held packet closest to its release is the one RCAD must eject.
   std::uint64_t expected_victim = 0;
   double earliest = 1e300;
-  for (const DelayBuffer::Held& held : buffer.snapshot()) {
+  for (const DelayBuffer::Held& held : buffer.snapshot(0)) {
     if (held.release_time < earliest) {
       earliest = held.release_time;
       expected_victim = held.packet.uid;
@@ -120,7 +121,7 @@ TEST(RcadDiscipline, VictimIsDrawnAndSentBeforeTheArrivalsDelayDraw) {
   for (std::uint64_t uid = 0; uid < 4; ++uid) {
     buffer.offer(0, ctx.make_packet(uid), ctx);
   }
-  const std::vector<DelayBuffer::Held> before = buffer.snapshot();
+  const std::vector<DelayBuffer::Held> before = buffer.snapshot(0);
   sim::RandomStream replay = ctx.rng();
   const auto victim_index = static_cast<std::size_t>(replay.uniform_index(4));
   replay.uniform(0.0, 1.0);  // the victim's link draw
@@ -129,8 +130,8 @@ TEST(RcadDiscipline, VictimIsDrawnAndSentBeforeTheArrivalsDelayDraw) {
   EXPECT_EQ(buffer.offer(0, ctx.make_packet(4), ctx), Admission::kPreempted);
   ASSERT_EQ(ctx.transmitted().size(), 1u);
   EXPECT_EQ(ctx.transmitted()[0].second.uid, before[victim_index].packet.uid);
-  EXPECT_EQ(buffer.snapshot().back().packet.uid, 4u);
-  EXPECT_EQ(buffer.snapshot().back().release_time, arrival_delay);
+  EXPECT_EQ(buffer.snapshot(0).back().packet.uid, 4u);
+  EXPECT_EQ(buffer.snapshot(0).back().release_time, arrival_delay);
 }
 
 TEST(RcadDiscipline, NoPreemptionBelowCapacity) {
@@ -171,7 +172,7 @@ TEST(RcadDiscipline, EffectiveDelayShrinksUnderLoad) {
 TEST(RcadDiscipline, ValidatesCapacity) {
   EXPECT_THROW(DisciplineSpec::rcad(std::make_shared<NoDelay>(), 0),
                std::invalid_argument);
-  EXPECT_THROW(DelayBuffer(DelayBuffer::QueueConfig{
+  EXPECT_THROW(one_queue(DelayBuffer::QueueConfig{
                    std::make_shared<NoDelay>(),
                    VictimPolicy::kShortestRemaining, 0}),
                std::invalid_argument);

@@ -14,6 +14,7 @@
 namespace tempriv::core {
 namespace {
 
+using testing::one_queue;
 using testing::TestContext;
 using Admission = DelayBuffer::Admission;
 
@@ -26,7 +27,7 @@ TEST_P(RcadPropertyTest, InvariantsHoldUnderRandomTraffic) {
   const auto [capacity, interarrival, mean_delay] = GetParam();
   TestContext ctx(capacity * 1000 +
                   static_cast<std::uint64_t>(interarrival * 10));
-  DelayBuffer rcad(
+  DelayBuffer rcad = one_queue(
       DisciplineSpec::rcad_exponential(mean_delay, capacity).queue_config());
   std::uint64_t drops = 0;
 
@@ -81,7 +82,7 @@ class DropTailPropertyTest
 TEST_P(DropTailPropertyTest, ConservationWithDrops) {
   const auto [capacity, interarrival] = GetParam();
   TestContext ctx(7);
-  DelayBuffer droptail(
+  DelayBuffer droptail = one_queue(
       DisciplineSpec::droptail_exponential(20.0, capacity).queue_config());
   std::uint64_t drops = 0;
   constexpr int kPackets = 2000;

@@ -1,8 +1,12 @@
 #pragma once
 
+#include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "core/delay_buffer.h"
+#include "core/delay_distribution.h"
 #include "net/forwarding.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
@@ -45,5 +49,21 @@ class TestContext final : public net::NodeContext {
   bool link_draws_;
   std::vector<std::pair<double, net::Packet>> transmitted_;
 };
+
+/// A slab with one queue, id 0, configured by `config`: the buffer one
+/// buffering node of a Network gets. Throws as DelayBuffer::add_config
+/// does.
+inline DelayBuffer one_queue(DelayBuffer::QueueConfig config) {
+  DelayBuffer buffer;
+  buffer.add_queue(buffer.add_config(std::move(config)));
+  return buffer;
+}
+
+/// A one-queue buffer with no capacity bound, so it never preempts or
+/// drops. unique_ptr arguments convert implicitly.
+inline DelayBuffer one_queue(std::shared_ptr<const DelayDistribution> delay) {
+  return one_queue(DelayBuffer::QueueConfig{std::move(delay), std::nullopt,
+                                            DelayBuffer::kUnbounded});
+}
 
 }  // namespace tempriv::core::testing

@@ -4,6 +4,7 @@
 // changes no random draw.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -126,6 +127,59 @@ TEST(NodeState, UnroutableNodesHaveNoDisciplineAndGetNoQueue) {
   EXPECT_THROW(net.originate(3, sealed_at(0.0, 3, 0)), std::invalid_argument);
   EXPECT_EQ(net.buffer_slab().queue_count(), 0u);
   EXPECT_EQ(net.packets_originated(), 0u);
+}
+
+TEST(NodeState, BranchJoiningAMadeTrunkGetsNoSecondQueue) {
+  // Two branches over a 4-hop shared trunk. Branch 0 sends alone until its
+  // packets have made the trunk's records; then branch 1's first packet
+  // reaches the trunk, whose records its senders find made, and the two
+  // branches interleave. Every node either path crosses gets one queue.
+  const ConvergingPaths paths = Topology::converging_paths({9, 12}, 4);
+  sim::Simulator sim;
+  Network net(sim, paths.topology, rcad(), {}, sim::RandomStream(5));
+  std::set<NodeId> delivered_from;
+  struct Origins final : SinkObserver {
+    std::set<NodeId>& seen;
+    explicit Origins(std::set<NodeId>& s) : seen(s) {}
+    void on_delivery(const Packet& packet, sim::Time) override {
+      seen.insert(packet.header.origin);
+    }
+  } origins(delivered_from);
+  net.add_sink_observer(&origins);
+  const NodeId a = paths.sources[0];
+  const NodeId b = paths.sources[1];
+  std::set<NodeId> crossed;
+  for (const NodeId source : {a, b}) {
+    for (const NodeId id : net.routing().path_to_sink(source)) {
+      crossed.insert(id);
+    }
+  }
+  const std::size_t queues = crossed.size() - 1;  // all but the sink
+  constexpr std::uint32_t kPackets = 200;
+  for (std::uint32_t i = 0; i < kPackets; ++i) {
+    sim.schedule_at(i, [&net, a, i] { net.originate(a, sealed_at(i, a, i)); });
+  }
+  // Branch 1 starts once branch 0 has delivered, so the trunk is made.
+  while (delivered_from.empty()) sim.run_until(sim.now() + 1.0);
+  ASSERT_EQ(delivered_from.count(b), 0u);
+  const std::size_t before_b = net.buffer_slab().queue_count();
+  EXPECT_EQ(before_b, net.routing().path_to_sink(a).size() - 1);
+  const double start = std::ceil(sim.now());
+  for (std::uint32_t i = 0; i < kPackets; ++i) {
+    sim.schedule_at(start + i, [&net, b, start, i] {
+      net.originate(b, sealed_at(start + i, b, i));
+    });
+  }
+  // Mid-run: both branches have delivered and packets are still held.
+  while (delivered_from.size() < 2) sim.run_until(sim.now() + 1.0);
+  ASSERT_GT(net.total_buffered(), 0u);
+  EXPECT_EQ(net.buffer_slab().queue_count(), queues);
+  EXPECT_TRUE(net.buffer_slab().consistent());
+  sim.run();
+  EXPECT_EQ(net.packets_delivered(), 2 * kPackets);
+  EXPECT_EQ(net.buffer_slab().queue_count(), queues);
+  EXPECT_TRUE(net.buffer_slab().consistent());
+  EXPECT_GT(net.total_preemptions(), 0u);
 }
 
 /// Per flow, every delivery as (uid relative to the flow's first packet,

@@ -138,13 +138,18 @@ TEST(AllocGuard, HotPathClosuresFitInline) {
   };
   EXPECT_TRUE(EventQueue::Callback::fits_inline<decltype(chain)>());
   EXPECT_TRUE(EventQueue::Callback::fits_inline<decltype(release)>());
-  // Network link-traversal shape: network reference + destination + pooled
-  // packet handle. This closure replaced one that captured the whole Packet
-  // (which outgrows the inline budget and heap-allocated on every hop).
+  // Network link-traversal shape: network pointer + the receiving node's
+  // record index + its id + pooled packet handle, 24 bytes. This closure
+  // replaced one that captured the whole Packet (which outgrows the inline
+  // budget and heap-allocated on every hop).
   net::Network* net = nullptr;
+  std::uint32_t next_record = 0;
   net::NodeId next = 0;
   net::PacketPool::Handle handle;
-  auto link = [net, next, handle] { (void)net, (void)next, (void)handle; };
+  auto link = [net, next_record, next, handle] {
+    (void)net, (void)next_record, (void)next, (void)handle;
+  };
+  static_assert(sizeof(link) == 24);
   EXPECT_TRUE(EventQueue::Callback::fits_inline<decltype(link)>());
 }
 
@@ -331,9 +336,10 @@ TEST(AllocGuard, WarmDelayBufferChurnAllocatesNothing) {
 
   NullContext ctx(simulator, rng);
   constexpr std::size_t kCapacity = 32;
-  core::DelayBuffer buffer(core::DelayBuffer::QueueConfig{
-      std::make_shared<core::ExponentialDelay>(5.0),
-      core::VictimPolicy::kShortestRemaining, kCapacity});
+  core::DelayBuffer buffer;
+  buffer.add_queue(buffer.add_config(
+      {std::make_shared<core::ExponentialDelay>(5.0),
+       core::VictimPolicy::kShortestRemaining, kCapacity}));
   buffer.reserve(kCapacity);
   simulator.reserve(kCapacity + 8);
   auto make_packet = [](std::uint64_t uid) {
