@@ -7,8 +7,9 @@ Usage (from anywhere inside a source checkout):
                                 [--base-dir DIR] [--log PATH]
     python3 scripts/ab_pairs.py --summarize PATH
 
-Checks REV out into a temporary git worktree outside the checkout (or, with
---base-dir, uses DIR, an existing checkout of the base, as it is), then runs
+Checks REV out into a temporary git worktree outside the checkout, at a path
+exactly as long as the checkout's (or, with --base-dir, uses DIR, an existing
+checkout of the base, as it is), then runs
 `perfbench/run.py --workload W --seconds S` in the base and in this checkout
 N times each, alternating which side goes first. Each side builds into its
 own checkout. The worktree is removed afterwards, also on failure.
@@ -21,8 +22,9 @@ the pairs in which the change reads lower ("wins"). Every metric is
 lower-is-better. It records nproc and both revisions.
 
 peak_rss_mb can differ by ~0.5 MB between two runs of the same code whose
-checkout paths (or revision strings) differ in length; for an RSS
-comparison, give --base-dir a checkout at a path as long as this one's.
+checkout paths differ in length, which is why the worktree's path is as long
+as the checkout's. A --base-dir is used as given: for an RSS comparison,
+give one at a path as long as this checkout's.
 
 --log PATH writes the header and every run's result line as JSON lines;
 --summarize PATH reads such a log back and prints the same summary without
@@ -32,6 +34,7 @@ running anything.
 import argparse
 import json
 import os
+import secrets
 import shutil
 import statistics
 import subprocess
@@ -41,6 +44,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
+MIN_NAME = 4  # shortest directory name same_length_dir makes
 
 
 class RefusedRun(Exception):
@@ -134,6 +138,25 @@ def read_log(path: Path):
     return header, complete
 
 
+def same_length_dir(checkout: Path, parents) -> Path:
+    """Makes a new, empty directory whose path is exactly as long as
+    `checkout`'s, in the first of `parents` with room for a name of at least
+    MIN_NAME characters, and returns it."""
+    length = len(str(checkout))
+    for parent in parents:
+        room = length - len(str(parent)) - 1
+        if room < MIN_NAME:
+            continue
+        for _ in range(100):
+            path = parent / ("ab" + secrets.token_hex(room))[:room]
+            try:
+                path.mkdir()
+            except FileExistsError:
+                continue
+            return path
+    raise RefusedRun(f"no free directory path as long as {checkout}; use --base-dir")
+
+
 def git(*args: str, cwd: Path = ROOT) -> str:
     return subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True,
                           check=True).stdout.strip()
@@ -201,7 +224,7 @@ def main() -> int:
         if args.base_dir:
             base_dir = args.base_dir.resolve()
         else:
-            worktree = Path(tempfile.mkdtemp(prefix="ab_pairs_base_"))
+            worktree = same_length_dir(ROOT, (Path(tempfile.gettempdir()), ROOT.parent))
             git("worktree", "add", "--detach", str(worktree), git("rev-parse", args.base))
             base_dir = worktree
         log_path = args.log or Path(os.devnull)

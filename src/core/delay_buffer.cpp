@@ -46,14 +46,13 @@ DelayBuffer::QueueId DelayBuffer::add_queue(std::uint32_t config) {
 std::size_t DelayBuffer::memory_bytes() const noexcept {
   return configs_.capacity() * sizeof(QueueConfig) +
          queues_.capacity() * sizeof(Queue) +
-         slots_.capacity() * sizeof(Slot) +
          (blocks_.capacity() + scratch_.capacity()) * sizeof(HeapNode);
 }
 
 std::vector<DelayBuffer::Held> DelayBuffer::snapshot(QueueId queue) const {
   std::vector<Held> held;
   for (const HeapNode& node : admission_order(queues_.at(queue))) {
-    held.push_back(slots_[node.slot].held);
+    held.push_back({node.packet, node.release});
   }
   return held;
 }
@@ -67,26 +66,11 @@ std::span<const DelayBuffer::HeapNode> DelayBuffer::admission_order(
   return scratch_;
 }
 
-void DelayBuffer::reserve(std::size_t packets) { slots_.reserve(packets); }
-
-std::uint32_t DelayBuffer::acquire_slot() {
-  if (free_slot_ != kNil) {
-    const std::uint32_t slot = free_slot_;
-    free_slot_ = slots_[slot].next_free;
-    return slot;
-  }
-  if (slots_.size() >= kNil) {
-    throw std::length_error("DelayBuffer: slot slab full");
-  }
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
 std::uint32_t DelayBuffer::acquire_block(std::uint8_t block_class) {
   std::uint32_t& free_head = free_block_[block_class];
   if (free_head != kNil) {
     const std::uint32_t block = free_head;
-    free_head = blocks_[block].slot;
+    free_head = static_cast<std::uint32_t>(blocks_[block].packet.value());
     return block;
   }
   const std::size_t nodes = std::size_t{1} << block_class;
@@ -100,7 +84,7 @@ std::uint32_t DelayBuffer::acquire_block(std::uint8_t block_class) {
 
 void DelayBuffer::release_block(std::uint32_t block,
                                 std::uint8_t block_class) noexcept {
-  blocks_[block].slot = free_block_[block_class];
+  blocks_[block].packet = net::PacketPool::Handle(free_block_[block_class]);
   free_block_[block_class] = block;
 }
 
@@ -121,12 +105,8 @@ void DelayBuffer::ensure_block_room(Queue& q) {
   }
 }
 
-void DelayBuffer::heap_push(Queue& q, std::uint32_t slot, std::uint64_t seq) {
+void DelayBuffer::heap_push(Queue& q, HeapNode node) {
   ensure_block_room(q);
-  HeapNode node;
-  node.release = slots_[slot].held.release_time;
-  node.seq = seq;
-  node.slot = slot;
   heap_sift({blocks_.data() + q.block, q.count + 1}, q.count, node);
 }
 
@@ -164,21 +144,16 @@ void DelayBuffer::heap_remove(Queue& q, std::uint32_t pos) noexcept {
   }
 }
 
-void DelayBuffer::admit_with_delay(QueueId queue, net::Packet&& packet,
+void DelayBuffer::admit_with_delay(QueueId queue,
+                                   net::PacketPool::Handle packet,
                                    net::NodeContext& ctx, double delay) {
   if (!std::isfinite(delay) || delay < 0.0) {
     throw std::invalid_argument(
         "DelayBuffer: delay must be finite and >= 0");
   }
-  const double now = ctx.simulator().now();
-  const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
-  s.held.packet = std::move(packet);
-  s.held.enqueue_time = now;
-  s.held.release_time = now + delay;
-  s.queue = queue;
   Queue& q = queues_[queue];
-  heap_push(q, slot, ctx.simulator().reserve_seq());
+  heap_push(q, {ctx.simulator().now() + delay, ctx.simulator().reserve_seq(),
+                packet});
   ++q.count;
   ++live_;
   ++admitted_;
@@ -187,7 +162,8 @@ void DelayBuffer::admit_with_delay(QueueId queue, net::Packet&& packet,
   peak_occupancy_ = std::max(peak_occupancy_, q.count);
 }
 
-DelayBuffer::Admission DelayBuffer::offer(QueueId queue, net::Packet&& packet,
+DelayBuffer::Admission DelayBuffer::offer(QueueId queue,
+                                          net::PacketPool::Handle packet,
                                           net::NodeContext& ctx) {
   Queue* q = &queues_[queue];
   const QueueConfig* config = &configs_[q->config];
@@ -197,20 +173,19 @@ DelayBuffer::Admission DelayBuffer::offer(QueueId queue, net::Packet&& packet,
   Admission outcome = Admission::kAdmitted;
   if (q->count >= config->capacity) {
     if (!config->victim) {
-      return Admission::kDropped;  // the packet is destroyed
+      return Admission::kDropped;  // the caller disposes of the packet
     }
     // The queue's event stays pending even if the victim was its root (or
     // its last packet): it is re-keyed on the arrival below.
     ++preempted_;
-    net::Packet victim = extract(*q, victim_pos(*q, ctx.rng()));
-    ctx.transmit(std::move(victim));
+    ctx.transmit(extract(*q, victim_pos(*q, ctx.rng())));
     // The transmit may have added queues or configurations, moving
     // queues_ and configs_.
     q = &queues_[queue];
     config = &configs_[q->config];
     outcome = Admission::kPreempted;
   }
-  admit_with_delay(queue, std::move(packet), ctx,
+  admit_with_delay(queue, packet, ctx,
                    config->delay->sample(ctx.rng()));
   const HeapNode& root = blocks_[q->block];
   if (old_root == 0) {
@@ -262,14 +237,9 @@ std::uint32_t DelayBuffer::victim_pos(const Queue& q,
   throw std::logic_error("DelayBuffer::victim_pos: unknown policy");
 }
 
-net::Packet DelayBuffer::extract(Queue& q, std::uint32_t pos) {
-  const std::uint32_t slot = blocks_[q.block + pos].slot;
-  Slot& s = slots_[slot];
-  net::Packet packet = std::move(s.held.packet);
+net::PacketPool::Handle DelayBuffer::extract(Queue& q, std::uint32_t pos) {
+  const net::PacketPool::Handle packet = blocks_[q.block + pos].packet;
   heap_remove(q, pos);
-  s.queue = kNil;
-  s.next_free = free_slot_;
-  free_slot_ = slot;
   --live_;
   if (--q.count == 0) {
     release_block(q.block, q.block_class);
@@ -282,35 +252,18 @@ void DelayBuffer::release_head(QueueId queue, net::NodeContext& ctx) {
   // The running event was keyed on the root; it re-arms itself for the
   // next root, if any.
   Queue& q = queues_[queue];
-  net::Packet packet = extract(q, 0);
+  const net::PacketPool::Handle packet = extract(q, 0);
   ++released_;
   if (q.count != 0) {
     const HeapNode& root = blocks_[q.block];
     q.event = ctx.simulator().rearm(root.release, root.seq);
   }
-  ctx.transmit(std::move(packet));
+  ctx.transmit(packet);
 }
 
 bool DelayBuffer::consistent() const {
-  std::vector<std::uint32_t> owned(queues_.size(), 0);
-  std::vector<bool> in_heap(slots_.size(), false);
-  std::size_t live_slots = 0;
-  for (const Slot& s : slots_) {
-    if (s.queue == kNil) continue;
-    if (s.queue >= queues_.size()) return false;
-    ++owned[s.queue];
-    ++live_slots;
-  }
-  std::size_t free_slots = 0;
-  for (std::uint32_t slot = free_slot_; slot != kNil;
-       slot = slots_[slot].next_free) {
-    if (slots_[slot].queue != kNil || ++free_slots > slots_.size()) return false;
-  }
-  std::size_t queued = 0;
-  for (QueueId id = 0; id < queues_.size(); ++id) {
-    const Queue& q = queues_[id];
-    queued += q.count;
-    if (owned[id] != q.count) return false;
+  std::vector<std::uint64_t> handles;
+  for (const Queue& q : queues_) {
     if (q.count == 0) {
       if (q.block != kNil) return false;
       continue;
@@ -320,17 +273,14 @@ bool DelayBuffer::consistent() const {
     }
     const HeapNode* heap = blocks_.data() + q.block;
     for (std::uint32_t pos = 0; pos < q.count; ++pos) {
-      const std::uint32_t slot = heap[pos].slot;
-      if (slot >= slots_.size() || slots_[slot].queue != id || in_heap[slot]) {
-        return false;
-      }
-      in_heap[slot] = true;
+      if (!heap[pos].packet.valid()) return false;
+      handles.push_back(heap[pos].packet.value());
       if (pos > 0 && heap_precedes(heap[pos], heap[(pos - 1) / 2])) return false;
     }
   }
-  return live_slots == live_ && queued == live_ &&
-         free_slots == slots_.size() - live_ &&
-         admitted_ == released_ + preempted_ + live_;
+  std::sort(handles.begin(), handles.end());
+  return std::adjacent_find(handles.begin(), handles.end()) == handles.end() &&
+         handles.size() == live_ && admitted_ == released_ + preempted_ + live_;
 }
 
 const char* to_string(VictimPolicy policy) noexcept {

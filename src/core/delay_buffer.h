@@ -28,26 +28,23 @@ const char* to_string(VictimPolicy policy) noexcept;
 /// releases each one through the simulation kernel when its delay runs out,
 /// or early, as the victim of an RCAD preemption (§5).
 ///
-/// One DelayBuffer is a slab serving any number of queues — one per
-/// buffering node in a Network (made when a packet first reaches the node,
-/// under a single spec). Its memory is sized by the packets held, not by
+/// A packet is held by its net::PacketPool handle: the packet itself stays
+/// in its owner's pool, and the buffer never reads or copies it. One
+/// DelayBuffer is a slab serving any number of queues — one per buffering
+/// node in a Network (made when a packet first reaches the node, under a
+/// single spec). Its memory is sized by the packets held, not by
 /// queues × capacity:
 ///
-///  - **Slots.** One free-listed slot vector shared by every queue. A slot
-///    holds a packet and its times and the owning queue's id; it has no
-///    back-pointer into its queue's heap. It grows only when more packets
-///    are held at once than ever before (Contiki's `memb` fixed-block pool,
-///    network-wide).
 ///  - **Queue heads** (24 bytes each): live count, the queue's release
 ///    block, its kernel event, and an index into a small table of
 ///    QueueConfig entries (delay distribution, victim policy, capacity).
 ///  - **Release blocks.** Every non-empty queue keeps its packets in a
 ///    binary min-heap on (release time, kernel sequence number) living in a
-///    power-of-two block of a shared arena. A queue takes a one-node block
-///    when it goes from 0 to 1 packets and returns it to its size class's
-///    free list when it empties; a full block is swapped for one twice its
-///    size, so a queue's block tracks the packets it holds. Heap sifts read
-///    and write only inside the block, never another packet's slot.
+///    power-of-two block of a shared arena; a heap node is the packet's
+///    whole record here. A queue takes a one-node block when it goes from 0
+///    to 1 packets and returns it to its size class's free list when it
+///    empties; a full block is swapped for one twice its size, so a queue's
+///    block tracks the packets it holds.
 ///
 /// **One kernel event per queue.** A non-empty queue owns exactly one
 /// pending kernel event, keyed on its heap root — the packet due to leave
@@ -69,9 +66,9 @@ class DelayBuffer {
   static constexpr std::size_t kUnbounded =
       std::numeric_limits<std::size_t>::max();
 
+  /// A held packet: its handle and when its delay runs out.
   struct Held {
-    net::Packet packet;
-    double enqueue_time = 0.0;
+    net::PacketPool::Handle packet;
     double release_time = 0.0;
   };
 
@@ -111,44 +108,43 @@ class DelayBuffer {
     return configs_[queues_[queue].config];
   }
 
-  /// Packets held across all queues (the slab's live slots).
+  /// Packets held across all queues.
   std::size_t size() const noexcept { return live_; }
   /// Packets held by one queue.
   std::size_t size(QueueId queue) const noexcept { return queues_[queue].count; }
 
-  /// Heap bytes held by the slot slab, queue heads, configuration table and
-  /// release arena (capacity-based; the shared distributions are not
-  /// counted — they are shared).
+  /// Heap bytes held by the queue heads, configuration table and release
+  /// arena (capacity-based; the shared distributions are not counted — they
+  /// are shared).
   std::size_t memory_bytes() const noexcept;
 
-  /// Copies a queue's held packets in admission order (oldest first). For
-  /// tests and diagnostics; O(n).
+  /// A queue's held packets in admission order (oldest first). For tests
+  /// and diagnostics; O(n log n).
   std::vector<Held> snapshot(QueueId queue) const;
-
-  /// Pre-sizes the slot slab for `packets` concurrently held packets.
-  void reserve(std::size_t packets);
 
   /// What offer() did with an arrival.
   enum class Admission : std::uint8_t {
     kAdmitted,   ///< the queue had room; the packet is held
-    kDropped,    ///< full, no victim rule: the arrival was destroyed
+    kDropped,    ///< full, no victim rule: the arrival was refused; the
+                 ///< caller still owns its handle
     kPreempted,  ///< full: a held packet was transmitted early, then the
                  ///< arrival was admitted
   };
 
   /// The arrival rule of every buffering scheme, written once. Below the
-  /// queue's capacity the packet is admitted: it draws a delay Y and is
-  /// held until now + Y, when it leaves and is transmitted via `ctx`. Every
-  /// packet a queue holds must come with the same `ctx` (its node's): the
-  /// queue's one kernel event keeps the context it was scheduled with. At
-  /// capacity a queue
-  /// with no victim rule drops it — the M/M/k/k loss event of Eq. (5) — and
-  /// a preemptive queue ejects its victim under its policy, transmits it
-  /// through `ctx`, then admits the arrival (RCAD, §5). The arrival's delay
-  /// is drawn from the queue's distribution, after any victim draw. The
-  /// queue's kernel event is re-keyed at most once, after both steps.
-  /// `ctx.transmit()` may add queues to this buffer.
-  Admission offer(QueueId queue, net::Packet&& packet, net::NodeContext& ctx);
+  /// queue's capacity the packet `packet` names is admitted: it draws a
+  /// delay Y and is held until now + Y, when it leaves and is transmitted
+  /// via `ctx`. Every packet a queue holds must come with the same `ctx`
+  /// (its node's): the queue's one kernel event keeps the context it was
+  /// scheduled with. At capacity a queue with no victim rule drops it — the
+  /// M/M/k/k loss event of Eq. (5) — and a preemptive queue ejects its
+  /// victim under its policy, transmits it through `ctx`, then admits the
+  /// arrival (RCAD, §5). The arrival's delay is drawn from the queue's
+  /// distribution, after any victim draw. The queue's kernel event is
+  /// re-keyed at most once, after both steps. `ctx.transmit()` may add
+  /// queues to this buffer.
+  Admission offer(QueueId queue, net::PacketPool::Handle packet,
+                  net::NodeContext& ctx);
 
   /// Lifetime packet counts over every queue: packets admitted, released
   /// when their delay ran out, and transmitted early as preemption victims.
@@ -169,20 +165,14 @@ class DelayBuffer {
   /// Most packets any one queue has held at once.
   std::uint32_t peak_occupancy() const noexcept { return peak_occupancy_; }
 
-  /// Structural self-check for tests: the slab's live slots equal the sum
-  /// of the per-queue counts, every non-empty queue's release heap holds
-  /// exactly its packets, each once, in heap order, and the free list holds
-  /// the rest. O(slots).
+  /// Structural self-check for tests: every held handle appears once
+  /// across all queues, each non-empty queue's release heap is in heap
+  /// order, the per-queue counts sum to size(), and admitted() ==
+  /// released() + preempted() + size(). O(n log n) in the packets held.
   bool consistent() const;
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
-
-  struct Slot {
-    Held held;
-    std::uint32_t queue = kNil;  // owning queue; kNil = free slot
-    std::uint32_t next_free = kNil;  // in a free slot: the next free slot
-  };
 
   struct Queue {
     std::uint32_t count = 0;
@@ -192,22 +182,20 @@ class DelayBuffer {
     sim::EventId event;  // keyed on the root; pending iff count != 0
   };
 
-  /// Release-heap node: the ordering keys ride along with the slot index,
-  /// so sifts compare and move nodes inside the (dense) block and never
-  /// touch a slot; nothing records where a node sits, so a node is found by
-  /// its position in the block. A live slot's release_time never changes,
-  /// so the copy cannot go stale; `seq`, the kernel sequence number
-  /// reserved at admission (the tie-breaker, in admission order), lives
-  /// only here.
+  /// Release-heap node, a held packet's only record in the slab: its
+  /// release time, `seq` — the kernel sequence number reserved at admission
+  /// (the tie-breaker, in admission order) — and its handle. Sifts compare
+  /// and move nodes inside the (dense) block; nothing records where a node
+  /// sits, so a node is found by its position in the block. In a free
+  /// block, the first node's handle holds the next free block's offset.
   struct HeapNode {
     double release = 0.0;
     std::uint64_t seq = 0;
-    std::uint32_t slot = kNil;  // in a free block: the next free block
+    net::PacketPool::Handle packet;
   };
 
   static constexpr std::size_t kClasses = 32;
 
-  std::uint32_t acquire_slot();
   /// The queue's nodes in admission (`seq`) order.
   std::span<const HeapNode> admission_order(const Queue& q) const;
 
@@ -216,7 +204,7 @@ class DelayBuffer {
   /// Makes room for one more heap node in `q`'s block, taking a one-node
   /// block or doubling a full one.
   void ensure_block_room(Queue& q);
-  void heap_push(Queue& q, std::uint32_t slot, std::uint64_t seq);
+  void heap_push(Queue& q, HeapNode node);
   /// Removes the node at heap position `pos` (the caller has read it).
   void heap_remove(Queue& q, std::uint32_t pos) noexcept;
   /// Re-sites `node` starting at hole `pos` of `heap`, whichever direction
@@ -227,19 +215,18 @@ class DelayBuffer {
 
   /// Holds the packet for `delay` (finite, >= 0) in the release heap; the
   /// caller keys the queue's event.
-  void admit_with_delay(QueueId queue, net::Packet&& packet,
+  void admit_with_delay(QueueId queue, net::PacketPool::Handle packet,
                         net::NodeContext& ctx, double delay);
   /// The heap position of the queue's victim under its rule.
   std::uint32_t victim_pos(const Queue& q, sim::RandomStream& rng) const;
-  /// Removes the packet at heap position `pos` of `q` from every structure
-  /// and returns it.
-  net::Packet extract(Queue& q, std::uint32_t pos);
+  /// Removes the packet at heap position `pos` of `q` and returns its
+  /// handle.
+  net::PacketPool::Handle extract(Queue& q, std::uint32_t pos);
   /// The queue's kernel event: transmits the root, keys the next event.
   void release_head(QueueId queue, net::NodeContext& ctx);
 
   std::vector<QueueConfig> configs_;
   std::vector<Queue> queues_;
-  std::vector<Slot> slots_;
   std::vector<HeapNode> blocks_;  // release-block arena
   mutable std::vector<HeapNode> scratch_;  // admission_order()'s buffer
   std::array<std::uint32_t, kClasses> free_block_ = [] {
@@ -247,7 +234,6 @@ class DelayBuffer {
     heads.fill(kNil);  // per size class: first free block, kNil = none
     return heads;
   }();
-  std::uint32_t free_slot_ = kNil;
   std::size_t live_ = 0;
   std::uint64_t admitted_ = 0;
   std::uint64_t released_ = 0;

@@ -101,17 +101,21 @@ const Network::NodeRecord* Network::find(NodeId id) const {
                         : &blocks_[r / kRecordsPerBlock][r % kRecordsPerBlock];
 }
 
-void Network::handle(NodeRecord& node, Packet&& packet) {
+void Network::handle(NodeRecord& node, PacketPool::Handle packet) {
   switch (node.role) {
     case NodeRole::kImmediate:
       ++handled_.immediate;
-      transmit_from(node, std::move(packet));
+      transmit_from(node, packet);
       break;
     case NodeRole::kBuffered: {
       const std::uint32_t queue = node.slot;
       ++handled_.buffered;
-      if (slab_.offer(queue, std::move(packet), node) !=
-          core::DelayBuffer::Admission::kAdmitted) {
+      const core::DelayBuffer::Admission outcome =
+          slab_.offer(queue, packet, node);
+      if (outcome == core::DelayBuffer::Admission::kDropped) {
+        (void)pool_.take(packet);
+      }
+      if (outcome != core::DelayBuffer::Admission::kAdmitted) {
         ++losses_[queue];
       }
       break;
@@ -122,7 +126,7 @@ void Network::handle(NodeRecord& node, Packet&& packet) {
   probe(node);
 }
 
-void Network::transmit_from(NodeRecord& node, Packet&& packet) {
+void Network::transmit_from(NodeRecord& node, PacketPool::Handle packet) {
   // The next hop's record, cached the first time a transmit finds it made;
   // until then the arrival looks it up by node id (and makes it, if this
   // packet is the first to reach it).
@@ -133,31 +137,32 @@ void Network::transmit_from(NodeRecord& node, Packet&& packet) {
     next_record = index_[next];
     node.next_record = next_record;
   }
-  // Update the cleartext header the way MultiHop does on each forward.
-  packet.header.prev_hop = node.node;
-  packet.header.hop_count =
-      static_cast<std::uint16_t>(packet.header.hop_count + 1);
-  packet.header.routing_seq = node.routing_seq++;
+  // Update the cleartext header the way MultiHop does on each forward, in
+  // the packet's pool slot.
+  Packet& sent = pool_.at(packet);
+  sent.header.prev_hop = node.node;
+  sent.header.hop_count = static_cast<std::uint16_t>(sent.header.hop_count + 1);
+  sent.header.routing_seq = node.routing_seq++;
   if (!transmit_probes_.empty()) [[unlikely]] {
-    dispatch_transmit_probes(node.node, next_hop_[node.node], packet);
+    dispatch_transmit_probes(node.node, next_hop_[node.node], sent);
   }
   double link_delay = config_.hop_tx_delay;
   if (config_.hop_jitter > 0.0) {
     link_delay += node.stream.uniform(0.0, config_.hop_jitter);
   }
-  // Park the packet in the pool so the link-delay closure carries only
-  // {network, record index, node id, handle}, 24 bytes — inside the event
-  // kernel's inline budget, so a warm forward never touches the heap. With
-  // the paper's constant per-hop latency (jitter 0) the arrival times of
-  // successive transmits never decrease, so the arrival events ride the
-  // event queue's O(1) FIFO lane instead of its heap; with jitter the call
-  // degrades gracefully (out-of-order times divert to the heap inside).
-  const PacketPool::Handle handle = pool_.put(std::move(packet));
+  // The link-delay closure carries only {network, record index, node id,
+  // handle}, 24 bytes — inside the event kernel's inline budget, so a warm
+  // forward never touches the heap. With the paper's constant per-hop
+  // latency (jitter 0) the arrival times of successive transmits never
+  // decrease, so the arrival events ride the event queue's O(1) FIFO lane
+  // instead of its heap; with jitter the call degrades gracefully
+  // (out-of-order times divert to the heap inside).
   simulator_.schedule_after_monotone(link_delay,
-                                     [this, next_record, next, handle] {
+                                     [this, next_record, next, packet] {
                                        arrive_from_link(next_record, next,
-                                                        handle);
+                                                        packet);
                                      });
+  ++in_flight_;
   probe(node);
 }
 
@@ -174,7 +179,7 @@ std::uint64_t Network::originate(NodeId origin, crypto::SealedPayload payload) {
   packet.uid = uid;
   // The source's own discipline runs first: the source may buffer the packet
   // before its first transmission (the paper's Y0 term, §3.3).
-  handle(record(origin), std::move(packet));
+  handle(record(origin), pool_.put(std::move(packet)));
   // Counted only after the discipline accepted the packet, so a handler that
   // throws does not inflate the originated tally.
   ++originated_;
@@ -196,7 +201,7 @@ void Network::add_transmit_probe(TransmitProbe probe) {
   transmit_probes_.push_back(std::move(probe));
 }
 
-void Network::reserve(std::size_t in_flight) { pool_.reserve(in_flight); }
+void Network::reserve(std::size_t packets) { pool_.reserve(packets); }
 
 void Network::dispatch_transmit_probes(NodeId from, NodeId to,
                                        const Packet& packet) {
@@ -237,13 +242,14 @@ std::uint64_t Network::node_drops(NodeId id) const {
 }
 
 void Network::arrive_from_link(std::uint32_t r, NodeId id,
-                               PacketPool::Handle parked) {
+                               PacketPool::Handle packet) {
+  --in_flight_;
   NodeRecord& arrived = r != kNoRecord ? at(r) : record(id);
   if (arrived.role == NodeRole::kSink) {
-    deliver(pool_.take(parked));
+    deliver(pool_.take(packet));
     return;
   }
-  handle(arrived, pool_.take(parked));
+  handle(arrived, packet);
 }
 
 void Network::deliver(const Packet& packet) {

@@ -89,11 +89,13 @@ using NodeSpecs =
 /// RCAD) is one queue of a single network-wide DelayBuffer slab, made with
 /// its record, whose memory follows the packets held rather than
 /// nodes × k, and whose offer() applies the node's arrival rule. Packets
-/// leave every node by its routing-tree next hop. The per-packet path is
-/// allocation-free in steady state: packets are flat PODs, and link
-/// traversals park them in a free-listed PacketPool and schedule a 24-byte
-/// {network, record index, node id, handle} closure (inline in the event
-/// kernel). Once a node's next hop has a record, the sender caches its index
+/// leave every node by its routing-tree next hop. A packet lives in one
+/// free-listed PacketPool slot from originate() until it is delivered or
+/// dropped: the slab holds its handle, each hop rewrites its header in
+/// place, and a link traversal schedules a 24-byte {network, record index,
+/// node id, handle} closure (inline in the event kernel), so the per-packet
+/// path is allocation-free in steady state and copies a packet only when it
+/// leaves. Once a node's next hop has a record, the sender caches its index
 /// and an arrival goes straight to it, never through the per-node index.
 class Network {
  public:
@@ -138,9 +140,9 @@ class Network {
   /// attached and all fire per transmission, in registration order.
   void add_transmit_probe(TransmitProbe probe);
 
-  /// Pre-sizes the in-flight packet pool for `in_flight` packets
-  /// simultaneously traversing links, so the steady state never reallocates.
-  void reserve(std::size_t in_flight);
+  /// Pre-sizes the packet pool for `packets` packets held at once (buffered
+  /// or on a link), so the steady state never reallocates.
+  void reserve(std::size_t packets);
 
   const Topology& topology() const noexcept { return topology_; }
   const RoutingTable& routing() const noexcept { return routing_; }
@@ -171,13 +173,16 @@ class Network {
   };
   const HandledCounts& packets_handled() const noexcept { return handled_; }
 
-  /// Packets currently traversing a link (in the pool between transmit and
-  /// arrival).
-  std::size_t packets_in_flight() const noexcept { return pool_.in_flight(); }
+  /// Packets currently traversing a link (between transmit and arrival).
+  std::size_t packets_in_flight() const noexcept { return in_flight_; }
+  /// Packets the network holds: the packet pool's live slots. Every one is
+  /// buffered or on a link, so this is total_buffered() +
+  /// packets_in_flight() whenever no packet is being handed on.
+  std::size_t packets_live() const noexcept { return pool_.live(); }
 
   /// Heap bytes held by the per-node index, the node-record blocks, the
-  /// buffer slab and the in-flight pool (excludes topology and routing,
-  /// which report their own).
+  /// buffer slab and the packet pool (excludes topology and routing, which
+  /// report their own).
   std::size_t memory_bytes() const noexcept;
 
   /// Bytes of one block of node records: records are allocated this many
@@ -218,8 +223,8 @@ class Network {
     sim::Simulator& simulator() noexcept override { return net->simulator_; }
     sim::RandomStream& rng() noexcept override { return stream; }
     NodeId id() const noexcept override { return node; }
-    void transmit(Packet&& packet) override {
-      net->transmit_from(*this, std::move(packet));
+    void transmit(PacketPool::Handle packet) override {
+      net->transmit_from(*this, packet);
     }
 
     Network* net;
@@ -272,19 +277,20 @@ class Network {
   }
 
   /// A packet is at `node` now: run the node's policy (switch on the role
-  /// byte), then fire the occupancy probe.
-  void handle(NodeRecord& node, Packet&& packet);
+  /// byte), then fire the occupancy probe. A packet the node drops leaves
+  /// the pool here.
+  void handle(NodeRecord& node, PacketPool::Handle packet);
   /// Hands `packet` to the link layer from `node`, towards its tree next
-  /// hop: header update, transmit probes, link-delay scheduling, occupancy
-  /// probe. Caches the next hop's record index once that record exists;
+  /// hop: header update in place, transmit probes, link-delay scheduling,
+  /// occupancy probe. Caches the next hop's record index once that record exists;
   /// never makes a record: records are made on first arrival, so mid-run
   /// only the nodes packets have reached hold state.
-  void transmit_from(NodeRecord& node, Packet&& packet);
+  void transmit_from(NodeRecord& node, PacketPool::Handle packet);
 
   /// A packet reaches node `id`, whose record is number `r`, or kNoRecord
   /// if the sender had none cached: then the record is looked up, or made
   /// on this first arrival.
-  void arrive_from_link(std::uint32_t r, NodeId id, PacketPool::Handle parked);
+  void arrive_from_link(std::uint32_t r, NodeId id, PacketPool::Handle packet);
   void deliver(const Packet& packet);
   void probe(const NodeRecord& node);
   std::size_t buffered_of(const NodeRecord& node) const;
@@ -326,7 +332,8 @@ class Network {
   std::vector<SinkObserver*> observers_;
   OccupancyProbe occupancy_probe_;
   std::vector<TransmitProbe> transmit_probes_;
-  PacketPool pool_;
+  PacketPool pool_;  // every packet the network holds
+  std::size_t in_flight_ = 0;
   std::uint64_t next_uid_ = 0;
   std::uint64_t originated_ = 0;
   std::uint64_t delivered_ = 0;

@@ -29,9 +29,9 @@ struct RoutingHeader {
 /// in this struct besides the header is intelligible to the adversary.
 ///
 /// The sealed payload's ciphertext is stored inline (crypto::InlineBytes),
-/// so a Packet is a flat, trivially-copyable value: the forwarding path
-/// (slot pools, delay buffers, event captures) moves packets with plain
-/// memcpys and never allocates per packet.
+/// so a Packet is a flat, trivially-copyable value: it is stored once, in a
+/// PacketPool slot, with a plain memcpy, and the forwarding path never
+/// allocates per packet.
 struct Packet {
   RoutingHeader header;
   crypto::SealedPayload payload;
@@ -42,7 +42,6 @@ struct Packet {
 
 static_assert(std::is_trivially_copyable_v<Packet>,
               "Packet must stay a flat POD: the zero-allocation packet path "
-              "(PacketPool, DelayBuffer slots, link-event captures) depends "
-              "on memcpy moves");
+              "stores it in a PacketPool slot with a memcpy");
 
 }  // namespace tempriv::net

@@ -8,20 +8,20 @@
 
 namespace tempriv::net {
 
-/// Free-listed slot pool for packets in flight on a link.
-///
-/// Network::transmit used to capture the whole Packet inside the link-delay
-/// event closure; once the ciphertext moved inline that capture outgrew the
-/// event kernel's inline budget, so every hop would have paid one heap
-/// allocation again. Instead the packet parks here and the closure captures
-/// a 16-byte (network pointer + handle) pair — per the EventQueue slot-pool
-/// pattern from PR 2.
+/// The packet's only home: every packet the network holds, buffered at a
+/// node or on a link, lives in one free-listed slot from the moment it is
+/// emitted until it is delivered or dropped. Everything else names it by
+/// handle: a delay buffer's release heap, the 24-byte link-delay closure
+/// (inline in the event kernel), NodeContext::transmit. Forwarding updates
+/// the header in place through at(); the packet is copied out once, by
+/// take(), when it leaves the network.
 ///
 /// Handles carry the occupant's identity ({seq:40, slot:24}, same scheme as
 /// sim::EventId), so a stale handle — double take(), or a handle kept past
-/// its packet's arrival — can never alias the slot's next occupant:
-/// take() throws std::logic_error instead of handing back the wrong packet.
-/// In steady state (every slot visited once) put/take never allocate.
+/// its packet's departure — can never alias the slot's next occupant: at()
+/// and take() throw std::logic_error instead of handing back the wrong
+/// packet. In steady state (every slot visited once) put/take never
+/// allocate.
 class PacketPool {
  public:
   class Handle {
@@ -38,8 +38,8 @@ class PacketPool {
     std::uint64_t value_ = 0;
   };
 
-  /// Parks a packet and returns its claim ticket.
-  /// Throws std::length_error beyond 2^24 concurrent in-flight packets.
+  /// Stores a packet and returns its claim ticket.
+  /// Throws std::length_error beyond 2^24 live packets.
   Handle put(Packet&& packet) {
     const std::uint32_t slot = acquire_slot();
     Slot& s = slots_[slot];
@@ -50,14 +50,13 @@ class PacketPool {
     return Handle(aux);
   }
 
+  /// The live packet `handle` names, in place; the reference is valid until
+  /// the next put().
+  Packet& at(Handle handle) { return slots_[checked_slot(handle)].packet; }
+
   /// Redeems a handle exactly once; frees the slot.
   Packet take(Handle handle) {
-    const std::uint32_t slot =
-        static_cast<std::uint32_t>(handle.value() & (kMaxSlots - 1));
-    if (!handle.valid() || slot >= slots_.size() ||
-        slots_[slot].aux != handle.value()) {
-      throw std::logic_error("PacketPool::take: stale or invalid handle");
-    }
+    const std::uint32_t slot = checked_slot(handle);
     Slot& s = slots_[slot];
     s.aux = 0;
     s.next_free = free_head_;
@@ -66,14 +65,14 @@ class PacketPool {
     return s.packet;
   }
 
-  /// Packets currently parked.
-  std::size_t in_flight() const noexcept { return live_count_; }
+  /// Packets currently stored.
+  std::size_t live() const noexcept { return live_count_; }
 
   /// Slots ever created (capacity diagnostics).
   std::size_t slot_count() const noexcept { return slots_.size(); }
 
-  /// Pre-sizes the pool for `capacity` concurrent in-flight packets so the
-  /// steady state never reallocates.
+  /// Pre-sizes the pool for `capacity` live packets so the steady state
+  /// never reallocates.
   void reserve(std::size_t capacity) { slots_.reserve(capacity); }
 
   /// Heap bytes held by the slot array (reserved capacity included).
@@ -92,6 +91,18 @@ class PacketPool {
     std::uint32_t next_free = kNilSlot;
   };
 
+  /// The slot of the live packet `handle` names; throws std::logic_error
+  /// for a taken, default or forged handle.
+  std::uint32_t checked_slot(Handle handle) const {
+    const std::uint32_t slot =
+        static_cast<std::uint32_t>(handle.value() & (kMaxSlots - 1));
+    if (!handle.valid() || slot >= slots_.size() ||
+        slots_[slot].aux != handle.value()) {
+      throw std::logic_error("PacketPool: stale or invalid handle");
+    }
+    return slot;
+  }
+
   std::uint32_t acquire_slot() {
     if (free_head_ != kNilSlot) {
       const std::uint32_t slot = free_head_;
@@ -100,7 +111,7 @@ class PacketPool {
       return slot;
     }
     if (slots_.size() >= kMaxSlots) {
-      throw std::length_error("PacketPool: too many packets in flight");
+      throw std::length_error("PacketPool: too many live packets");
     }
     slots_.emplace_back();
     return static_cast<std::uint32_t>(slots_.size() - 1);

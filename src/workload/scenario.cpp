@@ -156,6 +156,11 @@ void check_end_of_run(const EndOfRunCounts& c, std::uint64_t seed) {
   check_invariant("admitted != released + preempted + held", seed, "admitted",
                   c.admitted, "released + preempted + held",
                   c.released + c.preempted + c.held);
+  // Pool conservation: a packet's one slot is freed when it is delivered or
+  // dropped, so every live slot holds a buffered or in-flight packet; a miss
+  // means a slot leaked or was freed early.
+  check_invariant("pool live != buffered + in flight", seed, "live", c.live,
+                  "buffered + in flight", c.buffered + c.in_flight);
 }
 
 ScenarioResult run_paper_scenario(const PaperScenario& scenario) {
@@ -264,7 +269,7 @@ ScenarioResult run_paper_scenario(const PaperScenario& scenario) {
                      network.packets_in_flight(), queue.scheduled_heap(),
                      queue.scheduled_fifo(), simulator.events_executed(),
                      slab.admitted(), slab.released(), slab.preempted(),
-                     slab.size()},
+                     slab.size(), network.packets_live()},
       scenario.seed);
 
   ScenarioResult result;

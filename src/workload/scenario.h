@@ -133,7 +133,7 @@ struct ScenarioResult {
 ScenarioResult run_paper_scenario(const PaperScenario& scenario);
 
 /// What run_paper_scenario's end-of-run invariants compare, read from the
-/// drained event queue, the network and its buffer slab.
+/// drained event queue, the network, its buffer slab and its packet pool.
 struct EndOfRunCounts {
   // Packets: originated == delivered + dropped + buffered + in_flight.
   std::uint64_t originated, delivered, dropped, buffered, in_flight;
@@ -141,6 +141,8 @@ struct EndOfRunCounts {
   std::uint64_t scheduled_heap, scheduled_fifo, executed;
   // The slab: admitted == released + preempted + held.
   std::uint64_t admitted, released, preempted, held;
+  // The packet pool: live == buffered + in_flight.
+  std::uint64_t live;
 };
 
 /// Throws std::logic_error naming `seed` and both sides of the first

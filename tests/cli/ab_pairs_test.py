@@ -5,7 +5,8 @@ Writes --log files by hand and checks what `ab_pairs.py --summarize` makes
 of them: per-pair lines, per-metric medians, base IQR, ratio and wins, the
 recorded nproc and revisions, and exit 1 for a log holding a run whose
 result has "correct" false or "failed" > 0. Also checks that the result
-line is read from the last line of run.py's stdout.
+line is read from the last line of run.py's stdout, and where the base
+worktree goes: a new directory whose path is as long as the checkout's.
 
 Usage: ab_pairs_test.py <path to scripts/ab_pairs.py>
 """
@@ -95,6 +96,33 @@ def main():
         except ab_pairs.RefusedRun:
             continue
         expect(False, f"parse_result accepted {stdout!r}")
+
+    # The worktree's path is as long as the checkout's, so perfbench_driver's
+    # argv (and peak_rss_mb with it) does not differ between the sides.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp).resolve()
+        checkout = tmp / "some" / "checkout"
+        first, second = tmp / "a", tmp / "b"
+        first.mkdir()
+        second.mkdir()
+        path = ab_pairs.same_length_dir(checkout, [first, second])
+        expect(len(str(path)) == len(str(checkout)), f"length: {path} vs {checkout}")
+        expect(path.parent == first and path.is_dir() and not any(path.iterdir()),
+               f"not a new empty directory in the first parent: {path}")
+        again = ab_pairs.same_length_dir(checkout, [first, second])
+        expect(again != path and len(str(again)) == len(str(checkout)),
+               f"second directory: {again}")
+        # A parent leaving no room for a name is skipped.
+        crowded = tmp / ("x" * (len(str(checkout)) - len(str(tmp)) - 2))
+        path = ab_pairs.same_length_dir(checkout, [crowded, second])
+        expect(path.parent == second and len(str(path)) == len(str(checkout)),
+               f"fallback parent: {path}")
+        try:
+            ab_pairs.same_length_dir(checkout, [crowded])
+        except ab_pairs.RefusedRun:
+            pass
+        else:
+            expect(False, "same_length_dir found room in a crowded parent")
     print("ab_pairs summary: ok")
 
 

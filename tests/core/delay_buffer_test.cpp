@@ -7,6 +7,7 @@
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -18,6 +19,8 @@ namespace {
 
 using oracles::select_victim;
 using testing::one_queue;
+using testing::oracle_view;
+using testing::OracleHeld;
 using testing::TestContext;
 
 TEST(DelayBuffer, RequiresDistribution) {
@@ -39,12 +42,13 @@ TEST(DelayBuffer, ReleasesAfterSampledDelay) {
 TEST(DelayBuffer, SnapshotRecordsReleaseTimes) {
   TestContext ctx;
   DelayBuffer buffer = one_queue(std::make_unique<ConstantDelay>(10.0));
-  buffer.offer(0, ctx.make_packet(7), ctx);
+  const net::PacketPool::Handle packet = ctx.make_packet(7);
+  buffer.offer(0, packet, ctx);
   const auto held = buffer.snapshot(0);
   ASSERT_EQ(held.size(), 1u);
-  EXPECT_DOUBLE_EQ(held[0].enqueue_time, 0.0);
+  EXPECT_EQ(held[0].packet, packet);  // the handle, not a copy
   EXPECT_DOUBLE_EQ(held[0].release_time, 10.0);
-  EXPECT_EQ(held[0].packet.uid, 7u);
+  EXPECT_EQ(ctx.uid(held[0].packet), 7u);
 }
 
 TEST(DelayBuffer, SnapshotPreservesAdmissionOrder) {
@@ -64,7 +68,7 @@ TEST(DelayBuffer, SnapshotPreservesAdmissionOrder) {
   ASSERT_EQ(held.size(), 8u);
   const std::uint64_t expected[] = {2, 3, 4, 5, 6, 7, 8, 9};
   for (std::size_t i = 0; i < held.size(); ++i) {
-    EXPECT_EQ(held[i].packet.uid, expected[i]);
+    EXPECT_EQ(ctx.uid(held[i].packet), expected[i]);
   }
 }
 
@@ -96,9 +100,8 @@ TEST(DelayBuffer, SlotsAreRecycledAcrossAdmissions) {
   DelayBuffer buffer = one_queue(DelayBuffer::QueueConfig{
       std::make_shared<ConstantDelay>(1.0),
       VictimPolicy::kShortestRemaining, 3});
-  buffer.reserve(4);
   // Churn far more packets than the working set; every one must come back
-  // out exactly once even though slots recycle.
+  // out exactly once even though pool slots recycle.
   for (std::uint64_t uid = 0; uid < 100; ++uid) {
     buffer.offer(0, ctx.make_packet(uid), ctx);
     ctx.simulator().run_until(ctx.simulator().now() + 0.25);
@@ -109,6 +112,9 @@ TEST(DelayBuffer, SlotsAreRecycledAcrossAdmissions) {
   EXPECT_EQ(buffer.admitted(), 100u);
   EXPECT_EQ(buffer.released() + buffer.preempted(), 100u);
   EXPECT_GT(buffer.preempted(), 0u);
+  // At most three held plus the arrival: four slots, all free again.
+  EXPECT_LE(ctx.pool().slot_count(), 4u);
+  EXPECT_EQ(ctx.pool().live(), 0u);
 }
 
 TEST(DelayBuffer, MultiplePacketsReleaseIndependently) {
@@ -153,7 +159,7 @@ TEST(SelectVictim, ShortestRemainingPicksClosestToDeparture) {
   for (std::uint64_t uid = 0; uid < 5; ++uid) {
     buffer.offer(0, ctx.make_packet(uid), ctx);
   }
-  const auto held = buffer.snapshot(0);
+  const auto held = ctx.oracle_view(buffer);
   const std::size_t victim =
       select_victim(held, VictimPolicy::kShortestRemaining, 0.0, ctx.rng());
   for (std::size_t i = 0; i < held.size(); ++i) {
@@ -167,7 +173,7 @@ TEST(SelectVictim, LongestRemainingIsOpposite) {
   for (std::uint64_t uid = 0; uid < 5; ++uid) {
     buffer.offer(0, ctx.make_packet(uid), ctx);
   }
-  const auto held = buffer.snapshot(0);
+  const auto held = ctx.oracle_view(buffer);
   const std::size_t victim =
       select_victim(held, VictimPolicy::kLongestRemaining, 0.0, ctx.rng());
   for (std::size_t i = 0; i < held.size(); ++i) {
@@ -183,10 +189,10 @@ TEST(SelectVictim, OldestPicksEarliestEnqueue) {
     buffer.offer(0, ctx.make_packet(1), ctx);
   });
   ctx.simulator().run_until(2.0);
-  const auto held = buffer.snapshot(0);
+  const auto held = ctx.oracle_view(buffer);
   const std::size_t victim =
       select_victim(held, VictimPolicy::kOldest, 2.0, ctx.rng());
-  EXPECT_EQ(held[victim].packet.uid, 0u);
+  EXPECT_EQ(held[victim].uid, 0u);
 }
 
 TEST(SelectVictim, RandomIsInRangeAndCoversBuffer) {
@@ -195,7 +201,7 @@ TEST(SelectVictim, RandomIsInRangeAndCoversBuffer) {
   for (std::uint64_t uid = 0; uid < 4; ++uid) {
     buffer.offer(0, ctx.make_packet(uid), ctx);
   }
-  const auto held = buffer.snapshot(0);
+  const auto held = ctx.oracle_view(buffer);
   std::set<std::size_t> seen;
   for (int i = 0; i < 200; ++i) {
     const std::size_t victim =
@@ -209,7 +215,7 @@ TEST(SelectVictim, RandomIsInRangeAndCoversBuffer) {
 TEST(SelectVictim, RejectsEmptyBuffer) {
   TestContext ctx;
   EXPECT_THROW(
-      select_victim(std::vector<DelayBuffer::Held>{},
+      select_victim(std::vector<OracleHeld>{},
                     VictimPolicy::kShortestRemaining, 0.0, ctx.rng()),
       std::invalid_argument);
 }
@@ -242,11 +248,11 @@ std::size_t preempt_against_reference(
       }
       // Reference choice on a snapshot, with a cloned RNG so offer() sees
       // the same uniform draw the reference consumed.
-      const auto held = buffer.snapshot(0);
+      const auto held = ctx.oracle_view(buffer);
       sim::RandomStream reference_rng = ctx.rng();
       const std::size_t expected_index = select_victim(
           held, policy, ctx.simulator().now(), reference_rng);
-      const std::uint64_t expected_uid = held[expected_index].packet.uid;
+      const std::uint64_t expected_uid = held[expected_index].uid;
       EXPECT_EQ(buffer.offer(0, ctx.make_packet(uid++), ctx),
                 DelayBuffer::Admission::kPreempted);
       EXPECT_EQ(ctx.transmitted().back().second.uid, expected_uid)
@@ -348,30 +354,46 @@ TEST(DelayBuffer, HoldsOneKernelEventPerQueue) {
   EXPECT_EQ(ctx.simulator().events_executed(), 4u);
 }
 
-// A NodeContext per slab queue, all on one simulator: records which queue
-// each released packet left from.
+// A NodeContext per slab queue, all on one simulator and one packet pool:
+// records which queue each released packet left from.
 class QueueContext final : public net::NodeContext {
  public:
-  QueueContext(sim::Simulator& sim, std::uint64_t seed, DelayBuffer::QueueId queue,
+  QueueContext(sim::Simulator& sim, net::PacketPool& pool, std::uint64_t seed,
+               DelayBuffer::QueueId queue,
                std::vector<std::pair<DelayBuffer::QueueId, std::uint64_t>>& out)
-      : sim_(sim), rng_(seed), queue_(queue), out_(out) {}
+      : sim_(sim), pool_(pool), rng_(seed), queue_(queue), out_(out) {}
 
   sim::Simulator& simulator() noexcept override { return sim_; }
   sim::RandomStream& rng() noexcept override { return rng_; }
   net::NodeId id() const noexcept override { return queue_; }
-  void transmit(net::Packet&& packet) override { out_.emplace_back(queue_, packet.uid); }
+  void transmit(net::PacketPool::Handle packet) override {
+    out_.emplace_back(queue_, pool_.take(packet).uid);
+  }
 
  private:
   sim::Simulator& sim_;
+  net::PacketPool& pool_;
   sim::RandomStream rng_;
   DelayBuffer::QueueId queue_;
   std::vector<std::pair<DelayBuffer::QueueId, std::uint64_t>>& out_;
 };
 
-std::vector<std::uint64_t> uids_of(const std::vector<DelayBuffer::Held>& held) {
+std::vector<std::uint64_t> uids_of(const std::vector<DelayBuffer::Held>& held,
+                                   net::PacketPool& pool) {
   std::vector<std::uint64_t> uids;
-  for (const DelayBuffer::Held& h : held) uids.push_back(h.packet.uid);
+  for (const DelayBuffer::Held& h : held) uids.push_back(pool.at(h.packet).uid);
   return uids;
+}
+
+/// Puts a packet with id `uid` into `pool` and records `now` as its enqueue
+/// time in `offered`.
+net::PacketPool::Handle make_packet(
+    net::PacketPool& pool, std::unordered_map<std::uint64_t, double>& offered,
+    std::uint64_t uid, double now) {
+  net::Packet packet;
+  packet.uid = uid;
+  offered[uid] = now;
+  return pool.put(std::move(packet));
 }
 
 // Randomized churn over a many-queue slab — every victim policy plus queues
@@ -386,6 +408,8 @@ TEST(DelayBufferSlab, RandomizedChurnMatchesPerQueueReference) {
       VictimPolicy::kShortestRemaining, VictimPolicy::kLongestRemaining,
       VictimPolicy::kRandom, VictimPolicy::kOldest, std::nullopt};
   sim::Simulator sim;
+  net::PacketPool pool;
+  std::unordered_map<std::uint64_t, double> offered;  // uid -> enqueue time
   DelayBuffer slab;
   std::vector<std::uint32_t> configs;
   for (const auto& victim : kVictims) {
@@ -403,7 +427,8 @@ TEST(DelayBufferSlab, RandomizedChurnMatchesPerQueueReference) {
   for (std::size_t i = 0; i < kQueues; ++i) {
     const DelayBuffer::QueueId q = slab.add_queue(configs[i % configs.size()]);
     ASSERT_EQ(q, i);
-    ctx.push_back(std::make_unique<QueueContext>(sim, 100 + i, q, released));
+    ctx.push_back(
+        std::make_unique<QueueContext>(sim, pool, 100 + i, q, released));
   }
   auto forget = [&](DelayBuffer::QueueId q, std::uint64_t uid) {
     auto& uids = model[q];
@@ -423,17 +448,17 @@ TEST(DelayBufferSlab, RandomizedChurnMatchesPerQueueReference) {
       const bool full = slab.size(q) >= config.capacity;
       std::optional<std::uint64_t> expected;
       if (full && config.victim) {
-        const auto held = slab.snapshot(q);
+        const auto held = oracle_view(slab, q, pool, offered);
         sim::RandomStream oracle_rng = c.rng();
         expected = held[select_victim(held, *config.victim, sim.now(),
                                       oracle_rng)]
-                       .packet.uid;
+                       .uid;
       }
-      net::Packet packet;
-      packet.uid = next_uid++;
-      const std::uint64_t uid = packet.uid;
+      const std::uint64_t uid = next_uid++;
+      const net::PacketPool::Handle packet =
+          make_packet(pool, offered, uid, sim.now());
       released.clear();
-      const DelayBuffer::Admission outcome = slab.offer(q, std::move(packet), c);
+      const DelayBuffer::Admission outcome = slab.offer(q, packet, c);
       if (!full) {
         ASSERT_EQ(outcome, DelayBuffer::Admission::kAdmitted);
       } else if (expected) {
@@ -444,6 +469,7 @@ TEST(DelayBufferSlab, RandomizedChurnMatchesPerQueueReference) {
         ++preempts;
       } else {
         ASSERT_EQ(outcome, DelayBuffer::Admission::kDropped);
+        EXPECT_EQ(pool.take(packet).uid, uid);  // still the caller's
         ++drops;
         continue;
       }
@@ -457,7 +483,7 @@ TEST(DelayBufferSlab, RandomizedChurnMatchesPerQueueReference) {
       ASSERT_TRUE(slab.consistent()) << "step " << step;
       std::size_t total = 0;
       for (DelayBuffer::QueueId i = 0; i < kQueues; ++i) {
-        ASSERT_EQ(uids_of(slab.snapshot(i)), model[i]) << "queue " << i;
+        ASSERT_EQ(uids_of(slab.snapshot(i), pool), model[i]) << "queue " << i;
         total += slab.size(i);
       }
       ASSERT_EQ(slab.size(), total);
@@ -471,6 +497,7 @@ TEST(DelayBufferSlab, RandomizedChurnMatchesPerQueueReference) {
   for (const auto& [from, uid] : released) forget(from, uid);
   for (const auto& uids : model) EXPECT_TRUE(uids.empty());
   EXPECT_EQ(slab.size(), 0u);
+  EXPECT_EQ(pool.live(), 0u);
   EXPECT_TRUE(slab.consistent());
 }
 
@@ -486,17 +513,19 @@ class GrowingContext final : public net::NodeContext {
   sim::Simulator& simulator() noexcept override { return sim_; }
   sim::RandomStream& rng() noexcept override { return rng_; }
   net::NodeId id() const noexcept override { return 0; }
-  void transmit(net::Packet&& packet) override {
+  void transmit(net::PacketPool::Handle packet) override {
     const std::uint32_t config = slab_.add_config(slab_.config(0));
     const std::size_t target = 2 * slab_.queue_count() + 16;
     while (slab_.queue_count() < target) slab_.add_queue(config);
-    sent_.push_back(packet.uid);
+    sent_.push_back(pool_.take(packet).uid);
   }
 
   const std::vector<std::uint64_t>& sent() const { return sent_; }
+  net::PacketPool& pool() noexcept { return pool_; }
 
  private:
   DelayBuffer& slab_;
+  net::PacketPool pool_;
   sim::Simulator sim_;
   sim::RandomStream rng_;
   std::vector<std::uint64_t> sent_;
@@ -511,22 +540,22 @@ TEST(DelayBufferSlab, PreemptionSurvivesATransmitThatAddsQueues) {
     slab.add_queue(slab.add_config(
         {std::make_shared<ExponentialDelay>(50.0), policy, 3}));
     GrowingContext ctx(slab, 17);
+    std::unordered_map<std::uint64_t, double> offered;  // uid -> enqueue time
     std::vector<std::uint64_t> held_uids;  // admission order
     std::size_t preempts = 0;
     for (std::uint64_t uid = 0; uid < 12; ++uid) {
       std::optional<std::uint64_t> expected;
       if (slab.size(0) == 3) {
-        const auto held = slab.snapshot(0);
+        const auto held = oracle_view(slab, 0, ctx.pool(), offered);
         sim::RandomStream oracle_rng = ctx.rng();
         expected = held[select_victim(held, policy, ctx.simulator().now(),
                                       oracle_rng)]
-                       .packet.uid;
+                       .uid;
       }
-      net::Packet packet;
-      packet.uid = uid;
+      const net::PacketPool::Handle packet =
+          make_packet(ctx.pool(), offered, uid, ctx.simulator().now());
       const std::size_t queues = slab.queue_count();
-      const DelayBuffer::Admission outcome =
-          slab.offer(0, std::move(packet), ctx);
+      const DelayBuffer::Admission outcome = slab.offer(0, packet, ctx);
       if (expected) {
         ASSERT_EQ(outcome, DelayBuffer::Admission::kPreempted);
         ASSERT_EQ(ctx.sent().back(), *expected);
@@ -538,7 +567,8 @@ TEST(DelayBufferSlab, PreemptionSurvivesATransmitThatAddsQueues) {
         ASSERT_EQ(outcome, DelayBuffer::Admission::kAdmitted);
       }
       held_uids.push_back(uid);
-      ASSERT_EQ(uids_of(slab.snapshot(0)), held_uids) << "uid " << uid;
+      ASSERT_EQ(uids_of(slab.snapshot(0), ctx.pool()), held_uids)
+          << "uid " << uid;
       ASSERT_TRUE(slab.consistent()) << "uid " << uid;
       // Releases transmit through the same context.
       const std::size_t sent = ctx.sent().size();
@@ -553,6 +583,7 @@ TEST(DelayBufferSlab, PreemptionSurvivesATransmitThatAddsQueues) {
     EXPECT_EQ(slab.size(), 0u);
     EXPECT_EQ(ctx.sent().size(), 12u);
     EXPECT_EQ(slab.released() + slab.preempted(), 12u);
+    EXPECT_EQ(ctx.pool().live(), 0u);
     EXPECT_TRUE(slab.consistent());
   }
 }
@@ -584,14 +615,14 @@ TEST(DelayBufferSlab, EqualReleaseTimesLeaveInAdmissionOrderAcrossQueues) {
       {std::make_shared<ConstantDelay>(5.0),
       std::nullopt, DelayBuffer::kUnbounded});
   std::vector<std::pair<DelayBuffer::QueueId, std::uint64_t>> released;
-  QueueContext a(sim, 1, slab.add_queue(config), released);
-  QueueContext b(sim, 2, slab.add_queue(config), released);
+  net::PacketPool pool;
+  std::unordered_map<std::uint64_t, double> offered;
+  QueueContext a(sim, pool, 1, slab.add_queue(config), released);
+  QueueContext b(sim, pool, 2, slab.add_queue(config), released);
   const DelayBuffer::QueueId queue_of[] = {0, 1, 0, 0, 1, 0};
   for (std::uint64_t uid = 0; uid < 6; ++uid) {
-    net::Packet packet;
-    packet.uid = uid;
     QueueContext& c = queue_of[uid] == 0 ? a : b;
-    slab.offer(queue_of[uid], std::move(packet), c);
+    slab.offer(queue_of[uid], make_packet(pool, offered, uid, sim.now()), c);
   }
   EXPECT_EQ(sim.pending_events(), 2u);
   sim.run();

@@ -101,7 +101,7 @@ TEST(RcadDiscipline, VictimIsShortestRemainingDelay) {
   for (const DelayBuffer::Held& held : buffer.snapshot(0)) {
     if (held.release_time < earliest) {
       earliest = held.release_time;
-      expected_victim = held.packet.uid;
+      expected_victim = ctx.uid(held.packet);
     }
   }
   EXPECT_EQ(buffer.offer(0, ctx.make_packet(3), ctx), Admission::kPreempted);
@@ -124,13 +124,14 @@ TEST(RcadDiscipline, VictimIsDrawnAndSentBeforeTheArrivalsDelayDraw) {
   const std::vector<DelayBuffer::Held> before = buffer.snapshot(0);
   sim::RandomStream replay = ctx.rng();
   const auto victim_index = static_cast<std::size_t>(replay.uniform_index(4));
+  const std::uint64_t victim_uid = ctx.uid(before[victim_index].packet);
   replay.uniform(0.0, 1.0);  // the victim's link draw
   const double arrival_delay = delay->sample(replay);
 
   EXPECT_EQ(buffer.offer(0, ctx.make_packet(4), ctx), Admission::kPreempted);
   ASSERT_EQ(ctx.transmitted().size(), 1u);
-  EXPECT_EQ(ctx.transmitted()[0].second.uid, before[victim_index].packet.uid);
-  EXPECT_EQ(buffer.snapshot(0).back().packet.uid, 4u);
+  EXPECT_EQ(ctx.transmitted()[0].second.uid, victim_uid);
+  EXPECT_EQ(ctx.uid(buffer.snapshot(0).back().packet), 4u);
   EXPECT_EQ(buffer.snapshot(0).back().release_time, arrival_delay);
 }
 

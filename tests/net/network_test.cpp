@@ -179,9 +179,34 @@ TEST(Network, InFlightCountTracksLinkTraversals) {
   net.reserve(8);
   EXPECT_EQ(net.packets_in_flight(), 0u);
   net.originate(0, sealed_at(0.0, 0));
-  EXPECT_EQ(net.packets_in_flight(), 1u);  // parked for the first hop
+  EXPECT_EQ(net.packets_in_flight(), 1u);  // on its first hop
+  EXPECT_EQ(net.packets_live(), 1u);
   sim.run();
-  EXPECT_EQ(net.packets_in_flight(), 0u);  // pool drains by run end
+  EXPECT_EQ(net.packets_in_flight(), 0u);
+  EXPECT_EQ(net.packets_live(), 0u);  // pool drains by run end
+}
+
+TEST(Network, DropTailRunEndsWithNoLivePoolSlots) {
+  // A drop-tail node refuses arrivals at capacity; a refused packet leaves
+  // the pool at once, so a drained run holds no packet at all. Mid-run,
+  // every live slot is a buffered or in-flight packet.
+  sim::Simulator sim;
+  Network net(sim, Topology::line(4),
+              core::DisciplineSpec::droptail(
+                  std::make_shared<core::ConstantDelay>(5.0), 2),
+              {}, sim::RandomStream(4));
+  for (std::uint32_t i = 0; i < 6; ++i) net.originate(0, sealed_at(0.0, 0, i));
+  EXPECT_EQ(net.total_drops(), 4u);  // node 0 holds two of six
+  EXPECT_EQ(net.packets_live(), 2u);
+  sim.run_until(5.5);  // both released at 5, on the link to node 1
+  EXPECT_EQ(net.packets_live(),
+            net.total_buffered() + net.packets_in_flight());
+  sim.run();
+  EXPECT_EQ(net.packets_delivered(), 2u);
+  EXPECT_EQ(net.packets_originated(),
+            net.packets_delivered() + net.total_drops());
+  EXPECT_EQ(net.packets_live(), 0u);
+  EXPECT_EQ(net.packets_in_flight(), 0u);
 }
 
 TEST(Network, MemoryBytesCountsTheInFlightPool) {

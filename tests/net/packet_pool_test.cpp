@@ -31,11 +31,55 @@ TEST(PacketPool, PutTakeRoundTripsThePacket) {
   Packet copy = original;
   const PacketPool::Handle handle = pool.put(std::move(copy));
   ASSERT_TRUE(handle.valid());
-  EXPECT_EQ(pool.in_flight(), 1u);
+  EXPECT_EQ(pool.live(), 1u);
   const Packet out = pool.take(handle);
   EXPECT_EQ(out.uid, original.uid);
   EXPECT_EQ(out.payload.ciphertext, original.payload.ciphertext);
-  EXPECT_EQ(pool.in_flight(), 0u);
+  EXPECT_EQ(pool.live(), 0u);
+}
+
+TEST(PacketPool, AtRoundTripsThePacket) {
+  PacketPool pool;
+  const Packet original = make_packet(9);
+  const PacketPool::Handle handle = pool.put(Packet(original));
+  const Packet& stored = pool.at(handle);
+  EXPECT_EQ(stored.uid, original.uid);
+  EXPECT_EQ(stored.header.origin, original.header.origin);
+  EXPECT_EQ(stored.payload.nonce, original.payload.nonce);
+  EXPECT_EQ(stored.payload.ciphertext, original.payload.ciphertext);
+  EXPECT_EQ(&pool.at(handle), &stored);  // in place: the same slot each time
+  EXPECT_EQ(pool.live(), 1u);            // at() takes nothing out
+}
+
+TEST(PacketPool, HeaderWriteThroughAtIsWhatTakeReturns) {
+  PacketPool pool;
+  const PacketPool::Handle handle = pool.put(make_packet(4));
+  Packet& packet = pool.at(handle);
+  packet.header.prev_hop = 17;
+  packet.header.hop_count = 3;
+  packet.header.routing_seq = 65535;
+  const Packet out = pool.take(handle);
+  EXPECT_EQ(out.header.prev_hop, 17u);
+  EXPECT_EQ(out.header.hop_count, 3u);
+  EXPECT_EQ(out.header.routing_seq, 65535u);
+  EXPECT_EQ(out.uid, 4u);
+}
+
+TEST(PacketPool, AtRejectsTakenDefaultAndForgedHandles) {
+  PacketPool pool;
+  const PacketPool::Handle taken = pool.put(make_packet(1));
+  (void)pool.take(taken);
+  EXPECT_THROW(pool.at(taken), std::logic_error);
+  EXPECT_THROW(pool.at(PacketPool::Handle{}), std::logic_error);
+  const PacketPool::Handle live = pool.put(make_packet(2));  // reuses the slot
+  EXPECT_THROW(pool.at(taken), std::logic_error);  // stale, not aliased
+  // Forged: the live slot with another sequence word, and a slot never
+  // handed out.
+  EXPECT_THROW(pool.at(PacketPool::Handle(live.value() + (1u << 24))),
+               std::logic_error);
+  EXPECT_THROW(pool.at(PacketPool::Handle((7ull << 24) | 5u)),
+               std::logic_error);
+  EXPECT_EQ(pool.at(live).uid, 2u);
 }
 
 TEST(PacketPool, DefaultHandleIsInvalid) {
@@ -99,14 +143,14 @@ TEST(PacketPool, RandomizedChurnMatchesReferenceModel) {
       uids.pop_back();
     }
     high_water = std::max(high_water, live.size());
-    ASSERT_EQ(pool.in_flight(), live.size());
+    ASSERT_EQ(pool.live(), live.size());
   }
   EXPECT_LE(pool.slot_count(), high_water);
   // Drain; every survivor must still round-trip.
   for (const auto& [uid, handle] : live) {
     EXPECT_EQ(pool.take(handle).uid, uid);
   }
-  EXPECT_EQ(pool.in_flight(), 0u);
+  EXPECT_EQ(pool.live(), 0u);
 }
 
 TEST(PacketPool, ReservePreallocatesWithoutChangingBehavior) {
@@ -116,7 +160,7 @@ TEST(PacketPool, ReservePreallocatesWithoutChangingBehavior) {
   for (std::uint64_t uid = 0; uid < 64; ++uid) {
     handles.push_back(pool.put(make_packet(uid)));
   }
-  EXPECT_EQ(pool.in_flight(), 64u);
+  EXPECT_EQ(pool.live(), 64u);
   for (std::uint64_t uid = 0; uid < 64; ++uid) {
     EXPECT_EQ(pool.take(handles[uid]).uid, uid);
   }

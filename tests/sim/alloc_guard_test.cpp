@@ -186,13 +186,15 @@ TEST(AllocGuard, WarmForwardedPacketAllocatesNothing) {
 
 TEST(AllocGuard, WarmDelayedForwardingAllocatesNothing) {
   // Same bar for the paper's actual configuration: RCAD disciplines delay
-  // and preempt inside their slot-pooled buffers on the way to the sink.
+  // and preempt inside their buffers on the way to the sink.
   Simulator simulator;
   net::Network network(simulator, net::Topology::line(6),
                        core::DisciplineSpec::rcad_exponential(
                            5.0, 8, core::VictimPolicy::kShortestRemaining),
                        {}, RandomStream(22));
-  network.reserve(16);
+  // The pool holds every live packet: up to 5 buffers of k = 8, plus the
+  // packets on links.
+  network.reserve(5 * 8 + 16);
   simulator.reserve(256);
   const crypto::PayloadCodec codec(
       crypto::Speck64_128::Key{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
@@ -306,7 +308,7 @@ TEST(AllocGuard, TopologyAndRoutingAllocationsScaleWithArraysNotNodes) {
   const std::size_t net_allocs = allocations() - before_net;
   // Flat arrays only — the per-node record index, one block of records for
   // the sink and the buffer slab's one-entry config table; the topology and
-  // routing tree are shared. Records, queue heads, slots and victim blocks
+  // routing tree are shared. Records, queue heads, pool slots and victim blocks
   // are made when packets arrive, never per node, so the count does not
   // depend on the node count at all.
   EXPECT_LT(net_allocs, 64u)
@@ -321,31 +323,37 @@ TEST(AllocGuard, WarmDelayBufferChurnAllocatesNothing) {
   Simulator simulator;
   RandomStream rng(13);
 
+  // Drops every transmitted packet: its pool slot is free for the next.
   class NullContext final : public net::NodeContext {
    public:
-    NullContext(Simulator& sim, RandomStream& rng) : sim_(sim), rng_(rng) {}
+    NullContext(Simulator& sim, RandomStream& rng, net::PacketPool& pool)
+        : sim_(sim), rng_(rng), pool_(pool) {}
     Simulator& simulator() noexcept override { return sim_; }
     RandomStream& rng() noexcept override { return rng_; }
     net::NodeId id() const noexcept override { return 0; }
-    void transmit(net::Packet&&) override {}
+    void transmit(net::PacketPool::Handle packet) override {
+      (void)pool_.take(packet);
+    }
 
    private:
     Simulator& sim_;
     RandomStream& rng_;
+    net::PacketPool& pool_;
   };
 
-  NullContext ctx(simulator, rng);
+  net::PacketPool pool;
+  NullContext ctx(simulator, rng, pool);
   constexpr std::size_t kCapacity = 32;
   core::DelayBuffer buffer;
   buffer.add_queue(buffer.add_config(
       {std::make_shared<core::ExponentialDelay>(5.0),
        core::VictimPolicy::kShortestRemaining, kCapacity}));
-  buffer.reserve(kCapacity);
+  pool.reserve(kCapacity + 1);  // a full buffer plus the arrival
   simulator.reserve(kCapacity + 8);
-  auto make_packet = [](std::uint64_t uid) {
+  auto make_packet = [&pool](std::uint64_t uid) {
     net::Packet packet;
     packet.uid = uid;
-    return packet;
+    return pool.put(std::move(packet));
   };
   std::uint64_t uid = 0;
   // Warm-up: fill to capacity once so every slot and heap cell exists.

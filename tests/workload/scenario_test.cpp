@@ -257,8 +257,8 @@ TEST(PaperScenario, RcadUnderEveryVictimPolicyPassesEndOfRunChecks) {
 TEST(EndOfRunChecks, EachIdentityThrowsWhenBroken) {
   // Counts of a consistent drained run: 10 originated, 7 delivered, 1
   // dropped, 2 buffered; 40 events scheduled and run; 30 admitted, 25
-  // released, 3 preempted, 2 held.
-  const EndOfRunCounts good{10, 7, 1, 2, 0, 30, 10, 40, 30, 25, 3, 2};
+  // released, 3 preempted, 2 held; 2 live pool slots.
+  const EndOfRunCounts good{10, 7, 1, 2, 0, 30, 10, 40, 30, 25, 3, 2, 2};
   EXPECT_NO_THROW(check_end_of_run(good, 1));
   const auto message_of = [](const EndOfRunCounts& counts) {
     try {
@@ -290,6 +290,13 @@ TEST(EndOfRunChecks, EachIdentityThrowsWhenBroken) {
       << slab;
   EXPECT_NE(slab.find("released + preempted + held 31"), std::string::npos)
       << slab;
+
+  EndOfRunCounts leaked_slot = good;
+  ++leaked_slot.live;  // a dropped packet never freed
+  const std::string pool = message_of(leaked_slot);
+  EXPECT_NE(pool.find("pool live != buffered + in flight"), std::string::npos)
+      << pool;
+  EXPECT_NE(pool.find("live 3"), std::string::npos) << pool;
 }
 
 }  // namespace
