@@ -9,12 +9,14 @@
 // Emits one JSON object on stdout per invocation. Wall-clock numbers are
 // machine-dependent; the structural fields (nodes, edges, bytes_per_node,
 // unreachable, graph_digest, delivered, adversary_mse) are deterministic per
-// seed. graph_digest is FNV-1a over the CSR index (row_offsets, adjacency)
-// and the routing tree (next hop, sink and hop count of every node), so any
-// change to the built field changes it. The `scale_rcad` ctest
-// (tests/cli/scale_rcad_test.sh) gates every packet delivered on a 10⁴-node
-// full run, bytes_per_node ≤ 256 on a 10⁵-node build, and that build's
-// edges, unreachable and graph_digest. perfbench's field_1m workload times
+// seed, and so are the event kernel's counts of a full run (peak_events,
+// scheduled_heap, scheduled_fifo, rekeys). graph_digest is FNV-1a over the
+// CSR index (row_offsets, adjacency) and the routing tree (next hop, sink
+// and hop count of every node), so any change to the built field changes
+// it. The `scale_rcad` ctest (tests/cli/scale_rcad_test.sh) gates every
+// packet delivered and scheduled_heap + scheduled_fifo == events on a
+// 10⁴-node full run, bytes_per_node ≤ 256 on a 10⁵-node build, and that
+// build's edges, unreachable and graph_digest. perfbench's field_1m workload times
 // the 10⁶-node scored run.
 //
 // Usage: scale_rcad --n 100000 [--mode full|build] [--sinks 32]
@@ -233,6 +235,16 @@ int run(const Options& opt) {
                 static_cast<unsigned long long>(network.total_drops()));
     std::printf("  \"events\": %llu,\n",
                 static_cast<unsigned long long>(events));
+    // The event kernel's own counts: a run to empty has scheduled_heap +
+    // scheduled_fifo == events (every scheduled event runs once).
+    const sim::EventQueue& queue = simulator.queue();
+    std::printf("  \"peak_events\": %zu,\n", queue.peak_size());
+    std::printf("  \"scheduled_heap\": %llu,\n",
+                static_cast<unsigned long long>(queue.scheduled_heap()));
+    std::printf("  \"scheduled_fifo\": %llu,\n",
+                static_cast<unsigned long long>(queue.scheduled_fifo()));
+    std::printf("  \"rekeys\": %llu,\n",
+                static_cast<unsigned long long>(queue.rekeys()));
     std::printf("  \"run_s\": %.6f,\n", run_s);
     std::printf("  \"mean_latency\": %.4f,\n", recorder.total_latency().mean());
     std::printf("  \"adversary_mse\": %.4f,\n", score.mse());

@@ -137,31 +137,29 @@ void Network::transmit_from(NodeRecord& node, PacketPool::Handle packet) {
     next_record = index_[next];
     node.next_record = next_record;
   }
-  // Update the cleartext header the way MultiHop does on each forward, in
-  // the packet's pool slot.
-  Packet& sent = pool_.at(packet);
-  sent.header.prev_hop = node.node;
-  sent.header.hop_count = static_cast<std::uint16_t>(sent.header.hop_count + 1);
-  sent.header.routing_seq = node.routing_seq++;
+  // The MultiHop header this hop stamps — prev hop, routing seq, hop count —
+  // is never written into the pool slot mid-flight: the packet's line stays
+  // cold until it leaves, and the link closure carries the sender and its
+  // seq, from which the sink rebuilds the header (see arrive_from_link).
+  const std::uint16_t seq = node.routing_seq++;
   if (!transmit_probes_.empty()) [[unlikely]] {
-    dispatch_transmit_probes(node.node, next_hop_[node.node], sent);
+    dispatch_transmit_probes(node.node, next_hop_[node.node], packet, seq);
   }
   double link_delay = config_.hop_tx_delay;
   if (config_.hop_jitter > 0.0) {
     link_delay += node.stream.uniform(0.0, config_.hop_jitter);
   }
   // The link-delay closure carries only {network, record index, node id,
-  // handle}, 24 bytes — inside the event kernel's inline budget, so a warm
-  // forward never touches the heap. With the paper's constant per-hop
-  // latency (jitter 0) the arrival times of successive transmits never
-  // decrease, so the arrival events ride the event queue's O(1) FIFO lane
-  // instead of its heap; with jitter the call degrades gracefully
-  // (out-of-order times divert to the heap inside).
-  simulator_.schedule_after_monotone(link_delay,
-                                     [this, next_record, next, packet] {
-                                       arrive_from_link(next_record, next,
-                                                        packet);
-                                     });
+  // handle, sender id, seq}, 32 bytes — inside the event kernel's inline
+  // budget, so a warm forward never touches the heap. With the paper's
+  // constant per-hop latency (jitter 0) the arrival times of successive
+  // transmits never decrease, so the arrival events ride the event queue's
+  // O(1) FIFO lane instead of its heap; with jitter the call degrades
+  // gracefully (out-of-order times divert to the heap inside).
+  simulator_.schedule_after_monotone(
+      link_delay, [this, next_record, next, packet, sender = node.node, seq] {
+        arrive_from_link(next_record, next, packet, sender, seq);
+      });
   ++in_flight_;
   probe(node);
 }
@@ -204,10 +202,20 @@ void Network::add_transmit_probe(TransmitProbe probe) {
 void Network::reserve(std::size_t packets) { pool_.reserve(packets); }
 
 void Network::dispatch_transmit_probes(NodeId from, NodeId to,
-                                       const Packet& packet) {
+                                       PacketPool::Handle packet,
+                                       std::uint16_t seq) {
+  // A view: the packet as it leaves `from`, its header computed for this
+  // hop. Packets follow the tree, so a packet sent by `from` has crossed
+  // hops(origin) - hops(from) links before this one.
+  Packet view = pool_.at(packet);
+  view.header.prev_hop = from;
+  view.header.routing_seq = seq;
+  view.header.hop_count = static_cast<std::uint16_t>(
+      routing_.hops_to_sink(view.header.origin) - routing_.hops_to_sink(from) +
+      1);
   const sim::Time now = simulator_.now();
   for (TransmitProbe& probe : transmit_probes_) {
-    probe(from, to, packet, now);
+    probe(from, to, view, now);
   }
 }
 
@@ -242,11 +250,18 @@ std::uint64_t Network::node_drops(NodeId id) const {
 }
 
 void Network::arrive_from_link(std::uint32_t r, NodeId id,
-                               PacketPool::Handle packet) {
+                               PacketPool::Handle packet, NodeId sender,
+                               std::uint16_t seq) {
   --in_flight_;
   NodeRecord& arrived = r != kNoRecord ? at(r) : record(id);
   if (arrived.role == NodeRole::kSink) {
-    deliver(pool_.take(packet));
+    // The header the sink hears: the last sender, the seq it stamped, and
+    // one hop per tree edge from the origin.
+    Packet delivered = pool_.take(packet);
+    delivered.header.prev_hop = sender;
+    delivered.header.routing_seq = seq;
+    delivered.header.hop_count = routing_.hops_to_sink(delivered.header.origin);
+    deliver(delivered);
     return;
   }
   handle(arrived, packet);

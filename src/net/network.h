@@ -42,10 +42,12 @@ using OccupancyProbe =
                         48>;
 
 /// Optional instrumentation hook: called for every link-layer transmission,
-/// with the updated cleartext header, at the instant the packet is handed
-/// to the link (it reaches `to` one hop-tx-delay later). Useful for packet
-/// tracing and for modeling adversaries that eavesdrop inside the network
-/// rather than at the sink.
+/// at the instant the packet is handed to the link (it reaches `to` one
+/// hop-tx-delay later), with a view of the packet: a copy whose cleartext
+/// header is the one this hop puts on the air (prev hop `from`, the
+/// sender's routing seq, the hop count so far). The view lives for the
+/// call only. Useful for packet tracing and for modeling adversaries that
+/// eavesdrop inside the network rather than at the sink.
 using TransmitProbe = sim::InlineFunction<void(NodeId from, NodeId to,
                                                const Packet& packet,
                                                sim::Time now),
@@ -91,12 +93,15 @@ using NodeSpecs =
 /// nodes × k, and whose offer() applies the node's arrival rule. Packets
 /// leave every node by its routing-tree next hop. A packet lives in one
 /// free-listed PacketPool slot from originate() until it is delivered or
-/// dropped: the slab holds its handle, each hop rewrites its header in
-/// place, and a link traversal schedules a 24-byte {network, record index,
-/// node id, handle} closure (inline in the event kernel), so the per-packet
-/// path is allocation-free in steady state and copies a packet only when it
-/// leaves. Once a node's next hop has a record, the sender caches its index
-/// and an arrival goes straight to it, never through the per-node index.
+/// dropped, and no hop touches that slot: the slab holds its handle, and a
+/// link traversal schedules a 32-byte {network, record index, node id,
+/// handle, sender id, routing seq} closure (inline in the event kernel).
+/// The cleartext header is a function of the origin, the last sender and
+/// the seq it stamped, so the sink writes it once, at delivery, and a
+/// transmit probe sees a computed view. The per-packet path is thus
+/// allocation-free in steady state and copies a packet only when it leaves.
+/// Once a node's next hop has a record, the sender caches its index and an
+/// arrival goes straight to it, never through the per-node index.
 class Network {
  public:
   /// Every routable non-sink node gets `spec`. Nodes given one spec share
@@ -281,24 +286,30 @@ class Network {
   /// the pool here.
   void handle(NodeRecord& node, PacketPool::Handle packet);
   /// Hands `packet` to the link layer from `node`, towards its tree next
-  /// hop: header update in place, transmit probes, link-delay scheduling,
-  /// occupancy probe. Caches the next hop's record index once that record exists;
-  /// never makes a record: records are made on first arrival, so mid-run
-  /// only the nodes packets have reached hold state.
+  /// hop: takes the node's routing seq, fires the transmit probes,
+  /// schedules the link delay and fires the occupancy probe. Caches the
+  /// next hop's record index once that record exists; never makes a
+  /// record: records are made on first arrival, so mid-run only the nodes
+  /// packets have reached hold state.
   void transmit_from(NodeRecord& node, PacketPool::Handle packet);
 
   /// A packet reaches node `id`, whose record is number `r`, or kNoRecord
   /// if the sender had none cached: then the record is looked up, or made
-  /// on this first arrival.
-  void arrive_from_link(std::uint32_t r, NodeId id, PacketPool::Handle packet);
+  /// on this first arrival. `sender` and `seq` are the hop's header fields;
+  /// a sink writes the final header from them and delivers.
+  void arrive_from_link(std::uint32_t r, NodeId id, PacketPool::Handle packet,
+                        NodeId sender, std::uint16_t seq);
   void deliver(const Packet& packet);
   void probe(const NodeRecord& node);
   std::size_t buffered_of(const NodeRecord& node) const;
   /// Throws std::out_of_range unless `id` is a routable non-sink node.
   void require_discipline(NodeId id) const;
-  /// Out of line so the common no-probe transmit path stays branch + fall
-  /// through; only instrumented runs pay the dispatch loop.
-  void dispatch_transmit_probes(NodeId from, NodeId to, const Packet& packet);
+  /// Builds the probes' view of `packet` as `from` sends it with routing
+  /// seq `seq`, and fires every transmit probe on it. Out of line so the
+  /// common no-probe transmit path stays branch + fall through; only
+  /// instrumented runs pay the copy and the dispatch loop.
+  void dispatch_transmit_probes(NodeId from, NodeId to,
+                                PacketPool::Handle packet, std::uint16_t seq);
 
   sim::Simulator& simulator_;
   // Handles on the caller's field, and its next-hop array cached for direct

@@ -11,10 +11,11 @@ namespace tempriv::net {
 /// The packet's only home: every packet the network holds, buffered at a
 /// node or on a link, lives in one free-listed slot from the moment it is
 /// emitted until it is delivered or dropped. Everything else names it by
-/// handle: a delay buffer's release heap, the 24-byte link-delay closure
-/// (inline in the event kernel), NodeContext::transmit. Forwarding updates
-/// the header in place through at(); the packet is copied out once, by
-/// take(), when it leaves the network.
+/// handle: a delay buffer's release heap, the 32-byte link-delay closure
+/// (inline in the event kernel), NodeContext::transmit. Forwarding never
+/// touches the slot — the link closure carries the hop's header fields, and
+/// transmit probes read a copy made through at() — and the packet is copied
+/// out once, by take(), when it leaves the network.
 ///
 /// Handles carry the occupant's identity ({seq:40, slot:24}, same scheme as
 /// sim::EventId), so a stale handle — double take(), or a handle kept past

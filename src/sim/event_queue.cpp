@@ -1,5 +1,7 @@
 #include "sim/event_queue.h"
 
+#include <cstring>
+#include <new>
 #include <stdexcept>
 #include <utility>
 
@@ -12,13 +14,11 @@ void EventQueue::throw_unreserved() {
 std::uint32_t EventQueue::acquire_slot() {
   if (free_head_ != kNilSlot) {
     const std::uint32_t slot = free_head_;
-    Slot& s = slot_at(slot);
-    free_head_ = s.next_free;
+    free_head_ = heap_pos_[slot];
 #if defined(__GNUC__) || defined(__clang__)
     // Warm the next free slot's line for the next schedule() call.
     if (free_head_ != kNilSlot) __builtin_prefetch(&slot_at(free_head_), 1);
 #endif
-    s.next_free = kNilSlot;
     return slot;
   }
   if (slot_count_ == kMaxSlots) {
@@ -119,6 +119,31 @@ void EventQueue::heap_pop_front() noexcept {
   heap_sift(pos, last);  // a leaf hole: only the upward pass can move
 }
 
+void EventQueue::HeapStore::grow(std::size_t min_entries) {
+  if (min_entries > kMaxSlots) {
+    // One record per pool slot at most; refuse before the sizes overflow.
+    throw std::length_error("EventQueue: heap storage beyond the slot limit");
+  }
+  // Blocks are whole lines of four entries: kPad of the first line sit in
+  // front of entry 0, so a block of 4m entries holds 4m - kPad.
+  std::size_t block = capacity_ == 0 ? 64 : 2 * (capacity_ + kPad);
+  while (block - kPad < min_entries) block *= 2;
+  auto* base = static_cast<HeapEntry*>(::operator new(
+      block * sizeof(HeapEntry), std::align_val_t{kLine}));
+  HeapEntry* grown = base + kPad;
+  if (size_ != 0) std::memcpy(grown, data_, size_ * sizeof(HeapEntry));
+  release();
+  data_ = grown;
+  capacity_ = block - kPad;
+}
+
+void EventQueue::HeapStore::release() noexcept {
+  if (data_ != nullptr) {
+    ::operator delete(data_ - kPad, std::align_val_t{kLine});
+    data_ = nullptr;
+  }
+}
+
 void EventQueue::fifo_grow() {
   const std::size_t cap = fifo_.empty() ? 64 : fifo_.size() * 2;
   std::vector<HeapEntry> grown(cap);
@@ -136,10 +161,8 @@ void EventQueue::clear() {
   fifo_size_ = 0;
   free_head_ = kNilSlot;
   for (std::uint32_t i = slot_count_; i-- > 0;) {
-    Slot& s = slot_at(i);
-    s.action = Callback{};
-    s.next_free = free_head_;
-    free_head_ = i;
+    slot_at(i).action = Callback{};
+    release_slot(i);
   }
   live_count_ = 0;
 }

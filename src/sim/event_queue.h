@@ -1,8 +1,10 @@
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -162,15 +164,21 @@ class EventQueue {
 #endif
     if (from_fifo) {
       fifo_pop_front();
+#if defined(__GNUC__) || defined(__clang__)
+      // The ring's new head is often the next event to run: warm its slot.
+      if (fifo_size_ != 0) {
+        __builtin_prefetch(&slot_at(aux_slot(fifo_front().aux)));
+      }
+#endif
     } else {
       heap_pop_front();
-    }
 #if defined(__GNUC__) || defined(__clang__)
-    // The new heap head is usually the next event to run: warm its slot.
-    if (!heap_.empty()) {
-      __builtin_prefetch(&slot_at(aux_slot(heap_.front().aux)));
-    }
+      // The new heap head is usually the next event to run: warm its slot.
+      if (!heap_.empty()) {
+        __builtin_prefetch(&slot_at(aux_slot(heap_.front().aux)));
+      }
 #endif
+    }
     --live_count_;
     running_ = slot;
     FinishDispatch finisher{*this, slot};
@@ -204,11 +212,21 @@ class EventQueue {
   void clear();
 
   /// Pre-sizes the heap and the slot pool for `events` concurrent events so
-  /// the steady state never reallocates.
+  /// the steady state never reallocates. Throws std::length_error beyond
+  /// the 2^24-event limit.
   void reserve(std::size_t events);
 
   /// Slots currently allocated in the pool (capacity diagnostics).
   std::size_t slot_count() const noexcept { return slot_count_; }
+
+  /// Heap-lane storage diagnostics: entries the heap holds before it next
+  /// grows, and the address of entry 1 — the root's first child, 64-byte
+  /// aligned so that each 4-ary child group is one cache line — or nullptr
+  /// while the heap has no storage.
+  std::size_t heap_capacity() const noexcept { return heap_.capacity(); }
+  const void* heap_first_child() const noexcept {
+    return heap_.capacity() == 0 ? nullptr : heap_.data() + 1;
+  }
 
   /// Lifetime schedule counts: records pushed onto the heap lane (a
   /// diverted schedule_monotone() call counts here), records appended to
@@ -251,11 +269,13 @@ class EventQueue {
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 
   // A handle's identity lives in its heap or ring record, not here: a
-  // record that has left both lanes names no event.
-  struct Slot {
+  // record that has left both lanes names no event. One slot is exactly one
+  // aligned cache line, so the dispatch prefetch fetches all of it; the free
+  // list is threaded through heap_pos_, not through the slot.
+  struct alignas(64) Slot {
     Callback action;
-    std::uint32_t next_free = kNilSlot;
   };
+  static_assert(sizeof(Slot) == 64 && alignof(Slot) == 64);
 
   struct HeapEntry {
     std::uint64_t key;  // time_to_key(at)
@@ -279,6 +299,8 @@ class EventQueue {
 #endif
     }
   };
+  static_assert(sizeof(HeapEntry) == 16 &&
+                std::is_trivially_copyable_v<HeapEntry>);
 
   Slot& slot_at(std::uint32_t index) noexcept {
     return chunks_[index >> kChunkShift][index & (kChunkSize - 1)];
@@ -299,6 +321,11 @@ class EventQueue {
   }
   [[noreturn]] static void throw_unreserved();
   std::uint32_t acquire_slot();
+  /// Pushes a slot whose callback is already empty onto the free list.
+  void release_slot(std::uint32_t slot) noexcept {
+    heap_pos_[slot] = free_head_;
+    free_head_ = slot;
+  }
 
   // Scope guard for dispatch_head: frees the dispatched slot when the
   // callback returns or throws, unless the callback re-armed it.
@@ -308,10 +335,8 @@ class EventQueue {
     ~FinishDispatch() {
       if (queue.running_ != slot) return;  // re-armed
       queue.running_ = kNilSlot;
-      Slot& s = queue.slot_at(slot);
-      s.action = Callback{};
-      s.next_free = queue.free_head_;
-      queue.free_head_ = slot;
+      queue.slot_at(slot).action = Callback{};
+      queue.release_slot(slot);
     }
   };
 
@@ -341,14 +366,55 @@ class EventQueue {
   }
   void fifo_grow();
 
+  // Growable storage for the heap: entry i sits at base + 3 + i of a
+  // 64-byte-aligned block, so entry 1 starts a cache line and every 4-ary
+  // child group 4p+1..4p+4 fills exactly one line. Entries are trivially
+  // copyable, so growth is one memcpy into a block twice the size.
+  class HeapStore {
+   public:
+    HeapStore() = default;
+    HeapStore(const HeapStore&) = delete;
+    HeapStore& operator=(const HeapStore&) = delete;
+    ~HeapStore() { release(); }
+
+    HeapEntry& operator[](std::size_t i) noexcept { return data_[i]; }
+    const HeapEntry* data() const noexcept { return data_; }
+    const HeapEntry& front() const noexcept { return data_[0]; }
+    const HeapEntry& back() const noexcept { return data_[size_ - 1]; }
+    std::size_t size() const noexcept { return size_; }
+    std::size_t capacity() const noexcept { return capacity_; }
+    bool empty() const noexcept { return size_ == 0; }
+
+    void push_back(HeapEntry entry) {
+      if (size_ == capacity_) grow(size_ + 1);
+      data_[size_++] = entry;
+    }
+    void pop_back() noexcept { --size_; }
+    void clear() noexcept { size_ = 0; }
+    void reserve(std::size_t entries) {
+      if (entries > capacity_) grow(entries);
+    }
+
+   private:
+    static constexpr std::size_t kPad = 3;  // entries ahead of entry 0
+    static constexpr std::size_t kLine = 64;
+    void grow(std::size_t min_entries);
+    void release() noexcept;
+
+    HeapEntry* data_ = nullptr;  // entry 0: the block's start + kPad
+    std::size_t size_ = 0;
+    std::size_t capacity_ = 0;
+  };
+
   // 4-ary implicit min-heap on (key, aux) — i.e. on (time, seq). Compared to
   // a binary heap this halves the levels a pop's sift-down walks (the
-  // pop-heavy hot path), and four 16-byte entries are exactly one cache
-  // line.
-  std::vector<HeapEntry> heap_;
-  // Per pool slot: where its record sits in heap_ (meaningful only while
-  // the slot's event is on the heap lane). Dense, one u32 per slot, so a
-  // heap move costs one small store and reschedule() one index.
+  // pop-heavy hot path), and HeapStore keeps each node's four 16-byte
+  // children on one cache line, so a level costs one line.
+  HeapStore heap_;
+  // Per pool slot: where its record sits in heap_ while the slot's event is
+  // on the heap lane, and the next free slot (kNilSlot ends the list) while
+  // the slot is free — a free slot has no heap position. Dense, one u32 per
+  // slot, so a heap move costs one small store and reschedule() one index.
   std::vector<std::uint32_t> heap_pos_;
   // Sorted power-of-two ring for schedule_monotone records. Sortedness is an
   // invariant (appends below the tail key divert to the heap), so the lane

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # scale_rcad structural gates and usage errors, through the real binary:
 #
-#   1. a 10⁴-node full RCAD run delivers every packet it originates;
+#   1. a 10⁴-node full RCAD run delivers every packet it originates, and
+#      its event kernel ran every event it scheduled: scheduled_heap +
+#      scheduled_fifo == events at the end of the run;
 #   2. a 10⁵-node build stays within 256 bytes per node (graph + network)
 #      and builds the pinned graph: its edge count, unreachable count and
 #      graph_digest (FNV-1a over the CSR index and the routing tree) are
@@ -27,7 +29,7 @@ text() {  # text <name> <json-file>: the value of a top-level string
   sed -n "s/^  \"$1\": \"\([^\"]*\)\",\{0,1\}$/\1/p" "$2"
 }
 
-# --- 1. every packet delivered on the 10⁴-node full run -------------------
+# --- 1. every packet delivered, every event run, on the 10⁴-node full run --
 if "$BIN" --n 10000 --sinks 8 --sources 256 --packets 20 --seed 1 \
     >"$WORK/full.json"; then
   originated=$(field originated "$WORK/full.json")
@@ -35,6 +37,13 @@ if "$BIN" --n 10000 --sinks 8 --sources 256 --packets 20 --seed 1 \
   if [ -z "$originated" ] || [ "$originated" -eq 0 ] ||
       [ "$delivered" != "$originated" ]; then
     fail "10^4 full run: delivered '$delivered' of '$originated' originated"
+  fi
+  events=$(field events "$WORK/full.json")
+  heap=$(field scheduled_heap "$WORK/full.json")
+  fifo=$(field scheduled_fifo "$WORK/full.json")
+  if [ -z "$events" ] || [ -z "$heap" ] || [ -z "$fifo" ] ||
+      [ "$events" -eq 0 ] || [ $((heap + fifo)) -ne "$events" ]; then
+    fail "10^4 full run: scheduled_heap '$heap' + scheduled_fifo '$fifo' != events '$events'"
   fi
 else
   fail "10^4 full run exited $?"

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <initializer_list>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -401,6 +404,117 @@ TEST(Network, PerNodeSpecsKeepEachNodesRule) {
   ASSERT_EQ(slab.queue_count(), 4u);
   for (std::uint32_t queue = 0; queue < 4; ++queue) {
     EXPECT_TRUE(slab.config(queue) == by_node[queue].queue_config()) << queue;
+  }
+}
+
+/// Every field a sink observer can read of each delivery — the header, the
+/// uid, the sealed payload and the arrival time's bits — in delivery order.
+std::string delivery_bytes(const RecordingObserver& observer) {
+  std::string bytes;
+  const auto put = [&bytes](std::uint64_t value) {
+    bytes.append(reinterpret_cast<const char*>(&value), sizeof value);
+  };
+  for (const RecordingObserver::Delivery& d : observer.deliveries) {
+    const Packet& p = d.packet;
+    put(p.uid);
+    put(p.header.origin);
+    put(p.header.prev_hop);
+    put(p.header.routing_seq);
+    put(p.header.hop_count);
+    put(p.payload.nonce);
+    put(p.payload.ciphertext.size());
+    bytes.append(reinterpret_cast<const char*>(p.payload.ciphertext.data()),
+                 p.payload.ciphertext.size());
+    put(p.payload.tag);
+    put(std::bit_cast<std::uint64_t>(d.arrival));
+  }
+  return bytes;
+}
+
+TEST(Network, TransmitProbeLeavesDeliveriesByteIdentical) {
+  // A transmit probe reads a computed view of the header; the packet itself
+  // is never written mid-flight, so the deliveries are the same bytes with
+  // or without one.
+  const auto built = Topology::converging_paths({6, 5, 4}, 2);
+  std::uint64_t probed_hops = 0;
+  const auto run = [&](bool probed) {
+    sim::Simulator sim;
+    Network net(sim, built.topology,
+                core::DisciplineSpec::rcad_exponential(4.0, 2),
+                {.hop_tx_delay = 1.0, .hop_jitter = 0.3},
+                sim::RandomStream(9));
+    RecordingObserver observer;
+    net.add_sink_observer(&observer);
+    if (probed) {
+      net.add_transmit_probe([&probed_hops](NodeId, NodeId, const Packet&,
+                                            sim::Time) { ++probed_hops; });
+    }
+    for (std::uint32_t i = 0; i < 90; ++i) {
+      const NodeId origin = built.sources[i % 3];
+      net.originate(origin, sealed_at(sim.now(), origin, i));
+      sim.run_until(sim.now() + 0.7);
+    }
+    sim.run();
+    EXPECT_EQ(net.packets_delivered(), 90u);
+    EXPECT_GT(net.total_preemptions(), 0u);
+    std::uint64_t hops = 0;
+    for (const auto& d : observer.deliveries) hops += d.packet.header.hop_count;
+    if (probed) {
+      EXPECT_EQ(probed_hops, hops);  // one call per transmission
+    }
+    return delivery_bytes(observer);
+  };
+  const std::string bare = run(false);
+  EXPECT_EQ(run(true), bare);
+  EXPECT_GT(probed_hops, 0u);
+}
+
+TEST(Network, TransmitProbeInstalledMidRunSeesEachHopsHeader) {
+  // Line 0 - ... - 7 with the sink at 7: a packet from `origin` leaves node
+  // `from` on its (from - origin + 1)-th hop. A probe installed while
+  // packets are buffered and in flight sees that count, the sender as
+  // previous hop, and each sender's routing seq counting up by one.
+  sim::Simulator sim;
+  Network net(sim, Topology::line(8),
+              core::DisciplineSpec::rcad_exponential(3.0, 2), {},
+              sim::RandomStream(4));
+  RecordingObserver observer;
+  net.add_sink_observer(&observer);
+  const NodeId origins[] = {0, 2, 5};
+  std::uint32_t next = 0;
+  const auto originate_for = [&](double span) {
+    for (const double end = sim.now() + span; sim.now() < end;) {
+      const NodeId origin = origins[next % 3];
+      net.originate(origin, sealed_at(sim.now(), origin, next++));
+      sim.run_until(sim.now() + 0.5);
+    }
+  };
+  originate_for(20.0);
+  ASSERT_GT(net.total_buffered() + net.packets_in_flight(), 0u);
+  std::size_t seen = 0;
+  std::map<NodeId, std::uint16_t> last_seq;
+  net.add_transmit_probe([&](NodeId from, NodeId to, const Packet& packet,
+                             sim::Time) {
+    ++seen;
+    EXPECT_EQ(to, from + 1);
+    EXPECT_EQ(packet.header.prev_hop, from);
+    EXPECT_EQ(NodeId{packet.header.hop_count}, from - packet.header.origin + 1)
+        << "uid " << packet.uid << " from " << from;
+    const auto [it, first] =
+        last_seq.try_emplace(from, packet.header.routing_seq);
+    if (!first) {
+      EXPECT_EQ(packet.header.routing_seq,
+                static_cast<std::uint16_t>(it->second + 1));
+      it->second = packet.header.routing_seq;
+    }
+  });
+  originate_for(20.0);
+  sim.run();
+  EXPECT_GT(seen, 0u);
+  EXPECT_EQ(net.packets_delivered(), next);
+  for (const auto& d : observer.deliveries) {
+    EXPECT_EQ(NodeId{d.packet.header.hop_count}, 7 - d.packet.header.origin);
+    EXPECT_EQ(d.packet.header.prev_hop, 6u);
   }
 }
 

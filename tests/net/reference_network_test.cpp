@@ -8,7 +8,9 @@
 // time ties) and the injections (Poisson or periodic). The engine and the
 // reference then run side by side and must agree bit for bit on the
 // delivery trace (uid, origin, arrival time, hop count, previous hop,
-// routing sequence number), on every node's preemption, drop and occupancy
+// routing sequence number), on the per-hop transmission log (the same
+// fields as each packet leaves each node, read through a transmit probe on
+// the engine), on every node's preemption, drop and occupancy
 // counts and on the number of live events executed: at run_until()
 // checkpoints, after a stop() from a sink observer, and at the end of the
 // run. A uniform scenario runs both Network constructors (first-touch and
@@ -38,6 +40,7 @@ using core::VictimPolicy;
 using oracles::Delivery;
 using oracles::Injection;
 using oracles::ReferenceNetwork;
+using oracles::Transmission;
 
 struct Scenario {
   explicit Scenario(Topology field) : topology(std::move(field)) {}
@@ -208,6 +211,12 @@ struct Engine {
                                       root);
     }
     net->add_sink_observer(&observer);
+    net->add_transmit_probe(
+        [this](NodeId from, NodeId to, const Packet& packet, sim::Time now) {
+          sent.push_back({packet.uid, from, to, now, packet.header.origin,
+                          packet.header.hop_count, packet.header.prev_hop,
+                          packet.header.routing_seq});
+        });
     for (const Injection& injection : s.injections) {
       sim.schedule_at(injection.time, [this, origin = injection.origin] {
         net->originate(origin, {});
@@ -215,8 +224,12 @@ struct Engine {
     }
   }
 
+  Engine(const Engine&) = delete;  // the probe captures `this`
+  Engine& operator=(const Engine&) = delete;
+
   sim::Simulator sim;
   TraceObserver observer;
+  std::vector<Transmission> sent;  // every transmission, as the probe saw it
   std::unique_ptr<Network> net;
 };
 
@@ -229,23 +242,40 @@ std::string describe(const Delivery& d) {
   return text;
 }
 
+std::string describe(const Transmission& t) {
+  std::string text = "uid ";
+  text += std::to_string(t.uid) + " " + std::to_string(t.from) + "->" +
+          std::to_string(t.to) + " at " + std::to_string(t.at) + " origin " +
+          std::to_string(t.origin) + " hops " + std::to_string(t.hop_count) +
+          " prev " + std::to_string(t.prev_hop) + " seq " +
+          std::to_string(t.routing_seq);
+  return text;
+}
+
+/// Reports the first entry at which two logs differ, if they do.
+template <class Entry>
+void expect_same_log(const std::vector<Entry>& got,
+                     const std::vector<Entry>& want, const std::string& what) {
+  const auto mismatch =
+      std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+  if (mismatch.first == got.end() && mismatch.second == want.end()) return;
+  const auto at = mismatch.first - got.begin();
+  ADD_FAILURE() << what << " differ at entry " << at << " of " << got.size()
+                << " / " << want.size() << ": engine "
+                << (mismatch.first != got.end() ? describe(*mismatch.first)
+                                                : "-")
+                << ", reference "
+                << (mismatch.second != want.end() ? describe(*mismatch.second)
+                                                  : "-");
+}
+
 /// Engine and reference agree on everything observable so far.
 void expect_same(const Engine& engine, const ReferenceNetwork& ref,
                  const std::string& where) {
-  const std::vector<Delivery>& got = engine.observer.trace();
-  const std::vector<Delivery>& want = ref.deliveries();
-  const auto mismatch =
-      std::mismatch(got.begin(), got.end(), want.begin(), want.end());
-  if (mismatch.first != got.end() || mismatch.second != want.end()) {
-    const auto at = mismatch.first - got.begin();
-    ADD_FAILURE() << where << ": traces differ at delivery " << at << " of "
-                  << got.size() << " / " << want.size() << ": engine "
-                  << (mismatch.first != got.end() ? describe(*mismatch.first)
-                                                  : "-")
-                  << ", reference "
-                  << (mismatch.second != want.end() ? describe(*mismatch.second)
-                                                    : "-");
-  }
+  expect_same_log(engine.observer.trace(), ref.deliveries(),
+                  where + ": delivery traces");
+  expect_same_log(engine.sent, ref.transmissions(),
+                  where + ": transmission logs");
   const Network& net = *engine.net;
   EXPECT_EQ(net.packets_originated(), ref.originated()) << where;
   EXPECT_EQ(net.packets_delivered(), ref.delivered()) << where;
@@ -316,6 +346,16 @@ TEST(ReferenceNetwork, ImmediateLineDeliversOneTauPerHop) {
                                       {0, 0, 8.0, 4, 3, 1},
                                       {1, 0, 9.5, 4, 3, 2}};
   EXPECT_EQ(ref.deliveries(), want);
+  // Every hop is logged with the header as it leaves: node 0 stamps seq 0
+  // then 1, and the hop count grows by one per link.
+  ASSERT_EQ(ref.transmissions().size(), 4u + 4u + 2u);
+  const std::vector<Transmission> first_hops = {{0, 0, 1, 0.0, 0, 1, 0, 0},
+                                                {1, 0, 1, 1.5, 0, 1, 0, 1},
+                                                {2, 2, 3, 1.5, 2, 1, 2, 0},
+                                                {0, 1, 2, 2.0, 0, 2, 1, 0}};
+  EXPECT_EQ(std::vector<Transmission>(ref.transmissions().begin(),
+                                      ref.transmissions().begin() + 4),
+            first_hops);
 }
 
 TEST(ReferenceNetwork, RejectsBadOrigins) {

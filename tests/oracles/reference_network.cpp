@@ -167,6 +167,9 @@ void ReferenceNetwork::transmit(net::NodeId id, net::Packet packet) {
   packet.header.prev_hop = id;
   ++packet.header.hop_count;
   packet.header.routing_seq = node.routing_seq++;
+  sent_.push_back({packet.uid, id, node.next, now_, packet.header.origin,
+                   packet.header.hop_count, packet.header.prev_hop,
+                   packet.header.routing_seq});
   double link_delay = timing_.hop_tx_delay;
   if (timing_.hop_jitter > 0.0) {
     link_delay += node.stream.uniform(0.0, timing_.hop_jitter);

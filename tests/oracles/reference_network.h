@@ -38,6 +38,21 @@ struct Delivery {
   bool operator==(const Delivery&) const = default;
 };
 
+/// One link transmission: `from` hands packet `uid` to the link towards
+/// `to` at time `at`, with the cleartext header it puts on the air.
+struct Transmission {
+  std::uint64_t uid = 0;
+  net::NodeId from = net::kInvalidNode;
+  net::NodeId to = net::kInvalidNode;
+  double at = 0.0;
+  net::NodeId origin = net::kInvalidNode;
+  std::uint16_t hop_count = 0;
+  net::NodeId prev_hop = net::kInvalidNode;
+  std::uint16_t routing_seq = 0;
+
+  bool operator==(const Transmission&) const = default;
+};
+
 /// A naive store-and-forward network: the executable specification that
 /// net::Network's event kernel, buffer slab and forwarding path must match
 /// bit for bit. It shares no machinery with the engine — a
@@ -51,8 +66,9 @@ struct Delivery {
 ///  - a full RCAD queue draws its victim, transmits it, then draws the
 ///    arrival's delay and schedules the arrival's release; a full
 ///    drop-tail queue destroys the arrival with no draw;
-///  - a transmission increments the hop count, then takes the sender's
-///    routing sequence number, then draws the link jitter from the
+///  - a transmission increments the hop count carried in its own copy of
+///    the packet, then takes the sender's routing sequence number, logs
+///    the header as it leaves, then draws the link jitter from the
 ///    sender's stream, then schedules the arrival;
 ///  - event sequence numbers are taken in that schedule-call order, and a
 ///    preempted packet's release event is skipped when popped (it is not
@@ -85,6 +101,10 @@ class ReferenceNetwork {
 
   /// Every delivery so far, in delivery order.
   const std::vector<Delivery>& deliveries() const noexcept { return trace_; }
+  /// Every transmission so far, in transmission order.
+  const std::vector<Transmission>& transmissions() const noexcept {
+    return sent_;
+  }
 
   /// Per-node counts, as net::Network reports them, plus the packets a
   /// node's discipline has handled (its own and forwarded ones).
@@ -159,6 +179,7 @@ class ReferenceNetwork {
   std::uint64_t executed_ = 0;
   std::uint64_t ties_ = 0;
   std::vector<Delivery> trace_;
+  std::vector<Transmission> sent_;
 };
 
 }  // namespace tempriv::oracles

@@ -48,6 +48,30 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
+// Over-aligned allocations (the event kernel's line-aligned slots and heap
+// storage) take the aligned forms; count those too.
+void* operator new(std::size_t size, std::align_val_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto alignment = static_cast<std::size_t>(align);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
+  if (void* p = std::aligned_alloc(alignment, rounded)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return ::operator new(size, align);
+}
+
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
 namespace tempriv::sim {
 namespace {
 
@@ -139,17 +163,21 @@ TEST(AllocGuard, HotPathClosuresFitInline) {
   EXPECT_TRUE(EventQueue::Callback::fits_inline<decltype(chain)>());
   EXPECT_TRUE(EventQueue::Callback::fits_inline<decltype(release)>());
   // Network link-traversal shape: network pointer + the receiving node's
-  // record index + its id + pooled packet handle, 24 bytes. This closure
-  // replaced one that captured the whole Packet (which outgrows the inline
-  // budget and heap-allocated on every hop).
+  // record index + its id + pooled packet handle + the sender's id and the
+  // routing seq it stamped, 32 bytes. This closure replaced one that
+  // captured the whole Packet (which outgrows the inline budget and
+  // heap-allocated on every hop).
   net::Network* net = nullptr;
   std::uint32_t next_record = 0;
   net::NodeId next = 0;
   net::PacketPool::Handle handle;
-  auto link = [net, next_record, next, handle] {
-    (void)net, (void)next_record, (void)next, (void)handle;
+  net::NodeId sender = 0;
+  std::uint16_t seq = 0;
+  auto link = [net, next_record, next, handle, sender, seq] {
+    (void)net, (void)next_record, (void)next, (void)handle, (void)sender,
+        (void)seq;
   };
-  static_assert(sizeof(link) == 24);
+  static_assert(sizeof(link) == 32);
   EXPECT_TRUE(EventQueue::Callback::fits_inline<decltype(link)>());
 }
 
@@ -158,7 +186,7 @@ TEST(AllocGuard, WarmForwardedPacketAllocatesNothing) {
   // sealing a payload, injecting it, and forwarding it across every hop of
   // a warm network must not touch the heap — with immediate forwarding
   // (every packet transits every layer: seal, originate, pool, event
-  // kernel, per-hop header updates, sink delivery) and no tracer attached.
+  // kernel, per-hop routing seq, sink delivery) and no tracer attached.
   Simulator simulator;
   constexpr std::size_t kHops = 16;
   net::Network network(simulator, net::Topology::line(kHops + 1),

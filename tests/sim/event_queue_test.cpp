@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -225,6 +227,10 @@ TEST(EventQueue, ReservePreallocatesSlots) {
   EventQueue q;
   q.reserve(2500);
   EXPECT_EQ(q.slot_count(), 0u);  // reserve allocates chunks, not occupants
+  EXPECT_GE(q.heap_capacity(), 2500u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(q.heap_first_child()) % 64, 0u);
+  // More concurrent events than the slot pool can name: refused up front.
+  EXPECT_THROW(q.reserve((std::size_t{1} << 24) + 1), std::length_error);
   std::vector<EventId> ids;
   for (int i = 0; i < 2500; ++i) {
     ids.push_back(q.schedule(static_cast<double>(i), [] {}));
