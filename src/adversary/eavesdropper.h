@@ -17,7 +17,7 @@ namespace tempriv::adversary {
 /// enables the adversary to maximize his chances of observing as many
 /// traffic flows as possible."
 ///
-/// This class lets that claim be measured (bench/adversary_placement):
+/// This class lets that claim be measured (InNetworkEavesdropper tests):
 /// the eavesdropper overhears every transmission *originating from* the
 /// nodes in its radio range and estimates each overheard packet's creation
 /// time from the hop count in the cleartext header:

@@ -11,7 +11,7 @@ namespace tempriv::core {
 /// independent delay Y from it for every packet it handles. The paper
 /// argues for the exponential (maximum entropy over non-negative supports
 /// with fixed mean); the alternatives here exist so the choice can be
-/// evaluated empirically (bench/delay_distribution_leakage).
+/// evaluated empirically (DelayDistributionLeakage tests).
 class DelayDistribution {
  public:
   virtual ~DelayDistribution() = default;

@@ -51,9 +51,11 @@ class PacketPool {
     return Handle(aux);
   }
 
-  /// The live packet `handle` names, in place; the reference is valid until
-  /// the next put().
-  Packet& at(Handle handle) { return slots_[checked_slot(handle)].packet; }
+  /// The live packet `handle` names, read in place; the reference is valid
+  /// until the next put().
+  const Packet& at(Handle handle) const {
+    return slots_[checked_slot(handle)].packet;
+  }
 
   /// Redeems a handle exactly once; frees the slot.
   Packet take(Handle handle) {

@@ -46,30 +46,6 @@ std::vector<double> dimension_mu_for_loss(const std::vector<double>& node_rates,
   return mus;
 }
 
-std::vector<double> decompose_path_delay(double total_mean_delay,
-                                         std::size_t hops,
-                                         double sink_weighting) {
-  if (hops == 0) return {};
-  if (total_mean_delay < 0.0) {
-    throw std::invalid_argument("decompose_path_delay: negative total delay");
-  }
-  if (sink_weighting < 0.0 || sink_weighting > 1.0) {
-    throw std::invalid_argument("decompose_path_delay: weighting outside [0,1]");
-  }
-  // Weight for hop j (0 = source side, hops-1 = sink side): blend of a
-  // uniform profile and a linear ramp that is largest at the source side.
-  std::vector<double> weights(hops);
-  double weight_sum = 0.0;
-  for (std::size_t j = 0; j < hops; ++j) {
-    const double uniform = 1.0;
-    const double ramp = static_cast<double>(hops - j);  // hops .. 1
-    weights[j] = (1.0 - sink_weighting) * uniform + sink_weighting * ramp;
-    weight_sum += weights[j];
-  }
-  for (double& w : weights) w = total_mean_delay * w / weight_sum;
-  return weights;
-}
-
 double expected_network_buffering(const std::vector<double>& node_rates,
                                   const std::vector<double>& node_mus) {
   if (node_rates.size() != node_mus.size()) {

@@ -27,23 +27,14 @@ std::vector<double> aggregate_rates(const RoutingTree& tree,
 
 /// Paper §4 dimensioning: per-node service rate µᵢ such that every node's
 /// M/M/k/k drop probability is the target α, given per-node buffer size k.
-/// Nodes with zero traffic get µ = 0 (they never delay anything).
+/// Nodes with zero traffic get µ = 0 (they never delay anything). §3.3's
+/// other way to relieve the loaded trunk, weighting each node's mean delay
+/// by its distance from the sink, is a scenario knob, not a queueing rule:
+/// PaperScenario::sink_weighting, applied by node_specs() in
+/// workload/scenario.cpp.
 std::vector<double> dimension_mu_for_loss(const std::vector<double>& node_rates,
                                           std::uint64_t buffer_slots,
                                           double target_loss);
-
-/// §3.3 delay decomposition: split a total end-to-end mean privacy delay
-/// `total_mean_delay` across the `hops` nodes of a path. `sink_weighting`
-/// in [0, 1] interpolates between a uniform split (0) and a split linearly
-/// biased toward nodes far from the sink (1) — implementing the paper's
-/// observation that "it may be possible to decompose {Yj} so that more
-/// delay is introduced when a forwarding node is further from the sink"
-/// (because traffic, and hence buffer pressure, accumulates near the sink).
-/// Element 0 of the result is the node adjacent to the source, element
-/// hops-1 is adjacent to the sink. The elements sum to total_mean_delay.
-std::vector<double> decompose_path_delay(double total_mean_delay,
-                                         std::size_t hops,
-                                         double sink_weighting);
 
 /// Expected total buffered packets across the whole network under M/M/∞:
 /// Σᵢ ρᵢ = Σᵢ λᵢ/µᵢ (nodes with µᵢ = 0 and λᵢ = 0 contribute nothing).

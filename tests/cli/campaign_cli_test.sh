@@ -14,7 +14,10 @@
 #      --telemetry combines shard snapshots into the serial snapshot, key
 #      for key (timings aside), and fails when a sibling is missing;
 #   6. --help names every sweep, the grid-axis flags are usage errors on a
-#      named sweep, and a named ablation writes its golden CSV.
+#      named sweep, and a named ablation writes its golden CSV;
+#   7. without --out, both tools write their CSV, JSONL and stats into the
+#      current directory and nothing else, and neither --help names another
+#      default.
 #
 # Usage: campaign_cli_test.sh <tempriv-campaign> <tempriv-merge>
 
@@ -228,6 +231,31 @@ GOLDEN="$(dirname "$0")/../golden"
 expect_exit 0 "victim sweep" "$CAMPAIGN" victim --quiet --out "$WORK/victim"
 expect_same "victim sweep vs golden" \
   "$GOLDEN/ablation_victim_policy.csv" "$WORK/victim/ablation_victim_policy.csv"
+
+# --- 7. without --out, results land in the current directory ------------
+
+# The serial grid run of section 2, and the merge of its three shards, each
+# from an empty working directory: the same three files as with --out, and
+# no results directory of the tools' own.
+for run in campaign merge; do
+  mkdir "$WORK/cwd_$run"
+  if [ "$run" = campaign ]; then
+    (cd "$WORK/cwd_$run" && "$CAMPAIGN" "${GRID_ARGS[@]}") >"$WORK/out.log" 2>&1
+  else
+    (cd "$WORK/cwd_$run" && "$MERGE" "${SHARDS[@]}") >"$WORK/out.log" 2>&1
+  fi || note_failure "$run without --out: nonzero exit"
+  for f in campaign_grid.jsonl campaign_grid.stats.json campaign_grid.csv; do
+    expect_same "$run without --out ($f)" "$WORK/serial/$f" "$WORK/cwd_$run/$f"
+  done
+  written=$(cd "$WORK/cwd_$run" && ls -A | tr '\n' ' ')
+  [ "$written" = "campaign_grid.csv campaign_grid.jsonl campaign_grid.stats.json " ] ||
+    note_failure "$run without --out wrote: $written"
+done
+for tool in "$CAMPAIGN" "$MERGE"; do
+  "$tool" --help >"$WORK/help.txt"
+  ! grep -E -q 'bench_results|TEMPRIV_RESULTS_DIR' "$WORK/help.txt" ||
+    note_failure "$(basename "$tool") --help names another results directory"
+done
 
 if [ "$FAILURES" -ne 0 ]; then
   echo "$FAILURES failure(s)" >&2

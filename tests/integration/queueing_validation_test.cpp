@@ -30,17 +30,17 @@ net::NodeSpecs single_queue(const core::DisciplineSpec& queue) {
   };
 }
 
-TEST(QueueingValidation, MmInfOccupancyIsPoissonWithMeanRho) {
-  // Poisson(λ = 0.4) arrivals, Exp(1/µ = 10) delays: ρ = 4.
-  constexpr double kLambda = 0.4;
-  constexpr double kMeanDelay = 10.0;
-  const double rho = kLambda * kMeanDelay;
-
+/// Node 1's time-weighted occupancy when it delays Poisson(λ) traffic by
+/// Exp(1/µ = mean_delay) with unlimited buffers: an M/M/∞ queue.
+metrics::TimeWeightedOccupancy mm_inf_occupancy(double lambda,
+                                                double mean_delay,
+                                                std::uint32_t packets,
+                                                std::uint64_t seed) {
   sim::Simulator sim;
   net::Network network(
       sim, net::Topology::line(3),
-      single_queue(core::DisciplineSpec::unlimited_exponential(kMeanDelay)),
-      {}, sim::RandomStream(31));
+      single_queue(core::DisciplineSpec::unlimited_exponential(mean_delay)),
+      {}, sim::RandomStream(seed));
 
   metrics::TimeWeightedOccupancy occupancy;
   network.set_occupancy_probe(
@@ -48,44 +48,94 @@ TEST(QueueingValidation, MmInfOccupancyIsPoissonWithMeanRho) {
         if (node == 1) occupancy.record(now, occ);
       });
 
-  workload::PoissonSource source(network, codec(), 0, sim::RandomStream(32),
-                                 kLambda, 40000);
+  workload::PoissonSource source(network, codec(), 0,
+                                 sim::RandomStream(seed + 1), lambda, packets);
   source.start(0.0);
   sim.run();
   occupancy.finish(sim.now());
+  return occupancy;
+}
 
-  // E[N] = ρ.
-  EXPECT_NEAR(occupancy.mean_level(), rho, rho * 0.05);
-  // Stationary distribution is Poisson(ρ): check the body of the PMF.
-  for (std::uint64_t k = 0; k <= 8; ++k) {
-    EXPECT_NEAR(occupancy.fraction_at(k), queueing::poisson_pmf(rho, k), 0.02)
-        << "occupancy level " << k;
+/// Node 1's drop rate when it holds Poisson(λ = 0.5) traffic for Exp(ρ/λ)
+/// in `slots` drop-tail slots: an M/M/k/k queue.
+double mm_kk_drop_rate(double rho, std::size_t slots, std::uint32_t packets,
+                       std::uint64_t seed) {
+  constexpr double kLambda = 0.5;
+  sim::Simulator sim;
+  net::Network network(sim, net::Topology::line(3),
+                       single_queue(core::DisciplineSpec::droptail_exponential(
+                           rho / kLambda, slots)),
+                       {}, sim::RandomStream(seed));
+  workload::PoissonSource source(network, codec(), 0,
+                                 sim::RandomStream(seed + 1), kLambda, packets);
+  source.start(0.0);
+  sim.run();
+  return static_cast<double>(network.total_drops()) /
+         static_cast<double>(network.packets_originated());
+}
+
+TEST(QueueingValidation, MmInfOccupancyIsPoissonWithMeanRho) {
+  {
+    // Poisson(λ = 0.4) arrivals, Exp(1/µ = 10) delays: ρ = 4.
+    const double rho = 0.4 * 10.0;
+    const metrics::TimeWeightedOccupancy occupancy =
+        mm_inf_occupancy(0.4, 10.0, 40000, 31);
+    // E[N] = ρ.
+    EXPECT_NEAR(occupancy.mean_level(), rho, rho * 0.05);
+    // Stationary distribution is Poisson(ρ): check the body of the PMF.
+    for (std::uint64_t k = 0; k <= 8; ++k) {
+      EXPECT_NEAR(occupancy.fraction_at(k), queueing::poisson_pmf(rho, k),
+                  0.02)
+          << "occupancy level " << k;
+    }
+  }
+  // §4's trade-off: E[N] = ρ = λ/µ over a (λ, 1/µ) sweep, so doubling the
+  // mean privacy delay doubles the buffer demand. 40,000 packets per cell.
+  // Over 12 seeds per cell (these and 11 more) the largest deviation was
+  // 2.1% of ρ (standard deviation 0.8%); λ = 0.5, 1/µ = 10 reads 4.920
+  // here, -1.6%. Tolerance: 3% of ρ.
+  for (const double lambda : {0.1, 0.25, 0.5}) {
+    for (const double mean_delay : {10.0, 30.0, 60.0}) {
+      const double rho = lambda * mean_delay;
+      const std::uint64_t seed =
+          71 + static_cast<std::uint64_t>(lambda * 1000 + mean_delay);
+      EXPECT_NEAR(
+          mm_inf_occupancy(lambda, mean_delay, 40000, seed).mean_level(), rho,
+          rho * 0.03)
+          << "lambda " << lambda << ", 1/mu " << mean_delay;
+    }
   }
 }
 
 TEST(QueueingValidation, DropTailLossMatchesErlangFormula) {
-  // M/M/k/k: λ = 0.5, 1/µ = 10 => ρ = 5, k = 5 slots.
-  constexpr double kLambda = 0.5;
-  constexpr double kMeanDelay = 10.0;
-  constexpr std::size_t kSlots = 5;
-  const double rho = kLambda * kMeanDelay;
-
-  sim::Simulator sim;
-  net::Network network(
-      sim, net::Topology::line(3),
-      single_queue(core::DisciplineSpec::droptail_exponential(kMeanDelay, kSlots)),
-      {}, sim::RandomStream(33));
-
-  workload::PoissonSource source(network, codec(), 0, sim::RandomStream(34),
-                                 kLambda, 60000);
-  source.start(0.0);
-  sim.run();
-
-  const double measured_loss =
-      static_cast<double>(network.total_drops()) /
-      static_cast<double>(network.packets_originated());
-  const double predicted = queueing::erlang_loss(rho, kSlots);
-  EXPECT_NEAR(measured_loss, predicted, predicted * 0.05);
+  // M/M/k/k: λ = 0.5, 1/µ = 10 => ρ = 5, k = 5 slots, 60,000 packets.
+  {
+    const double measured_loss = mm_kk_drop_rate(5.0, 5, 60000, 33);
+    const double predicted = queueing::erlang_loss(5.0, 5);
+    EXPECT_NEAR(measured_loss, predicted, predicted * 0.05);
+  }
+  // Eq. (5) over ρ ∈ {1, 5, 10, 20} × k ∈ {5, 10, 20}, 40,000 packets per
+  // cell, at every cell where E(ρ, k) ≥ 10⁻³ (the others expect fewer than
+  // 40 drops). Each tolerance, relative to E(ρ, k), is 1.5× the largest
+  // deviation over 12 seeds per cell (these and 11 more), rounded up; the
+  // rare-loss cells spread widest. ρ = k = 20 reads 0.1542 against 0.1589.
+  struct LossCell {
+    double rho;
+    std::size_t slots;
+    std::uint64_t seed;
+    double tolerance;
+  };
+  constexpr LossCell kCells[] = {
+      {1.0, 5, 500, 0.40},   {5.0, 5, 503, 0.04},   {5.0, 10, 504, 0.16},
+      {10.0, 5, 506, 0.02},  {10.0, 10, 507, 0.04}, {10.0, 20, 508, 0.42},
+      {20.0, 5, 509, 0.01},  {20.0, 10, 510, 0.025}, {20.0, 20, 511, 0.12},
+  };
+  for (const LossCell& cell : kCells) {
+    const double predicted = queueing::erlang_loss(cell.rho, cell.slots);
+    EXPECT_NEAR(mm_kk_drop_rate(cell.rho, cell.slots, 40000, cell.seed),
+                predicted, predicted * cell.tolerance)
+        << "rho " << cell.rho << ", k " << cell.slots;
+  }
 }
 
 TEST(QueueingValidation, RcadPreemptionRateExceedsErlangLoss) {

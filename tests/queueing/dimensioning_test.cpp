@@ -2,9 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <stdexcept>
 
+#include "net/routing.h"
+#include "net/topology.h"
 #include "queueing/erlang.h"
 
 namespace tempriv::queueing {
@@ -63,38 +64,47 @@ TEST(DimensionMuForLoss, BusierNodesUseShorterDelays) {
   EXPECT_GT(1.0 / mus[0], 1.0 / mus[1]);  // mean delay shrinks with traffic
 }
 
-TEST(DecomposePathDelay, UniformSplit) {
-  const auto split = decompose_path_delay(90.0, 3, 0.0);
-  ASSERT_EQ(split.size(), 3u);
-  for (double d : split) EXPECT_DOUBLE_EQ(d, 30.0);
-}
-
-TEST(DecomposePathDelay, SinkWeightingShiftsDelayAwayFromSink) {
-  const auto split = decompose_path_delay(90.0, 3, 1.0);
-  ASSERT_EQ(split.size(), 3u);
-  // Element 0 is source-adjacent and must carry the most delay.
-  EXPECT_GT(split[0], split[1]);
-  EXPECT_GT(split[1], split[2]);
-  EXPECT_NEAR(split[0] + split[1] + split[2], 90.0, 1e-9);
-}
-
-TEST(DecomposePathDelay, AlwaysSumsToTotal) {
-  for (double weighting : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-    for (std::size_t hops : {1u, 2u, 7u, 22u}) {
-      const auto split = decompose_path_delay(120.0, hops, weighting);
-      const double sum = std::accumulate(split.begin(), split.end(), 0.0);
-      EXPECT_NEAR(sum, 120.0, 1e-9) << weighting << " " << hops;
-    }
+TEST(ErlangDimensioning, PaperFigure1Tree) {
+  // Eq. (5) on the Figure-1 tree: each source sends λ = 0.5, every node has
+  // k = 10 slots, and each node's µ makes its loss E(λᵢ/µᵢ, 10) = α = 0.1.
+  // The four flows share a 3-hop trunk, which carries 4× a branch's
+  // traffic and so affords only a quarter of its mean delay: nodes nearer
+  // the sink must delay less (§3.3, §4). Analytic: no simulation, no seed.
+  const auto built = net::Topology::paper_figure1();
+  const net::RoutingTable routing(built.topology);
+  RoutingTree tree;
+  std::vector<double> source_rates(built.topology.node_count(), 0.0);
+  for (net::NodeId id = 0; id < built.topology.node_count(); ++id) {
+    const net::NodeId next = routing.next_hop(id);
+    tree.parent.push_back(next == net::kInvalidNode ? kNoParent : next);
   }
-}
+  for (const net::NodeId source : built.sources) source_rates[source] = 0.5;
+  const auto rates = aggregate_rates(tree, source_rates);
+  const auto mus = dimension_mu_for_loss(rates, 10, 0.1);
 
-TEST(DecomposePathDelay, EdgeCases) {
-  EXPECT_TRUE(decompose_path_delay(10.0, 0, 0.5).empty());
-  EXPECT_THROW(decompose_path_delay(-1.0, 3, 0.0), std::invalid_argument);
-  EXPECT_THROW(decompose_path_delay(10.0, 3, 1.5), std::invalid_argument);
-  const auto single = decompose_path_delay(10.0, 1, 1.0);
-  ASSERT_EQ(single.size(), 1u);
-  EXPECT_DOUBLE_EQ(single[0], 10.0);
+  // Flow S1's path: 12 branch nodes, then the trunk.
+  for (const net::NodeId node : routing.path_to_sink(built.sources[0])) {
+    if (node == built.topology.sink()) continue;
+    const bool trunk = routing.hops_to_sink(node) <= 3;
+    EXPECT_DOUBLE_EQ(rates[node], trunk ? 2.0 : 0.5) << "node " << node;
+    EXPECT_NEAR(1.0 / mus[node], trunk ? 3.755291 : 15.021165, 1e-5)
+        << "node " << node;
+    EXPECT_NEAR(erlang_loss(rates[node] / mus[node], 10), 0.1, 1e-8);
+  }
+
+  // Expected packets buffered (M/M/∞ at the same µ): 368.0 dimensioned
+  // against 915.0 for a uniform 1/µ = 30. These sums run over every node
+  // with traffic, the sink included, which never delays and contributes
+  // 7.5 and 60.0 of them; the forwarding nodes alone hold 360.5 and 855.0.
+  std::vector<double> uniform_mus(rates.size(), 1.0 / 30.0);
+  EXPECT_NEAR(expected_network_buffering(rates, mus), 368.0185, 1e-4);
+  EXPECT_NEAR(expected_network_buffering(rates, uniform_mus), 915.0, 1e-9);
+  std::vector<double> forwarding_rates = rates;
+  forwarding_rates[built.topology.sink()] = 0.0;
+  EXPECT_NEAR(expected_network_buffering(forwarding_rates, mus), 360.5080,
+              1e-4);
+  EXPECT_NEAR(expected_network_buffering(forwarding_rates, uniform_mus), 855.0,
+              1e-9);
 }
 
 TEST(ExpectedNetworkBuffering, SumsRho) {

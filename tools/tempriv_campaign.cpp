@@ -20,7 +20,6 @@
 // run writes, byte for byte. On one host, --jobs N threads do the work.
 
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -29,11 +28,11 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "campaign/merge.h"
 #include "campaign/sweeps.h"
 #include "campaign/telemetry_io.h"
 #include "tools/cli_number.h"
+#include "tools/output.h"
 
 namespace {
 
@@ -59,10 +58,10 @@ int usage(std::ostream& os, int code) {
         "  --shard i/N          run only shard i of N (jobs with index % N == i)\n"
         "                       and write shard artifacts for tempriv-merge\n"
         "  --jsonl PATH         write the per-job JSONL result log here\n"
-        "                       (default: <results-dir>/<tag>.jsonl, or the\n"
+        "                       (default: <out>/<tag>.jsonl, or the\n"
         "                       shard-stamped stem under --shard i/N)\n"
-        "  --out DIR            results directory (default: $TEMPRIV_RESULTS_DIR\n"
-        "                       or bench_results/)\n"
+        "  --out DIR            results directory for the CSV and the default\n"
+        "                       JSONL (default: the current directory)\n"
         "  --telemetry PATH     write a telemetry snapshot (event-queue,\n"
         "                       buffer and forwarding counters, memory\n"
         "                       gauges, phase spans) here after the run;\n"
@@ -135,6 +134,7 @@ struct Options {
   bool trace = false;
   bool seed_set = false;
   std::uint64_t seed = 0;
+  std::string out_dir = cli::kDefaultOutDir;
   std::string jsonl_path;
   std::string telemetry_path;
   // Set by --shard i/N. "0/1" is a one-shard campaign that still stamps
@@ -185,7 +185,7 @@ Options parse_options(int argc, char** argv) {
     } else if (arg == "--telemetry") {
       opt.telemetry_path = value();
     } else if (arg == "--out") {
-      setenv("TEMPRIV_RESULTS_DIR", value().c_str(), /*overwrite=*/1);
+      opt.out_dir = value();
     } else if (arg == "--quiet") {
       opt.quiet = true;
     } else if (arg == "--trace") {
@@ -214,17 +214,6 @@ Options parse_options(int argc, char** argv) {
   return opt;
 }
 
-std::ofstream open_output(const std::string& path) {
-  std::error_code ec;
-  const auto parent = std::filesystem::path(path).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  std::ofstream file(path);
-  if (!file) {
-    throw std::runtime_error("cannot open " + path + " for writing");
-  }
-  return file;
-}
-
 /// Runs the jobs of shard `opt.shard` to its two artifact files (plus an
 /// optional telemetry snapshot).
 int run_shard(const campaign::Sweep& sweep, const Options& opt) {
@@ -233,16 +222,18 @@ int run_shard(const campaign::Sweep& sweep, const Options& opt) {
   const std::size_t owned = campaign::shard_jobs_owned(total_jobs, shard);
   const std::string jsonl_path =
       opt.jsonl_path.empty()
-          ? bench::results_dir() + "/" +
-                campaign::shard_artifact_stem(sweep.tag, shard) + ".jsonl"
+          ? cli::in_dir(opt.out_dir,
+                        campaign::shard_artifact_stem(sweep.tag, shard) +
+                            ".jsonl")
           : opt.jsonl_path;
 
   campaign::ProgressReporter progress(std::cerr, owned);
   campaign::RunnerOptions options;
   options.threads = opt.jobs;
   if (!opt.quiet) options.progress = &progress;
-  std::ofstream jsonl_file = open_output(jsonl_path);
-  std::ofstream stats_file = open_output(campaign::shard_stats_path(jsonl_path));
+  std::ofstream jsonl_file = cli::open_output(jsonl_path);
+  std::ofstream stats_file =
+      cli::open_output(campaign::shard_stats_path(jsonl_path));
   campaign::TelemetrySink telemetry;
   std::vector<campaign::ResultSink*> sinks;
   if (!opt.telemetry_path.empty()) sinks.push_back(&telemetry);
@@ -278,9 +269,9 @@ int run_serial(const campaign::Sweep& sweep, const Options& opt) {
 
   const std::string jsonl_path =
       opt.jsonl_path.empty()
-          ? bench::results_dir() + "/" + sweep.tag + ".jsonl"
+          ? cli::in_dir(opt.out_dir, sweep.tag + ".jsonl")
           : opt.jsonl_path;
-  std::ofstream jsonl_file = open_output(jsonl_path);
+  std::ofstream jsonl_file = cli::open_output(jsonl_path);
   campaign::JsonlSink jsonl(jsonl_file);
   campaign::MergedStatsSink stats(sweep.points.size());
   campaign::TelemetrySink telemetry;
@@ -297,7 +288,7 @@ int run_serial(const campaign::Sweep& sweep, const Options& opt) {
       sweep.name, sweep.tag, opt.reps, sweep.points);
   const std::string stats_path = campaign::shard_stats_path(jsonl_path);
   {
-    std::ofstream stats_file = open_output(stats_path);
+    std::ofstream stats_file = cli::open_output(stats_path);
     campaign::write_campaign_stats_json(stats_file, manifest, nullptr, stats);
   }
 
@@ -305,7 +296,7 @@ int run_serial(const campaign::Sweep& sweep, const Options& opt) {
     campaign::write_telemetry_file(opt.telemetry_path, telemetry.snapshot());
   }
 
-  bench::emit(sweep.tag, run.table);
+  cli::emit_table(opt.out_dir, sweep.tag, run.table);
   std::cout << "(jsonl: " << jsonl_path << ")\n"
             << "(stats: " << stats_path << ")\n";
   if (!opt.telemetry_path.empty()) {

@@ -27,14 +27,13 @@
 #include <chrono>
 #include <cstdint>
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "campaign/merge.h"
 #include "campaign/telemetry_io.h"
+#include "tools/output.h"
 
 namespace {
 
@@ -52,13 +51,13 @@ int usage(std::ostream& os, int code) {
         "                  (missing/duplicate/incompatible shards, truncated\n"
         "                  files); writes nothing. exit 0 iff mergeable\n"
         "  --jsonl PATH    write the merged JSONL here\n"
-        "                  (default: <results-dir>/<tag>.jsonl)\n"
+        "                  (default: <out>/<tag>.jsonl)\n"
         "  --telemetry PATH  merge the shards' .telemetry.json siblings\n"
         "                  (sum counters, max gauges, merge histograms and\n"
         "                  spans) and write the combined snapshot here;\n"
         "                  errors if any shard lacks its sibling\n"
-        "  --out DIR       results directory (default: $TEMPRIV_RESULTS_DIR\n"
-        "                  or bench_results/)\n"
+        "  --out DIR       results directory for the CSV and the default\n"
+        "                  JSONL (default: the current directory)\n"
         "\n"
         "Merged outputs (JSONL, stats JSON, figure CSV) are byte-identical\n"
         "to the serial `tempriv-campaign` run of the same campaign.\n";
@@ -67,6 +66,7 @@ int usage(std::ostream& os, int code) {
 
 int run(int argc, char** argv) {
   bool check_only = false;
+  std::string out_dir = cli::kDefaultOutDir;
   std::string jsonl_path;
   std::string telemetry_path;
   std::vector<std::string> shard_paths;
@@ -83,7 +83,7 @@ int run(int argc, char** argv) {
     } else if (arg == "--telemetry") {
       telemetry_path = value();
     } else if (arg == "--out") {
-      setenv("TEMPRIV_RESULTS_DIR", value().c_str(), /*overwrite=*/1);
+      out_dir = value();
     } else if (!arg.empty() && arg[0] == '-') {
       throw UsageError("unknown option: " + arg);
     } else {
@@ -125,26 +125,11 @@ int run(int argc, char** argv) {
           std::chrono::steady_clock::now() - merge_start)
           .count());
   if (jsonl_path.empty()) {
-    jsonl_path = bench::results_dir() + "/" + merged.manifest.tag + ".jsonl";
+    jsonl_path = cli::in_dir(out_dir, merged.manifest.tag + ".jsonl");
   }
-  std::error_code ec;
-  const auto parent = std::filesystem::path(jsonl_path).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  {
-    std::ofstream jsonl_file(jsonl_path);
-    if (!jsonl_file) {
-      throw std::runtime_error("cannot open " + jsonl_path + " for writing");
-    }
-    jsonl_file << merged.jsonl;
-  }
+  cli::open_output(jsonl_path) << merged.jsonl;
   const std::string stats_path = campaign::shard_stats_path(jsonl_path);
-  {
-    std::ofstream stats_file(stats_path);
-    if (!stats_file) {
-      throw std::runtime_error("cannot open " + stats_path + " for writing");
-    }
-    stats_file << merged.stats_json;
-  }
+  cli::open_output(stats_path) << merged.stats_json;
 
   if (!telemetry_path.empty()) {
     // The shard snapshots, plus this process's own merge span.
@@ -157,7 +142,7 @@ int run(int argc, char** argv) {
     campaign::write_telemetry_file(telemetry_path, combined);
   }
 
-  bench::emit(merged.manifest.tag, merged.table);
+  cli::emit_table(out_dir, merged.manifest.tag, merged.table);
   std::cout << "(jsonl: " << jsonl_path << ")\n"
             << "(stats: " << stats_path << ")\n";
   if (!telemetry_path.empty()) {
