@@ -55,6 +55,12 @@ int main() {
   const auto node_rates = queueing::aggregate_rates(tree, source_rates);
   const auto node_mus =
       queueing::dimension_mu_for_loss(node_rates, kSlots, kTargetLoss);
+  // The sink (the tree's root) delivers at once and buffers nothing, so
+  // only the forwarding nodes count toward the expected occupancy.
+  std::vector<double> forwarding_rates = node_rates;
+  for (std::size_t id = 0; id < tree.parent.size(); ++id) {
+    if (tree.parent[id] == queueing::kNoParent) forwarding_rates[id] = 0.0;
+  }
 
   std::cout << "Erlang-dimensioned per-node delays (alpha = " << kTargetLoss
             << ", k = " << kSlots << "):\n"
@@ -68,7 +74,9 @@ int main() {
                    1)
             << "\n  expected buffered packets network-wide: "
             << metrics::format_number(
-                   queueing::expected_network_buffering(node_rates, node_mus), 1)
+                   queueing::expected_network_buffering(forwarding_rates,
+                                                        node_mus),
+                   1)
             << "\n\n";
 
   // Per-node RCAD disciplines from the dimensioned µ values.

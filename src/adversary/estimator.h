@@ -39,9 +39,6 @@ class Adversary : public net::SinkObserver {
   /// one scan over every estimate the adversary ever made.
   const std::vector<Estimate>& estimates_for_flow(net::NodeId flow) const;
 
-  /// Distinct origins seen so far.
-  std::size_t flows_observed() const noexcept { return flows_.size(); }
-
  protected:
   /// Per-flow observation state every adversary gets for free: the paper's
   /// adaptive adversary estimates flow rates "depending on the observed
@@ -107,10 +104,6 @@ class Adversary : public net::SinkObserver {
     FlowObservation obs;
     std::vector<Estimate> estimates;
   };
-
-  const std::map<net::NodeId, FlowState>& flow_states() const noexcept {
-    return flows_;
-  }
 
   /// Sum of per-flow rate estimates — λ̂tot for the Erlang-loss test.
   double total_rate_estimate() const noexcept;

@@ -261,28 +261,9 @@ std::uint32_t JsonValue::as_u32() const {
   return static_cast<std::uint32_t>(value);
 }
 
-std::int64_t JsonValue::as_i64() const {
-  if (kind != Kind::kNumber || text.empty() ||
-      text.find_first_of(".eE") != std::string::npos) {
-    conversion_error("an integer");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size() || errno == ERANGE) {
-    conversion_error("a signed 64-bit integer");
-  }
-  return static_cast<std::int64_t>(value);
-}
-
 const std::string& JsonValue::as_string() const {
   if (kind != Kind::kString) conversion_error("a string");
   return text;
-}
-
-bool JsonValue::as_bool() const {
-  if (kind != Kind::kBool) conversion_error("a bool");
-  return boolean;
 }
 
 JsonValue parse_json(std::string_view text) {

@@ -26,7 +26,6 @@ struct JsonValue {
   std::vector<JsonValue> items;                            ///< kArray
   std::vector<std::pair<std::string, JsonValue>> members;  ///< kObject
 
-  bool is_object() const noexcept { return kind == Kind::kObject; }
   bool is_array() const noexcept { return kind == Kind::kArray; }
 
   /// Object member lookup; nullptr if absent (or not an object).
@@ -38,9 +37,7 @@ struct JsonValue {
   double as_double() const;
   std::uint64_t as_u64() const;
   std::uint32_t as_u32() const;
-  std::int64_t as_i64() const;
   const std::string& as_string() const;
-  bool as_bool() const;
 };
 
 /// Parses one complete JSON document (trailing whitespace allowed, nothing

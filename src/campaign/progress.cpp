@@ -39,11 +39,6 @@ void ProgressReporter::finish() {
   print_line(true);
 }
 
-std::size_t ProgressReporter::done() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return done_;
-}
-
 void ProgressReporter::print_line(bool final_line) {
   const double elapsed = seconds_since(start_);
   const double rate =

@@ -26,8 +26,6 @@ class ProgressReporter {
   /// Prints the closing summary line (total wall time, events/sec).
   void finish();
 
-  std::size_t done() const;
-
  private:
   void print_line(bool final_line);
 
@@ -35,7 +33,7 @@ class ProgressReporter {
   const std::size_t total_;
   const std::chrono::milliseconds min_interval_;
   const std::chrono::steady_clock::time_point start_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::size_t done_ = 0;
   std::uint64_t events_ = 0;
   std::chrono::steady_clock::time_point last_print_;

@@ -374,12 +374,6 @@ const std::vector<std::string>& named_sweeps() {
   return names;
 }
 
-const std::vector<std::string>& ablation_sweeps() {
-  static const std::vector<std::string> names = {
-      "victim", "decomposition", "trunk", "adversaries", "traffic"};
-  return names;
-}
-
 Sweep make_named_sweep(const std::string& name) {
   if (name == "fig2a" || name == "fig2a_mse") return fig2a_sweep();
   if (name == "fig2b" || name == "fig2b_latency") return fig2b_sweep();

@@ -61,11 +61,10 @@ Sweep grid_sweep(const GridSpec& spec);
 /// The paper campaign's CLI names, in display order: the three figures and
 /// the buffer-size ablation.
 const std::vector<std::string>& named_sweeps();
-/// The other ablations' CLI names, in display order.
-const std::vector<std::string>& ablation_sweeps();
 
-/// Resolves a CLI name from either list (CSV tags are accepted as
-/// aliases). Throws std::invalid_argument on unknown names.
+/// Resolves a CLI name: one of named_sweeps() or one of the other
+/// ablations (victim, decomposition, trunk, adversaries, traffic); CSV tags
+/// are accepted as aliases. Throws std::invalid_argument on unknown names.
 Sweep make_named_sweep(const std::string& name);
 
 /// Expands the sweep into jobs, runs them on the campaign engine, and builds

@@ -182,12 +182,6 @@ void write_telemetry_json(std::ostream& os,
   os << "\n }\n}}\n";
 }
 
-std::string telemetry_to_json(const TelemetrySnapshot& snapshot) {
-  std::ostringstream os;
-  write_telemetry_json(os, snapshot);
-  return os.str();
-}
-
 std::string shard_telemetry_path(const std::string& jsonl_path) {
   const std::string suffix = ".jsonl";
   if (jsonl_path.size() > suffix.size() &&

@@ -28,12 +28,6 @@ constexpr std::size_t hist_bucket(std::uint64_t value) noexcept {
 struct HistogramCounts {
   std::array<std::uint64_t, kHistBuckets> buckets{};
 
-  std::uint64_t total() const noexcept {
-    std::uint64_t sum = 0;
-    for (const std::uint64_t b : buckets) sum += b;
-    return sum;
-  }
-
   friend bool operator==(const HistogramCounts&,
                          const HistogramCounts&) = default;
 };
@@ -87,7 +81,6 @@ class TelemetrySink : public ResultSink {
 /// Deterministic JSON (schema 2): fixed field order, sorted keys, integers
 /// only.
 void write_telemetry_json(std::ostream& os, const TelemetrySnapshot& snapshot);
-std::string telemetry_to_json(const TelemetrySnapshot& snapshot);
 
 /// Sibling path for a shard's telemetry snapshot, derived from its JSONL
 /// artifact path the same way shard_stats_path() derives the stats sibling:

@@ -70,27 +70,6 @@ void walk_keystream(const Speck64_128& cipher, std::uint64_t nonce,
 
 }  // namespace
 
-const char* keystream_isa() noexcept {
-#if defined(__AVX512F__)
-  return "avx512f";
-#elif defined(__AVX2__)
-  return "avx2";
-#elif defined(__AVX__)
-  return "avx";
-#elif defined(__SSE2__) || defined(_M_X64)
-  return "sse2";
-#elif defined(__ARM_NEON)
-  return "neon";
-#else
-  return "scalar";
-#endif
-}
-
-void CtrCipher::crypt(std::uint64_t nonce,
-                      std::span<std::uint8_t> data) const noexcept {
-  xor_keystream(nonce, data, data);
-}
-
 void CtrCipher::xor_keystream(std::uint64_t nonce,
                               std::span<const std::uint8_t> in,
                               std::span<std::uint8_t> out) const noexcept {
@@ -100,22 +79,6 @@ void CtrCipher::xor_keystream(std::uint64_t nonce,
                    store_le(out.data() + offset,
                             load_le(in.data() + offset, chunk) ^ word, chunk);
                  });
-}
-
-void CtrCipher::keystream(std::uint64_t nonce,
-                          std::span<std::uint8_t> out) const noexcept {
-  walk_keystream(cipher_, nonce, out.size(),
-                 [&](std::size_t offset, std::size_t chunk,
-                     std::uint64_t word) {
-                   store_le(out.data() + offset, word, chunk);
-                 });
-}
-
-std::vector<std::uint8_t> CtrCipher::crypt_copy(
-    std::uint64_t nonce, std::span<const std::uint8_t> data) const {
-  std::vector<std::uint8_t> out(data.size());
-  xor_keystream(nonce, data, out);
-  return out;
 }
 
 std::uint64_t CbcMac::tag(std::span<const std::uint8_t> data) const noexcept {

@@ -2,17 +2,10 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "crypto/speck.h"
 
 namespace tempriv::crypto {
-
-/// The vector instruction set the lane kernel was compiled against
-/// ("avx512f", "avx2", "sse2", "neon", …). Reported from inside the crypto
-/// library because it may be built for the host CPU (TEMPRIV_NATIVE_CRYPTO)
-/// while the rest of the tree targets the baseline architecture.
-const char* keystream_isa() noexcept;
 
 /// CTR-mode stream encryption over Speck64/128.
 ///
@@ -32,22 +25,11 @@ class CtrCipher {
  public:
   explicit CtrCipher(const Speck64_128::Key& key) noexcept : cipher_(key) {}
 
-  /// XORs the keystream for (nonce) into `data` in place.
-  void crypt(std::uint64_t nonce, std::span<std::uint8_t> data) const noexcept;
-
   /// Encrypts/decrypts `in` into caller-provided `out` storage (the two may
   /// alias exactly, but must not partially overlap). `out` must be at least
   /// `in.size()` bytes; only the first `in.size()` are written.
   void xor_keystream(std::uint64_t nonce, std::span<const std::uint8_t> in,
                      std::span<std::uint8_t> out) const noexcept;
-
-  /// Writes raw keystream bytes for (nonce) into caller-provided storage.
-  void keystream(std::uint64_t nonce,
-                 std::span<std::uint8_t> out) const noexcept;
-
-  /// Convenience: returns an encrypted/decrypted copy (allocates).
-  std::vector<std::uint8_t> crypt_copy(std::uint64_t nonce,
-                                       std::span<const std::uint8_t> data) const;
 
  private:
   Speck64_128 cipher_;

@@ -55,7 +55,10 @@ void Speck64_128::encrypt_block(Block& block) const noexcept {
 void Speck64_128::decrypt_block(Block& block) const noexcept {
   std::uint32_t y = load_le32(block.data());
   std::uint32_t x = load_le32(block.data() + 4);
-  decrypt_words(x, y);
+  for (int i = kRounds - 1; i >= 0; --i) {
+    y = ror(y ^ x, 3);
+    x = rol((x ^ round_keys_[i]) - y, 8);
+  }
   store_le32(block.data(), y);
   store_le32(block.data() + 4, x);
 }

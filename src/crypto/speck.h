@@ -41,13 +41,6 @@ class Speck64_128 {
     }
   }
 
-  void decrypt_words(std::uint32_t& x, std::uint32_t& y) const noexcept {
-    for (int i = kRounds - 1; i >= 0; --i) {
-      y = ror(y ^ x, 3);
-      x = rol((x ^ round_keys_[i]) - y, 8);
-    }
-  }
-
   /// Multi-lane round kernel: `Lanes` independent (x, y) word pairs advance
   /// through all 27 rounds in lockstep under this key schedule. The inner
   /// loop has a compile-time trip count, so it unrolls into straight-line

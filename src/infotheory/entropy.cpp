@@ -21,11 +21,6 @@ double uniform_entropy(double a, double b) {
   return std::log(b - a);
 }
 
-double gaussian_entropy(double stddev) {
-  if (stddev <= 0.0) throw std::invalid_argument("gaussian_entropy: sigma <= 0");
-  return 0.5 * std::log(kTwoPiE * stddev * stddev);
-}
-
 double digamma(double x) {
   if (x <= 0.0) throw std::invalid_argument("digamma: requires x > 0");
   // Shift x up until the asymptotic series is accurate, then apply
@@ -67,11 +62,6 @@ double erlang_entropy(unsigned k, double rate) {
   if (rate <= 0.0) throw std::invalid_argument("erlang_entropy: rate <= 0");
   const auto kd = static_cast<double>(k);
   return (1.0 - kd) * digamma(kd) + std::lgamma(kd) + kd - std::log(rate);
-}
-
-double laplace_entropy(double scale) {
-  if (scale <= 0.0) throw std::invalid_argument("laplace_entropy: scale <= 0");
-  return 1.0 + std::log(2.0 * scale);
 }
 
 double pareto_entropy(double xm, double alpha) {

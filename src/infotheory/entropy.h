@@ -16,15 +16,9 @@ double exponential_entropy(double mean);
 /// h(U[a,b]) = ln(b - a). Requires a < b.
 double uniform_entropy(double a, double b);
 
-/// h(N(µ, σ²)) = ½ ln(2πeσ²). Requires stddev > 0.
-double gaussian_entropy(double stddev);
-
 /// h(Erlang(k, rate)) = (1−k)ψ(k) + ln Γ(k) + k − ln(rate). Requires k >= 1,
 /// rate > 0. The paper's Xj (j-th Poisson arrival) is Erlang(j, λ).
 double erlang_entropy(unsigned k, double rate);
-
-/// h(Laplace(b)) = 1 + ln(2b). Requires scale b > 0.
-double laplace_entropy(double scale);
 
 /// h(Pareto(xm, α)) = ln(xm/α) + 1 + 1/α. Requires xm > 0, alpha > 0.
 double pareto_entropy(double xm, double alpha);

@@ -74,7 +74,6 @@ class KsgWorkspace {
                unsigned k);
 
   std::size_t size() const noexcept { return n_; }
-  unsigned neighbors() const noexcept { return k_; }
 
   /// Computes ψ(n_x+1) + ψ(n_z+1) for the points at x-sorted positions
   /// [begin, end) — iterating in sweep order keeps the window scans

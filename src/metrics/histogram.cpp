@@ -23,13 +23,10 @@ Histogram Histogram::from_counts(double lo, double hi,
   h.counts_ = std::move(counts);
   h.underflow_ = underflow;
   h.overflow_ = overflow;
-  h.total_ = underflow + overflow;
-  for (const std::uint64_t c : h.counts_) h.total_ += c;
   return h;
 }
 
 void Histogram::add(double x) noexcept {
-  ++total_;
   if (x < lo_) {
     ++underflow_;
     return;
@@ -50,17 +47,6 @@ void Histogram::merge(const Histogram& other) {
   for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
   underflow_ += other.underflow_;
   overflow_ += other.overflow_;
-  total_ += other.total_;
-}
-
-double Histogram::frequency(std::size_t i) const {
-  const std::uint64_t in_range = total_ - underflow_ - overflow_;
-  if (in_range == 0) return 0.0;
-  return static_cast<double>(counts_.at(i)) / static_cast<double>(in_range);
-}
-
-double Histogram::density(std::size_t i) const {
-  return frequency(i) / width_;
 }
 
 void IntegerHistogram::add(std::uint64_t value) {
@@ -92,20 +78,6 @@ std::uint64_t IntegerHistogram::count(std::uint64_t value) const noexcept {
 
 std::uint64_t IntegerHistogram::max_value() const noexcept {
   return counts_.empty() ? 0 : counts_.size() - 1;
-}
-
-double IntegerHistogram::pmf(std::uint64_t value) const noexcept {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(count(value)) / static_cast<double>(total_);
-}
-
-double IntegerHistogram::mean() const noexcept {
-  if (total_ == 0) return 0.0;
-  double sum = 0.0;
-  for (std::size_t v = 0; v < counts_.size(); ++v) {
-    sum += static_cast<double>(v) * static_cast<double>(counts_[v]);
-  }
-  return sum / static_cast<double>(total_);
 }
 
 void TimeWeightedOccupancy::record(double now, std::uint64_t level) {

@@ -16,7 +16,7 @@ class Histogram {
   /// Rebuilds a histogram from previously serialized counts (the shard-merge
   /// path: per-shard artifacts store their bin counts, the merge tool
   /// reconstitutes each and combines them with merge()). `counts.size()` is
-  /// the bin count; total is recomputed.
+  /// the bin count.
   static Histogram from_counts(double lo, double hi,
                                std::vector<std::uint64_t> counts,
                                std::uint64_t underflow, std::uint64_t overflow);
@@ -33,21 +33,10 @@ class Histogram {
   std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
   std::uint64_t underflow() const noexcept { return underflow_; }
   std::uint64_t overflow() const noexcept { return overflow_; }
-  std::uint64_t total() const noexcept { return total_; }
 
-  double bin_width() const noexcept { return width_; }
   double bin_lower_edge(std::size_t i) const noexcept {
     return lo_ + static_cast<double>(i) * width_;
   }
-  double bin_center(std::size_t i) const noexcept {
-    return bin_lower_edge(i) + width_ / 2.0;
-  }
-
-  /// Fraction of in-range samples in bin i (0 if no samples).
-  double frequency(std::size_t i) const;
-
-  /// Normalized probability-density estimate at bin i.
-  double density(std::size_t i) const;
 
  private:
   double lo_;
@@ -55,11 +44,10 @@ class Histogram {
   std::vector<std::uint64_t> counts_;
   std::uint64_t underflow_ = 0;
   std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
 };
 
 /// Counts of non-negative integer outcomes (buffer occupancy N(t) ∈ ℕ).
-/// Grows on demand; exposes the empirical PMF for chi-square style checks.
+/// Grows on demand.
 class IntegerHistogram {
  public:
   void add(std::uint64_t value);
@@ -75,8 +63,6 @@ class IntegerHistogram {
   std::uint64_t count(std::uint64_t value) const noexcept;
   std::uint64_t total() const noexcept { return total_; }
   std::uint64_t max_value() const noexcept;
-  double pmf(std::uint64_t value) const noexcept;
-  double mean() const noexcept;
 
  private:
   std::vector<std::uint64_t> counts_;

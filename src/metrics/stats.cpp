@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace tempriv::metrics {
 
@@ -36,21 +35,6 @@ double StreamingStats::variance() const noexcept {
   return count_ >= 2 ? m2_ / static_cast<double>(count_) : 0.0;
 }
 
-double StreamingStats::sample_variance() const noexcept {
-  return count_ >= 2 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
 double StreamingStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-double MseAccumulator::rmse() const noexcept { return std::sqrt(mse()); }
-
-double percentile(std::vector<double> samples, double q) {
-  if (samples.empty()) throw std::invalid_argument("percentile: empty sample set");
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("percentile: q outside [0,1]");
-  std::sort(samples.begin(), samples.end());
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(samples.size())));
-  return samples[rank == 0 ? 0 : rank - 1];
-}
 
 }  // namespace tempriv::metrics

@@ -19,8 +19,6 @@ class StreamingStats {
   double mean() const noexcept { return count_ ? mean_ : 0.0; }
   /// Population variance (n denominator); 0 for fewer than 2 samples.
   double variance() const noexcept;
-  /// Sample variance (n-1 denominator); 0 for fewer than 2 samples.
-  double sample_variance() const noexcept;
   double stddev() const noexcept;
   double min() const noexcept { return count_ ? min_ : 0.0; }
   double max() const noexcept { return count_ ? max_ : 0.0; }
@@ -28,7 +26,6 @@ class StreamingStats {
   /// accumulators can be serialized bit-exactly — variance() divides by n
   /// and would not round-trip.
   double sum_squared_deviations() const noexcept { return count_ ? m2_ : 0.0; }
-  double sum() const noexcept { return mean_ * static_cast<double>(count_); }
 
  private:
   std::uint64_t count_ = 0;
@@ -50,7 +47,6 @@ class MseAccumulator {
 
   std::uint64_t count() const noexcept { return errors_.count(); }
   double mse() const noexcept { return errors_.mean(); }
-  double rmse() const noexcept;
   /// Mean signed error — exposes estimator bias (adaptive vs baseline).
   double bias() const noexcept { return signed_errors_.mean(); }
 
@@ -58,9 +54,5 @@ class MseAccumulator {
   StreamingStats errors_;
   StreamingStats signed_errors_;
 };
-
-/// Exact percentile over retained samples (for latency tail reporting).
-/// Uses the nearest-rank definition. `q` in [0, 1]. Sorts a copy.
-double percentile(std::vector<double> samples, double q);
 
 }  // namespace tempriv::metrics

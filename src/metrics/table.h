@@ -19,8 +19,6 @@ class Table {
   /// Convenience: formats doubles with the given precision.
   void add_numeric_row(const std::vector<double>& cells, int precision = 4);
 
-  std::size_t row_count() const noexcept { return rows_.size(); }
-
   /// Writes an aligned, human-readable table.
   void print(std::ostream& os) const;
 

@@ -95,12 +95,6 @@ Network::NodeRecord& Network::first_touch(NodeId id) {
              : add_record(id, NodeRole::kImmediate, 0);
 }
 
-const Network::NodeRecord* Network::find(NodeId id) const {
-  const std::uint32_t r = index_[id];
-  return r == kNoRecord ? nullptr
-                        : &blocks_[r / kRecordsPerBlock][r % kRecordsPerBlock];
-}
-
 void Network::handle(NodeRecord& node, PacketPool::Handle packet) {
   switch (node.role) {
     case NodeRole::kImmediate:
@@ -219,34 +213,35 @@ void Network::dispatch_transmit_probes(NodeId from, NodeId to,
   }
 }
 
-void Network::require_discipline(NodeId id) const {
-  if (!forwards(id)) {
-    throw std::out_of_range("Network: node has no discipline");
-  }
-}
-
 std::size_t Network::buffered_of(const NodeRecord& node) const {
   return node.role == NodeRole::kBuffered ? slab_.size(node.slot) : 0;
 }
 
+// The per-node statistics read a node's record without making it: a node
+// no packet has reached yet has none, and counts 0.
 std::size_t Network::node_buffered(NodeId id) const {
-  require_discipline(id);
-  const NodeRecord* node = find(id);
-  return node ? buffered_of(*node) : 0;
+  if (!forwards(id)) throw std::out_of_range("Network: node has no discipline");
+  const std::uint32_t r = index_[id];
+  if (r == kNoRecord) return 0;
+  return buffered_of(blocks_[r / kRecordsPerBlock][r % kRecordsPerBlock]);
 }
 
 std::uint64_t Network::node_preemptions(NodeId id) const {
-  require_discipline(id);
-  const NodeRecord* node = find(id);
-  if (node == nullptr || node->role != NodeRole::kBuffered) return 0;
-  return slab_.config(node->slot).victim ? losses_[node->slot] : 0;
+  if (!forwards(id)) throw std::out_of_range("Network: node has no discipline");
+  const std::uint32_t r = index_[id];
+  if (r == kNoRecord) return 0;
+  const NodeRecord& node = blocks_[r / kRecordsPerBlock][r % kRecordsPerBlock];
+  if (node.role != NodeRole::kBuffered) return 0;
+  return slab_.config(node.slot).victim ? losses_[node.slot] : 0;
 }
 
 std::uint64_t Network::node_drops(NodeId id) const {
-  require_discipline(id);
-  const NodeRecord* node = find(id);
-  if (node == nullptr || node->role != NodeRole::kBuffered) return 0;
-  return slab_.config(node->slot).victim ? 0 : losses_[node->slot];
+  if (!forwards(id)) throw std::out_of_range("Network: node has no discipline");
+  const std::uint32_t r = index_[id];
+  if (r == kNoRecord) return 0;
+  const NodeRecord& node = blocks_[r / kRecordsPerBlock][r % kRecordsPerBlock];
+  if (node.role != NodeRole::kBuffered) return 0;
+  return slab_.config(node.slot).victim ? 0 : losses_[node.slot];
 }
 
 void Network::arrive_from_link(std::uint32_t r, NodeId id,

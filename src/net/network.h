@@ -270,8 +270,6 @@ class Network {
     const std::uint32_t r = index_[id];
     return r != kNoRecord ? at(r) : first_touch(id);
   }
-  /// The record of `id`, or nullptr if it has none yet.
-  const NodeRecord* find(NodeId id) const;
   /// Makes the record of a forwarding node on its first packet, under the
   /// single spec; throws std::logic_error for an unroutable node.
   NodeRecord& first_touch(NodeId id);
@@ -302,8 +300,6 @@ class Network {
   void deliver(const Packet& packet);
   void probe(const NodeRecord& node);
   std::size_t buffered_of(const NodeRecord& node) const;
-  /// Throws std::out_of_range unless `id` is a routable non-sink node.
-  void require_discipline(NodeId id) const;
   /// Builds the probes' view of `packet` as `from` sends it with routing
   /// seq `seq`, and fires every transmit probe on it. Out of line so the
   /// common no-probe transmit path stays branch + fall through; only

@@ -345,12 +345,6 @@ void TopologyBuilder::connect_within_radius(Topology::Field& f, double radius) {
   });
 }
 
-Topology Topology::random_geometric(std::size_t n, double side, double radius,
-                                    sim::RandomStream& rng) {
-  if (n == 0) throw std::invalid_argument("Topology::random_geometric: n == 0");
-  return random_geometric_multi_sink(n, side, radius, 1, rng);
-}
-
 Topology Topology::random_geometric_multi_sink(std::size_t n, double side,
                                                double radius,
                                                std::size_t sink_count,
@@ -363,7 +357,7 @@ Topology Topology::random_geometric_multi_sink(std::size_t n, double side,
   // conversion.
   if (!std::isfinite(side) || !std::isfinite(radius)) {
     throw std::invalid_argument(
-        "Topology::random_geometric: side and radius must be finite");
+        "Topology::random_geometric_multi_sink: side and radius must be finite");
   }
   TopologyBuilder topo;
   topo.reserve(n);
@@ -375,39 +369,6 @@ Topology Topology::random_geometric_multi_sink(std::size_t n, double side,
     topo.add_sink(static_cast<NodeId>(s));
   }
   return topo.build_within_radius(radius);
-}
-
-Topology Topology::star(std::size_t leaves) {
-  if (leaves == 0) throw std::invalid_argument("Topology::star: no leaves");
-  TopologyBuilder topo;
-  topo.reserve(leaves + 1, leaves);
-  const NodeId hub = topo.add_node({0.0, 0.0});
-  topo.set_sink(hub);
-  for (std::size_t i = 0; i < leaves; ++i) {
-    const double angle = 2.0 * 3.14159265358979323846 *
-                         static_cast<double>(i) / static_cast<double>(leaves);
-    const NodeId leaf = topo.add_node({std::cos(angle), std::sin(angle)});
-    topo.add_edge(hub, leaf);
-  }
-  return topo.build();
-}
-
-Topology Topology::binary_tree(std::size_t depth) {
-  TopologyBuilder topo;
-  const std::size_t nodes = (std::size_t{1} << (depth + 1)) - 1;
-  topo.reserve(nodes, nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    // Position by level for plotting: x = index within level, y = level.
-    std::size_t level = 0;
-    while ((std::size_t{1} << (level + 1)) - 1 <= i) ++level;
-    const std::size_t offset = i - ((std::size_t{1} << level) - 1);
-    topo.add_node({static_cast<double>(offset), static_cast<double>(level)});
-  }
-  for (std::size_t i = 1; i < nodes; ++i) {
-    topo.add_edge(static_cast<NodeId>(i), static_cast<NodeId>((i - 1) / 2));
-  }
-  topo.set_sink(0);
-  return topo.build();
 }
 
 ConvergingPaths Topology::converging_paths(

@@ -81,34 +81,20 @@ class Topology {
                        double spacing = 1.0);
 
   /// n nodes placed uniformly at random in [0, side]² and connected when
-  /// within `radius`. Node 0 is the sink. Connectivity is not guaranteed;
-  /// callers should check routing coverage (see routing.h). Edge discovery
-  /// uses a uniform-grid spatial hash (cell side >= radius, nodes scanned
-  /// cell by cell over their 3×3 neighborhood), so construction is
-  /// O(n + edges) instead of O(n²); placements and the edge set are
-  /// identical to the pairwise-scan reference for the same RNG state.
-  /// A negative radius connects like its absolute value. Throws
-  /// std::invalid_argument if n == 0 or side or radius is not finite.
-  static Topology random_geometric(std::size_t n, double side, double radius,
-                                   sim::RandomStream& rng);
-
-  /// Like random_geometric, but nodes 0..sink_count-1 are all registered as
-  /// sinks (nearest-sink routing). Node placement draws are identical to the
-  /// single-sink builder for the same RNG state. Requires
-  /// 1 <= sink_count <= n.
+  /// within `radius`; nodes 0..sink_count-1 are the sinks (nearest-sink
+  /// routing; sink_count 1 gives one sink, node 0). Placement draws do not
+  /// depend on sink_count. Connectivity is not guaranteed; callers should
+  /// check routing coverage (see routing.h). Edge discovery uses a
+  /// uniform-grid spatial hash (cell side >= radius, nodes scanned cell by
+  /// cell over their 3×3 neighborhood), so construction is O(n + edges)
+  /// instead of O(n²); placements and the edge set are identical to the
+  /// pairwise-scan reference for the same RNG state. A negative radius
+  /// connects like its absolute value. Throws std::invalid_argument unless
+  /// 1 <= sink_count <= n and side and radius are finite.
   static Topology random_geometric_multi_sink(std::size_t n, double side,
                                               double radius,
                                               std::size_t sink_count,
                                               sim::RandomStream& rng);
-
-  /// Star: `leaves` sources all one hop from the central sink (node 0) —
-  /// the maximal-aggregation case for the §4 superposition analysis.
-  static Topology star(std::size_t leaves);
-
-  /// Complete binary routing tree of the given depth; the root (node 0) is
-  /// the sink, leaves are 'depth' hops away. Node count is 2^(depth+1) − 1.
-  /// A natural shape for §4's "streams merge progressively" analysis.
-  static Topology binary_tree(std::size_t depth);
 
   /// Disjoint source branches that merge into one shared trunk of
   /// `shared_tail` hops ending at the sink ("streams merge progressively as
@@ -205,7 +191,7 @@ class TopologyBuilder {
   friend class Topology;
   /// Like build(), but the edges join every pair of nodes within `radius`
   /// and are written straight into the CSR index by a spatial hash (see
-  /// Topology::random_geometric); add_edge() must not have been called.
+  /// Topology::random_geometric_multi_sink); add_edge() must not have been called.
   Topology build_within_radius(double radius);
 
   /// Moves the positions and sinks into a new field; the builder is empty.

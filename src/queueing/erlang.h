@@ -62,7 +62,7 @@ class ErlangLossThreshold {
   /// E(ρ, 0) = 1, so the test is constantly true.
   ErlangLossThreshold(double threshold, std::uint64_t k);
 
-  /// Exactly `erlang_loss(rho, buffer_slots()) > threshold()`.
+  /// Exactly `erlang_loss(rho, k) > threshold`.
   /// Requires rho >= 0 (the direct call throws on negative rho; this
   /// returns false).
   bool above(double rho) const noexcept {
@@ -70,9 +70,6 @@ class ErlangLossThreshold {
     if (rho <= rho_lo_) return false;
     return erlang_loss(rho, k_) > threshold_;
   }
-
-  double threshold() const noexcept { return threshold_; }
-  std::uint64_t buffer_slots() const noexcept { return k_; }
 
   /// Certified window bounds, exposed for tests: above() is decided by
   /// comparison alone outside [window_lo, window_hi].

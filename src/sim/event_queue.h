@@ -24,7 +24,6 @@ class EventId {
   constexpr EventId() noexcept = default;
   constexpr explicit EventId(std::uint64_t value) noexcept : value_(value) {}
 
-  constexpr bool valid() const noexcept { return value_ != 0; }
   constexpr std::uint64_t value() const noexcept { return value_; }
 
   friend constexpr bool operator==(EventId, EventId) noexcept = default;
@@ -223,9 +222,9 @@ class EventQueue {
   /// grows, and the address of entry 1 — the root's first child, 64-byte
   /// aligned so that each 4-ary child group is one cache line — or nullptr
   /// while the heap has no storage.
-  std::size_t heap_capacity() const noexcept { return heap_.capacity(); }
+  std::size_t heap_capacity() const noexcept { return heap_.capacity_; }
   const void* heap_first_child() const noexcept {
-    return heap_.capacity() == 0 ? nullptr : heap_.data() + 1;
+    return heap_.capacity_ == 0 ? nullptr : heap_.data_ + 1;
   }
 
   /// Lifetime schedule counts: records pushed onto the heap lane (a
@@ -378,11 +377,9 @@ class EventQueue {
     ~HeapStore() { release(); }
 
     HeapEntry& operator[](std::size_t i) noexcept { return data_[i]; }
-    const HeapEntry* data() const noexcept { return data_; }
     const HeapEntry& front() const noexcept { return data_[0]; }
     const HeapEntry& back() const noexcept { return data_[size_ - 1]; }
     std::size_t size() const noexcept { return size_; }
-    std::size_t capacity() const noexcept { return capacity_; }
     bool empty() const noexcept { return size_ == 0; }
 
     void push_back(HeapEntry entry) {
@@ -396,6 +393,7 @@ class EventQueue {
     }
 
    private:
+    friend class EventQueue;  // the storage diagnostics read data_, capacity_
     static constexpr std::size_t kPad = 3;  // entries ahead of entry 0
     static constexpr std::size_t kLine = 64;
     void grow(std::size_t min_entries);

@@ -36,12 +36,6 @@ std::uint64_t RandomStream::uniform_index(std::uint64_t n) noexcept {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-bool RandomStream::bernoulli(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform01() < p;
-}
-
 double RandomStream::exponential_mean(double mean) noexcept {
   assert(mean > 0.0);
   return -mean * std::log(uniform01_open_left());
@@ -62,33 +56,6 @@ double RandomStream::normal(double mean, double stddev) noexcept {
   const double u2 = uniform01();
   const double radius = std::sqrt(-2.0 * std::log(u1));
   return mean + stddev * radius * std::cos(6.283185307179586476925286766559 * u2);
-}
-
-double RandomStream::erlang(unsigned k, double rate) noexcept {
-  assert(rate > 0.0);
-  // Product-of-uniforms form: one log instead of k.
-  double product = 1.0;
-  for (unsigned i = 0; i < k; ++i) product *= uniform01_open_left();
-  return -std::log(product) / rate;
-}
-
-std::uint64_t RandomStream::poisson(double mean) noexcept {
-  assert(mean >= 0.0);
-  if (mean <= 0.0) return 0;
-  if (mean < 30.0) {
-    // Knuth: count uniforms until their product drops below e^-mean.
-    const double threshold = std::exp(-mean);
-    std::uint64_t count = 0;
-    double product = uniform01_open_left();
-    while (product > threshold) {
-      ++count;
-      product *= uniform01_open_left();
-    }
-    return count;
-  }
-  // Split recursively: Poisson(a+b) = Poisson(a) + Poisson(b).
-  const double half = mean / 2.0;
-  return poisson(half) + poisson(mean - half);
 }
 
 }  // namespace tempriv::sim

@@ -35,9 +35,6 @@ class RandomStream {
   /// Uniform integer in [0, n). Requires n > 0. Unbiased (Lemire rejection).
   std::uint64_t uniform_index(std::uint64_t n) noexcept;
 
-  /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool bernoulli(double p) noexcept;
-
   /// Exponential with given mean (= 1/rate). Requires mean > 0.
   double exponential_mean(double mean) noexcept;
 
@@ -50,14 +47,6 @@ class RandomStream {
 
   /// Standard normal via Box-Muller (deterministic, no cached spare).
   double normal(double mean, double stddev) noexcept;
-
-  /// Erlang(k, rate): sum of k independent Exponential(rate) variates.
-  double erlang(unsigned k, double rate) noexcept;
-
-  /// Poisson-distributed count with the given mean. Uses Knuth's product
-  /// method for small means and normal approximation with rejection
-  /// adjustment (PTRS-lite) avoided: for large means we sum Erlang steps.
-  std::uint64_t poisson(double mean) noexcept;
 
  private:
   Xoshiro256pp rng_;

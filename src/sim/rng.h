@@ -26,15 +26,10 @@ class SplitMix64 {
 
 /// xoshiro256++ (Blackman & Vigna). Deterministic and bit-stable across
 /// platforms, unlike std:: distributions; this is the root generator for
-/// every random quantity in the simulator.
-///
-/// Satisfies UniformRandomBitGenerator, so it can also feed <random> if a
-/// caller wants that (the library itself only uses the samplers in
-/// random.h, which are bit-stable).
+/// every random quantity in the simulator, drawn through the samplers in
+/// random.h.
 class Xoshiro256pp {
  public:
-  using result_type = std::uint64_t;
-
   /// Seeds the four state words through SplitMix64, per the authors'
   /// recommendation (avoids the all-zero state for any seed).
   explicit Xoshiro256pp(std::uint64_t seed) noexcept;
@@ -46,11 +41,7 @@ class Xoshiro256pp {
   /// The current 256-bit state.
   const std::array<std::uint64_t, 4>& state() const noexcept { return s_; }
 
-  static constexpr result_type min() noexcept { return 0; }
-  static constexpr result_type max() noexcept { return ~0ULL; }
-
-  result_type operator()() noexcept { return next(); }
-  result_type next() noexcept;
+  std::uint64_t next() noexcept;
 
   /// Derives an independent generator for a subcomponent. `stream_id`
   /// identifies the component (node id, source id, ...); generators with

@@ -23,7 +23,6 @@ void BurstSource::start(double at) {
 }
 
 void BurstSource::begin_burst() {
-  ++bursts_;
   const double burst_ends =
       network().simulator().now() + rng().exponential_mean(config_.mean_on_time);
   tick(burst_ends);

@@ -22,11 +22,6 @@ class BurstSource final : public Source {
     double mean_on_time = 20.0;   ///< exponential mean of ON periods
     double mean_off_time = 80.0;  ///< exponential mean of OFF periods
     std::uint32_t count = 1000;   ///< total packets to create
-
-    /// Long-run average rate: burst_rate * on / (on + off).
-    double average_rate() const noexcept {
-      return burst_rate * mean_on_time / (mean_on_time + mean_off_time);
-    }
   };
 
   BurstSource(net::Network& network, const crypto::PayloadCodec& codec,
@@ -34,14 +29,11 @@ class BurstSource final : public Source {
 
   void start(double at) override;
 
-  std::uint64_t bursts_started() const noexcept { return bursts_; }
-
  private:
   void begin_burst();
   void tick(double burst_ends);
 
   Config config_;
-  std::uint64_t bursts_ = 0;
 };
 
 }  // namespace tempriv::workload

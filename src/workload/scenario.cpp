@@ -3,7 +3,6 @@
 #include <chrono>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -14,7 +13,6 @@
 #include "crypto/payload.h"
 #include "net/network.h"
 #include "net/topology.h"
-#include "net/tracer.h"
 #include "sim/simulator.h"
 #include "workload/burst_source.h"
 #include "workload/source.h"
@@ -187,18 +185,19 @@ ScenarioResult run_paper_scenario(const PaperScenario& scenario) {
   // one packet on the wire at once, so steady state never grows it.
   network.reserve(network.topology().node_count());
 
-  // Tracing is opt-in: untraced runs never construct the tracer, so the
-  // transmit-probe list stays empty and the hot path is one branch.
-  std::optional<net::PacketTracer> tracer;
+  // Tracing is opt-in: untraced runs install no transmit probe, so the
+  // probe list stays empty and the hot path is one branch. On a routing
+  // tree a packet leaves its origin exactly once, so transmits from the
+  // origin count the packets that reached the air.
+  std::uint64_t transmissions = 0;
+  std::uint64_t packets_traced = 0;
   if (scenario.trace) {
-    tracer.emplace(network);
-    const std::size_t total_packets =
-        scenario.hop_counts.size() * scenario.packets_per_source;
-    std::size_t total_hops = 0;
-    for (const std::uint16_t hops : scenario.hop_counts) {
-      total_hops += static_cast<std::size_t>(hops) * scenario.packets_per_source;
-    }
-    tracer->reserve(total_packets, total_hops);
+    network.add_transmit_probe(
+        [&transmissions, &packets_traced](net::NodeId from, net::NodeId,
+                                          const net::Packet& packet, sim::Time) {
+          ++transmissions;
+          if (from == packet.header.origin) ++packets_traced;
+        });
   }
 
   const crypto::Speck64_128::Key master_key{0x00, 0x11, 0x22, 0x33, 0x44, 0x55,
@@ -294,10 +293,8 @@ ScenarioResult run_paper_scenario(const PaperScenario& scenario) {
   result.drops = network.total_drops();
   result.mean_latency_all = truth.total_latency().mean();
   result.sim_end_time = simulator.now();
-  if (tracer) {
-    result.transmissions = tracer->transmissions();
-    result.packets_traced = tracer->packets_traced();
-  }
+  result.transmissions = transmissions;
+  result.packets_traced = packets_traced;
   for (std::size_t i = 0; i < built.sources.size(); ++i) {
     FlowResult flow;
     flow.source = built.sources[i];

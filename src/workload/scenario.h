@@ -66,9 +66,9 @@ struct PaperScenario {
   /// Optional per-link MAC jitter (see net::NetworkConfig::hop_jitter);
   /// the adversaries' known per-hop transmission delay becomes τ + jitter/2.
   double hop_jitter = 0.0;
-  /// Opt-in packet tracing (net::PacketTracer). Off by default so untraced
-  /// runs never construct the tracer or pay its per-transmission probe;
-  /// when on, ScenarioResult::transmissions/packets_traced are filled in.
+  /// Opt-in transmission counting through a transmit probe. Off by default
+  /// so untraced runs never pay a per-transmission probe; when on,
+  /// ScenarioResult::transmissions/packets_traced are filled in.
   bool trace = false;
 };
 
@@ -123,8 +123,8 @@ struct ScenarioResult {
   double sim_end_time = 0.0;
   std::uint64_t events_executed = 0;  ///< simulator events (throughput metric)
   /// Filled only when PaperScenario::trace is set; 0 otherwise.
-  std::uint64_t transmissions = 0;   ///< link-layer transmissions traced
-  std::uint64_t packets_traced = 0;  ///< distinct packets seen by the tracer
+  std::uint64_t transmissions = 0;   ///< link-layer transmissions
+  std::uint64_t packets_traced = 0;  ///< packets that left their origin
   RunTelemetry telemetry;
 };
 

@@ -26,7 +26,6 @@ class Source {
   /// simulator; `at` is an absolute simulation time.
   virtual void start(double at) = 0;
 
-  net::NodeId origin() const noexcept { return origin_; }
   std::uint32_t packets_created() const noexcept { return app_seq_; }
 
  protected:

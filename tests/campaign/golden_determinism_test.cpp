@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "campaign/sweeps.h"
+#include "campaign/sweep_names.h"
 
 #ifndef TEMPRIV_GOLDEN_DIR
 #error "TEMPRIV_GOLDEN_DIR must point at tests/golden (set by CMake)"
@@ -29,14 +30,6 @@ std::string read_file(const std::string& path) {
   std::ostringstream contents;
   contents << file.rdbuf();
   return contents.str();
-}
-
-// Every name make_named_sweep resolves, so a sweep added without a golden
-// fails here.
-std::vector<std::string> all_named_sweeps() {
-  std::vector<std::string> names = named_sweeps();
-  names.insert(names.end(), ablation_sweeps().begin(), ablation_sweeps().end());
-  return names;
 }
 
 class GoldenDeterminism : public ::testing::TestWithParam<std::string> {};

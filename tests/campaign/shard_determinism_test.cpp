@@ -18,6 +18,7 @@
 
 #include "campaign/merge.h"
 #include "campaign/sweeps.h"
+#include "campaign/sweep_names.h"
 
 namespace tempriv::campaign {
 namespace {
@@ -71,13 +72,6 @@ CampaignBytes sharded_bytes(const Sweep& sweep, std::uint32_t count,
   std::ostringstream csv_os;
   merged.table.write_csv(csv_os);
   return {merged.jsonl, merged.stats_json, csv_os.str()};
-}
-
-// Every name make_named_sweep resolves, so a new sweep is covered here.
-std::vector<std::string> all_named_sweeps() {
-  std::vector<std::string> names = named_sweeps();
-  names.insert(names.end(), ablation_sweeps().begin(), ablation_sweeps().end());
-  return names;
 }
 
 class ShardDeterminism : public ::testing::TestWithParam<std::string> {};

@@ -5,7 +5,9 @@
 #      row of the fig2a golden CSV (it runs the same paper scenario);
 #   2. habitat_monitoring concludes that temporal ambiguity becomes
 #      spatial ambiguity;
-#   3. tactical_tracking delivers all 4000 packets;
+#   3. tactical_tracking delivers all 4000 packets, and its forwarding
+#      nodes are expected to buffer 360.5 packets (the sink holds none;
+#      ErlangDimensioning.PaperFigure1Tree pins the same sum);
 #   4. buffer_planning concludes that privacy and buffer utilization
 #      conflict.
 #
@@ -55,7 +57,8 @@ fi
 run habitat_monitoring "$HABITAT" &&
   claims habitat_monitoring "Temporal ambiguity becomes spatial ambiguity"
 run tactical_tracking "$TACTICAL" &&
-  claims tactical_tracking "delivered 4000/4000"
+  claims tactical_tracking "delivered 4000/4000" &&
+  claims tactical_tracking "expected buffered packets network-wide: 360.5"
 run buffer_planning "$PLANNING" &&
   claims buffer_planning "buffer utilization are conflicting objectives"
 

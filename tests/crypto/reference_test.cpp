@@ -47,8 +47,9 @@ TEST(CryptoReference, KeystreamWordMatchesOfficialSpeckVector) {
 
   // The production cipher must produce the same block, bytes and all.
   CtrCipher ctr(key);
+  const std::uint8_t zeros[8] = {};
   std::uint8_t block[8];
-  ctr.keystream(plaintext_word, block);
+  ctr.xor_keystream(plaintext_word, zeros, block);
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(block[i], static_cast<std::uint8_t>(ciphertext_word >> (8 * i)))
         << "byte " << i;
@@ -67,9 +68,11 @@ TEST(CryptoReference, KeystreamMatchesReferenceAcrossWidths) {
     for (std::size_t len = 0; len <= 2 * 8 * Speck64_128::kBlockBytes + 9;
          ++len) {
       const std::uint64_t nonce = mix.next();
+      // The keystream is what XORs onto zeros.
+      const std::vector<std::uint8_t> zeros(len, 0);
       std::vector<std::uint8_t> got(len, 0xcd);
       std::vector<std::uint8_t> want(len, 0xab);
-      ctr.keystream(nonce, got);
+      ctr.xor_keystream(nonce, zeros, got);
       reference::keystream(cipher, nonce, want);
       EXPECT_EQ(got, want) << "trial " << trial << " len " << len;
     }
@@ -92,9 +95,9 @@ TEST(CryptoReference, XorKeystreamMatchesReferenceAcrossWidths) {
       reference::xor_keystream(cipher, nonce, plain, want);
       EXPECT_EQ(got, want) << "trial " << trial << " len " << len;
 
-      // In-place form (crypt) must agree too.
+      // The in-place form (out aliasing in) must agree too.
       std::vector<std::uint8_t> in_place = plain;
-      ctr.crypt(nonce, in_place);
+      ctr.xor_keystream(nonce, in_place, in_place);
       EXPECT_EQ(in_place, want) << "trial " << trial << " len " << len;
     }
   }

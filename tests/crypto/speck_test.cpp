@@ -25,12 +25,14 @@ TEST(Speck64_128, OfficialTestVectorEncrypt) {
 }
 
 TEST(Speck64_128, OfficialTestVectorDecrypt) {
+  // A block is the words (y, x), each little-endian: ciphertext
+  // (x, y) = (8c6fa548, 454e028b) decrypts to (3b726574, 7475432d).
   Speck64_128 cipher(reference_key());
-  std::uint32_t x = 0x8c6fa548;
-  std::uint32_t y = 0x454e028b;
-  cipher.decrypt_words(x, y);
-  EXPECT_EQ(x, 0x3b726574u);
-  EXPECT_EQ(y, 0x7475432du);
+  Speck64_128::Block block = {0x8b, 0x02, 0x4e, 0x45, 0x48, 0xa5, 0x6f, 0x8c};
+  cipher.decrypt_block(block);
+  const Speck64_128::Block plain = {0x2d, 0x43, 0x75, 0x74,
+                                    0x74, 0x65, 0x72, 0x3b};
+  EXPECT_EQ(block, plain);
 }
 
 TEST(Speck64_128, BlockRoundTrip) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "infotheory/entropy.h"
+#include "sim/erlang_draw.h"
 #include "sim/random.h"
 
 namespace tempriv::infotheory {
@@ -192,7 +193,7 @@ TEST(LeakageFromDelays, RespectsAnantharamVerduBoundOnAverage) {
     std::vector<double> xs(kTrials);
     std::vector<double> zs(kTrials);
     for (std::size_t t = 0; t < kTrials; ++t) {
-      xs[t] = rng.erlang(static_cast<unsigned>(cell.j), kLambda);
+      xs[t] = sim::erlang(rng, static_cast<unsigned>(cell.j), kLambda);
       zs[t] = xs[t] + rng.exponential_mean(mean_delay);
     }
     estimates.push_back(mutual_information_histogram(xs, zs, 24));

@@ -11,6 +11,7 @@
 #include "crypto/payload.h"
 #include "net/network.h"
 #include "net/routing.h"
+#include "net/topology_fixtures.h"
 #include "sim/simulator.h"
 #include "workload/source.h"
 
@@ -22,7 +23,7 @@ class RandomTopologyRoutingTest : public ::testing::TestWithParam<std::uint64_t>
 TEST_P(RandomTopologyRoutingTest, BfsInvariantsHoldOnRandomGeometricGraphs) {
   sim::RandomStream rng(GetParam());
   const net::Topology topo =
-      net::Topology::random_geometric(60, 10.0, 2.5, rng);
+      net::Topology::random_geometric_multi_sink(60, 10.0, 2.5, 1, rng);
   const net::RoutingTable routing(topo);
   for (net::NodeId id = 0; id < topo.node_count(); ++id) {
     if (!routing.reachable(id)) continue;
@@ -66,7 +67,7 @@ TEST(CryptoDomainSeparation, CtrAndMacSubkeysDiffer) {
 
 TEST(EndToEnd, StarTopologyAggregatesAllFlowsAtTheHubSink) {
   sim::Simulator sim;
-  net::Network network(sim, net::Topology::star(8),
+  net::Network network(sim, net::fixtures::star(8),
                        core::DisciplineSpec::rcad_exponential(10.0, 4), {},
                        sim::RandomStream(3));
   crypto::Speck64_128::Key key{};
@@ -87,7 +88,7 @@ TEST(EndToEnd, StarTopologyAggregatesAllFlowsAtTheHubSink) {
 
 TEST(EndToEnd, BinaryTreeLeavesAllReachTheRoot) {
   sim::Simulator sim;
-  const net::Topology topo = net::Topology::binary_tree(4);  // 31 nodes
+  const net::Topology topo = net::fixtures::binary_tree(4);  // 31 nodes
   net::Network network(sim, topo,
                        core::DisciplineSpec::unlimited_exponential(5.0),
                        {}, sim::RandomStream(4));

@@ -147,8 +147,8 @@ Scenario draw_scenario(std::uint64_t seed) {
     }
   }
 
-  const bool constant = rng.bernoulli(0.4);
-  s.uniform = rng.bernoulli(0.5);
+  const bool constant = rng.uniform01() < 0.4;
+  s.uniform = rng.uniform01() < 0.5;
   s.specs.assign(s.topology.node_count(), DisciplineSpec::immediate());
   if (s.uniform) {
     std::fill(s.specs.begin(), s.specs.end(), draw_spec(rng, constant));
@@ -158,13 +158,13 @@ Scenario draw_scenario(std::uint64_t seed) {
     const std::vector<DisciplineSpec> palette = {draw_spec(rng, constant),
                                                  draw_spec(rng, constant)};
     for (NodeId id : forwarding) {
-      s.specs[id] = rng.bernoulli(0.2) ? draw_spec(rng, constant)
+      s.specs[id] = (rng.uniform01() < 0.2) ? draw_spec(rng, constant)
                                        : palette[rng.uniform_index(2)];
     }
   }
-  if (rng.bernoulli(0.5)) s.timing.hop_jitter = rng.uniform(0.05, 1.5);
+  if (rng.uniform01() < 0.5) s.timing.hop_jitter = rng.uniform(0.05, 1.5);
   s.horizon = 10.0 + rng.uniform(0.0, 30.0);
-  const bool periodic = rng.bernoulli(0.5);
+  const bool periodic = rng.uniform01() < 0.5;
   for (NodeId origin : sources) {
     draw_injections(rng, origin, s.horizon, periodic, s.injections);
   }

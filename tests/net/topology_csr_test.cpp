@@ -1,6 +1,6 @@
 // CSR adjacency and spatial-hash construction regression suite: the packed
 // sorted-row representation must agree with a straightforward builder-side
-// reference on every topology factory, the grid-hash random_geometric must
+// reference on every topology factory, the grid-hash random_geometric_multi_sink must
 // reproduce the O(n²) pairwise scan and a queue-based BFS bit-for-bit (same
 // RNG draw order, same placements, same edge set, same routing tree), and
 // multi-sink routing must hand every node to its nearest sink with
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "net/routing.h"
+#include "net/topology_fixtures.h"
 #include "oracles/topology_reference.h"
 
 namespace tempriv::net {
@@ -50,12 +51,12 @@ void expect_csr_well_formed(const Topology& topo) {
 
 TEST(TopologyCsr, AllFactoriesProduceWellFormedAdjacency) {
   sim::RandomStream rng(123);
-  const Topology geometric = Topology::random_geometric(60, 10.0, 2.5, rng);
+  const Topology geometric = Topology::random_geometric_multi_sink(60, 10.0, 2.5, 1, rng);
   const std::vector<const Topology*> topos = {&geometric};
   expect_csr_well_formed(Topology::line(7));
   expect_csr_well_formed(Topology::grid(5, 4));
-  expect_csr_well_formed(Topology::star(9));
-  expect_csr_well_formed(Topology::binary_tree(4));
+  expect_csr_well_formed(fixtures::star(9));
+  expect_csr_well_formed(fixtures::binary_tree(4));
   expect_csr_well_formed(Topology::converging_paths({6, 9, 5}, 2).topology);
   expect_csr_well_formed(Topology::paper_figure1().topology);
   expect_csr_well_formed(geometric);
@@ -129,7 +130,7 @@ TEST(TopologyCsr, BuilderDuplicatesAndSelfLoopsMatchUpfrontBuild) {
                                      2 * 99 * sizeof(NodeId));
 }
 
-/// Draws `n` placements exactly as random_geometric does and returns the
+/// Draws `n` placements exactly as random_geometric_multi_sink does and returns the
 /// grid-hash cell floor, extent / ceil(√n). A radius equal to it makes the
 /// connection radius and the cell side the same double.
 double cell_floor_for(std::size_t n, double side, std::uint64_t seed) {
@@ -184,9 +185,7 @@ TEST(TopologyCsr, GridHashGeometricMatchesBruteForceReference) {
     sim::RandomStream rng_fast(c.seed);
     sim::RandomStream rng_ref(c.seed);
     const Topology fast =
-        c.sinks == 1 ? Topology::random_geometric(c.n, c.side, c.radius, rng_fast)
-                     : Topology::random_geometric_multi_sink(c.n, c.side, c.radius,
-                                                             c.sinks, rng_fast);
+        Topology::random_geometric_multi_sink(c.n, c.side, c.radius, c.sinks, rng_fast);
     const oracles::GeometricField ref =
         brute_force_geometric(c.n, c.side, c.radius, c.sinks, rng_ref);
     ASSERT_EQ(fast.node_count(), ref.positions.size());
@@ -221,7 +220,7 @@ TEST(TopologyCsr, GeometricRejectsNonFiniteRadiusOrSide) {
         std::pair{nan, 1.0}, std::pair{inf, 1.0}}) {
     SCOPED_TRACE(testing::Message() << "side=" << side << " radius=" << radius);
     sim::RandomStream rng(1);
-    EXPECT_THROW(Topology::random_geometric(50, side, radius, rng),
+    EXPECT_THROW(Topology::random_geometric_multi_sink(50, side, radius, 1, rng),
                  std::invalid_argument);
     EXPECT_THROW(Topology::random_geometric_multi_sink(50, side, radius, 3, rng),
                  std::invalid_argument);
@@ -233,7 +232,7 @@ TEST(TopologyCsr, MultiSinkGeometricPlacementsMatchSingleSink) {
   sim::RandomStream rng_single(42);
   const Topology multi =
       Topology::random_geometric_multi_sink(50, 10.0, 2.0, 4, rng_multi);
-  const Topology single = Topology::random_geometric(50, 10.0, 2.0, rng_single);
+  const Topology single = Topology::random_geometric_multi_sink(50, 10.0, 2.0, 1, rng_single);
   ASSERT_EQ(multi.sinks().size(), 4u);
   for (NodeId id = 0; id < 50; ++id) {
     EXPECT_EQ(multi.position(id).x, single.position(id).x);
@@ -304,7 +303,7 @@ TEST(TopologyCsr, SingleSinkRoutingUnchangedByRewrite) {
 
 TEST(TopologyCsr, MemoryAccountingScalesWithGraphNotObjects) {
   sim::RandomStream rng(7);
-  const Topology topo = Topology::random_geometric(2000, 44.7, 1.8, rng);
+  const Topology topo = Topology::random_geometric_multi_sink(2000, 44.7, 1.8, 1, rng);
   const RoutingTable routing(topo);
   // Flat arrays only: a few dozen bytes per node + 8 per directed edge.
   EXPECT_GT(topo.memory_bytes(), 2000 * sizeof(Position));

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "net/routing.h"
+#include "net/topology_fixtures.h"
 
 namespace tempriv::net {
 namespace {
@@ -81,7 +82,7 @@ TEST(Topology, GridSpacingSetsPositions) {
 
 TEST(Topology, RandomGeometricConnectsCloseNodes) {
   sim::RandomStream rng(77);
-  const Topology topo = Topology::random_geometric(50, 10.0, 3.0, rng);
+  const Topology topo = Topology::random_geometric_multi_sink(50, 10.0, 3.0, 1, rng);
   EXPECT_EQ(topo.node_count(), 50u);
   for (NodeId a = 0; a < 50; ++a) {
     for (NodeId b = 0; b < 50; ++b) {
@@ -98,8 +99,8 @@ TEST(Topology, RandomGeometricConnectsCloseNodes) {
 TEST(Topology, RandomGeometricIsDeterministicPerSeed) {
   sim::RandomStream rng1(5);
   sim::RandomStream rng2(5);
-  const Topology a = Topology::random_geometric(30, 10.0, 2.0, rng1);
-  const Topology b = Topology::random_geometric(30, 10.0, 2.0, rng2);
+  const Topology a = Topology::random_geometric_multi_sink(30, 10.0, 2.0, 1, rng1);
+  const Topology b = Topology::random_geometric_multi_sink(30, 10.0, 2.0, 1, rng2);
   for (NodeId id = 0; id < 30; ++id) {
     EXPECT_DOUBLE_EQ(a.position(id).x, b.position(id).x);
     const auto na = a.neighbors(id);
@@ -153,6 +154,36 @@ TEST(Topology, PaperFigure1MatchesEvaluationSetup) {
   EXPECT_EQ(routing.hops_to_sink(built.sources[1]), 22);  // S2
   EXPECT_EQ(routing.hops_to_sink(built.sources[2]), 9);   // S3
   EXPECT_EQ(routing.hops_to_sink(built.sources[3]), 11);  // S4
+}
+
+TEST(TopologyStar, AllLeavesOneHopFromSink) {
+  const Topology topo = fixtures::star(6);
+  const RoutingTable routing(topo);
+  EXPECT_EQ(topo.node_count(), 7u);
+  for (NodeId leaf = 1; leaf <= 6; ++leaf) {
+    EXPECT_EQ(routing.hops_to_sink(leaf), 1);
+    EXPECT_EQ(routing.next_hop(leaf), topo.sink());
+  }
+  EXPECT_THROW(fixtures::star(0), std::invalid_argument);
+}
+
+TEST(TopologyBinaryTree, DepthAndStructure) {
+  const Topology topo = fixtures::binary_tree(3);
+  const RoutingTable routing(topo);
+  EXPECT_EQ(topo.node_count(), 15u);
+  EXPECT_TRUE(routing.fully_connected());
+  // Leaves (ids 7..14) are depth hops from the root sink.
+  for (NodeId leaf = 7; leaf <= 14; ++leaf) {
+    EXPECT_EQ(routing.hops_to_sink(leaf), 3);
+  }
+  EXPECT_EQ(routing.hops_to_sink(1), 1);
+  EXPECT_EQ(routing.next_hop(5), 2u);  // parent of node 5 is (5-1)/2 = 2
+}
+
+TEST(TopologyBinaryTree, DepthZeroIsJustTheSink) {
+  const Topology topo = fixtures::binary_tree(0);
+  EXPECT_EQ(topo.node_count(), 1u);
+  EXPECT_EQ(topo.sink(), 0u);
 }
 
 }  // namespace

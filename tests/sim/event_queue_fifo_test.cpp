@@ -66,7 +66,7 @@ TEST(EventQueueFifo, NonMonotoneTimeFallsBackToHeap) {
   q.schedule_monotone(9.0, [&] { order.push_back(9); });
   const EventId early = q.schedule_monotone(1.0, [&] { order.push_back(1); });
   q.schedule_monotone(9.5, [&] { order.push_back(95); });
-  EXPECT_TRUE(early.valid());
+  EXPECT_NE(early, EventId{});
   while (auto event = pop(q)) event->action();
   EXPECT_EQ(order, (std::vector<int>{1, 5, 9, 95}));
 }

@@ -267,8 +267,8 @@ TEST(EventQueue, EventIdsAreUnique) {
   const EventId a = q.schedule(1.0, [] {});
   const EventId b = q.schedule(1.0, [] {});
   EXPECT_NE(a, b);
-  EXPECT_TRUE(a.valid());
-  EXPECT_FALSE(EventId{}.valid());
+  EXPECT_NE(a, EventId{});  // 0 is reserved for "invalid"
+  EXPECT_EQ(EventId{}.value(), 0u);
 }
 
 // Equal-time cohorts ("batches") through dispatch_head: one event per

@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "metrics/stats.h"
+#include "sim/erlang_draw.h"
 
 namespace tempriv::sim {
 namespace {
@@ -63,15 +63,6 @@ TEST(RandomStream, UniformIndexOfOneIsAlwaysZero) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.uniform_index(1), 0u);
 }
 
-TEST(RandomStream, BernoulliMatchesProbability) {
-  RandomStream rng(7);
-  int hits = 0;
-  for (int i = 0; i < kSamples; ++i) hits += rng.bernoulli(0.3) ? 1 : 0;
-  EXPECT_NEAR(static_cast<double>(hits) / kSamples, 0.3, 0.01);
-  EXPECT_FALSE(rng.bernoulli(0.0));
-  EXPECT_TRUE(rng.bernoulli(1.0));
-}
-
 TEST(RandomStream, ExponentialMeanAndVariance) {
   RandomStream rng(8);
   metrics::StreamingStats stats;
@@ -117,31 +108,9 @@ TEST(RandomStream, ErlangIsSumOfExponentials) {
   metrics::StreamingStats stats;
   constexpr unsigned kStages = 4;
   constexpr double kRate = 0.5;
-  for (int i = 0; i < kSamples; ++i) stats.add(rng.erlang(kStages, kRate));
+  for (int i = 0; i < kSamples; ++i) stats.add(erlang(rng, kStages, kRate));
   EXPECT_NEAR(stats.mean(), kStages / kRate, 0.1);
   EXPECT_NEAR(stats.variance(), kStages / (kRate * kRate), 0.5);
-}
-
-class PoissonMeanTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(PoissonMeanTest, MeanAndVarianceEqualLambda) {
-  const double mean = GetParam();
-  RandomStream rng(13 + static_cast<std::uint64_t>(mean * 10));
-  metrics::StreamingStats stats;
-  for (int i = 0; i < 50000; ++i) {
-    stats.add(static_cast<double>(rng.poisson(mean)));
-  }
-  EXPECT_NEAR(stats.mean(), mean, std::max(0.05, mean * 0.03));
-  EXPECT_NEAR(stats.variance(), mean, std::max(0.1, mean * 0.06));
-}
-
-// Covers both the Knuth regime (< 30) and the recursive-split regime.
-INSTANTIATE_TEST_SUITE_P(SmallAndLargeMeans, PoissonMeanTest,
-                         ::testing::Values(0.5, 3.0, 12.0, 29.9, 45.0, 120.0));
-
-TEST(RandomStream, PoissonZeroMeanIsZero) {
-  RandomStream rng(14);
-  EXPECT_EQ(rng.poisson(0.0), 0u);
 }
 
 TEST(RandomStream, SplitProducesIndependentStreams) {

@@ -138,13 +138,6 @@ TEST(Xoshiro256pp, SplitStreamsMatchRecordedWords) {
   }
 }
 
-TEST(Xoshiro256pp, SatisfiesUniformRandomBitGenerator) {
-  static_assert(Xoshiro256pp::min() == 0);
-  static_assert(Xoshiro256pp::max() == ~0ULL);
-  Xoshiro256pp rng(5);
-  EXPECT_NE(rng(), rng());
-}
-
 TEST(Xoshiro256pp, BitsLookBalanced) {
   Xoshiro256pp rng(2024);
   int ones = 0;

@@ -370,7 +370,7 @@ TEST_P(EventQueueBatchFuzzTest, MatchesOneAtATimeReferenceModel) {
     } else if (dice < 0.9) {
       const double deadline =
           m.sim.now() + 0.5 * static_cast<double>(rng.uniform_index(6)) +
-          (rng.bernoulli(0.3) ? 0.25 : 0.0);
+          (rng.uniform01() < 0.3 ? 0.25 : 0.0);
       const std::size_t count = m.sim.run_until(deadline);
       ASSERT_EQ(count, m.ran - ran_before);
       if (!m.stopped) {

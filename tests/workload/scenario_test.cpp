@@ -62,6 +62,36 @@ TEST(PaperScenario, DropTailLosesPacketsAtOverload) {
   EXPECT_LT(result.delivered, result.originated);
 }
 
+TEST(PaperScenario, TraceCountsEveryTransmissionAndEveryPacket) {
+  // Unlimited buffers lose nothing: each packet crosses its flow's hop
+  // count of links and leaves its origin once.
+  PaperScenario unlimited = fast_scenario(Scheme::kUnlimitedDelay, 2.0);
+  unlimited.trace = true;
+  const auto lossless = run_paper_scenario(unlimited);
+  EXPECT_EQ(lossless.transmissions, (15u + 22u + 9u + 11u) * 150u);
+  EXPECT_EQ(lossless.packets_traced, 4u * 150u);
+
+  // Drop-tail at overload loses packets part-way, so fewer links carry
+  // them. Every packet a forwarding node handles is transmitted unless the
+  // node drops it, so the probe's count is the engine's handled - dropped.
+  PaperScenario droptail = fast_scenario(Scheme::kDropTail, 2.0);
+  droptail.trace = true;
+  const auto lossy = run_paper_scenario(droptail);
+  ASSERT_GT(lossy.drops, 0u);
+  EXPECT_LT(lossy.transmissions, (15u + 22u + 9u + 11u) * 150u);
+  EXPECT_EQ(lossy.transmissions, lossy.telemetry.forward_immediate +
+                                     lossy.telemetry.forward_buffered -
+                                     lossy.drops);
+  EXPECT_LE(lossy.packets_traced, lossy.originated);
+  EXPECT_GE(lossy.packets_traced, lossy.delivered);
+
+  // Untraced runs report no counts.
+  const auto untraced = run_paper_scenario(fast_scenario(Scheme::kDropTail, 2.0));
+  EXPECT_EQ(untraced.transmissions, 0u);
+  EXPECT_EQ(untraced.packets_traced, 0u);
+  EXPECT_EQ(untraced.drops, lossy.drops);
+}
+
 TEST(PaperScenario, Figure2aOrdering_RcadBeatsBothBaselinesAtHighRate) {
   // The qualitative content of Fig. 2(a) at 1/lambda = 2: case 3 (RCAD)
   // MSE dwarfs cases 1 and 2.
